@@ -21,10 +21,11 @@ All objects are immutable after construction; every function is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
+from typing import NamedTuple
 
 # A grid entry is either STAR (cached) or a positive slot id.
 STAR = None
@@ -58,11 +59,13 @@ class ValidationFailure(Exception):
 class ValidationReport:
     """Per-condition outcome of a validation run plus derived parameters.
 
-    ``stars_per_col`` and ``t`` are None when C1 fails (they are undefined
-    for columns with unequal star counts).  ``min_antennas`` is the smallest
-    antenna count at which C4 would hold.  ``regular`` means every slot id
-    occurs exactly t+L times, the shape the delivery proof relies on; it
-    depends on the declared antenna count.
+    ``stars_per_col``, ``t`` and ``sum_dof`` are None when C1 fails (they
+    are undefined for columns with unequal star counts).  ``min_antennas``
+    is the smallest antenna count at which C4 would hold.  ``regular`` means
+    every slot id occurs exactly t+L times, the shape the delivery proof
+    relies on; it depends on the declared antenna count.  ``slot_index``
+    maps each slot id present to its cells (f, k), 1-based, in column-major
+    order.
     """
 
     ok: bool
@@ -76,9 +79,11 @@ class ValidationReport:
     stars_per_col: int | None
     slots: int
     t: Fraction | None
+    sum_dof: Fraction | None
     min_antennas: int
     regular: bool  # every slot id occurs exactly t+L times
     failures: tuple[str, ...]
+    slot_index: dict = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -119,9 +124,10 @@ def _normalize_grid(grid):
 def validate(grid, claimed_antennas):
     """Check conditions C1-C4 of an F x K grid at a declared antenna count.
 
-    Returns a ValidationReport with one flag per condition and the derived
-    parameters (Z, S, t, min_antennas, regularity).  The report passes
-    overall iff C1-C4 all hold with L = claimed_antennas.
+    Returns a ValidationReport with one flag per condition, the derived
+    parameters (Z, S, t, sum-DoF, min_antennas, regularity) and the slot
+    index.  The report passes overall iff C1-C4 all hold with
+    L = claimed_antennas.
 
     Raises RaggedGrid or NonPositiveSlotId for structurally malformed input
     and DomainError for a non-positive antenna count; condition failures are
@@ -134,44 +140,51 @@ def validate(grid, claimed_antennas):
     n_cols = len(rows[0])
     failures = []
 
-    star_counts = [sum(1 for f in range(n_rows) if rows[f][k] is STAR) for k in range(n_cols)]
+    # One column-major pass: star counts (C1), repeats within a column (C3)
+    # and the slot index.  Cells are appended column by column, so a slot
+    # repeats in column k exactly when its last cell so far is in column k.
+    star_counts = []
+    repeats = []
+    cells: dict[int, list] = {}
+    for k, column in enumerate(zip(*rows), 1):
+        star_counts.append(column.count(STAR))
+        repeat = None
+        for f, e in enumerate(column, 1):
+            if e is STAR:
+                continue
+            found = cells.get(e)
+            if found is None:
+                cells[e] = [(f, k)]
+                continue
+            if repeat is None and found[-1][1] == k:
+                repeat = e
+            found.append((f, k))
+        if repeat is not None:
+            repeats.append(f"C3 violated in column {k}: slot {repeat} repeated")
+    index = {s: tuple(cells[s]) for s in sorted(cells)}
+
     c1 = len(set(star_counts)) == 1
     stars_per_col = star_counts[0] if c1 else None
     if not c1:
         failures.append(f"C1 violated: star counts per column are {star_counts}")
 
-    occurrences: dict[int, int] = {}
-    for row in rows:
-        for e in row:
-            if e is not STAR:
-                occurrences[e] = occurrences.get(e, 0) + 1
-    slots = max(occurrences) if occurrences else 0
-    missing = [s for s in range(1, slots + 1) if s not in occurrences]
+    slots = max(index, default=0)
+    missing = [s for s in range(1, slots + 1) if s not in index]
     c2 = not missing
     if not c2:
         failures.append(f"C2 violated: missing slot id(s) {missing}")
 
-    c3 = True
-    for k in range(n_cols):
-        seen = set()
-        for f in range(n_rows):
-            e = rows[f][k]
-            if e is STAR:
-                continue
-            if e in seen:
-                c3 = False
-                failures.append(f"C3 violated in column {k + 1}: slot {e} repeated")
-                break
-            seen.add(e)
+    c3 = not repeats
+    failures.extend(repeats)
 
     # C4: within each slot's subgrid, count integer entries per row.
     min_antennas = 0
     c4 = True
-    for s in sorted(occurrences):
-        slot_rows = [f for f in range(n_rows) if s in rows[f]]
-        slot_cols = [k for k in range(n_cols) if any(rows[f][k] == s for f in range(n_rows))]
+    for s, members in index.items():
+        slot_cols = {k - 1 for _, k in members}
         worst = max(
-            sum(1 for k in slot_cols if rows[f][k] is not STAR) for f in slot_rows
+            sum(1 for k in slot_cols if rows[f - 1][k] is not STAR)
+            for f in {f for f, _ in members}
         )
         if worst > min_antennas:
             min_antennas = worst
@@ -179,10 +192,11 @@ def validate(grid, claimed_antennas):
             c4 = False
             failures.append(f"C4 violated at s={s}")
 
-    t = Fraction(n_cols * stars_per_col, n_rows) if c1 else None
-    regular = c1 and all(
-        count == t + claimed_antennas for count in occurrences.values()
-    )
+    t = sum_dof = None
+    if c1:
+        t = Fraction(n_cols * stars_per_col, n_rows)
+        sum_dof = Fraction(n_cols * (n_rows - stars_per_col), slots) if slots else Fraction(0)
+    regular = c1 and all(len(c) == t + claimed_antennas for c in index.values())
     ok = c1 and c2 and c3 and c4
     return ValidationReport(
         ok=ok,
@@ -196,9 +210,11 @@ def validate(grid, claimed_antennas):
         stars_per_col=stars_per_col,
         slots=slots,
         t=t,
+        sum_dof=sum_dof,
         min_antennas=min_antennas,
         regular=regular,
         failures=tuple(failures),
+        slot_index=index,
     )
 
 
@@ -206,19 +222,32 @@ def validate(grid, claimed_antennas):
 class Mapda:
     """A validated F x K star/slot grid with a declared antenna count.
 
-    Construction validates C1-C4 and raises ValidationFailure otherwise,
-    so every Mapda instance in the program satisfies the conditions.
+    Construction validates C1-C4 once and raises ValidationFailure
+    otherwise, so every Mapda instance in the program satisfies the
+    conditions.  The validation report, with its slot index, is kept as
+    ``report``; no accessor scans the grid again.
     """
 
     grid: tuple
     antennas: int
+    report: ValidationReport = field(init=False, repr=False, compare=False)
+    _profile: MapdaProfile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = _normalize_grid(self.grid)
+        rows = tuple(tuple(row) for row in self.grid)
         object.__setattr__(self, "grid", rows)
         report = validate(rows, self.antennas)
         if not report.ok:
             raise ValidationFailure("; ".join(report.failures), report)
+        object.__setattr__(self, "report", report)
+        profile = MapdaProfile(
+            t=report.t,
+            sum_dof=report.sum_dof,
+            regular=report.regular,
+            min_antennas=report.min_antennas,
+            star_density_ok=report.cols * report.stars_per_col >= self.antennas * report.rows,
+        )
+        object.__setattr__(self, "_profile", profile)
 
     @property
     def rows(self) -> int:
@@ -230,12 +259,11 @@ class Mapda:
 
     @property
     def stars_per_col(self) -> int:
-        return sum(1 for f in range(self.rows) if self.grid[f][0] is STAR)
+        return self.report.stars_per_col
 
     @property
     def slots(self) -> int:
-        ids = [e for row in self.grid for e in row if e is not STAR]
-        return max(ids) if ids else 0
+        return self.report.slots
 
     def parameters(self):
         """The (L, K, F, Z, S) tuple of this array."""
@@ -243,25 +271,11 @@ class Mapda:
 
     @property
     def profile(self) -> MapdaProfile:
-        report = validate(self.grid, self.antennas)
-        n_int = self.cols * (self.rows - self.stars_per_col)
-        sum_dof = Fraction(n_int, report.slots) if report.slots else Fraction(0)
-        return MapdaProfile(
-            t=report.t,
-            sum_dof=sum_dof,
-            regular=report.regular,
-            min_antennas=report.min_antennas,
-            star_density_ok=self.cols * self.stars_per_col >= self.antennas * self.rows,
-        )
+        return self._profile
 
     def slot_cells(self, s):
         """Cells (f, k), 1-based, holding slot id s, in column-major order."""
-        return tuple(
-            (f + 1, k + 1)
-            for k in range(self.cols)
-            for f in range(self.rows)
-            if self.grid[f][k] == s
-        )
+        return self.report.slot_index.get(s, ())
 
 
 def generate_mn_pda(users, cached):
@@ -360,8 +374,25 @@ def _parse_entry(token, line_no):
     return value
 
 
-def parse_mapda(text: str):
-    """Parse the text form of an array, validating before returning."""
+class ArrayText(NamedTuple):
+    """An array file before validation: its header fields and raw grid.
+
+    ``stars`` and ``slots`` are None where the header says "-" (derive).
+    """
+
+    header_line: int
+    antennas: int
+    stars: int | None
+    slots: int | None
+    grid: tuple
+
+
+def parse_raw(text: str) -> ArrayText:
+    """Parse the text form of an array without checking C1-C4.
+
+    Checks the header's field count, the row count and the entries on each
+    line; every error names the offending line.
+    """
     lines = [
         (i + 1, line.strip())
         for i, line in enumerate(text.splitlines())
@@ -381,23 +412,29 @@ def parse_mapda(text: str):
         raise ParseError(f"line {header_no}: non-integer header field in {header!r}") from None
     body = lines[1:]
     if len(body) != n_rows:
-        raise ParseError(f"header declares {n_rows} rows, found {len(body)}")
+        raise ParseError(f"line {header_no}: header declares {n_rows} rows, found {len(body)}")
     grid = []
     for line_no, line in body:
         tokens = line.split()
         if len(tokens) != n_cols:
             raise ParseError(f"line {line_no}: expected {n_cols} entries, found {len(tokens)}")
         grid.append(tuple(_parse_entry(tok, line_no) for tok in tokens))
+    return ArrayText(header_no, antennas, declared_z, declared_s, tuple(grid))
+
+
+def parse_mapda(text: str):
+    """Parse the text form of an array, validating before returning."""
+    raw = parse_raw(text)
     try:
-        m = Mapda(tuple(grid), antennas=antennas)
+        m = Mapda(raw.grid, antennas=raw.antennas)
     except (RaggedGrid, NonPositiveSlotId) as exc:
         raise ParseError(str(exc)) from exc
     except DomainError as exc:
-        raise ParseError(f"line {header_no}: {exc}") from exc
-    if declared_z is not None and declared_z != m.stars_per_col:
-        raise ValidationFailure(f"header declares Z={declared_z} but grid has Z={m.stars_per_col}")
-    if declared_s is not None and declared_s != m.slots:
-        raise ValidationFailure(f"header declares S={declared_s} but grid has S={m.slots}")
+        raise ParseError(f"line {raw.header_line}: {exc}") from exc
+    if raw.stars is not None and raw.stars != m.stars_per_col:
+        raise ValidationFailure(f"header declares Z={raw.stars} but grid has Z={m.stars_per_col}")
+    if raw.slots is not None and raw.slots != m.slots:
+        raise ValidationFailure(f"header declares S={raw.slots} but grid has S={m.slots}")
     return m
 
 

@@ -55,14 +55,12 @@ def _write_text(path, text):
 
 
 def cmd_validate(args) -> int:
-    report = arrays.validate(_grid_from_file(args.file), args.antennas)
+    report = arrays.validate(arrays.parse_raw(_read_text(args.file)).grid, args.antennas)
     lines = []
     if report.ok:
-        z = report.stars_per_col
-        sum_dof = Fraction(report.cols * (report.rows - z), report.slots) if report.slots else Fraction(0)
         lines.append(
-            f"({report.antennas},{report.cols},{report.rows},{z},{report.slots}) MAPDA, "
-            f"t={report.t}, sum-DoF={sum_dof}"
+            f"({report.antennas},{report.cols},{report.rows},{report.stars_per_col},"
+            f"{report.slots}) MAPDA, t={report.t}, sum-DoF={report.sum_dof}"
         )
     for cond, okflag in (("C1", report.c1), ("C2", report.c2), ("C3", report.c3), ("C4", report.c4)):
         lines.append(f"{cond}: {'pass' if okflag else 'FAIL'}")
@@ -72,37 +70,6 @@ def cmd_validate(args) -> int:
         lines.append(failure)
     print("\n".join(lines))
     return EXIT_OK if report.ok else EXIT_DOMAIN
-
-
-def _grid_from_file(path):
-    """Raw grid of a file without enforcing C1-C4 (validate reports those)."""
-    text = _read_text(path)
-    lines = [
-        (i + 1, line.strip())
-        for i, line in enumerate(text.splitlines())
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    if not lines:
-        raise ParseError("empty input")
-    body = lines[1:]
-    if not body:
-        raise ParseError("missing grid rows")
-    grid = []
-    for line_no, line in body:
-        row = []
-        for token in line.split():
-            if token == "*":
-                row.append(arrays.STAR)
-            else:
-                try:
-                    value = int(token)
-                except ValueError:
-                    raise ParseError(f"line {line_no}: bad entry {token!r}") from None
-                if value < 1:
-                    raise ParseError(f"line {line_no}: slot ids start at 1, got {value}")
-                row.append(value)
-        grid.append(tuple(row))
-    return tuple(grid)
 
 
 def cmd_gen(args) -> int:

@@ -117,13 +117,13 @@ class ChannelMatrix:
 class PrecodingMatrix:
     """Per-slot uplink precoder; row i weights user k_i's transmission.
 
-    ``combined`` caches the two-hop receive matrix B = H* H V so receivers
+    ``combined`` holds the two-hop receive matrix B = H* H V so receivers
     (and repeated runs over demand vectors) need not recompute it.
     """
 
     slot: int
     matrix: Matrix
-    combined: Matrix | None = None
+    combined: Matrix
 
 
 @dataclass(frozen=True)
@@ -362,7 +362,7 @@ def _channel_columns(channel: ChannelMatrix, group: SlotGroup) -> Matrix:
     return h.take(range(h.n_rows), [k - 1 for k in group.served_users])
 
 
-def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, demands=None) -> PrecodingMatrix:
+def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix) -> PrecodingMatrix:
     """Choose the slot's uplink precoder V so B = H* H V decodes one-shot.
 
     Column n is solved from the reduced system over the cacher positions:
@@ -426,8 +426,8 @@ def run_slot(group, channel, demands, library, precoder=None) -> SlotOutcome:
     """Execute one transmission: uplink combine, forward, decode.
 
     Packet values come from ``library`` (an N x F matrix of scalars).  Each
-    served user subtracts its cached contributions using B recomputed from
-    the shared channel and recovers its packet from the unit diagonal.
+    served user subtracts its cached contributions using the precoder's
+    two-hop matrix B and recovers its packet from the unit diagonal.
     Raises DecodeMismatch if a recovered value strays from the library.
     """
     demands = tuple(demands)
@@ -442,7 +442,7 @@ def run_slot(group, channel, demands, library, precoder=None) -> SlotOutcome:
     ops = {}
     if precoder is None:
         with count_ops() as tally:
-            precoder = synthesize_precoder(group, channel, demands)
+            precoder = synthesize_precoder(group, channel)
         ops["precoder_synthesis"] = {"mul": tally.mul, "add": tally.add}
     else:
         ops["precoder_synthesis"] = {"mul": 0, "add": 0}
@@ -465,11 +465,7 @@ def run_slot(group, channel, demands, library, precoder=None) -> SlotOutcome:
     ops["bs_forward"] = {"mul": tally.mul, "add": tally.add}
     with count_ops() as tally:
         y_users = matmul(conj_transpose(h_s), y_bs)
-        # Receivers recompute B deterministically from the shared channel
-        # (or reuse the copy the synthesizer cached).
         b = precoder.combined
-        if b is None:
-            b = matmul(matmul(conj_transpose(h_s), h_s), v)
         recovered = []
         residual = 0.0
         for l in range(size):

@@ -1,9 +1,10 @@
 """Independent oracles for the test suite.
 
 Everything here is written from the definitions, separately from the
-package code paths it checks: a naive condition checker, an exact channel
-whose submatrices are provably nonsingular, and a brute-force enumerator
-of small deliverable grids.
+package code paths it checks: a naive condition checker, a brute-force
+per-slot rescan of the grid for the derived validation fields and slot
+cells, an exact channel whose submatrices are provably nonsingular, and a
+brute-force enumerator of small deliverable grids.
 """
 
 from __future__ import annotations
@@ -51,6 +52,68 @@ def naive_conditions(grid, antennas):
             if fanin > antennas:
                 c4 = False
     return c1, c2, c3, c4
+
+
+def naive_report(grid, antennas):
+    """Recompute validate's derived fields by rescanning the grid per slot.
+
+    Returns (min_antennas, slots, regular, failures), with the failure
+    texts in the order validate reports them: C1, C2, then the first
+    repeat of each column (C3), then the first slot failing C4.
+    """
+    n_rows = len(grid)
+    n_cols = len(grid[0])
+    failures = []
+    star_counts = [sum(1 for f in range(n_rows) if grid[f][k] is None) for k in range(n_cols)]
+    c1 = len(set(star_counts)) == 1
+    if not c1:
+        failures.append(f"C1 violated: star counts per column are {star_counts}")
+
+    occurrences = {}
+    for row in grid:
+        for e in row:
+            if e is not None:
+                occurrences[e] = occurrences.get(e, 0) + 1
+    slots = max(occurrences) if occurrences else 0
+    missing = [s for s in range(1, slots + 1) if s not in occurrences]
+    if missing:
+        failures.append(f"C2 violated: missing slot id(s) {missing}")
+
+    for k in range(n_cols):
+        seen = set()
+        for f in range(n_rows):
+            e = grid[f][k]
+            if e is None:
+                continue
+            if e in seen:
+                failures.append(f"C3 violated in column {k + 1}: slot {e} repeated")
+                break
+            seen.add(e)
+
+    min_antennas = 0
+    c4 = True
+    for s in sorted(occurrences):
+        slot_rows = [f for f in range(n_rows) if s in grid[f]]
+        slot_cols = [k for k in range(n_cols) if any(grid[f][k] == s for f in range(n_rows))]
+        worst = max(sum(1 for k in slot_cols if grid[f][k] is not None) for f in slot_rows)
+        min_antennas = max(min_antennas, worst)
+        if worst > antennas and c4:
+            c4 = False
+            failures.append(f"C4 violated at s={s}")
+
+    t = Fraction(n_cols * star_counts[0], n_rows) if c1 else None
+    regular = c1 and all(count == t + antennas for count in occurrences.values())
+    return min_antennas, slots, regular, tuple(failures)
+
+
+def naive_slot_cells(grid, s):
+    """Cells (f, k), 1-based, holding slot id s, by a column-major scan."""
+    return tuple(
+        (f + 1, k + 1)
+        for k in range(len(grid[0]))
+        for f in range(len(grid))
+        if grid[f][k] == s
+    )
 
 
 def vandermonde_channel(antennas, users, first_node=2) -> Matrix:

@@ -24,7 +24,7 @@ from mapda.arrays import (
     write_mapda,
 )
 
-from oracles import naive_conditions
+from oracles import naive_conditions, naive_report, naive_slot_cells
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -122,7 +122,22 @@ class TestValidate:
             assert (report.c1, report.c2, report.c3, report.c4) == naive_conditions(
                 grid, antennas
             )
+            assert (
+                report.min_antennas,
+                report.slots,
+                report.regular,
+                report.failures,
+            ) == naive_report(grid, antennas)
             checked += 1
+
+    def test_slot_cells_match_column_major_scan(self):
+        for m in (
+            generate_mn_pda(6, 2),
+            replicate(generate_mn_pda(4, 1), 2),
+            generate_cyclic(6, 3),
+        ):
+            for s in range(1, m.slots + 1):
+                assert m.slot_cells(s) == naive_slot_cells(m.grid, s)
 
 
 class TestGenerators:

@@ -35,6 +35,15 @@ class TestValidate:
         assert code == 2
         assert "error" in err
 
+    def test_header_disagreeing_with_body(self, capsys, tmp_path):
+        bad = tmp_path / "bad.mapda"
+        # F=3 with two rows names the header; K=3 with two entries names the row.
+        for text, where in (("1 2 3 - -\n* 1\n1 *\n", "line 1:"), ("1 3 2 - -\n* 1\n1 *\n", "line 2:")):
+            bad.write_text(text)
+            code, _, err = run_cli(capsys, "validate", str(bad), "--antennas", "1")
+            assert code == 2
+            assert where in err
+
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(capsys, "validate", "/no/such/file", "--antennas", "1")
         assert code == 2

@@ -6,7 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from mapda.arrays import STAR, Mapda, ParseError, generate_cyclic, generate_mn_pda, replicate
+from mapda import arrays
+from mapda.arrays import (
+    STAR,
+    Mapda,
+    ParseError,
+    generate_cyclic,
+    generate_mn_pda,
+    parse_mapda,
+    replicate,
+)
 from mapda.engine import (
     DegenerateChannel,
     PacketId,
@@ -87,7 +96,7 @@ class TestBuildInstance:
 class TestSynthesize:
     def test_worked_precoder(self, example1_instance, fixture_channel):
         group = example1_instance.groups[0]
-        pre = synthesize_precoder(group, fixture_channel, default_demands(6, 6))
+        pre = synthesize_precoder(group, fixture_channel)
         assert pre.matrix.to_rows() == [
             [Fraction(x) for x in row] for row in V1_EXPECTED
         ]
@@ -186,6 +195,24 @@ class TestRunSlot:
 
 
 class TestRunDelivery:
+    def test_one_validation_per_run(self, monkeypatch, fixture_channel):
+        calls = []
+        validate = arrays.validate
+
+        def counting(*args):
+            calls.append(args)
+            return validate(*args)
+
+        monkeypatch.setattr(arrays, "validate", counting)
+        m = parse_mapda((FIXTURES / "example1.mapda").read_text())
+        instance = build_instance(m, files=6)
+        library = random_library(6, 3, seed=17)
+        run_delivery(instance, fixture_channel, default_demands(6, 6), library)
+        assert len(calls) == 1
+        calls.clear()
+        assert generate_cyclic(6, 3).profile.sum_dof == 6
+        assert len(calls) == 1
+
     def test_example1_exact_end_to_end(self, example1, example1_instance, fixture_channel):
         library = random_library(6, 3, seed=17)
         demands = default_demands(6, 6)
