@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -35,7 +36,9 @@ from .linalg import (
     DimensionMismatch,
     Infeasible,
     Matrix,
+    _one,
     _tally,
+    _zero,
     conj_transpose,
     count_ops,
     matmul,
@@ -48,11 +51,16 @@ DECODE_RTOL = 1e-6
 
 
 class DegenerateChannel(Exception):
-    """A channel submatrix that must be generic is singular."""
+    """A channel submatrix that must be generic is singular.
 
-    def __init__(self, message, slot=None):
+    ``slot`` and ``column`` name the transmission and the precoder column
+    whose system failed, when known.
+    """
+
+    def __init__(self, message, slot=None, column=None):
         super().__init__(message)
         self.slot = slot
+        self.column = column
 
 
 class DecodeMismatch(Exception):
@@ -111,6 +119,16 @@ class ChannelMatrix:
 
     matrix: Matrix
     provenance: str
+
+    @cached_property
+    def gram(self) -> Matrix:
+        """The K x K Gram matrix G = H* H, formed on first use.
+
+        Every slot's block is a submatrix of it, so a delivery run forms it
+        once, and its operations count where it is first needed.  Entry
+        (i, j) sums over antennas in order, as a per-slot product would.
+        """
+        return matmul(conj_transpose(self.matrix), self.matrix)
 
 
 @dataclass(frozen=True)
@@ -348,7 +366,9 @@ def random_library(files, parts, seed=0, backend=EXACT) -> Matrix:
     return Matrix.from_rows(rows, backend)
 
 
-def _channel_columns(channel: ChannelMatrix, group: SlotGroup) -> Matrix:
+def _served_columns(channel: ChannelMatrix, group: SlotGroup) -> list:
+    """0-based channel columns of the slot's served users, after checking
+    the channel's shape against the array."""
     h = channel.matrix
     if h.n_rows != group.antennas:
         raise DimensionMismatch(
@@ -359,7 +379,7 @@ def _channel_columns(channel: ChannelMatrix, group: SlotGroup) -> Matrix:
             f"channel has {h.n_cols} columns but slot {group.slot} serves user "
             f"{max(group.served_users)}"
         )
-    return h.take(range(h.n_rows), [k - 1 for k in group.served_users])
+    return [k - 1 for k in group.served_users]
 
 
 def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix) -> PrecodingMatrix:
@@ -367,10 +387,12 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix) -> PrecodingMa
 
     Column n is solved from the reduced system over the cacher positions:
     B(n, n) = 1 plus B(l, n) = 0 for every served user l that does not cache
-    packet n's row.  Requires the array redundancy gate t >= L; below it the
-    supported regime offers no solution and Infeasible is raised.  A rank
-    failure on a system a generic channel would solve raises
-    DegenerateChannel instead.
+    packet n's row.  The systems and B read the slot's block of the
+    channel's Gram matrix, and column n of B sums only over column n's
+    cacher positions, where V may be nonzero.  Requires the array redundancy
+    gate t >= L; below it the supported regime offers no solution and
+    Infeasible is raised.  A rank failure on a system a generic channel
+    would solve raises DegenerateChannel instead.
     """
     if group.redundancy < group.antennas:
         raise Infeasible(
@@ -379,13 +401,13 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix) -> PrecodingMa
             f"have t unknowns but up to L equations",
             slot=group.slot,
         )
-    h_s = _channel_columns(channel, group)
-    gram = matmul(conj_transpose(h_s), h_s)
-    size = len(group.served_users)
+    users = _served_columns(channel, group)
+    gram = channel.gram
+    size = len(users)
     backend = gram.backend
-    zero = Fraction(0) if backend == EXACT else complex(0)
-    one = Fraction(1) if backend == EXACT else complex(1)
+    zero, one = _zero(backend), _one(backend)
     v_rows = [[zero] * size for _ in range(size)]
+    b_cols = []
     for n in range(size):
         unknowns = group.cacher_sets[n]
         eq_rows = (n,) + tuple(l for l in range(size) if n in group.zero_sets[l])
@@ -396,15 +418,16 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix) -> PrecodingMa
                 slot=group.slot,
                 column=n + 1,
             )
-        a_sub = gram.take(eq_rows, unknowns)
+        support = gram.take(users, [users[i] for i in unknowns])
         try:
-            x = solve(a_sub, rhs)
+            x = solve(support.take(eq_rows, range(len(unknowns))), rhs)
         except Infeasible as exc:
             if len(eq_rows) <= min(group.antennas, len(unknowns)):
                 raise DegenerateChannel(
                     f"slot {group.slot}: column {n + 1} system is rank-deficient although "
                     f"a generic channel would solve it",
                     slot=group.slot,
+                    column=n + 1,
                 ) from exc
             raise Infeasible(
                 f"slot {group.slot}: column {n + 1} has {len(unknowns)} unknowns but "
@@ -414,12 +437,10 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix) -> PrecodingMa
             ) from exc
         for idx, i in enumerate(unknowns):
             v_rows[i][n] = x.at(idx, 0)
-    v = Matrix.from_rows(v_rows, backend)
-    return PrecodingMatrix(slot=group.slot, matrix=v, combined=matmul(gram, v))
-
-
-def _residual(value):
-    return abs(complex(value)) if not isinstance(value, Fraction) else float(abs(value))
+        b_cols.append(matmul(support, x).data)
+    v = Matrix(size, size, [e for row in v_rows for e in row], backend)
+    b = Matrix(size, size, [e for row in zip(*b_cols) for e in row], backend)
+    return PrecodingMatrix(slot=group.slot, matrix=v, combined=b)
 
 
 def run_slot(group, channel, demands, library, precoder=None) -> SlotOutcome:
@@ -448,7 +469,8 @@ def run_slot(group, channel, demands, library, precoder=None) -> SlotOutcome:
         ops["precoder_synthesis"] = {"mul": 0, "add": 0}
     v = precoder.matrix
     backend = v.backend
-    h_s = _channel_columns(channel, group)
+    h = channel.matrix
+    h_s = h.take(range(h.n_rows), _served_columns(channel, group))
     size = len(group.served_users)
     w = Matrix.column(
         [
@@ -491,9 +513,9 @@ def run_slot(group, channel, demands, library, precoder=None) -> SlotOutcome:
                         slot=group.slot,
                     )
                 residual = max(residual, err)
-                residual = max(residual, _residual(b.at(l, l) - 1))
+                residual = max(residual, abs(b.at(l, l) - 1))
                 for j in group.zero_sets[l]:
-                    residual = max(residual, _residual(b.at(l, j)))
+                    residual = max(residual, abs(b.at(l, j)))
             user = group.served_users[l]
             packet = PacketId(demands[user - 1], group.served_rows[l])
             recovered.append((user, packet, value))
@@ -521,7 +543,8 @@ def run_delivery(instance, channel, demands, library, force=False, precoders=Non
     """Run all S slots and verify every user recovers its missing packets.
 
     Refuses arrays with t < L unless ``force`` is set (the forced run then
-    reports the per-slot infeasibility).  Propagates Infeasible,
+    reports the per-slot infeasibility), and channels without exactly one
+    column per user.  Propagates Infeasible,
     DegenerateChannel, and DecodeMismatch with the offending slot id.
     """
     m = instance.mapda
@@ -529,6 +552,12 @@ def run_delivery(instance, channel, demands, library, force=False, precoders=Non
     if not force and not m.profile.star_density_ok:
         raise Infeasible(
             f"array has t={m.profile.t} < L={m.antennas}; pass force=True to attempt anyway"
+        )
+    if channel.matrix.n_cols != m.cols:
+        # The Gram matrix spans every channel column, so surplus columns
+        # would cost quadratic work and memory for nothing.
+        raise DimensionMismatch(
+            f"channel has {channel.matrix.n_cols} columns, expected one per user ({m.cols})"
         )
     if library.n_rows != instance.files or library.n_cols != m.rows:
         raise DimensionMismatch(

@@ -7,8 +7,20 @@ needed for per-slot precoder systems: multiply, conjugate transpose, rank,
 and a Gaussian-elimination solver that zeroes free variables and reports
 inconsistency instead of guessing.
 
+Exact kernels compute on Python ints and build one Fraction per output
+entry.  ``matmul`` scales each row of the left operand and each column of
+the right one to integers by the lcm of their denominators and divides
+each integer dot product once.  ``solve`` and ``rank`` scale each row to
+integers and eliminate fraction-free (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 1968):
+every division is exact, and a Fraction appears only in the solution.
+The float backend runs plain Gaussian elimination with partial pivoting.
+
 Scalar multiply/add counts can be observed through ``count_ops``; counting
-state is thread-local, keeping the operations re-entrant.
+state is thread-local, keeping the operations re-entrant.  On the exact
+backend they count the integer kernels' operations, an exact division
+counting as a multiplication; scaling to integers and building the output
+Fractions are not counted.
 """
 
 from __future__ import annotations
@@ -17,6 +29,8 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 EXACT = "exact"
 FLOAT = "float"
@@ -160,10 +174,11 @@ class Matrix:
 
     def take(self, row_idx, col_idx):
         """Submatrix from the given row and column index sequences."""
+        data, width = self.data, self.n_cols
         return Matrix(
             len(row_idx),
             len(col_idx),
-            (self.at(i, j) for i in row_idx for j in col_idx),
+            [data[i * width + j] for i in row_idx for j in col_idx],
             self.backend,
         )
 
@@ -191,20 +206,45 @@ def _check_same_backend(a, b):
         raise BackendMismatch(f"mixed backends: {a.backend} and {b.backend}")
 
 
+def _integers(entries):
+    """(ints, scale): Fraction entries times the lcm of their denominators."""
+    scale = lcm(*(e.denominator for e in entries))
+    if scale == 1:
+        return [e.numerator for e in entries], 1
+    return [e.numerator * (scale // e.denominator) for e in entries], scale
+
+
+def _exact_div(num, den):
+    """num / den for ints that must divide exactly; raises instead of rounding."""
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise ArithmeticError(f"integer division {num} / {den} is not exact")
+    return quotient
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product; exact for rationals, IEEE double for floats."""
     _check_same_backend(a, b)
     if a.n_cols != b.n_rows:
         raise DimensionMismatch(f"cannot multiply {a.n_rows}x{a.n_cols} by {b.n_rows}x{b.n_cols}")
-    out = []
-    for i in range(a.n_rows):
-        row = a.row(i)
-        for j in range(b.n_cols):
-            col = b.col(j)
-            acc = row[0] * col[0]
-            for x, y in zip(row[1:], col[1:]):
-                acc += x * y
-            out.append(acc)
+    if a.backend == EXACT:
+        rows = [_integers(a.row(i)) for i in range(a.n_rows)]
+        cols = [_integers(b.col(j)) for j in range(b.n_cols)]
+        out = [
+            Fraction(sum(map(mul, row, col)), row_scale * col_scale)
+            for row, row_scale in rows
+            for col, col_scale in cols
+        ]
+    else:
+        cols = [b.col(j) for j in range(b.n_cols)]
+        out = []
+        for i in range(a.n_rows):
+            row = a.row(i)
+            for col in cols:
+                acc = row[0] * col[0]
+                for x, y in zip(row[1:], col[1:]):
+                    acc += x * y
+                out.append(acc)
     _tally(mul=a.n_rows * b.n_cols * a.n_cols, add=a.n_rows * b.n_cols * (a.n_cols - 1))
     return Matrix(a.n_rows, b.n_cols, out, a.backend)
 
@@ -218,17 +258,13 @@ def conj_transpose(a: Matrix) -> Matrix:
     return Matrix(a.n_cols, a.n_rows, data, a.backend)
 
 
-def _is_zero(value, tol):
-    if isinstance(value, Fraction):
-        return value == 0
-    return abs(value) <= tol
-
-
-def _eliminate(rows, n_sys_cols, backend, tol):
-    """In-place forward elimination; returns pivot (row, col) pairs.
+def _eliminate(rows, n_sys_cols, tol):
+    """In-place forward elimination on complex rows with partial pivoting;
+    returns pivot (row, col) pairs.
 
     Only the first ``n_sys_cols`` columns are eligible as pivots; trailing
-    columns ride along as right-hand sides.
+    columns ride along as right-hand sides.  Pivots of magnitude at most
+    ``tol`` count as zero.
     """
     pivots = []
     pivot_row = 0
@@ -236,30 +272,62 @@ def _eliminate(rows, n_sys_cols, backend, tol):
     for col in range(n_sys_cols):
         if pivot_row >= len(rows):
             break
-        if backend == FLOAT:
-            best = max(range(pivot_row, len(rows)), key=lambda r: abs(rows[r][col]))
-        else:
-            best = next(
-                (r for r in range(pivot_row, len(rows)) if rows[r][col] != 0), None
-            )
-            if best is None:
-                continue
-        if _is_zero(rows[best][col], tol):
+        best = max(range(pivot_row, len(rows)), key=lambda r: abs(rows[r][col]))
+        if abs(rows[best][col]) <= tol:
             continue
         if best != pivot_row:
             rows[best], rows[pivot_row] = rows[pivot_row], rows[best]
         pivot = rows[pivot_row][col]
         for r in range(pivot_row + 1, len(rows)):
             factor = rows[r][col] / pivot
-            if _is_zero(factor, 0 if backend == EXACT else 0.0):
+            if factor == 0:
                 continue
             _tally(mul=width - col + 1, add=width - col)
-            rows[r][col] = _zero(backend)
+            rows[r][col] = complex(0)
             for c in range(col + 1, width):
                 rows[r][c] -= factor * rows[pivot_row][c]
         pivots.append((pivot_row, col))
         pivot_row += 1
     return pivots
+
+
+def _eliminate_exact(rows, n_sys_cols):
+    """In-place fraction-free forward elimination on integer rows (Bareiss);
+    returns the pivot (row, col) pairs and the last pivot.
+
+    Each pivot is the first nonzero entry at or below the pivot row, the
+    choice Gaussian elimination over the rationals makes, and every row
+    below is a nonzero multiple of that elimination's row: the pivot set and
+    the zero pattern are the same.  After k steps each entry below the
+    pivots is a (k+1)-minor of the input (Sylvester's identity), so the
+    division by the previous pivot is exact and the last pivot is, up to
+    sign, the determinant of the pivot rows and columns.
+    """
+    pivots = []
+    pivot_row = 0
+    previous = 1
+    width = len(rows[0]) if rows else 0
+    for col in range(n_sys_cols):
+        if pivot_row >= len(rows):
+            break
+        best = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
+        if best is None:
+            continue
+        if best != pivot_row:
+            rows[best], rows[pivot_row] = rows[pivot_row], rows[best]
+        top = rows[pivot_row]
+        pivot = top[col]
+        for r in range(pivot_row + 1, len(rows)):
+            row = rows[r]
+            factor = row[col]
+            _tally(mul=3 * (width - col - 1), add=width - col - 1)
+            row[col] = 0
+            for c in range(col + 1, width):
+                row[c] = _exact_div(pivot * row[c] - factor * top[c], previous)
+        pivots.append((pivot_row, col))
+        previous = pivot
+        pivot_row += 1
+    return pivots, previous
 
 
 def _scale(entries):
@@ -268,33 +336,58 @@ def _scale(entries):
 
 def rank(a: Matrix) -> int:
     """Row rank; exact for rationals, thresholded pivots for floats."""
-    tol = 0 if a.backend == EXACT else PIVOT_RTOL * _scale(a.data)
-    rows = a.to_rows()
-    return len(_eliminate(rows, a.n_cols, a.backend, tol))
+    if a.backend == EXACT:
+        rows = [_integers(a.row(i))[0] for i in range(a.n_rows)]
+        return len(_eliminate_exact(rows, a.n_cols)[0])
+    return len(_eliminate(a.to_rows(), a.n_cols, PIVOT_RTOL * _scale(a.data)))
+
+
+def _solve_exact(a, b):
+    rows = [_integers(a.row(i) + b.row(i))[0] for i in range(a.n_rows)]
+    pivots, det = _eliminate_exact(rows, a.n_cols)
+    n = a.n_cols
+    pivot_rows = {r for r, _ in pivots}
+    for r in range(a.n_rows):
+        if r not in pivot_rows and any(rows[r][n:]):
+            raise Infeasible("system is inconsistent: rank(A) < rank(A|b)")
+    # By Cramer's rule det * x is integral on the pivot columns; solve for
+    # it on integers and divide once per entry.
+    scaled = [[0] * b.n_cols for _ in range(n)]
+    for r, c in reversed(pivots):
+        row = rows[r]
+        for j in range(b.n_cols):
+            acc = det * row[n + j]
+            for c2 in range(c + 1, n):
+                acc -= row[c2] * scaled[c2][j]
+            scaled[c][j] = _exact_div(acc, row[c])
+            _tally(mul=n - c + 1, add=n - c - 1)
+    return Matrix(n, b.n_cols, (Fraction(v, det) for row in scaled for v in row), EXACT)
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
     """Solve a*x = b, returning the solution with free variables set to zero.
 
     Raises Infeasible when the system is inconsistent
-    (rank(a) < rank(a|b)); exact on the rational backend, Gaussian
-    elimination with partial pivoting on floats.
+    (rank(a) < rank(a|b)).  On the rational backend the elimination is
+    fraction-free on integer-scaled rows (Bareiss), pivoting on the first
+    nonzero entry of each column, so results are exact; on floats it is
+    Gaussian elimination with partial pivoting.
     """
     _check_same_backend(a, b)
     if a.n_rows != b.n_rows:
         raise DimensionMismatch(f"a has {a.n_rows} rows but b has {b.n_rows}")
-    backend = a.backend
-    tol = 0 if backend == EXACT else PIVOT_RTOL * max(_scale(a.data), _scale(b.data))
+    if a.backend == EXACT:
+        return _solve_exact(a, b)
+    tol = PIVOT_RTOL * max(_scale(a.data), _scale(b.data))
     rows = [list(a.row(i)) + list(b.row(i)) for i in range(a.n_rows)]
-    pivots = _eliminate(rows, a.n_cols, backend, tol)
+    pivots = _eliminate(rows, a.n_cols, tol)
     pivot_rows = {r for r, _ in pivots}
     for r in range(a.n_rows):
         if r in pivot_rows:
             continue
-        if any(not _is_zero(rows[r][a.n_cols + j], tol) for j in range(b.n_cols)):
+        if any(not abs(rows[r][a.n_cols + j]) <= tol for j in range(b.n_cols)):
             raise Infeasible("system is inconsistent: rank(A) < rank(A|b)")
-    zero = _zero(backend)
-    x = [[zero] * b.n_cols for _ in range(a.n_cols)]
+    x = [[complex(0)] * b.n_cols for _ in range(a.n_cols)]
     for r, c in reversed(pivots):
         for j in range(b.n_cols):
             acc = rows[r][a.n_cols + j]
@@ -302,4 +395,4 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
                 acc -= rows[r][c2] * x[c2][j]
             x[c][j] = acc / rows[r][c]
             _tally(mul=a.n_cols - c, add=a.n_cols - c - 1)
-    return Matrix.from_rows(x, backend)
+    return Matrix(a.n_cols, b.n_cols, (v for row in x for v in row), FLOAT)

@@ -3,8 +3,9 @@
 Everything here is written from the definitions, separately from the
 package code paths it checks: a naive condition checker, a brute-force
 per-slot rescan of the grid for the derived validation fields and slot
-cells, an exact channel whose submatrices are provably nonsingular, and a
-brute-force enumerator of small deliverable grids.
+cells, Gaussian elimination over Fractions, an exact channel whose
+submatrices are provably nonsingular, and a brute-force enumerator of small
+deliverable grids.
 """
 
 from __future__ import annotations
@@ -114,6 +115,38 @@ def naive_slot_cells(grid, s):
         for f in range(len(grid))
         if grid[f][k] == s
     )
+
+
+def naive_solve_exact(a_rows, b_rows):
+    """Solve A X = B over Fractions by textbook Gaussian elimination.
+
+    Pivots on the first nonzero entry of each column, sets free variables
+    to zero and back-substitutes.  Returns X as a list of rows, or None when
+    the system is inconsistent (a zero row of A meets a nonzero right-hand
+    side).
+    """
+    n_cols = len(a_rows[0])
+    rows = [[Fraction(e) for e in a + b] for a, b in zip(a_rows, b_rows)]
+    pivots = []
+    top = 0
+    for col in range(n_cols):
+        best = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
+        if best is None:
+            continue
+        rows[top], rows[best] = rows[best], rows[top]
+        for r in range(top + 1, len(rows)):
+            factor = rows[r][col] / rows[top][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[top])]
+        pivots.append((top, col))
+        top += 1
+    if any(any(row[n_cols:]) for row in rows[top:]):
+        return None
+    x = [[Fraction(0)] * len(b_rows[0]) for _ in range(n_cols)]
+    for r, c in reversed(pivots):
+        for j in range(len(b_rows[0])):
+            acc = rows[r][n_cols + j] - sum(rows[r][c2] * x[c2][j] for c2 in range(c + 1, n_cols))
+            x[c][j] = acc / rows[r][c]
+    return x
 
 
 def vandermonde_channel(antennas, users, first_node=2) -> Matrix:

@@ -160,6 +160,16 @@ class TestSimulate:
         assert code == 1
         assert "exact backend" in err
 
+    def test_channel_wider_than_array_exit(self, capsys, tmp_path):
+        wide = tmp_path / "channel_2x7.txt"
+        wide.write_text("2 7\n1 1 1 1 1 1 1\n2 3 4 5 6 7 8\n")
+        code, out, err = run_cli(
+            capsys, "simulate", EXAMPLE1, "--files", "6", "--channel", str(wide)
+        )
+        assert code == 1
+        assert out == ""
+        assert "channel has 7 columns, expected one per user (6)" in err
+
     def test_library_fixture(self, capsys, tmp_path):
         lib = tmp_path / "library.txt"
         lib.write_text(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mapda import arrays
+from mapda import arrays, engine
 from mapda.arrays import (
     STAR,
     Mapda,
@@ -152,11 +152,16 @@ class TestSynthesize:
                 synthesize_precoder(group, channel)
 
     def test_degenerate_channel_detected(self, example1_instance):
+        # Users 2 and 5 share the channel column (1, 2), and they are the
+        # only cachers of slot 1's first packet: column 1's system has two
+        # equal columns.
         bad = channel_from_matrix(
             Matrix.from_rows([[1, 1, 1, 1, 1, 1], [2, 2, 4, 2, 2, 7]], EXACT)
         )
-        with pytest.raises(DegenerateChannel):
+        with pytest.raises(DegenerateChannel) as exc:
             synthesize_precoder(example1_instance.groups[0], bad)
+        assert exc.value.slot == 1
+        assert exc.value.column == 1
 
     def test_channel_shape_checked(self, example1_instance):
         with pytest.raises(DimensionMismatch):
@@ -212,6 +217,31 @@ class TestRunDelivery:
         calls.clear()
         assert generate_cyclic(6, 3).profile.sum_dof == 6
         assert len(calls) == 1
+
+    def test_gram_formed_once_per_channel(self, monkeypatch, fixture_channel):
+        channels = [fixture_channel, read_channel_fixture(FIXTURES / "channel_2x6.txt")]
+        formed = []
+        matmul = engine.matmul
+
+        def counting(a, b):
+            formed.extend(c for c in channels if b is c.matrix)
+            return matmul(a, b)
+
+        monkeypatch.setattr(engine, "matmul", counting)
+        m = parse_mapda((FIXTURES / "example1.mapda").read_text())
+        instance = build_instance(m, files=6)
+        library = random_library(6, 3, seed=17)
+        synthesis_mul = []
+        for channel in channels:
+            for _ in range(2):
+                report = run_delivery(instance, channel, default_demands(6, 6), library)
+                synthesis_mul.append(report.ops_measured["precoder_synthesis"]["mul"])
+        assert len(formed) == 2
+        assert formed[0] is channels[0] and formed[1] is channels[1]
+        # The first run on each channel also pays for its 6x6 Gram matrix,
+        # 6 * 6 * L = 72 multiplications; later runs reuse it.
+        assert synthesis_mul[0] - synthesis_mul[1] == 72
+        assert synthesis_mul[2:] == synthesis_mul[:2]
 
     def test_example1_exact_end_to_end(self, example1, example1_instance, fixture_channel):
         library = random_library(6, 3, seed=17)

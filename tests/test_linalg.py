@@ -14,12 +14,15 @@ from mapda.linalg import (
     DimensionMismatch,
     Infeasible,
     Matrix,
+    _exact_div,
     conj_transpose,
     count_ops,
     matmul,
     rank,
     solve,
 )
+
+from oracles import naive_solve_exact
 
 # Gram matrix of the 2x4 uplink channel [[1,1,1,1],[2,3,4,5]], worked out
 # by hand: entry (i,j) = 1 + h_i*h_j with h = (2,3,4,5).
@@ -34,6 +37,34 @@ GRAM_4X4 = [
 
 def frac_matrix(rows):
     return Matrix.from_rows(rows, EXACT)
+
+
+def random_rational(rng):
+    """Mixed-sign rational with a random denominator; zero one time in four."""
+    if rng.random() < 0.25:
+        return Fraction(0)
+    return Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+
+
+def random_system(rng):
+    """(A rows, B rows) of a random shape: square, tall or wide, sometimes
+    rank-deficient (rows drawn from fewer independent ones, so a random
+    right-hand side is usually inconsistent) or holding an all-zero row."""
+    n = rng.randint(1, 6)
+    m = rng.randint(1, 6)
+    if rng.random() < 0.4:
+        base = [[random_rational(rng) for _ in range(m)] for _ in range(rng.randint(1, 3))]
+        a = [
+            [sum((random_rational(rng) * row[j] for row in base), Fraction(0)) for j in range(m)]
+            for _ in range(n)
+        ]
+    else:
+        a = [[random_rational(rng) for _ in range(m)] for _ in range(n)]
+    if rng.random() < 0.3:
+        a[rng.randrange(n)] = [Fraction(0)] * m
+    width = rng.randint(1, 3)
+    b = [[random_rational(rng) for _ in range(width)] for _ in range(n)]
+    return a, b
 
 
 class TestMatmul:
@@ -77,6 +108,20 @@ class TestMatmul:
             ]
             a, b, c = mats
             assert matmul(matmul(a, b), c) == matmul(a, matmul(b, c))
+
+    def test_exact_matches_naive_fraction_sums(self):
+        rng = random.Random(19)
+        for _ in range(200):
+            n, k, m = (rng.randint(1, 6) for _ in range(3))
+            a = [[random_rational(rng) for _ in range(k)] for _ in range(n)]
+            b = [[random_rational(rng) for _ in range(m)] for _ in range(k)]
+            product = matmul(frac_matrix(a), frac_matrix(b))
+            expected = [
+                [sum((a[i][x] * b[x][j] for x in range(k)), Fraction(0)) for j in range(m)]
+                for i in range(n)
+            ]
+            assert product.to_rows() == expected
+            assert all(type(e) is Fraction for e in product.data)
 
 
 class TestConjTranspose:
@@ -137,6 +182,34 @@ class TestSolve:
                 continue
             assert matmul(a, x) == b
             solved += 1
+
+    def test_exact_matches_fraction_elimination_oracle(self):
+        rng = random.Random(47)
+        kinds = {"solved": 0, "infeasible": 0, "square": 0, "tall": 0, "wide": 0, "deficient": 0}
+        for _ in range(400):
+            a, b = random_system(rng)
+            n, m = len(a), len(a[0])
+            kinds["square" if n == m else "tall" if n > m else "wide"] += 1
+            expected = naive_solve_exact(a, b)
+            a_rank = sympy.Matrix(a).rank()
+            kinds["deficient"] += a_rank < min(n, m)
+            assert rank(frac_matrix(a)) == a_rank
+            if expected is None:
+                kinds["infeasible"] += 1
+                with pytest.raises(Infeasible):
+                    solve(frac_matrix(a), frac_matrix(b))
+                continue
+            kinds["solved"] += 1
+            x = solve(frac_matrix(a), frac_matrix(b))
+            assert x.to_rows() == expected
+            assert all(type(e) is Fraction for e in x.data)
+        # Every kind of system the loop is meant to cover occurred.
+        assert min(kinds.values()) >= 20, kinds
+
+    def test_inexact_integer_division_raises(self):
+        assert _exact_div(-12, 4) == -3
+        with pytest.raises(ArithmeticError):
+            _exact_div(7, 2)
 
     def test_float_matches_exact_on_well_conditioned_systems(self):
         rng = random.Random(23)
