@@ -14,7 +14,8 @@ when
 
 This module provides validation, three generators (the classic t-subset
 star pattern, horizontal replication, and a circulant construction),
-profile derivation, and a plain-text file format.
+and a plain-text file format whose table reader also serves the engine's
+channel and library fixtures.
 
 All objects are immutable after construction; every function is pure.
 """
@@ -23,9 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
-from typing import NamedTuple
 
 # A grid entry is either STAR (cached) or a positive slot id.
 STAR = None
@@ -63,9 +63,11 @@ class ValidationReport:
     are undefined for columns with unequal star counts).  ``min_antennas``
     is the smallest antenna count at which C4 would hold.  ``regular`` means
     every slot id occurs exactly t+L times, the shape the delivery proof
-    relies on; it depends on the declared antenna count.  ``slot_index``
-    maps each slot id present to its cells (f, k), 1-based, in column-major
-    order.
+    relies on; it depends on the declared antenna count.
+    ``star_density_ok`` reports whether K*Z >= L*F, the precondition of the
+    delivery engine (it never affects validity of the array itself).
+    ``slot_index`` maps each slot id present to its cells (f, k), 1-based,
+    in column-major order.
     """
 
     ok: bool
@@ -82,26 +84,9 @@ class ValidationReport:
     sum_dof: Fraction | None
     min_antennas: int
     regular: bool  # every slot id occurs exactly t+L times
+    star_density_ok: bool
     failures: tuple[str, ...]
     slot_index: dict = field(repr=False, compare=False)
-
-
-@dataclass(frozen=True)
-class MapdaProfile:
-    """Derived scheme parameters of a valid array.
-
-    ``t`` is the caching redundancy K*Z/F (how many users hold each packet),
-    ``sum_dof`` is K(F-Z)/S, ``regular`` means every slot occurs exactly
-    t+L times, and ``star_density_ok`` reports whether K*Z >= L*F, the
-    precondition for the delivery engine (it never affects validity of the
-    array itself).
-    """
-
-    t: Fraction
-    sum_dof: Fraction
-    regular: bool
-    min_antennas: int
-    star_density_ok: bool
 
 
 def _normalize_grid(grid):
@@ -168,11 +153,14 @@ def validate(grid, claimed_antennas):
     if not c1:
         failures.append(f"C1 violated: star counts per column are {star_counts}")
 
+    # C2 by counting; naming stops at 10 ids, so a huge slot id stays cheap.
     slots = max(index, default=0)
-    missing = [s for s in range(1, slots + 1) if s not in index]
-    c2 = not missing
+    c2 = len(index) == slots
     if not c2:
-        failures.append(f"C2 violated: missing slot id(s) {missing}")
+        missing = list(islice((s for s in range(1, slots + 1) if s not in index), 10))
+        count = slots - len(index)
+        more = f" and {count - 10} more" if count > 10 else ""
+        failures.append(f"C2 violated: missing slot id(s) {missing}{more}")
 
     c3 = not repeats
     failures.extend(repeats)
@@ -197,6 +185,7 @@ def validate(grid, claimed_antennas):
         t = Fraction(n_cols * stars_per_col, n_rows)
         sum_dof = Fraction(n_cols * (n_rows - stars_per_col), slots) if slots else Fraction(0)
     regular = c1 and all(len(c) == t + claimed_antennas for c in index.values())
+    star_density_ok = c1 and n_cols * stars_per_col >= claimed_antennas * n_rows
     ok = c1 and c2 and c3 and c4
     return ValidationReport(
         ok=ok,
@@ -213,6 +202,7 @@ def validate(grid, claimed_antennas):
         sum_dof=sum_dof,
         min_antennas=min_antennas,
         regular=regular,
+        star_density_ok=star_density_ok,
         failures=tuple(failures),
         slot_index=index,
     )
@@ -231,7 +221,6 @@ class Mapda:
     grid: tuple
     antennas: int
     report: ValidationReport = field(init=False, repr=False, compare=False)
-    _profile: MapdaProfile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.grid)
@@ -240,14 +229,6 @@ class Mapda:
         if not report.ok:
             raise ValidationFailure("; ".join(report.failures), report)
         object.__setattr__(self, "report", report)
-        profile = MapdaProfile(
-            t=report.t,
-            sum_dof=report.sum_dof,
-            regular=report.regular,
-            min_antennas=report.min_antennas,
-            star_density_ok=report.cols * report.stars_per_col >= self.antennas * report.rows,
-        )
-        object.__setattr__(self, "_profile", profile)
 
     @property
     def rows(self) -> int:
@@ -270,8 +251,9 @@ class Mapda:
         return (self.antennas, self.cols, self.rows, self.stars_per_col, self.slots)
 
     @property
-    def profile(self) -> MapdaProfile:
-        return self._profile
+    def profile(self) -> ValidationReport:
+        """The derived parameters (t, sum-DoF, ...): the validation report."""
+        return self.report
 
     def slot_cells(self, s):
         """Cells (f, k), 1-based, holding slot id s, in column-major order."""
@@ -374,24 +356,14 @@ def _parse_entry(token, line_no):
     return value
 
 
-class ArrayText(NamedTuple):
-    """An array file before validation: its header fields and raw grid.
+def read_table(text, form, shape, parse_entry, derivable=()):
+    """Read the layout of array files and both fixtures; errors name a line.
 
-    ``stars`` and ``slots`` are None where the header says "-" (derive).
-    """
-
-    header_line: int
-    antennas: int
-    stars: int | None
-    slots: int | None
-    grid: tuple
-
-
-def parse_raw(text: str) -> ArrayText:
-    """Parse the text form of an array without checking C1-C4.
-
-    Checks the header's field count, the row count and the entries on each
-    line; every error names the offending line.
+    After "#" comments and blank lines are dropped, the header holds one
+    integer per name in ``form`` ("-", read as None, for names in
+    ``derivable``); the names in ``shape`` count the body's rows and
+    columns.  Returns the header line number, the header fields by name
+    and the rows, each token read by ``parse_entry(token, line_no)``.
     """
     lines = [
         (i + 1, line.strip())
@@ -401,40 +373,62 @@ def parse_raw(text: str) -> ArrayText:
     if not lines:
         raise ParseError("empty input")
     header_no, header = lines[0]
-    fields = header.split()
-    if len(fields) != 5:
-        raise ParseError(f"line {header_no}: header must be 'L K F Z S', got {header!r}")
+    names, fields = form.split(), header.split()
+    if len(fields) != len(names):
+        raise ParseError(f"line {header_no}: header must be {form!r}, got {header!r}")
     try:
-        antennas, n_cols, n_rows = (int(fields[i]) for i in range(3))
-        declared_z = None if fields[3] == "-" else int(fields[3])
-        declared_s = None if fields[4] == "-" else int(fields[4])
+        values = {
+            name: None if value == "-" and name in derivable else int(value)
+            for name, value in zip(names, fields)
+        }
     except ValueError:
         raise ParseError(f"line {header_no}: non-integer header field in {header!r}") from None
+    n_rows, n_cols = values[shape[0]], values[shape[1]]
     body = lines[1:]
     if len(body) != n_rows:
         raise ParseError(f"line {header_no}: header declares {n_rows} rows, found {len(body)}")
-    grid = []
+    rows = []
     for line_no, line in body:
         tokens = line.split()
         if len(tokens) != n_cols:
             raise ParseError(f"line {line_no}: expected {n_cols} entries, found {len(tokens)}")
-        grid.append(tuple(_parse_entry(tok, line_no) for tok in tokens))
-    return ArrayText(header_no, antennas, declared_z, declared_s, tuple(grid))
+        rows.append(tuple(parse_entry(tok, line_no) for tok in tokens))
+    return header_no, values, tuple(rows)
+
+
+def parse_raw(text: str):
+    """Parse the text form of an array without checking C1-C4: the header
+    line number, the header fields by name (Z and S None where "-") and
+    the grid."""
+    return read_table(text, "L K F Z S", ("F", "K"), _parse_entry, derivable=("Z", "S"))
+
+
+def header_mismatches(header, report: ValidationReport) -> list:
+    """Where the header's declared Z and S disagree with the validated grid.
+
+    Z is compared only where C1 defines it.  L is never compared: a grid
+    may be validated at another antenna count on purpose.
+    """
+    found = []
+    if header["Z"] is not None and report.c1 and header["Z"] != report.stars_per_col:
+        found.append(f"header declares Z={header['Z']} but grid has Z={report.stars_per_col}")
+    if header["S"] is not None and header["S"] != report.slots:
+        found.append(f"header declares S={header['S']} but grid has S={report.slots}")
+    return found
 
 
 def parse_mapda(text: str):
     """Parse the text form of an array, validating before returning."""
-    raw = parse_raw(text)
+    header_line, header, grid = parse_raw(text)
     try:
-        m = Mapda(raw.grid, antennas=raw.antennas)
+        m = Mapda(grid, antennas=header["L"])
     except (RaggedGrid, NonPositiveSlotId) as exc:
         raise ParseError(str(exc)) from exc
     except DomainError as exc:
-        raise ParseError(f"line {raw.header_line}: {exc}") from exc
-    if raw.stars is not None and raw.stars != m.stars_per_col:
-        raise ValidationFailure(f"header declares Z={raw.stars} but grid has Z={m.stars_per_col}")
-    if raw.slots is not None and raw.slots != m.slots:
-        raise ValidationFailure(f"header declares S={raw.slots} but grid has S={m.slots}")
+        raise ParseError(f"line {header_line}: {exc}") from exc
+    mismatches = header_mismatches(header, m.report)
+    if mismatches:
+        raise ValidationFailure("; ".join(mismatches))
     return m
 
 

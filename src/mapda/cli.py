@@ -55,9 +55,12 @@ def _write_text(path, text):
 
 
 def cmd_validate(args) -> int:
-    report = arrays.validate(arrays.parse_raw(_read_text(args.file)).grid, args.antennas)
+    _, header, grid = arrays.parse_raw(_read_text(args.file))
+    report = arrays.validate(grid, args.antennas)
+    mismatches = arrays.header_mismatches(header, report)
+    ok = report.ok and not mismatches
     lines = []
-    if report.ok:
+    if ok:
         lines.append(
             f"({report.antennas},{report.cols},{report.rows},{report.stars_per_col},"
             f"{report.slots}) MAPDA, t={report.t}, sum-DoF={report.sum_dof}"
@@ -66,10 +69,10 @@ def cmd_validate(args) -> int:
         lines.append(f"{cond}: {'pass' if okflag else 'FAIL'}")
     lines.append(f"min antennas: {report.min_antennas}")
     lines.append(f"regular: {'yes' if report.regular else 'no'}")
-    for failure in report.failures:
-        lines.append(failure)
+    lines.extend(report.failures)
+    lines.extend(mismatches)
     print("\n".join(lines))
-    return EXIT_OK if report.ok else EXIT_DOMAIN
+    return EXIT_OK if ok else EXIT_DOMAIN
 
 
 def cmd_gen(args) -> int:
@@ -166,23 +169,28 @@ def _parse_ratio(token) -> Fraction:
 
 
 def _parse_point(token) -> SystemPoint:
-    parts = [p.strip() for p in token.replace(",", " ").split()]
+    parts = token.replace(",", " ").split()
     if len(parts) not in (3, 4):
         raise ParseError(f"point must be 'K ratio L [m]', got {token!r}")
-    users = int(parts[0])
     ratio = _parse_ratio(parts[1])
-    antennas = int(parts[2])
-    m = int(parts[3]) if len(parts) == 4 else None
+    try:
+        users, antennas = int(parts[0]), int(parts[2])
+        m = int(parts[3]) if len(parts) == 4 else None
+    except ValueError:
+        raise ParseError(f"point {token!r}: K, L and m must be integers") from None
     return SystemPoint(users, antennas, ratio, m)
 
 
 def _points_from_file(path):
     points = []
-    for raw in _read_text(path).splitlines():
+    for line_no, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        points.append(_parse_point(line))
+        try:
+            points.append(_parse_point(line))
+        except ParseError as exc:
+            raise ParseError(f"line {line_no}: {exc}") from None
     return points
 
 

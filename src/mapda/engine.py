@@ -22,6 +22,7 @@ can run in any order (a delivery run here simply iterates them).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
-from .arrays import STAR, DomainError, Mapda, ParseError
+from .arrays import STAR, DomainError, Mapda, ParseError, read_table
 from .linalg import (
     EXACT,
     FLOAT,
@@ -100,17 +101,23 @@ class SlotGroup:
 
 @dataclass(frozen=True)
 class SchemeInstance:
-    """An array bound to a library size: placement plus all slot groups."""
+    """An array bound to a library size: its slot groups; placement is read
+    from the grid on demand."""
 
     mapda: Mapda
     files: int
     memory_ratio: Fraction
-    placement: tuple
     groups: tuple
 
     def cache_of(self, user):
-        """The packet set cached by a 1-based user id."""
-        return self.placement[user - 1]
+        """The packet set cached by a 1-based user id: (n, f) for every file
+        n and every row f where the user's column holds a star."""
+        return frozenset(
+            PacketId(n, f)
+            for f, row in enumerate(self.mapda.grid, 1)
+            if row[user - 1] is STAR
+            for n in range(1, self.files + 1)
+        )
 
 
 @dataclass(frozen=True)
@@ -136,7 +143,7 @@ class PrecodingMatrix:
     """Per-slot uplink precoder; row i weights user k_i's transmission.
 
     ``combined`` holds the two-hop receive matrix B = H* H V so receivers
-    (and repeated runs over demand vectors) need not recompute it.
+    need not recompute it.
     """
 
     slot: int
@@ -189,23 +196,11 @@ class DeliveryReport:
 
 
 def build_instance(m: Mapda, files: int) -> SchemeInstance:
-    """Derive placement and slot groups from a validated array.
-
-    User k caches packet (n, f) for every file n exactly when grid(f, k) is
-    a star, so each user holds Z*N packets (Z/F of the library).
-    """
+    """Derive the slot groups of a validated array for a library of
+    ``files`` files."""
     if files < 1:
         raise DomainError(f"library size must be >= 1, got {files}")
     grid = m.grid
-    placement = tuple(
-        frozenset(
-            PacketId(n, f + 1)
-            for f in range(m.rows)
-            if grid[f][k] is STAR
-            for n in range(1, files + 1)
-        )
-        for k in range(m.cols)
-    )
     t = m.profile.t
     groups = []
     for s in range(1, m.slots + 1):
@@ -244,7 +239,6 @@ def build_instance(m: Mapda, files: int) -> SchemeInstance:
         mapda=m,
         files=files,
         memory_ratio=Fraction(m.stars_per_col, m.rows),
-        placement=placement,
         groups=tuple(groups),
     )
 
@@ -280,59 +274,29 @@ def channel_from_matrix(matrix: Matrix) -> ChannelMatrix:
 
 
 def _parse_scalar(token, line_no):
-    """One fixture entry: rational 'p/q', integer, decimal, or 'a+bi'."""
+    """One finite fixture entry: rational 'p/q', integer, decimal, or 'a+bi'."""
     if "/" in token:
         num, _, den = token.partition("/")
         try:
             return Fraction(int(num), int(den))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"line {line_no}: bad rational {token!r}") from None
-    if "i" in token or "j" in token:
-        try:
-            return complex(token.replace("i", "j"))
-        except ValueError:
-            raise ParseError(f"line {line_no}: bad complex literal {token!r}") from None
     try:
         return int(token)
     except ValueError:
         pass
     try:
-        return float(token)
+        value = complex(token.replace("i", "j")) if "i" in token or "j" in token else float(token)
     except ValueError:
         raise ParseError(f"line {line_no}: bad scalar {token!r}") from None
-
-
-def _parse_scalar_block(text, expect_header):
-    lines = [
-        (i + 1, line.strip())
-        for i, line in enumerate(text.splitlines())
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    if not lines:
-        raise ParseError("empty fixture")
-    header_no, header = lines[0]
-    fields = header.split()
-    if len(fields) != 2:
-        raise ParseError(f"line {header_no}: header must be '{expect_header}', got {header!r}")
-    try:
-        n_rows, n_cols = int(fields[0]), int(fields[1])
-    except ValueError:
-        raise ParseError(f"line {header_no}: non-integer header field") from None
-    body = lines[1:]
-    if len(body) != n_rows:
-        raise ParseError(f"header declares {n_rows} rows, found {len(body)}")
-    rows = []
-    for line_no, line in body:
-        tokens = line.split()
-        if len(tokens) != n_cols:
-            raise ParseError(f"line {line_no}: expected {n_cols} entries, found {len(tokens)}")
-        rows.append([_parse_scalar(tok, line_no) for tok in tokens])
-    return rows
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ParseError(f"line {line_no}: non-finite entry {token!r}")
+    return value
 
 
 def parse_channel_fixture(text) -> ChannelMatrix:
     """Channel fixture: header 'L K' then L lines of K scalar entries."""
-    rows = _parse_scalar_block(text, "L K")
+    _, _, rows = read_table(text, "L K", ("L", "K"), _parse_scalar)
     return channel_from_matrix(Matrix.from_rows(rows))
 
 
@@ -342,7 +306,7 @@ def read_channel_fixture(path) -> ChannelMatrix:
 
 def parse_library_fixture(text) -> Matrix:
     """Library fixture: header 'N F' then N lines of F packet values."""
-    rows = _parse_scalar_block(text, "N F")
+    _, _, rows = read_table(text, "N F", ("N", "F"), _parse_scalar)
     return Matrix.from_rows(rows)
 
 
@@ -443,8 +407,9 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix) -> PrecodingMa
     return PrecodingMatrix(slot=group.slot, matrix=v, combined=b)
 
 
-def run_slot(group, channel, demands, library, precoder=None) -> SlotOutcome:
-    """Execute one transmission: uplink combine, forward, decode.
+def run_slot(group, channel, demands, library) -> SlotOutcome:
+    """Execute one transmission: synthesize the precoder, uplink combine,
+    forward, decode.
 
     Packet values come from ``library`` (an N x F matrix of scalars).  Each
     served user subtracts its cached contributions using the precoder's
@@ -461,12 +426,9 @@ def run_slot(group, channel, demands, library, precoder=None) -> SlotOutcome:
         if not 1 <= d <= library.n_rows:
             raise DomainError(f"demand {d} outside library [1..{library.n_rows}]")
     ops = {}
-    if precoder is None:
-        with count_ops() as tally:
-            precoder = synthesize_precoder(group, channel)
-        ops["precoder_synthesis"] = {"mul": tally.mul, "add": tally.add}
-    else:
-        ops["precoder_synthesis"] = {"mul": 0, "add": 0}
+    with count_ops() as tally:
+        precoder = synthesize_precoder(group, channel)
+    ops["precoder_synthesis"] = {"mul": tally.mul, "add": tally.add}
     v = precoder.matrix
     backend = v.backend
     h = channel.matrix
@@ -507,7 +469,7 @@ def run_slot(group, channel, demands, library, precoder=None) -> SlotOutcome:
                     )
             else:
                 err = abs(value - expected)
-                if err > DECODE_RTOL * max(1.0, abs(expected)):
+                if not err <= DECODE_RTOL * max(1.0, abs(expected)):
                     raise DecodeMismatch(
                         f"slot {group.slot}: user {group.served_users[l]} decode error {err}",
                         slot=group.slot,
@@ -539,7 +501,7 @@ def _ops_model(instance: SchemeInstance) -> Fraction:
     return total
 
 
-def run_delivery(instance, channel, demands, library, force=False, precoders=None) -> DeliveryReport:
+def run_delivery(instance, channel, demands, library, force=False) -> DeliveryReport:
     """Run all S slots and verify every user recovers its missing packets.
 
     Refuses arrays with t < L unless ``force`` is set (the forced run then
@@ -568,9 +530,8 @@ def run_delivery(instance, channel, demands, library, force=False, precoders=Non
     ops_total: dict[str, dict[str, int]] = {}
     recovered: dict[int, set] = {k: set() for k in range(1, m.cols + 1)}
     recovered_cells = []
-    for idx, group in enumerate(instance.groups):
-        precoder = precoders[idx] if precoders is not None else None
-        outcome = run_slot(group, channel, demands, library, precoder=precoder)
+    for group in instance.groups:
+        outcome = run_slot(group, channel, demands, library)
         for phase, tally in outcome.ops.items():
             agg = ops_total.setdefault(phase, {"mul": 0, "add": 0})
             agg["mul"] += tally["mul"]

@@ -31,8 +31,6 @@ from fractions import Fraction
 
 from .arrays import DomainError
 
-SCHEME_TAGS = ("asmst", "scheme1", "scheme2", "scheme3")
-
 
 class ConstraintViolation(ValueError):
     """A scheme's parameter limitation fails at the given point."""

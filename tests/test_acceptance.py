@@ -281,7 +281,7 @@ def test_criterion_8_exhaustive_small_instances():
                 library = libraries[(2, n_rows)]
                 for demands in product((1, 2), repeat=n_cols):
                     run_delivery(
-                        instance, channel, demands, library, precoders=precoders
+                        instance, channel, demands, library
                     )
                 decoded_pairs += 1
 

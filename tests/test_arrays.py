@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,9 @@ from mapda.arrays import (
     format_mapda,
     generate_cyclic,
     generate_mn_pda,
+    header_mismatches,
     parse_mapda,
+    parse_raw,
     read_mapda,
     replicate,
     validate,
@@ -62,6 +65,17 @@ class TestValidate:
         report = validate(((STAR, 2), (2, STAR)), 1)
         assert not report.c2
         assert report.slots == 2
+
+    def test_huge_slot_id_names_ten_missing_ids(self):
+        start = time.perf_counter()
+        report = validate(((STAR, 10**9),), 1)
+        with pytest.raises(ValidationFailure) as info:
+            parse_mapda(f"1 2 1 - -\n* {10**9}\n")
+        assert time.perf_counter() - start < 1
+        c2 = f"C2 violated: missing slot id(s) {list(range(1, 11))} and {10**9 - 11} more"
+        assert c2 in report.failures
+        assert c2 in str(info.value)
+        assert len(str(info.value)) < 1024
 
     def test_unequal_star_counts_fail_c1(self):
         report = validate(((STAR, 1), (STAR, 2)), 1)
@@ -283,6 +297,12 @@ class TestFileFormat:
     def test_invalid_grid_fails_validation(self):
         with pytest.raises(ValidationFailure):
             parse_mapda("1 1 3 - -\n*\n1\n1\n")
+
+    def test_header_z_not_compared_when_c1_fails(self):
+        _, header, grid = parse_raw("1 2 2 1 -\n* 1\n* 2\n")
+        report = validate(grid, 1)
+        assert not report.c1
+        assert header_mismatches(header, report) == []
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# heading\n\n1 2 2 1 1\n# body\n* 1\n\n1 *\n"

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from pathlib import Path
 
 from mapda.cli import main
@@ -43,6 +44,29 @@ class TestValidate:
             code, _, err = run_cli(capsys, "validate", str(bad), "--antennas", "1")
             assert code == 2
             assert where in err
+        # A declared Z or S the grid contradicts fails validate as it fails simulate.
+        for text, failure in (
+            ("1 2 2 2 -\n* 1\n1 *\n", "header declares Z=2 but grid has Z=1"),
+            ("1 2 2 - 9\n* 1\n1 *\n", "header declares S=9 but grid has S=1"),
+        ):
+            bad.write_text(text)
+            code, out, _ = run_cli(capsys, "validate", str(bad), "--antennas", "1")
+            assert code == 1
+            assert failure in out.splitlines()
+            assert "MAPDA" not in out
+            code, _, err = run_cli(capsys, "simulate", str(bad), "--files", "2")
+            assert code == 1
+            assert failure in err
+
+    def test_huge_slot_id_bounded_output(self, capsys, tmp_path):
+        path = tmp_path / "huge.mapda"
+        path.write_text(f"1 2 1 - -\n* {10**9}\n")
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "validate", str(path), "--antennas", "1")
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert f"and {10**9 - 11} more" in out
+        assert len(out) < 1024
 
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(capsys, "validate", "/no/such/file", "--antennas", "1")
@@ -170,6 +194,19 @@ class TestSimulate:
         assert out == ""
         assert "channel has 7 columns, expected one per user (6)" in err
 
+    def test_non_finite_fixture_entry_exit_2(self, capsys, tmp_path):
+        channel = tmp_path / "channel.txt"
+        channel.write_text("2 6\n1 1 1 1 1 1\n2 3 nan 5 6 7\n")
+        library = tmp_path / "library.txt"
+        library.write_text("6 3\n" + "1 2 3\n" * 5 + "1 1e999 3\n")
+        for option, path, line in (("--channel", channel, 3), ("--library", library, 7)):
+            code, out, err = run_cli(
+                capsys, "simulate", EXAMPLE1, "--files", "6", option, str(path)
+            )
+            assert code == 2
+            assert out == ""
+            assert f"line {line}: non-finite entry" in err
+
     def test_library_fixture(self, capsys, tmp_path):
         lib = tmp_path / "library.txt"
         lib.write_text(
@@ -268,6 +305,19 @@ class TestCompare:
         verified = {(r["K"], r["ratio"]): r for r in rows}
         assert verified[("20", "1/5")]["F_asmst"] == "2204475"
         assert "formula" in verified[("20", "2/5")]["flags"]
+
+    def test_malformed_points_exit_2(self, capsys, tmp_path):
+        for token in ("x,1/2,3", "6,1/3,2,y"):
+            code, out, err = run_cli(capsys, "compare", "--point", token)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and repr(token) in err
+        points = tmp_path / "points.txt"
+        points.write_text("# K ratio L\n6 1/3 2\n\nfoo 1/3 2\n")
+        code, out, err = run_cli(capsys, "compare", "--points", str(points))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 4: ")
 
     def test_empty_input_header_only(self, capsys, tmp_path):
         empty = tmp_path / "points.txt"

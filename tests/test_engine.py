@@ -1,5 +1,6 @@
 """Placement, precoder synthesis, and end-to-end delivery."""
 
+import re
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -198,6 +199,18 @@ class TestRunSlot:
         )
         assert all(value == 0 for _, _, value in outcome.recovered)
 
+    def test_nan_packet_is_a_decode_mismatch(self, example1_instance, fixture_channel):
+        rows = [[1.0] * 3 for _ in range(6)]
+        rows[0][1] = float("nan")  # user 1's slot-1 packet
+        with pytest.raises(engine.DecodeMismatch) as info:
+            run_slot(
+                example1_instance.groups[0],
+                engine.channel_from_matrix(Matrix.from_rows(fixture_channel.matrix.to_rows(), FLOAT)),
+                default_demands(6, 6),
+                Matrix.from_rows(rows, FLOAT),
+            )
+        assert info.value.slot == 1
+
 
 class TestRunDelivery:
     def test_one_validation_per_run(self, monkeypatch, fixture_channel):
@@ -310,7 +323,7 @@ class TestRunDelivery:
                 synthesize_precoder(g, channel) for g in inst.groups
             ]
             for demands in product((1, 2), repeat=m.cols):
-                run_delivery(inst, channel, demands, library, precoders=precoders)
+                run_delivery(inst, channel, demands, library)
 
     def test_irregular_underfilled_slot_is_infeasible(self):
         # Valid array, t = L = 1, but slot 1 serves a user whose packet no
@@ -389,6 +402,21 @@ class TestChannels:
             parse_channel_fixture("1 2\n1 x\n")
         with pytest.raises(ParseError):
             parse_channel_fixture("")
+
+    def test_fixture_shape_errors_name_the_header_line(self):
+        for text in ("# channel\n2 2\n1 2\n", "# channel\n2 2 2\n1 2\n3 4\n"):
+            with pytest.raises(ParseError, match="^line 2: "):
+                parse_channel_fixture(text)
+        with pytest.raises(ParseError, match="^line 1: header declares 3 rows, found 2"):
+            parse_library_fixture("3 1\n1\n2\n")
+
+    @pytest.mark.parametrize("entry", ["nan", "1e999", "-1e999", "nan+1i", "1e999i"])
+    def test_non_finite_entries_rejected(self, entry):
+        message = re.escape(f"non-finite entry {entry!r}")
+        with pytest.raises(ParseError, match=f"^line 3: {message}"):
+            parse_channel_fixture(f"2 2\n1 2\n3 {entry}\n")
+        with pytest.raises(ParseError, match=f"^line 2: {message}"):
+            parse_library_fixture(f"1 2\n{entry} 1\n")
 
     def test_library_fixture(self):
         lib = parse_library_fixture("2 3\n1 2 3\n4 5 6\n")
