@@ -64,8 +64,6 @@ class ValidationReport:
     is the smallest antenna count at which C4 would hold.  ``regular`` means
     every slot id occurs exactly t+L times, the shape the delivery proof
     relies on; it depends on the declared antenna count.
-    ``star_density_ok`` reports whether K*Z >= L*F, the precondition of the
-    delivery engine (it never affects validity of the array itself).
     ``slot_index`` maps each slot id present to its cells (f, k), 1-based,
     in column-major order.
     """
@@ -84,7 +82,6 @@ class ValidationReport:
     sum_dof: Fraction | None
     min_antennas: int
     regular: bool  # every slot id occurs exactly t+L times
-    star_density_ok: bool
     failures: tuple[str, ...]
     slot_index: dict = field(repr=False, compare=False)
 
@@ -185,7 +182,6 @@ def validate(grid, claimed_antennas):
         t = Fraction(n_cols * stars_per_col, n_rows)
         sum_dof = Fraction(n_cols * (n_rows - stars_per_col), slots) if slots else Fraction(0)
     regular = c1 and all(len(c) == t + claimed_antennas for c in index.values())
-    star_density_ok = c1 and n_cols * stars_per_col >= claimed_antennas * n_rows
     ok = c1 and c2 and c3 and c4
     return ValidationReport(
         ok=ok,
@@ -202,7 +198,6 @@ def validate(grid, claimed_antennas):
         sum_dof=sum_dof,
         min_antennas=min_antennas,
         regular=regular,
-        star_density_ok=star_density_ok,
         failures=tuple(failures),
         slot_index=index,
     )

@@ -37,7 +37,10 @@ EXIT_IO = 2
 def _effective_seed(args):
     env = os.environ.get("MAPDA_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ParseError(f"MAPDA_SEED must be an integer, got {env!r}") from None
     return args.seed
 
 
@@ -150,9 +153,7 @@ def cmd_simulate(args) -> int:
         else:
             channel = engine.make_channel(m.antennas, m.cols, seed=seed + attempt)
         try:
-            report = engine.run_delivery(
-                instance, channel, demands, library, force=args.force
-            )
+            report = engine.run_delivery(instance, channel, demands, library)
         except engine.DegenerateChannel as exc:
             last_error = exc
             continue
@@ -206,6 +207,9 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     users, antennas = args.users, args.antennas
+    if args.m is not None and args.m < 1:
+        # Checked before the loop, which skips points that fail to build.
+        raise DomainError(f"grouping size m must be >= 1, got {args.m}")
     t_max = args.t_max if args.t_max is not None else users - antennas
     t_values = [t for t in range(args.t_min, t_max + 1)]
     points = []
@@ -269,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--library", default=None, help="library fixture file (default seeded random)")
     p_sim.add_argument("--scalar", choices=("auto", EXACT, FLOAT), default="auto")
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--force", action="store_true", help="attempt delivery even when t < L")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="CSV metric comparison at given points")

@@ -82,18 +82,17 @@ class SlotGroup:
     """The users and packet rows sharing one slot id.
 
     ``served_users`` and ``served_rows`` are parallel, 1-based, in
-    column-major order of the grid.  ``zero_sets[l]`` holds the 0-based
-    positions j whose packet user k_l neither caches nor requests; those are
-    exactly the positions that must vanish in row l of B.  ``cacher_sets[n]``
-    holds the 0-based positions of users caching packet n's row: the only
-    rows of column n of V allowed to be nonzero.  ``redundancy`` and
-    ``antennas`` carry the parent array's t and L for the solver gate.
+    column-major order of the grid.  ``cacher_sets[n]`` holds the 0-based
+    positions of users caching packet n's row: the only rows of column n of
+    V allowed to be nonzero.  It is the slot's one cache relation: B(l, n)
+    must vanish exactly when l != n and l is not in ``cacher_sets[n]``.
+    ``redundancy`` and ``antennas`` carry the parent array's t and L for the
+    solver gate.
     """
 
     slot: int
     served_users: tuple
     served_rows: tuple
-    zero_sets: tuple
     cacher_sets: tuple
     redundancy: Fraction
     antennas: int
@@ -208,14 +207,6 @@ def build_instance(m: Mapda, files: int) -> SchemeInstance:
         served_rows = tuple(f for f, _ in cells)
         served_users = tuple(k for _, k in cells)
         size = len(cells)
-        zero_sets = tuple(
-            frozenset(
-                j
-                for j in range(size)
-                if j != l and grid[served_rows[j] - 1][served_users[l] - 1] is not STAR
-            )
-            for l in range(size)
-        )
         cacher_sets = tuple(
             tuple(
                 i
@@ -229,7 +220,6 @@ def build_instance(m: Mapda, files: int) -> SchemeInstance:
                 slot=s,
                 served_users=served_users,
                 served_rows=served_rows,
-                zero_sets=zero_sets,
                 cacher_sets=cacher_sets,
                 redundancy=t,
                 antennas=m.antennas,
@@ -374,7 +364,7 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix) -> PrecodingMa
     b_cols = []
     for n in range(size):
         unknowns = group.cacher_sets[n]
-        eq_rows = (n,) + tuple(l for l in range(size) if n in group.zero_sets[l])
+        eq_rows = (n,) + tuple(l for l in range(size) if l != n and l not in unknowns)
         rhs = Matrix.column([one] + [zero] * (len(eq_rows) - 1), backend)
         if not unknowns:
             raise Infeasible(
@@ -453,7 +443,7 @@ def run_slot(group, channel, demands, library) -> SlotOutcome:
         recovered = []
         residual = 0.0
         for l in range(size):
-            cached = [j for j in range(size) if j != l and j not in group.zero_sets[l]]
+            cached = [j for j in range(size) if l in group.cacher_sets[j]]
             heard = y_users.at(l, 0)
             for j in cached:
                 heard -= b.at(l, j) * w.at(j, 0)
@@ -476,8 +466,9 @@ def run_slot(group, channel, demands, library) -> SlotOutcome:
                     )
                 residual = max(residual, err)
                 residual = max(residual, abs(b.at(l, l) - 1))
-                for j in group.zero_sets[l]:
-                    residual = max(residual, abs(b.at(l, j)))
+                for j in range(size):
+                    if j != l and l not in group.cacher_sets[j]:
+                        residual = max(residual, abs(b.at(l, j)))
             user = group.served_users[l]
             packet = PacketId(demands[user - 1], group.served_rows[l])
             recovered.append((user, packet, value))
@@ -501,20 +492,15 @@ def _ops_model(instance: SchemeInstance) -> Fraction:
     return total
 
 
-def run_delivery(instance, channel, demands, library, force=False) -> DeliveryReport:
+def run_delivery(instance, channel, demands, library) -> DeliveryReport:
     """Run all S slots and verify every user recovers its missing packets.
 
-    Refuses arrays with t < L unless ``force`` is set (the forced run then
-    reports the per-slot infeasibility), and channels without exactly one
-    column per user.  Propagates Infeasible,
+    Refuses channels without exactly one column per user.  Propagates
+    Infeasible (an array with t < L is refused at its first slot),
     DegenerateChannel, and DecodeMismatch with the offending slot id.
     """
     m = instance.mapda
     demands = _check_demands(demands, m.cols, instance.files)
-    if not force and not m.profile.star_density_ok:
-        raise Infeasible(
-            f"array has t={m.profile.t} < L={m.antennas}; pass force=True to attempt anyway"
-        )
     if channel.matrix.n_cols != m.cols:
         # The Gram matrix spans every channel column, so surplus columns
         # would cost quadratic work and memory for nothing.

@@ -26,7 +26,7 @@ schemes, and the exact bracketed sum for the baseline (not its O() form).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arrays import DomainError
@@ -45,29 +45,30 @@ def sgn_pair(x, y):
 class SystemPoint:
     """One (K, L, M/N) operating point, optionally with a grouping size m.
 
-    The caching redundancy t = K * M/N must be an integer.  ``m`` only
-    matters for scheme 1; leave it None to let calculators pick the
-    admissible value with the smallest subpacketization.
+    The caching redundancy t = K * M/N must be an integer; it is computed
+    once, at construction.  ``m`` only matters for scheme 1; leave it None
+    to let calculators pick the admissible value with the smallest
+    subpacketization.
     """
 
     users: int
     antennas: int
     memory_ratio: Fraction
     m: int | None = None
+    t: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "memory_ratio", Fraction(self.memory_ratio))
         if self.users < 1 or self.antennas < 1:
             raise DomainError("K and L must be >= 1")
+        if self.m is not None and self.m < 1:
+            raise DomainError(f"grouping size m must be >= 1, got {self.m}")
         if not 0 < self.memory_ratio < 1:
             raise DomainError(f"memory ratio must lie in (0,1), got {self.memory_ratio}")
         t = self.users * self.memory_ratio
         if t.denominator != 1:
             raise DomainError(f"t = K*M/N = {t} is not an integer")
-
-    @property
-    def t(self) -> int:
-        return int(self.users * self.memory_ratio)
+        object.__setattr__(self, "t", int(t))
 
     @property
     def alpha(self) -> int:
@@ -145,25 +146,39 @@ def admissible_m_values(p: SystemPoint):
 
 def best_m(p: SystemPoint):
     """The admissible m with the smallest scheme-1 subpacketization, or None."""
-    best = None
-    best_f = None
-    for m in admissible_m_values(p):
-        try:
-            f = scheme_metrics(p.with_m(m), 1).subpacketization
-        except ConstraintViolation:
-            continue
-        if best_f is None or f < best_f:
-            best, best_f = m, f
-    return best
+    try:
+        return _scheme1(p, None)[0]
+    except ConstraintViolation:
+        return None
 
 
-def _scheme1(p: SystemPoint) -> SchemeMetrics:
+def _scheme1(p: SystemPoint, m) -> tuple:
+    """Scheme 1 at p as (m, metrics), at grouping size m when given.
+
+    With m None, scheme 1 is evaluated once per admissible m and the m with
+    the smallest subpacketization wins, the smallest such m on ties.
+    """
     t, big_l, big_k = p.t, p.antennas, p.users
     if t + big_l >= big_k:
         raise ConstraintViolation(f"scheme 1 needs t+L < K, got t={t}, L={big_l}, K={big_k}")
-    m = p.m if p.m is not None else best_m(p)
-    if m is None:
+    if m is not None:
+        return m, _scheme1_at(p, m)
+    best = None
+    for candidate in admissible_m_values(p):
+        try:
+            metrics = _scheme1_at(p, candidate)
+        except ConstraintViolation:
+            continue
+        if best is None or metrics.subpacketization < best[1].subpacketization:
+            best = (candidate, metrics)
+    if best is None:
         raise ConstraintViolation("scheme 1 has no admissible m at this point")
+    return best
+
+
+def _scheme1_at(p: SystemPoint, m) -> SchemeMetrics:
+    """Scheme 1 at grouping size m, once ``_scheme1`` has checked t+L < K."""
+    t, big_l, big_k = p.t, p.antennas, p.users
     if m > big_l:
         raise ConstraintViolation(f"scheme 1 needs m <= L, got m={m}, L={big_l}")
     if big_k % m or t % m:
@@ -217,7 +232,7 @@ def scheme_metrics(p: SystemPoint, which: int) -> SchemeMetrics:
     """Figures for scheme 1, 2, or 3 at a point; ConstraintViolation names
     the violated limitation when the point is outside the scheme's range."""
     if which == 1:
-        return _scheme1(p)
+        return _scheme1(p, p.m)[1]
     if which == 2:
         return _scheme2(p)
     if which == 3:
@@ -390,12 +405,12 @@ def table_row(p: SystemPoint) -> dict:
     except DomainError as exc:
         fill("F_asmst", str(exc), "lambda_asmst")
 
-    m = p.m if p.m is not None else best_m(p)
-    row["m"] = str(m) if m is not None else "-"
     try:
-        fill("F_s1", scheme_metrics(p.with_m(m), 1), "lambda_s1")
+        m, s1 = _scheme1(p, p.m)
     except ConstraintViolation as exc:
-        fill("F_s1", str(exc), "lambda_s1")
+        m, s1 = p.m, str(exc)
+    row["m"] = str(m) if m is not None else "-"
+    fill("F_s1", s1, "lambda_s1")
 
     try:
         fill("F_s2", scheme_metrics(p, 2), "lambda_s2")

@@ -245,7 +245,6 @@ class TestGenerators:
             assert profile.t == t
             assert profile.sum_dof == users
             assert profile.regular
-            assert profile.star_density_ok == (t >= users - t)
 
     def test_min_antennas_fixtures(self):
         assert Mapda(EXAMPLE1, 2).profile.min_antennas == 2

@@ -149,13 +149,11 @@ class TestSimulate:
     def test_force_low_density_infeasible(self, capsys, tmp_path):
         path = tmp_path / "mn_l2.mapda"
         path.write_text("2 3 3 1 3\n* 1 2\n1 * 3\n2 3 *\n")
-        code, _, err = run_cli(
-            capsys, "simulate", str(path), "--files", "3", "--force"
-        )
-        assert code == 1
-        assert "t=1" in err
         code, _, err = run_cli(capsys, "simulate", str(path), "--files", "3")
         assert code == 1
+        assert "slot 1" in err
+        assert "t=1" in err
+        assert "L=2" in err
 
     def test_demand_list(self, capsys):
         code, out, _ = run_cli(
@@ -284,6 +282,14 @@ class TestDeterminism:
         )
         assert via_env == flagged
 
+    def test_non_integer_env_seed_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("MAPDA_SEED", "abc")
+        code, out, err = run_cli(capsys, "simulate", EXAMPLE1, "--files", "6")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "MAPDA_SEED" in err and "'abc'" in err
+        assert "Traceback" not in err
+
 
 class TestCompare:
     def test_single_point_contains_worked_values(self, capsys):
@@ -318,6 +324,13 @@ class TestCompare:
         assert code == 2
         assert out == ""
         assert err.startswith("error: line 4: ")
+
+    def test_grouping_size_below_one_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--point", "6,1/3,2,0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "m must be >= 1" in err
+        assert "Traceback" not in err
 
     def test_empty_input_header_only(self, capsys, tmp_path):
         empty = tmp_path / "points.txt"
@@ -358,3 +371,15 @@ class TestSweep:
                 if cell:
                     assert float(cell) < base
         assert len(out_csv.read_text().splitlines()) == 52
+
+    def test_grouping_size_below_one_exit_1(self, capsys):
+        # Rejected before the sweep loop, which skips points that fail to
+        # build and would otherwise print an empty table.
+        for m in ("0", "-2"):
+            code, out, err = run_cli(
+                capsys, "sweep", "--users", "10", "--antennas", "2", "--m", m
+            )
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ") and f"got {m}" in err
+            assert "Traceback" not in err

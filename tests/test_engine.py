@@ -80,7 +80,12 @@ class TestBuildInstance:
         group = example1_instance.groups[0]
         assert group.served_users == (1, 2, 4, 5)
         assert group.served_rows == (2, 1, 2, 1)
-        assert [sorted(z) for z in group.zero_sets] == [[2], [3], [0], [1]]
+        size = len(group.served_users)
+        vanishing = [
+            [j for j in range(size) if j != l and l not in group.cacher_sets[j]]
+            for l in range(size)
+        ]
+        assert vanishing == [[2], [3], [0], [1]]
 
     def test_smallest_instance_single_slot(self):
         inst = build_instance(generate_mn_pda(2, 1), files=2)
@@ -137,10 +142,12 @@ class TestSynthesize:
             for group in build_instance(m, files=2).groups:
                 pre = synthesize_precoder(group, channel)
                 b = pre.combined
-                for l in range(len(group.served_users)):
+                size = len(group.served_users)
+                for l in range(size):
                     assert b.at(l, l) == 1
-                    for j in group.zero_sets[l]:
-                        assert b.at(l, j) == 0
+                    for j in range(size):
+                        if j != l and l not in group.cacher_sets[j]:
+                            assert b.at(l, j) == 0
 
     def test_low_redundancy_is_infeasible(self):
         # Declaring two antennas over the single-antenna star pattern drops
@@ -301,11 +308,8 @@ class TestRunDelivery:
         channel = channel_from_matrix(vandermonde_channel(2, 3))
         library = random_library(3, 3, seed=1)
         demands = default_demands(3, 3)
-        with pytest.raises(Infeasible):
-            run_delivery(inst, channel, demands, library)
-        # Forcing past the gate reaches the per-slot refusal instead.
         with pytest.raises(Infeasible) as info:
-            run_delivery(inst, channel, demands, library, force=True)
+            run_delivery(inst, channel, demands, library)
         assert info.value.slot == 1
 
     def test_one_shot_regular_arrays(self):
@@ -313,7 +317,7 @@ class TestRunDelivery:
         # a generic channel, for every demand vector.
         cases = [generate_cyclic(k, t) for k in range(2, 6) for t in range(1, k)]
         for m in cases:
-            if not m.profile.star_density_ok:
+            if m.profile.t < m.antennas:
                 continue
             assert m.profile.regular
             inst = build_instance(m, files=2)

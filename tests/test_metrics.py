@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from mapda import metrics
 from mapda.arrays import DomainError, generate_cyclic
 from mapda.metrics import (
     ConstraintViolation,
@@ -79,6 +80,54 @@ class TestSchemes:
         assert best_m(point(20, "1/5", 4)) == 4
         assert scheme_metrics(point(20, "1/5", 4), 1).subpacketization == 5
         assert admissible_m_values(point(20, "1/5", 4)) == (1, 2, 4)
+
+    def test_scheme1_selection_matches_brute_force(self):
+        # Criterion 6's grid; the brute force keeps the smallest m on ties.
+        for users in range(4, 42):
+            for t in range(1, users):
+                for antennas in {1, 2, 3, 5, t, users - t}:
+                    if antennas < 1:
+                        continue
+                    p = SystemPoint(users, antennas, Fraction(t, users))
+                    best = None
+                    for m in admissible_m_values(p):
+                        try:
+                            metric = scheme_metrics(p.with_m(m), 1)
+                        except ConstraintViolation:
+                            continue
+                        if best is None or metric.subpacketization < best[1].subpacketization:
+                            best = (m, metric)
+                    if best is None:
+                        assert best_m(p) is None
+                        assert table_row(p)["m"] == "-"
+                        with pytest.raises(ConstraintViolation):
+                            scheme_metrics(p, 1)
+                    else:
+                        assert best_m(p) == best[0]
+                        assert table_row(p)["m"] == str(best[0])
+                        assert scheme_metrics(p, 1) == best[1]
+
+    def test_scheme1_evaluated_once_per_admissible_m(self, monkeypatch):
+        points = [point(20, "1/5", 4), point(12, "1/3", 4), point(6, "1/2", 3)]
+        built, evaluated = [], []
+        post_init = SystemPoint.__post_init__
+        at = metrics._scheme1_at
+        monkeypatch.setattr(
+            SystemPoint, "__post_init__", lambda p: built.append(p) or post_init(p)
+        )
+        monkeypatch.setattr(
+            metrics, "_scheme1_at", lambda p, m: evaluated.append(m) or at(p, m)
+        )
+        for p in points:
+            for call in (table_row, lambda p: scheme_metrics(p, 1)):
+                evaluated.clear()
+                try:
+                    call(p)
+                except ConstraintViolation:
+                    pass
+                room = p.t + p.antennas < p.users
+                assert evaluated == (list(admissible_m_values(p)) if room else [])
+        assert built == []
 
     def test_scheme3_direct_substitution(self):
         m = scheme_metrics(point(6, "1/3", 4), 3)
