@@ -128,6 +128,8 @@ def cmd_simulate(args) -> int:
         raise DomainError("exact backend needs a rational channel fixture (--channel)")
     if backend == EXACT and fixture.matrix.backend != EXACT:
         raise DomainError("channel fixture holds floats; cannot run the exact backend")
+    if backend == FLOAT and fixture is not None and fixture.matrix.backend == EXACT:
+        fixture = engine.channel_from_matrix(Matrix.from_rows(fixture.matrix.to_rows(), FLOAT))
 
     instance = engine.build_instance(m, args.files)
     demands = _parse_demands(args.demands, m.cols, args.files, rng)
@@ -146,10 +148,6 @@ def cmd_simulate(args) -> int:
     for attempt in range(attempts):
         if fixture is not None:
             channel = fixture
-            if backend == FLOAT and channel.matrix.backend == EXACT:
-                channel = engine.channel_from_matrix(
-                    Matrix.from_rows(channel.matrix.to_rows(), FLOAT)
-                )
         else:
             channel = engine.make_channel(m.antennas, m.cols, seed=seed + attempt)
         try:
@@ -207,17 +205,13 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     users, antennas = args.users, args.antennas
-    if args.m is not None and args.m < 1:
-        # Checked before the loop, which skips points that fail to build.
-        raise DomainError(f"grouping size m must be >= 1, got {args.m}")
+    # Checked here too so bad K, L or m fail even when the t range is empty.
+    metrics.check_counts(users, antennas, args.m)
     t_max = args.t_max if args.t_max is not None else users - antennas
-    t_values = [t for t in range(args.t_min, t_max + 1)]
-    points = []
-    for t in t_values:
-        try:
-            points.append(SystemPoint(users, antennas, Fraction(t, users), args.m))
-        except DomainError:
-            continue
+    points = [
+        SystemPoint(users, antennas, Fraction(t, users), args.m)
+        for t in range(max(args.t_min, 1), min(t_max, users - 1) + 1)
+    ]
     _write_text(args.out, metrics.table_report(points))
     if args.plot_out is not None:
         lines = ["ratio,log10_F_asmst,log10_F_s1,log10_F_s2,log10_F_s3"]

@@ -145,14 +145,12 @@ class PrecodingMatrix:
     need not recompute it.
     """
 
-    slot: int
     matrix: Matrix
     combined: Matrix
 
 
 @dataclass(frozen=True)
 class SlotOutcome:
-    slot: int
     recovered: tuple  # (user, PacketId, value) per served position
     residual_max: float
     ops: dict
@@ -394,7 +392,7 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix) -> PrecodingMa
         b_cols.append(matmul(support, x).data)
     v = Matrix(size, size, [e for row in v_rows for e in row], backend)
     b = Matrix(size, size, [e for row in zip(*b_cols) for e in row], backend)
-    return PrecodingMatrix(slot=group.slot, matrix=v, combined=b)
+    return PrecodingMatrix(matrix=v, combined=b)
 
 
 def run_slot(group, channel, demands, library) -> SlotOutcome:
@@ -473,9 +471,7 @@ def run_slot(group, channel, demands, library) -> SlotOutcome:
             packet = PacketId(demands[user - 1], group.served_rows[l])
             recovered.append((user, packet, value))
     ops["user_decode"] = {"mul": tally.mul, "add": tally.add}
-    return SlotOutcome(
-        slot=group.slot, recovered=tuple(recovered), residual_max=residual, ops=ops
-    )
+    return SlotOutcome(recovered=tuple(recovered), residual_max=residual, ops=ops)
 
 
 def _ops_model(instance: SchemeInstance) -> Fraction:

@@ -18,7 +18,9 @@ Scheme parameter formulas:
             a = gcd(K,t,L), requiring t+L <= K
   scheme 3  F = K, Z = t, S = K-t, requiring L = K-t
 
-Every scheme satisfies S/F = K(1-M/N)/(t+L) and K(F-Z)/S = t+L exactly.
+Every scheme, the baseline included, satisfies S/F = K(1-M/N)/(t+L) =
+(K-t)/(t+L) and K(F-Z)/S = t+L exactly, by construction; nothing here
+re-checks them.  tests/test_metrics.py::TestIdentities proves them.
 The cost model is lambda = (g^3 + g^2 + t g) S with g = t+L for the new
 schemes, and the exact bracketed sum for the baseline (not its O() form).
 """
@@ -41,6 +43,14 @@ def sgn_pair(x, y):
     return 1 if y == 1 else x
 
 
+def check_counts(users, antennas, m=None):
+    """Raise DomainError unless K, L and m (when given) are all >= 1."""
+    if users < 1 or antennas < 1:
+        raise DomainError(f"K and L must be >= 1, got K={users}, L={antennas}")
+    if m is not None and m < 1:
+        raise DomainError(f"grouping size m must be >= 1, got {m}")
+
+
 @dataclass(frozen=True)
 class SystemPoint:
     """One (K, L, M/N) operating point, optionally with a grouping size m.
@@ -59,10 +69,7 @@ class SystemPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "memory_ratio", Fraction(self.memory_ratio))
-        if self.users < 1 or self.antennas < 1:
-            raise DomainError("K and L must be >= 1")
-        if self.m is not None and self.m < 1:
-            raise DomainError(f"grouping size m must be >= 1, got {self.m}")
+        check_counts(self.users, self.antennas, self.m)
         if not 0 < self.memory_ratio < 1:
             raise DomainError(f"memory ratio must lie in (0,1), got {self.memory_ratio}")
         t = self.users * self.memory_ratio
@@ -121,14 +128,12 @@ def asmst_metrics(p: SystemPoint) -> SchemeMetrics:
         + 2 * big_l * math.comb(t + big_l, t + 1)
         + (t + big_l) * math.comb(t + big_l - 1, t) ** 3
     ) * math.comb(big_k, t + big_l)
-    ndt = Fraction(s, f)
-    assert ndt == Fraction(big_k - t, t + big_l)
     return SchemeMetrics(
         scheme="asmst",
         subpacketization=f,
         stars_per_col=z,
         slots=s,
-        ndt=ndt,
+        ndt=Fraction(s, f),
         sum_dof=Fraction(big_k * (f - z), s),
         complexity=lam,
     )
@@ -214,15 +219,12 @@ def _scheme3(p: SystemPoint) -> SchemeMetrics:
 
 def _finish(tag, p, f, z, s) -> SchemeMetrics:
     t, big_l, big_k = p.t, p.antennas, p.users
-    ndt = Fraction(s, f)
-    expected = Fraction(big_k, 1) * (1 - p.memory_ratio) / (t + big_l)
-    assert ndt == expected, f"{tag}: S/F = {ndt} != K(1-M/N)/(t+L) = {expected}"
     return SchemeMetrics(
         scheme=tag,
         subpacketization=f,
         stars_per_col=z,
         slots=s,
-        ndt=ndt,
+        ndt=Fraction(s, f),
         sum_dof=Fraction(big_k * (f - z), s),
         complexity=_new_scheme_complexity(t, big_l, s),
     )
@@ -382,6 +384,7 @@ def table_row(p: SystemPoint) -> dict:
     row["K"] = str(p.users)
     row["ratio"] = str(p.memory_ratio)
     row["L"] = str(p.antennas)
+    row["ndt"] = str(Fraction(p.users - p.t, p.t + p.antennas))
     key = (p.users, p.memory_ratio, p.antennas)
 
     def fill(column, metric_or_reason, complexity_col):
@@ -394,8 +397,6 @@ def table_row(p: SystemPoint) -> dict:
             mismatch = _reference_mismatch(key, column, f)
             if mismatch:
                 flags.append(mismatch)
-            if "ndt" in row and not row["ndt"]:
-                row["ndt"] = str(metric_or_reason.ndt)
         else:
             row[column] = f"n/a({metric_or_reason})"
             row[complexity_col] = f"n/a({metric_or_reason})"
@@ -429,8 +430,6 @@ def table_row(p: SystemPoint) -> dict:
         if mismatch:
             flags.append(mismatch)
 
-    if not row["ndt"]:
-        row["ndt"] = str(Fraction(p.users) * (1 - p.memory_ratio) / (p.t + p.antennas))
     if p.t < p.antennas:
         flags.append(f"engine-gate:t={p.t}<L={p.antennas}(silence {p.antennas - p.t} antennas)")
     row["flags"] = ";".join(flags)

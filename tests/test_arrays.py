@@ -6,6 +6,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapda.arrays import (
     STAR,
@@ -310,3 +312,50 @@ class TestFileFormat:
     def test_writer_emits_explicit_parameters(self):
         text = format_mapda(generate_cyclic(4, 2))
         assert text.splitlines()[0] == "2 4 4 2 2"
+
+
+@st.composite
+def generated_arrays(draw):
+    """An mn or cyclic array, replicated one to three times."""
+    generator = draw(st.sampled_from((generate_mn_pda, generate_cyclic)))
+    users = draw(st.integers(2, 7 if generator is generate_mn_pda else 12))
+    t = draw(st.integers(1, users - 1))
+    return replicate(generator(users, t), draw(st.integers(1, 3)))
+
+
+small_grids = st.integers(1, 5).flatmap(
+    lambda n_rows: st.integers(1, 6).flatmap(
+        lambda n_cols: st.lists(
+            st.tuples(*[st.sampled_from((STAR, 1, 2, 3, 4))] * n_cols),
+            min_size=n_rows,
+            max_size=n_rows,
+        )
+    )
+)
+
+
+class TestProperties:
+    @settings(max_examples=100)
+    @given(generated_arrays())
+    def test_format_parse_round_trip(self, m):
+        text = format_mapda(m)
+        again = parse_mapda(text)
+        assert again == m
+        assert format_mapda(again) == text
+
+    @settings(max_examples=200)
+    @given(small_grids, st.integers(1, 3))
+    def test_validate_agrees_with_naive_conditions(self, grid, antennas):
+        report = validate(grid, antennas)
+        conditions = naive_conditions(grid, antennas)
+        assert (report.c1, report.c2, report.c3, report.c4) == conditions
+        assert report.ok == all(conditions)
+
+    @settings(max_examples=20)
+    @given(st.integers(0, 5), st.integers(10**9, 10**12))
+    def test_huge_declared_row_count_fails_fast(self, comments, declared):
+        text = "# c\n" * comments + f"1 2 {declared} - -\n* 1\n1 *\n"
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=f"^line {comments + 1}: header declares {declared} rows"):
+            parse_mapda(text)
+        assert time.perf_counter() - start < 0.1

@@ -373,8 +373,8 @@ class TestSweep:
         assert len(out_csv.read_text().splitlines()) == 52
 
     def test_grouping_size_below_one_exit_1(self, capsys):
-        # Rejected before the sweep loop, which skips points that fail to
-        # build and would otherwise print an empty table.
+        # SystemPoint's K/L/m check runs once before the sweep loop, so a
+        # bad m exits 1 even when the t range is empty.
         for m in ("0", "-2"):
             code, out, err = run_cli(
                 capsys, "sweep", "--users", "10", "--antennas", "2", "--m", m
@@ -383,3 +383,28 @@ class TestSweep:
             assert out == ""
             assert err.startswith("error: ") and f"got {m}" in err
             assert "Traceback" not in err
+
+    def test_bad_user_or_antenna_count_exit_1(self, capsys):
+        # Checked before any point is built: also where the t range is empty
+        # (K=0, K=-3) and where Fraction(t, K) would divide by zero.
+        for users, antennas, *extra in (
+            ("10", "0"), ("0", "2"), ("-3", "2"), ("0", "2", "--t-max", "5")
+        ):
+            code, out, err = run_cli(
+                capsys, "sweep", "--users", users, "--antennas", antennas, *extra
+            )
+            assert code == 1
+            assert out == ""
+            assert err == f"error: K and L must be >= 1, got K={users}, L={antennas}\n"
+
+    def test_t_range_clamped_to_valid_ratios(self, capsys):
+        code, wide, _ = run_cli(
+            capsys, "sweep", "--users", "8", "--antennas", "2", "--t-min", "-3", "--t-max", "20"
+        )
+        assert code == 0
+        code, clamped, _ = run_cli(
+            capsys, "sweep", "--users", "8", "--antennas", "2", "--t-min", "1", "--t-max", "7"
+        )
+        assert code == 0
+        assert wide == clamped
+        assert len(clamped.splitlines()) == 8

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapda import metrics
 from mapda.arrays import DomainError, generate_cyclic
@@ -41,6 +43,11 @@ class TestSystemPoint:
             SystemPoint(4, 2, Fraction(0))
         with pytest.raises(DomainError):
             SystemPoint(4, 2, Fraction(1))
+
+    def test_count_errors_name_the_values(self):
+        for users, antennas in ((10, 0), (0, 2), (-3, 2)):
+            with pytest.raises(DomainError, match=f"got K={users}, L={antennas}$"):
+                SystemPoint(users, antennas, Fraction(1, 5))
 
 
 class TestBaseline:
@@ -201,6 +208,73 @@ class TestSchemes:
             for k in range(10, 55, 5)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def assert_identities(metric, users, t, antennas):
+    """S/F = K(1-M/N)/(t+L) = (K-t)/(t+L), K(F-Z)/S = t+L and Z/F = M/N,
+    from the (F, Z, S) triple and on the stored figures."""
+    f, z, s = metric.parameters
+    assert Fraction(s, f) == Fraction(users - t, t + antennas) == metric.ndt
+    assert Fraction(users * (f - z), s) == t + antennas == metric.sum_dof
+    assert Fraction(z, f) == Fraction(t, users)
+
+
+def every_scheme(p):
+    """The baseline, schemes 1-3 and scheme 1 at each admissible m, where
+    their limitations hold at p."""
+    calls = [asmst_metrics]
+    calls += [lambda p, which=which: scheme_metrics(p, which) for which in (1, 2, 3)]
+    calls += [lambda p, m=m: scheme_metrics(p.with_m(m), 1) for m in admissible_m_values(p)]
+    found = []
+    for call in calls:
+        try:
+            found.append(call(p))
+        except (ConstraintViolation, DomainError):
+            continue
+    return found
+
+
+class TestIdentities:
+    """The identities every scheme satisfies by construction.  The
+    calculators do not re-check them at runtime; these tests do."""
+
+    def test_criterion_6_grid(self):
+        tags = set()
+        for users in range(4, 42):
+            for t in range(1, users):
+                for antennas in {1, 2, 3, 5, t, users - t}:
+                    if antennas < 1:
+                        continue
+                    p = SystemPoint(users, antennas, Fraction(t, users))
+                    for metric in every_scheme(p):
+                        assert_identities(metric, users, t, antennas)
+                        tags.add(metric.scheme)
+        assert tags == {"asmst", "scheme1", "scheme2", "scheme3"}
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_sweep_to_200_users(self, data):
+        users = data.draw(st.integers(2, 200), label="K")
+        t = data.draw(st.integers(1, users - 1), label="t")
+        antennas = data.draw(st.integers(1, users - t), label="L")
+        p = SystemPoint(users, antennas, Fraction(t, users))
+        row = table_row(p)
+        for metric in every_scheme(p):
+            assert_identities(metric, users, t, antennas)
+            assert row["ndt"] == str(metric.ndt)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_circulant_arrays_to_40_users(self, data):
+        users = data.draw(st.integers(2, 40), label="K")
+        t = data.draw(st.integers(1, users - 1), label="t")
+        arr = generate_cyclic(users, t)
+        assert arr.parameters() == (users - t, users, users, t, users - t)
+        assert arr.profile.t == t
+        assert arr.profile.sum_dof == users
+        assert arr.profile.regular
+        p = SystemPoint(users, users - t, Fraction(t, users))
+        assert scheme_metrics(p, 3).parameters == arr.parameters()[2:]
 
 
 class TestSilencing:
