@@ -212,21 +212,17 @@ def cmd_sweep(args) -> int:
         SystemPoint(users, antennas, Fraction(t, users), args.m)
         for t in range(max(args.t_min, 1), min(t_max, users - 1) + 1)
     ]
-    _write_text(args.out, metrics.table_report(points))
+    rows = [metrics.table_row(p) for p in points]
+    _write_text(args.out, metrics.format_table(rows))
     if args.plot_out is not None:
         lines = ["ratio,log10_F_asmst,log10_F_s1,log10_F_s2,log10_F_s3"]
-        for p in points:
-            cells = [str(p.memory_ratio)]
-            for which in ("asmst", 1, 2, 3):
-                try:
-                    metric = (
-                        metrics.asmst_metrics(p)
-                        if which == "asmst"
-                        else metrics.scheme_metrics(p, which)
-                    )
-                    cells.append(f"{math.log10(metric.subpacketization):.6f}")
-                except (ConstraintViolation, DomainError):
-                    cells.append("")
+        for row in rows:
+            cells = [row["ratio"]]
+            for scheme in ("asmst", "s1", "s2", "s3"):
+                # Blank where the scheme's constraint is unmet: lambda says
+                # n/a there, even where the table still prints K as F_s3.
+                met = not row[f"lambda_{scheme}"].startswith("n/a")
+                cells.append(f"{math.log10(int(row[f'F_{scheme}'])):.6f}" if met else "")
             lines.append(",".join(cells))
         _write_text(args.plot_out, "\n".join(lines) + "\n")
     return EXIT_OK

@@ -13,14 +13,19 @@ the right one to integers by the lcm of their denominators and divides
 each integer dot product once.  ``solve`` and ``rank`` scale each row to
 integers and eliminate fraction-free (Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 1968):
-every division is exact, and a Fraction appears only in the solution.
-The float backend runs plain Gaussian elimination with partial pivoting.
+every division is exact, none is made while the previous pivot is 1, and a
+Fraction appears only in the solution.  The float backend runs plain
+Gaussian elimination with partial pivoting.
 
 Scalar multiply/add counts can be observed through ``count_ops``; counting
-state is thread-local, keeping the operations re-entrant.  On the exact
+state is thread-local, keeping the operations re-entrant.  They count the
+arithmetic each kernel performs on the operands it is given: a product
+counts n*m*k multiplications, so a caller that drops exact-zero terms
+before multiplying pays, and counts, only for the rest.  On the exact
 backend they count the integer kernels' operations, an exact division
 counting as a multiplication; scaling to integers and building the output
-Fractions are not counted.
+Fractions are not counted.  The delivery engine compares these counts
+against its cost model lambda.
 """
 
 from __future__ import annotations
@@ -36,7 +41,15 @@ EXACT = "exact"
 FLOAT = "float"
 
 # Relative pivot threshold for the float backend (the exact backend tests
-# pivots against literal zero).
+# pivots against literal zero).  A float pivot of magnitude at most
+# PIVOT_RTOL times the largest |entry| of the system [A | b] counts as zero,
+# so a rank-deficient system (a degenerate channel, or an overdetermined
+# column system with no solution) is reported, not solved through a pivot
+# that is only rounding residue.  That residue is a small multiple of 2**-53
+# times the scale for a slot's systems (L equations, t unknowns), near
+# 1e-15; a genuine pivot of a generic channel is a sizeable fraction of the
+# scale (the smallest on the deliver-float benchmark, seeds 1-3, is 4.3e-3
+# of it).  1e-9 sits six orders of magnitude clear of both.
 PIVOT_RTOL = 1e-9
 
 
@@ -301,7 +314,9 @@ def _eliminate_exact(rows, n_sys_cols):
     the zero pattern are the same.  After k steps each entry below the
     pivots is a (k+1)-minor of the input (Sylvester's identity), so the
     division by the previous pivot is exact and the last pivot is, up to
-    sign, the determinant of the pivot rows and columns.
+    sign, the determinant of the pivot rows and columns.  While the previous
+    pivot is 1 (always on the first step) the division is skipped, and an
+    updated entry costs two multiplications instead of three.
     """
     pivots = []
     pivot_row = 0
@@ -320,8 +335,13 @@ def _eliminate_exact(rows, n_sys_cols):
         for r in range(pivot_row + 1, len(rows)):
             row = rows[r]
             factor = row[col]
-            _tally(mul=3 * (width - col - 1), add=width - col - 1)
             row[col] = 0
+            if previous == 1:
+                _tally(mul=2 * (width - col - 1), add=width - col - 1)
+                for c in range(col + 1, width):
+                    row[c] = pivot * row[c] - factor * top[c]
+                continue
+            _tally(mul=3 * (width - col - 1), add=width - col - 1)
             for c in range(col + 1, width):
                 row[c] = _exact_div(pivot * row[c] - factor * top[c], previous)
         pivots.append((pivot_row, col))
@@ -331,7 +351,7 @@ def _eliminate_exact(rows, n_sys_cols):
 
 
 def _scale(entries):
-    return max((abs(e) for e in entries), default=0.0)
+    return max(map(abs, entries), default=0.0)
 
 
 def rank(a: Matrix) -> int:

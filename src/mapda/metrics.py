@@ -436,10 +436,13 @@ def table_row(p: SystemPoint) -> dict:
     return row
 
 
+def format_table(rows) -> str:
+    """CSV text of ``table_row`` rows, in the order given."""
+    lines = [",".join(TABLE_COLUMNS)]
+    lines.extend(",".join(row[c] for c in TABLE_COLUMNS) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def table_report(points) -> str:
     """CSV comparison over points, one row per point, deterministic order."""
-    lines = [",".join(TABLE_COLUMNS)]
-    for p in points:
-        row = table_row(p)
-        lines.append(",".join(row[c] for c in TABLE_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return format_table(table_row(p) for p in points)

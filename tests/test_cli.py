@@ -5,6 +5,7 @@ import json
 import time
 from pathlib import Path
 
+from mapda import metrics
 from mapda.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -371,6 +372,49 @@ class TestSweep:
                 if cell:
                     assert float(cell) < base
         assert len(out_csv.read_text().splitlines()) == 52
+
+    def test_plot_data_blank_where_constraint_unmet(self, capsys, tmp_path):
+        # The table prints K as F_s3 at every point, but the plot leaves the
+        # cell blank unless L = K-t; every other scheme is blank where n/a.
+        plot_csv = tmp_path / "plot.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "-K", "8", "-L", "2", "--t-max", "7", "--plot-out", str(plot_csv)
+        )
+        assert code == 0
+        assert plot_csv.read_text() == (
+            "ratio,log10_F_asmst,log10_F_s1,log10_F_s2,log10_F_s3\n"
+            "1/8,1.681241,1.380211,2.225309,\n"
+            "1/4,2.146128,0.602060,1.079181,\n"
+            "3/8,2.350248,2.447158,2.447158,\n"
+            "1/2,2.322219,0.778151,1.079181,\n"
+            "5/8,2.049218,2.593286,1.748188,\n"
+            "3/4,1.447158,,0.602060,0.903090\n"
+            "7/8,,,,\n"
+        )
+
+    def test_plot_data_evaluates_each_scheme_once(self, capsys, tmp_path, monkeypatch):
+        calls = {"asmst": 0, "scheme": 0}
+        asmst_metrics, scheme_metrics = metrics.asmst_metrics, metrics.scheme_metrics
+
+        def counting_asmst(p):
+            calls["asmst"] += 1
+            return asmst_metrics(p)
+
+        def counting_scheme(p, which):
+            calls["scheme"] += 1
+            return scheme_metrics(p, which)
+
+        monkeypatch.setattr(metrics, "asmst_metrics", counting_asmst)
+        monkeypatch.setattr(metrics, "scheme_metrics", counting_scheme)
+        counts = []
+        for extra in ((), ("--plot-out", str(tmp_path / "plot.csv"))):
+            calls.update(asmst=0, scheme=0)
+            code, _, _ = run_cli(capsys, "sweep", "-K", "150", "-L", "10", *extra)
+            assert code == 0
+            counts.append(dict(calls))
+        # t = 1..140: one baseline evaluation per point, with or without plot data.
+        assert counts[0]["asmst"] == 140
+        assert counts[1] == counts[0]
 
     def test_grouping_size_below_one_exit_1(self, capsys):
         # SystemPoint's K/L/m check runs once before the sweep loop, so a

@@ -6,6 +6,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mapda import arrays, engine
 from mapda.arrays import (
@@ -32,7 +34,15 @@ from mapda.engine import (
     run_slot,
     synthesize_precoder,
 )
-from mapda.linalg import EXACT, FLOAT, DimensionMismatch, Infeasible, Matrix
+from mapda.linalg import (
+    EXACT,
+    FLOAT,
+    DimensionMismatch,
+    Infeasible,
+    Matrix,
+    conj_transpose,
+    matmul,
+)
 
 from oracles import vandermonde_channel
 
@@ -149,6 +159,26 @@ class TestSynthesize:
                         if j != l and l not in group.cacher_sets[j]:
                             assert b.at(l, j) == 0
 
+    def test_receive_matrix_is_the_full_product(self):
+        # B is summed over each column's nonzeros only; it must still equal
+        # the full product of the slot's Gram block with V, entry for entry.
+        arrays_t_ge_l = [
+            generate_mn_pda(5, 2),
+            generate_cyclic(6, 3),
+            generate_cyclic(7, 5),
+            replicate(generate_mn_pda(3, 1), 2),
+            replicate(generate_mn_pda(4, 2), 2),
+            replicate(generate_mn_pda(5, 3), 3),
+        ]
+        for m in arrays_t_ge_l:
+            assert m.profile.t >= m.antennas
+            h = vandermonde_channel(m.antennas, m.cols)
+            channel = channel_from_matrix(h)
+            for group in build_instance(m, files=2).groups:
+                h_s = h.take(range(h.n_rows), [k - 1 for k in group.served_users])
+                pre = synthesize_precoder(group, channel)
+                assert pre.combined == matmul(matmul(conj_transpose(h_s), h_s), pre.matrix)
+
     def test_low_redundancy_is_infeasible(self):
         # Declaring two antennas over the single-antenna star pattern drops
         # the density below the t >= L gate: every slot must refuse.
@@ -195,6 +225,34 @@ class TestRunSlot:
         assert by_user[4][0] == PacketId(4, 2)
         assert by_user[5][0] == PacketId(5, 1)
         assert outcome.residual_max == 0.0
+
+    def test_float_residual_covers_every_decode_condition(self, example1_instance):
+        # residual_max is the worst of the decode errors, |B(l, l) - 1| and
+        # |B(l, j)| over the forced zeros (l neither caches nor wants j).
+        demands = default_demands(6, 6)
+        forced_zero_wins = 0
+        for seed in range(4):
+            channel = make_channel(2, 6, seed=seed)
+            library = random_library(6, 3, seed=seed, backend=FLOAT)
+            for group in example1_instance.groups:
+                b = synthesize_precoder(group, channel).combined
+                outcome = run_slot(group, channel, demands, library)
+                size = len(group.served_users)
+                errors = [
+                    abs(value - library.at(packet.file - 1, packet.part - 1))
+                    for _, packet, value in outcome.recovered
+                ]
+                diagonal = [abs(b.at(l, l) - 1) for l in range(size)]
+                forced = [
+                    abs(b.at(l, j))
+                    for l in range(size)
+                    for j in range(size)
+                    if j != l and l not in group.cacher_sets[j]
+                ]
+                assert outcome.residual_max == max(errors + diagonal + forced)
+                forced_zero_wins += max(forced) > max(errors + diagonal)
+        # At least one slot's residual comes from a forced zero alone.
+        assert forced_zero_wins >= 1
 
     def test_zero_library_decodes_zeros(self, example1_instance, fixture_channel):
         zero_lib = Matrix.from_rows([[0] * 3 for _ in range(6)], EXACT)
@@ -363,6 +421,20 @@ class TestRunDelivery:
                 random_library(6, 4, seed=0),
             )
 
+    def test_float_ops_below_model(self):
+        # The measured multiplications of a float run, all four phases and
+        # the Gram matrix included, stay below the cost model lambda.
+        m = replicate(generate_mn_pda(10, 3), 3)
+        assert m.antennas == 3
+        report = run_delivery(
+            build_instance(m, files=4),
+            make_channel(3, 30, seed=0),
+            default_demands(30, 4),
+            random_library(4, m.rows, seed=0, backend=FLOAT),
+        )
+        measured = sum(phase["mul"] for phase in report.ops_measured.values())
+        assert measured / report.ops_model < 1
+
     def test_ops_measured_nonzero(self, example1_instance, fixture_channel):
         report = run_delivery(
             example1_instance,
@@ -429,3 +501,51 @@ class TestChannels:
 
     def test_random_library_deterministic(self):
         assert random_library(3, 4, seed=9) == random_library(3, 4, seed=9)
+
+
+SMALL_ARRAYS = (
+    generate_mn_pda(4, 2),
+    generate_cyclic(4, 2),
+    generate_cyclic(5, 3),
+    replicate(generate_mn_pda(3, 1), 2),
+    replicate(generate_mn_pda(4, 2), 2),
+)
+
+
+@st.composite
+def integer_channels(draw):
+    m = draw(st.sampled_from(SMALL_ARRAYS))
+    entries = st.integers(min_value=-4, max_value=4)
+    rows = draw(
+        st.lists(
+            st.lists(entries, min_size=m.cols, max_size=m.cols),
+            min_size=m.antennas,
+            max_size=m.antennas,
+        )
+    )
+    return m, rows
+
+
+class TestBackendsAgree:
+    # Small integer channels keep every system well conditioned (worst
+    # relative gap seen over 3000 random cases: 3e-14), so 1e-9 leaves
+    # a wide margin while still catching any wrong pivot or support.
+    RTOL = 1e-9
+
+    @given(integer_channels())
+    def test_float_precoder_matches_exact(self, case):
+        m, rows = case
+        exact = channel_from_matrix(Matrix.from_rows(rows, EXACT))
+        approx = channel_from_matrix(Matrix.from_rows(rows, FLOAT))
+        for group in build_instance(m, files=2).groups:
+            try:
+                v = synthesize_precoder(group, exact).matrix
+            except (DegenerateChannel, Infeasible) as exc:
+                # A slot the exact backend refuses, the float one refuses too.
+                with pytest.raises(type(exc)):
+                    synthesize_precoder(group, approx)
+                continue
+            w = synthesize_precoder(group, approx).matrix
+            scale = max(abs(e) for e in v.data)
+            for e, f in zip(v.data, w.data):
+                assert abs(complex(e) - f) <= self.RTOL * scale

@@ -302,3 +302,16 @@ class TestOpCounting:
             before = outer.mul
             matmul(a, a)
             assert outer.mul == before + 8
+
+    def test_exact_solve_counts(self):
+        # Augmented width 4.  Column 0 follows the initial pivot 1, so its
+        # two row updates skip the division: 2 rows * 3 entries * 2 mul.
+        # Column 1 divides by the pivot 2: 1 row * 2 entries * 3 mul.  Back
+        # substitution on 3 pivots costs 2 + 3 + 4 mul and 0 + 1 + 2 add.
+        a = frac_matrix([[2, 1, 1], [1, 3, 2], [1, 0, 0]])
+        b = frac_matrix([[4], [5], [6]])
+        with count_ops() as tally:
+            x = solve(a, b)
+        assert x.col(0) == (6, 15, -23)
+        assert tally.mul == 12 + 6 + 9
+        assert tally.add == 6 + 2 + 3
