@@ -348,12 +348,15 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix) -> PrecodingMa
     Column n is solved from the reduced system over the cacher positions:
     B(n, n) = 1 plus B(l, n) = 0 for every served user l that does not cache
     packet n's row.  The slot's block of the channel's Gram matrix is taken
-    once; each column's system is read from it.  ``solve`` zeroes free
-    variables, so a column's solution x is nonzero only on its pivot
-    columns, at most L of them since the Gram block has rank at most L.
-    Column n of B and of V are formed over those alone: at most L terms
-    per entry of B, where the cacher set has t.  Exact zeros add nothing,
-    so B is the same as a sum over all t.
+    once; each column's system is read from it.  Columns sharing equation
+    rows and unknowns (one cache group of a replicated array) are solved as
+    one multi-right-hand-side system, one unit column each, which gives each
+    the solution it would get alone.  ``solve`` zeroes free variables, so a
+    solution x is nonzero only on its pivot columns, at most L of them since
+    the Gram block has rank at most L.  A shared system's columns of B are
+    one product over those rows: at most L terms per entry of B, where the
+    cacher set has t.  Exact zeros add nothing, so B is the same as a sum
+    over all t.  A failure names the slot's lowest failing column.
     Requires the array redundancy gate t >= L; below it the supported
     regime offers no solution and Infeasible is raised.  A rank failure on
     a system a generic channel would solve raises DegenerateChannel instead.
@@ -371,43 +374,63 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix) -> PrecodingMa
     backend = block.backend
     zero, one = _zero(backend), _one(backend)
     all_rows = range(size)
-    v_rows = [[zero] * size for _ in all_rows]
-    b_cols = []
+    # Column n's equations are the positions outside its cacher set (n is
+    # never its own cacher), so columns with equal cacher sets share one
+    # system and differ only in which equation reads 1.
+    systems = {}
     for n in all_rows:
-        unknowns = group.cacher_sets[n]
+        systems.setdefault(group.cacher_sets[n], []).append(n)
+    v_rows = [[zero] * size for _ in all_rows]
+    b_cols = [None] * size
+    failures = {}
+    for unknowns, members in systems.items():
+        first, width = members[0], len(members)
         if not unknowns:
-            raise Infeasible(
-                f"slot {group.slot}: no served user caches packet position {n + 1}",
+            failures[first] = Infeasible(
+                f"slot {group.slot}: no served user caches packet position {first + 1}",
                 slot=group.slot,
-                column=n + 1,
+                column=first + 1,
             )
-        eq_rows = (n,) + tuple(l for l in all_rows if l != n and l not in unknowns)
-        rhs = Matrix(len(eq_rows), 1, (one,) + (zero,) * (len(eq_rows) - 1), backend)
+            continue
+        eq_rows = (first,) + tuple(l for l in all_rows if l != first and l not in unknowns)
+        rhs = [one if l == n else zero for l in eq_rows for n in members]
         try:
-            x = solve(block.take(eq_rows, unknowns), rhs)
+            x = solve(block.take(eq_rows, unknowns), Matrix(len(eq_rows), width, rhs, backend))
         except Infeasible as exc:
+            n = members[exc.column - 1]
             if len(eq_rows) <= min(group.antennas, len(unknowns)):
-                raise DegenerateChannel(
+                error = DegenerateChannel(
                     f"slot {group.slot}: column {n + 1} system is rank-deficient although "
                     f"a generic channel would solve it",
                     slot=group.slot,
                     column=n + 1,
-                ) from exc
-            raise Infeasible(
-                f"slot {group.slot}: column {n + 1} has {len(unknowns)} unknowns but "
-                f"{len(eq_rows)} equations and no solution",
-                slot=group.slot,
-                column=n + 1,
-            ) from exc
-        # x solves a system whose first equation reads 1, so it has a nonzero.
-        support, values = [], []
-        for i, value in zip(unknowns, x.data):
-            if value:
+                )
+            else:
+                error = Infeasible(
+                    f"slot {group.slot}: column {n + 1} has {len(unknowns)} unknowns but "
+                    f"{len(eq_rows)} equations and no solution",
+                    slot=group.slot,
+                    column=n + 1,
+                )
+            error.__cause__ = exc
+            failures[n] = error
+            continue
+        # Each column of x solves a system with an equation reading 1, so it
+        # has a nonzero; B is summed over the rows where any column does.
+        support, x_rows = [], []
+        for i, row in zip(unknowns, zip(*[iter(x.data)] * width)):
+            if any(row):
                 support.append(i)
-                values.append(value)
-                v_rows[i][n] = value
-        x_support = Matrix(len(values), 1, values, backend)
-        b_cols.append(matmul(block.take(all_rows, support), x_support).data)
+                x_rows.extend(row)
+                for n, value in zip(members, row):
+                    v_rows[i][n] = value
+        b_block = matmul(
+            block.take(all_rows, support), Matrix(len(support), width, x_rows, backend)
+        )
+        for j, n in enumerate(members):
+            b_cols[n] = b_block.data[j::width]
+    if failures:
+        raise failures[min(failures)]
     v = Matrix(size, size, [e for row in v_rows for e in row], backend)
     b = Matrix(size, size, [e for row in zip(*b_cols) for e in row], backend)
     return PrecodingMatrix(matrix=v, combined=b)
@@ -504,11 +527,12 @@ def _ops_model(instance: SchemeInstance) -> Fraction:
     For regular arrays (every slot of size t+L) this is the analytical
     complexity ((t+L)^3 + (t+L)^2 + t(t+L)) * S.  ``ops_measured`` is what
     the run actually multiplied and added, phase by phase: the column
-    systems, B summed over each column's at most L nonzeros, the Gram
-    matrix once per channel, encoding, forwarding and decoding.  Its total
-    multiplications over this model read 0.73 on the deliver-float
-    benchmark and 2.42 on deliver-exact, where fraction-free elimination
-    spends up to three multiplications per updated entry.
+    systems (one per group of columns sharing one), B summed over each
+    column's at most L nonzeros, the Gram matrix once per channel, encoding,
+    forwarding and decoding.  Its total multiplications over this model
+    read 0.62 on the deliver-float benchmark and 2.42 on deliver-exact,
+    where fraction-free elimination spends up to three multiplications per
+    updated entry.
     """
     t = instance.mapda.profile.t
     total = Fraction(0)

@@ -64,8 +64,10 @@ class BackendMismatch(TypeError):
 class Infeasible(Exception):
     """A linear system has no solution (rank(A) < rank(A|b)).
 
+    ``solve`` sets ``column`` to the first inconsistent right-hand side.
     The delivery engine reuses this to signal transmissions whose precoder
-    cannot exist; ``slot`` and ``column`` carry that context when known.
+    cannot exist; there ``slot`` and ``column`` name the slot and precoder
+    column when known.
     """
 
     def __init__(self, message, slot=None, column=None):
@@ -362,14 +364,22 @@ def rank(a: Matrix) -> int:
     return len(_eliminate(a.to_rows(), a.n_cols, PIVOT_RTOL * _scale(a.data)))
 
 
+def _check_consistent(free_rows, n, n_rhs, nonzero):
+    """Raise Infeasible naming the first right-hand side (1-based, after a's
+    n columns) with a ``nonzero`` entry on a row left without a pivot."""
+    for j in range(n_rhs):
+        if any(nonzero(row[n + j]) for row in free_rows):
+            raise Infeasible(
+                f"system is inconsistent in right-hand side {j + 1}: rank(A) < rank(A|b)",
+                column=j + 1,
+            )
+
+
 def _solve_exact(a, b):
     rows = [_integers(a.row(i) + b.row(i))[0] for i in range(a.n_rows)]
     pivots, det = _eliminate_exact(rows, a.n_cols)
     n = a.n_cols
-    pivot_rows = {r for r, _ in pivots}
-    for r in range(a.n_rows):
-        if r not in pivot_rows and any(rows[r][n:]):
-            raise Infeasible("system is inconsistent: rank(A) < rank(A|b)")
+    _check_consistent(rows[len(pivots):], n, b.n_cols, bool)
     # By Cramer's rule det * x is integral on the pivot columns; solve for
     # it on integers and divide once per entry.
     scaled = [[0] * b.n_cols for _ in range(n)]
@@ -388,10 +398,13 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     """Solve a*x = b, returning the solution with free variables set to zero.
 
     Raises Infeasible when the system is inconsistent
-    (rank(a) < rank(a|b)).  On the rational backend the elimination is
-    fraction-free on integer-scaled rows (Bareiss), pivoting on the first
-    nonzero entry of each column, so results are exact; on floats it is
-    Gaussian elimination with partial pivoting.
+    (rank(a) < rank(a|b)); its ``column`` is the 1-based index of the first
+    inconsistent column of b.  Pivots are chosen from a alone, so each
+    column of b gets the solution it would get alone.  On the rational
+    backend the elimination is fraction-free on integer-scaled rows
+    (Bareiss), pivoting on the first nonzero entry of each column, so
+    results are exact; on floats it is Gaussian elimination with partial
+    pivoting.
     """
     _check_same_backend(a, b)
     if a.n_rows != b.n_rows:
@@ -401,12 +414,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     tol = PIVOT_RTOL * max(_scale(a.data), _scale(b.data))
     rows = [list(a.row(i)) + list(b.row(i)) for i in range(a.n_rows)]
     pivots = _eliminate(rows, a.n_cols, tol)
-    pivot_rows = {r for r, _ in pivots}
-    for r in range(a.n_rows):
-        if r in pivot_rows:
-            continue
-        if any(not abs(rows[r][a.n_cols + j]) <= tol for j in range(b.n_cols)):
-            raise Infeasible("system is inconsistent: rank(A) < rank(A|b)")
+    _check_consistent(rows[len(pivots):], a.n_cols, b.n_cols, lambda e: not abs(e) <= tol)
     x = [[complex(0)] * b.n_cols for _ in range(a.n_cols)]
     for r, c in reversed(pivots):
         for j in range(b.n_cols):

@@ -4,8 +4,8 @@ Everything here is written from the definitions, separately from the
 package code paths it checks: a naive condition checker, a brute-force
 per-slot rescan of the grid for the derived validation fields and slot
 cells, Gaussian elimination over Fractions, an exact channel whose
-submatrices are provably nonsingular, and a brute-force enumerator of small
-deliverable grids.
+submatrices are provably nonsingular, a per-column precoder synthesis, and
+a brute-force enumerator of small deliverable grids.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from itertools import combinations, combinations_with_replacement, islice, permu
 
 import numpy as np
 
-from mapda.linalg import Matrix
+from mapda.engine import DegenerateChannel, PrecodingMatrix, _served_columns
+from mapda.linalg import Infeasible, Matrix, _one, _zero, matmul, solve
 
 
 def naive_conditions(grid, antennas):
@@ -157,6 +158,51 @@ def vandermonde_channel(antennas, users, first_node=2) -> Matrix:
     """
     nodes = [Fraction(first_node + k) for k in range(users)]
     return Matrix.from_rows([[node**l for node in nodes] for l in range(antennas)])
+
+
+def synthesize_precoder_per_column(group, channel) -> PrecodingMatrix:
+    """The slot's precoder solved one column at a time.
+
+    Column n is solved alone from its reduced system: equation rows n (the
+    one reading 1) and every position outside its cacher set, in that order,
+    over the cacher positions.  Column n of B is the Gram block over the
+    solution's nonzero rows times those entries.  The first failing column
+    raises, as ``synthesize_precoder`` must report it.
+    """
+    users = _served_columns(channel, group)
+    block = channel.gram.take(users, users)
+    size = len(users)
+    backend = block.backend
+    zero, one = _zero(backend), _one(backend)
+    all_rows = range(size)
+    v_rows = [[zero] * size for _ in all_rows]
+    b_cols = []
+    for n in all_rows:
+        unknowns = group.cacher_sets[n]
+        if not unknowns:
+            raise Infeasible(f"slot {group.slot}: column {n + 1}", slot=group.slot, column=n + 1)
+        eq_rows = (n,) + tuple(l for l in all_rows if l != n and l not in unknowns)
+        rhs = Matrix(len(eq_rows), 1, (one,) + (zero,) * (len(eq_rows) - 1), backend)
+        try:
+            x = solve(block.take(eq_rows, unknowns), rhs)
+        except Infeasible:
+            error = (
+                DegenerateChannel
+                if len(eq_rows) <= min(group.antennas, len(unknowns))
+                else Infeasible
+            )
+            raise error(f"slot {group.slot}: column {n + 1}", slot=group.slot, column=n + 1)
+        support, values = [], []
+        for i, value in zip(unknowns, x.data):
+            if value:
+                support.append(i)
+                values.append(value)
+                v_rows[i][n] = value
+        x_support = Matrix(len(values), 1, values, backend)
+        b_cols.append(matmul(block.take(all_rows, support), x_support).data)
+    v = Matrix(size, size, [e for row in v_rows for e in row], backend)
+    b = Matrix(size, size, [e for row in zip(*b_cols) for e in row], backend)
+    return PrecodingMatrix(matrix=v, combined=b)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from mapda.linalg import (
     matmul,
 )
 
-from oracles import vandermonde_channel
+from oracles import synthesize_precoder_per_column, vandermonde_channel
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -201,12 +201,93 @@ class TestSynthesize:
         assert exc.value.slot == 1
         assert exc.value.column == 1
 
+    def test_degenerate_channel_names_the_lowest_failing_column(self):
+        # Users 5 and 7 have zero channel columns.  Slot 1 serves all nine
+        # users, and columns (1, 4, 7), (2, 5, 8) and (3, 6, 9) each share
+        # one system.  The first system fails at column 7, the second at
+        # column 5, which is not its first member: column 5 is the lowest
+        # failing column, as the per-column reference reports.
+        group = build_instance(replicate(generate_mn_pda(3, 2), 3), files=2).groups[0]
+        assert group.cacher_sets[4] == group.cacher_sets[1] == group.cacher_sets[7]
+        bad = channel_from_matrix(
+            Matrix.from_rows(
+                [
+                    [0, 0, 1, 1, 0, -1, 0, 1, -1],
+                    [0, 0, 0, 1, 0, 0, 0, 0, 1],
+                    [-1, 1, 1, 1, 0, 1, 0, 0, 1],
+                ],
+                EXACT,
+            )
+        )
+        with pytest.raises(DegenerateChannel) as reference:
+            synthesize_precoder_per_column(group, bad)
+        with pytest.raises(DegenerateChannel) as exc:
+            synthesize_precoder(group, bad)
+        assert (exc.value.slot, exc.value.column) == (1, 5)
+        assert (reference.value.slot, reference.value.column) == (1, 5)
+
     def test_channel_shape_checked(self, example1_instance):
         with pytest.raises(DimensionMismatch):
             synthesize_precoder(
                 example1_instance.groups[0],
                 channel_from_matrix(vandermonde_channel(3, 6)),
             )
+
+
+class TestSharedSystems:
+    """Columns sharing equation rows and unknowns are solved together; the
+    result is the per-column reference's, bit for bit."""
+
+    ARRAYS = [
+        replicate(generate_mn_pda(3, 1), 2),
+        replicate(generate_mn_pda(4, 2), 2),
+        replicate(generate_mn_pda(5, 3), 3),
+        generate_mn_pda(5, 2),
+        generate_cyclic(6, 3),
+    ]
+
+    def test_exact_matches_per_column_reference(self):
+        for m in self.ARRAYS:
+            channel = channel_from_matrix(vandermonde_channel(m.antennas, m.cols))
+            for group in build_instance(m, files=2).groups:
+                pre = synthesize_precoder(group, channel)
+                reference = synthesize_precoder_per_column(group, channel)
+                assert pre.matrix == reference.matrix
+                assert pre.combined == reference.combined
+
+    def test_float_matches_per_column_reference_bit_for_bit(self):
+        def bits(matrix):
+            return tuple((z.real.hex(), z.imag.hex()) for z in matrix.data)
+
+        for m in self.ARRAYS:
+            groups = build_instance(m, files=2).groups
+            for seed in (1, 2, 3):
+                channel = make_channel(m.antennas, m.cols, seed=seed)
+                for group in groups:
+                    pre = synthesize_precoder(group, channel)
+                    reference = synthesize_precoder_per_column(group, channel)
+                    assert pre.matrix.data == reference.matrix.data
+                    assert pre.combined.data == reference.combined.data
+                    assert bits(pre.matrix) == bits(reference.matrix)
+                    assert bits(pre.combined) == bits(reference.combined)
+
+    def test_one_solve_per_shared_system(self, monkeypatch):
+        # Each slot of replicate(mn(10, 3), 3) serves 12 users in 4 cache
+        # groups of 3: 4 systems, one solve each.
+        calls = []
+        real_solve = engine.solve
+
+        def counted(a, b):
+            calls.append(b.n_cols)
+            return real_solve(a, b)
+
+        monkeypatch.setattr(engine, "solve", counted)
+        m = replicate(generate_mn_pda(10, 3), 3)
+        channel = make_channel(m.antennas, m.cols, seed=1)
+        for group in build_instance(m, files=2).groups:
+            calls.clear()
+            synthesize_precoder(group, channel)
+            assert calls == [3, 3, 3, 3]
 
 
 class TestRunSlot:
@@ -381,9 +462,6 @@ class TestRunDelivery:
             inst = build_instance(m, files=2)
             channel = channel_from_matrix(vandermonde_channel(m.antennas, m.cols))
             library = random_library(2, m.rows, seed=13)
-            precoders = [
-                synthesize_precoder(g, channel) for g in inst.groups
-            ]
             for demands in product((1, 2), repeat=m.cols):
                 run_delivery(inst, channel, demands, library)
 

@@ -161,6 +161,15 @@ class TestSolve:
         with pytest.raises(Infeasible):
             solve(a, b)
 
+    def test_inconsistent_column_named(self):
+        # b's first column lies in a's column space, its second does not.
+        for backend in (EXACT, FLOAT):
+            a = Matrix.from_rows([[1, 2], [2, 4]], backend)
+            b = Matrix.from_rows([[1, 1], [2, 1]], backend)
+            with pytest.raises(Infeasible) as exc:
+                solve(a, b)
+            assert exc.value.column == 2
+
     def test_exact_solutions_satisfy_system(self):
         rng = random.Random(11)
         solved = 0
