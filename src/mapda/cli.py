@@ -83,11 +83,9 @@ def cmd_gen(args) -> int:
         m = arrays.generate_mn_pda(args.users, args.t)
     elif args.generator == "cyclic":
         m = arrays.generate_cyclic(args.users, args.t)
-    elif args.generator == "replicate":
+    else:  # replicate; argparse restricts the choices
         base = arrays.parse_mapda(_read_text(args.input))
         m = arrays.replicate(base, args.copies)
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown generator {args.generator}")
     _write_text(args.out, arrays.format_mapda(m))
     profile = m.profile
     print(
@@ -110,6 +108,16 @@ def _parse_demands(spec, users, files, rng):
     return demands
 
 
+def _on_backend(matrix, backend, what):
+    """A fixture's matrix on the run's backend: rationals widen to floats,
+    floats cannot run exact."""
+    if backend == EXACT and matrix.backend != EXACT:
+        raise DomainError(f"{what} fixture holds floats; cannot run the exact backend")
+    if backend == FLOAT and matrix.backend == EXACT:
+        return Matrix.from_rows(matrix.to_rows(), FLOAT)
+    return matrix
+
+
 def cmd_simulate(args) -> int:
     import random as _random
 
@@ -126,20 +134,14 @@ def cmd_simulate(args) -> int:
         backend = EXACT if fixture is not None and fixture.matrix.backend == EXACT else FLOAT
     if backend == EXACT and fixture is None:
         raise DomainError("exact backend needs a rational channel fixture (--channel)")
-    if backend == EXACT and fixture.matrix.backend != EXACT:
-        raise DomainError("channel fixture holds floats; cannot run the exact backend")
-    if backend == FLOAT and fixture is not None and fixture.matrix.backend == EXACT:
-        fixture = engine.channel_from_matrix(Matrix.from_rows(fixture.matrix.to_rows(), FLOAT))
+    if fixture is not None:
+        fixture = engine.channel_from_matrix(_on_backend(fixture.matrix, backend, "channel"))
 
     instance = engine.build_instance(m, args.files)
     demands = _parse_demands(args.demands, m.cols, args.files, rng)
 
     if args.library is not None:
-        library = engine.read_library_fixture(args.library)
-        if backend == FLOAT and library.backend == EXACT:
-            library = Matrix.from_rows(library.to_rows(), FLOAT)
-        if backend == EXACT and library.backend != EXACT:
-            raise DomainError("library fixture holds floats; cannot run the exact backend")
+        library = _on_backend(engine.read_library_fixture(args.library), backend, "library")
     else:
         library = engine.random_library(args.files, m.rows, seed=rng.randint(0, 2**31), backend=backend)
 

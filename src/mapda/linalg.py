@@ -2,10 +2,10 @@
 
 The exact backend stores arbitrary-precision rationals (fractions.Fraction)
 and produces bit-exact results; the float backend stores complex doubles.
-A single computation never mixes backends.  The operations are the minimum
-needed for per-slot precoder systems: multiply, conjugate transpose, rank,
-and a Gaussian-elimination solver that zeroes free variables and reports
-inconsistency instead of guessing.
+A single computation never mixes backends.  Per-slot precoder systems need
+multiply, conjugate transpose, and a Gaussian-elimination solver that
+zeroes free variables and reports inconsistency instead of guessing.
+``rank`` is offered to callers and tests; no delivery path calls it.
 
 Exact kernels compute on Python ints and build one Fraction per output
 entry.  ``matmul`` scales each row of the left operand and each column of

@@ -109,11 +109,6 @@ def _as_int(value, what):
     return int(value)
 
 
-def _new_scheme_complexity(t, antennas, slots):
-    g = t + antennas
-    return (g**3 + g**2 + t * g) * slots
-
-
 def asmst_metrics(p: SystemPoint) -> SchemeMetrics:
     """Baseline scheme figures, using the exact bracketed cost sum."""
     t, big_l, big_k = p.t, p.antennas, p.users
@@ -128,15 +123,7 @@ def asmst_metrics(p: SystemPoint) -> SchemeMetrics:
         + 2 * big_l * math.comb(t + big_l, t + 1)
         + (t + big_l) * math.comb(t + big_l - 1, t) ** 3
     ) * math.comb(big_k, t + big_l)
-    return SchemeMetrics(
-        scheme="asmst",
-        subpacketization=f,
-        stars_per_col=z,
-        slots=s,
-        ndt=Fraction(s, f),
-        sum_dof=Fraction(big_k * (f - z), s),
-        complexity=lam,
-    )
+    return _finish("asmst", p, f, z, s, lam)
 
 
 def admissible_m_values(p: SystemPoint):
@@ -217,16 +204,20 @@ def _scheme3(p: SystemPoint) -> SchemeMetrics:
     return _finish("scheme3", p, big_k, t, big_k - t)
 
 
-def _finish(tag, p, f, z, s) -> SchemeMetrics:
-    t, big_l, big_k = p.t, p.antennas, p.users
+def _finish(tag, p, f, z, s, complexity=None) -> SchemeMetrics:
+    """The metrics record of (F, Z, S); ``complexity`` defaults to the new
+    schemes' cost model (g^3 + g^2 + t g) S with g = t+L."""
+    if complexity is None:
+        g = p.t + p.antennas
+        complexity = (g**3 + g**2 + p.t * g) * s
     return SchemeMetrics(
         scheme=tag,
         subpacketization=f,
         stars_per_col=z,
         slots=s,
         ndt=Fraction(s, f),
-        sum_dof=Fraction(big_k * (f - z), s),
-        complexity=_new_scheme_complexity(t, big_l, s),
+        sum_dof=Fraction(p.users * (f - z), s),
+        complexity=complexity,
     )
 
 
@@ -281,39 +272,24 @@ def ratio_asymptotics(p: SystemPoint, which: str) -> RatioReport:
     if which == "F2":
         a = p.alpha
         return RatioReport(kind="F2", exponent=Fraction(big_k * (1 - a), a))
+    # Each cost ratio is (g-1)^(3t-2) * factor * K^degree.
     if which == "lambda1":
         a = p.alpha
-        constant = (g - 1) ** (3 * t - 2) * a ** (g // a)
-        degree = Fraction(g * (a - 1), a)
-        return RatioReport(
-            kind="lambda1",
-            constant=constant,
-            k_degree=degree,
-            value=constant * big_k ** int(degree),
-        )
-    if which == "lambda2":
+        factor, degree = a ** (g // a), Fraction(g * (a - 1), a)
+    elif which == "lambda2":
         if p.m is None:
             raise DomainError("lambda2 ratio needs m")
         if t % p.m:
             raise DomainError("lambda2 ratio needs m | t")
-        constant = (g - 1) ** (3 * t - 2) * p.m ** (t // p.m)
-        degree = Fraction(big_l) + Fraction(t * (p.m - 1), p.m)
-        return RatioReport(
-            kind="lambda2",
-            constant=constant,
-            k_degree=degree,
-            value=constant * big_k ** int(degree),
-        )
-    if which == "lambda3":
-        constant = (g - 1) ** (3 * t - 2)
-        degree = Fraction(big_l + t - 1)
-        return RatioReport(
-            kind="lambda3",
-            constant=constant,
-            k_degree=degree,
-            value=constant * big_k ** int(degree),
-        )
-    raise DomainError(f"unknown ratio kind {which!r}")
+        factor, degree = p.m ** (t // p.m), Fraction(big_l) + Fraction(t * (p.m - 1), p.m)
+    elif which == "lambda3":
+        factor, degree = 1, Fraction(big_l + t - 1)
+    else:
+        raise DomainError(f"unknown ratio kind {which!r}")
+    constant = (g - 1) ** (3 * t - 2) * factor
+    return RatioReport(
+        kind=which, constant=constant, k_degree=degree, value=constant * big_k ** int(degree)
+    )
 
 
 # ---------------------------------------------------------------------------

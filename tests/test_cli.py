@@ -183,6 +183,50 @@ class TestSimulate:
         assert code == 1
         assert "exact backend" in err
 
+    def test_float_channel_fixture_refused_on_exact_backend(self, capsys, tmp_path):
+        channel = tmp_path / "channel.txt"
+        channel.write_text("2 6\n1.0 1 1 1 1 1\n2 3 6 4 5 7\n")
+        code, out, err = run_cli(
+            capsys, "simulate", EXAMPLE1, "--files", "6", "--channel", str(channel),
+            "--scalar", "exact",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: channel fixture holds floats; cannot run the exact backend\n"
+
+    def test_float_library_fixture_refused_on_exact_backend(self, capsys, tmp_path):
+        library = tmp_path / "library.txt"
+        library.write_text("6 3\n1.5 2 3\n" + "4 5 6\n" * 5)
+        code, out, err = run_cli(
+            capsys, "simulate", EXAMPLE1, "--files", "6", "--channel", CHANNEL,
+            "--library", str(library),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: library fixture holds floats; cannot run the exact backend\n"
+
+    def test_rational_fixtures_widened_on_float_backend(self, capsys, tmp_path):
+        library = tmp_path / "library.txt"
+        library.write_text(
+            "6 3\n1/2 2 3\n4 5 6\n7 8 9\n10 11 12\n13 14 15\n16 17 18\n"
+        )
+        code, out, err = run_cli(
+            capsys, "simulate", EXAMPLE1, "--files", "6", "--channel", CHANNEL,
+            "--library", str(library), "--scalar", "float",
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"ndt_ul": "1", "ndt_dl": "1", "slots": ['
+            '{"s": 1, "served": [1, 2, 4, 5], "feasible": true, '
+            '"residual_max": 7.815970093361102e-14}, '
+            '{"s": 2, "served": [1, 3, 4, 6], "feasible": true, '
+            '"residual_max": 3.836930773104541e-13}, '
+            '{"s": 3, "served": [2, 3, 5, 6], "feasible": true, '
+            '"residual_max": 1.8758328224066645e-12}], '
+            '"ops_measured": {"precoder_synthesis": {"mul": 234, "add": 120}, '
+            '"uplink_encode": {"mul": 48, "add": 36}, '
+            '"bs_forward": {"mul": 24, "add": 18}, '
+            '"user_decode": {"mul": 60, "add": 36}}, "ops_model": 264}\n'
+        )
+
     def test_channel_wider_than_array_exit(self, capsys, tmp_path):
         wide = tmp_path / "channel_2x7.txt"
         wide.write_text("2 7\n1 1 1 1 1 1 1\n2 3 4 5 6 7 8\n")

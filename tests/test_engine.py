@@ -1,5 +1,6 @@
 """Placement, precoder synthesis, and end-to-end delivery."""
 
+import dataclasses
 import re
 from fractions import Fraction
 from itertools import product
@@ -357,6 +358,32 @@ class TestRunSlot:
             )
         assert info.value.slot == 1
 
+    @pytest.mark.parametrize(
+        "antennas, users, message",
+        [
+            (3, 6, "channel has 3 rows but the array declares 2 antennas"),
+            (2, 4, "channel has 4 columns but slot 1 serves user 5"),
+        ],
+    )
+    def test_channel_shape_checked(self, example1_instance, antennas, users, message):
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            run_slot(
+                example1_instance.groups[0],
+                channel_from_matrix(vandermonde_channel(antennas, users)),
+                default_demands(6, 6),
+                random_library(6, 3, seed=0),
+            )
+
+    def test_demand_outside_library(self, example1_instance, fixture_channel):
+        demands = (1, 2, 3, 4, 5, 7)
+        message = "demand 7 outside library [1..6]"
+        library = random_library(6, 3, seed=0)
+        with pytest.raises(arrays.DomainError, match=re.escape(message)):
+            run_slot(example1_instance.groups[0], fixture_channel, demands, library)
+        # The same text as a whole run's demand check.
+        with pytest.raises(arrays.DomainError, match=re.escape(message)):
+            run_delivery(example1_instance, fixture_channel, demands, library)
+
 
 class TestRunDelivery:
     def test_one_validation_per_run(self, monkeypatch, fixture_channel):
@@ -489,6 +516,26 @@ class TestRunDelivery:
         )
         assert report.ndt_ul == 0
         assert all(not packets for packets in report.recovered.values())
+
+    @pytest.mark.parametrize(
+        "groups",
+        [lambda g: g[1:], lambda g: g + g[-1:]],
+        ids=["group-dropped", "group-repeated"],
+    )
+    def test_every_integer_cell_delivered_once(self, example1_instance, fixture_channel, groups):
+        instance = dataclasses.replace(
+            example1_instance, groups=groups(example1_instance.groups)
+        )
+        with pytest.raises(
+            engine.DecodeMismatch,
+            match="^recovered cells do not match the integer cells of the array$",
+        ):
+            run_delivery(
+                instance,
+                fixture_channel,
+                default_demands(6, 6),
+                random_library(6, 3, seed=0),
+            )
 
     def test_library_shape_checked(self, example1_instance, fixture_channel):
         with pytest.raises(DimensionMismatch):

@@ -1,0 +1,27 @@
+"""The package imports only the standard library (``dependencies = []``)."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).parent.parent / "src" / "mapda"
+
+
+def absolute_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_package_imports_only_the_standard_library():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 5
+    foreign = {
+        path.name: name
+        for path in modules
+        for name in absolute_imports(path)
+        if name.split(".")[0] not in sys.stdlib_module_names
+    }
+    assert foreign == {}
