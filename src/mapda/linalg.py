@@ -8,14 +8,20 @@ zeroes free variables and reports inconsistency instead of guessing.
 ``rank`` is offered to callers and tests; no delivery path calls it.
 
 Exact kernels compute on Python ints and build one Fraction per output
-entry.  ``matmul`` scales each row of the left operand and each column of
-the right one to integers by the lcm of their denominators and divides
-each integer dot product once.  ``solve`` and ``rank`` scale each row to
-integers and eliminate fraction-free (Bareiss, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination", Math. Comp. 1968):
-every division is exact, none is made while the previous pivot is 1, and a
-Fraction appears only in the solution.  The float backend runs plain
-Gaussian elimination with partial pivoting.
+entry.  An exact matrix derives its integer rows once, on first use: each
+row times the lcm of its denominators, kept with that scale, and ``take``
+hands a submatrix its share of them, so the rows of a Gram matrix are
+scaled once however many blocks are read from it.  ``matmul`` scales each
+column of the right operand the same way and divides each integer dot
+product once.  ``solve`` and ``rank`` eliminate the integer rows
+fraction-free (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 1968): every division
+is exact, none is made while the previous pivot is 1, and a Fraction
+appears only in the solution.  The float backend runs plain Gaussian
+elimination with partial pivoting; its ``matmul`` folds each entry's
+products left to right, the order of a running sum.  On both backends
+back-substitution sums over pivot columns only, since free variables are
+zero.
 
 Scalar multiply/add counts can be observed through ``count_ops``; counting
 state is thread-local, keeping the operations re-entrant.  They count the
@@ -34,8 +40,9 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
-from operator import mul
+from operator import add, mul, truediv
 
 EXACT = "exact"
 FLOAT = "float"
@@ -129,7 +136,7 @@ def _one(backend):
 class Matrix:
     """Immutable row-major dense matrix bound to one scalar backend."""
 
-    __slots__ = ("n_rows", "n_cols", "data", "backend")
+    __slots__ = ("n_rows", "n_cols", "data", "backend", "_ints")
 
     def __init__(self, n_rows, n_cols, data, backend):
         if n_rows < 1 or n_cols < 1:
@@ -143,6 +150,7 @@ class Matrix:
         self.n_cols = n_cols
         self.data = data
         self.backend = backend
+        self._ints = None
 
     @classmethod
     def from_rows(cls, rows, backend=None):
@@ -171,10 +179,6 @@ class Matrix:
         one, zero = _one(backend), _zero(backend)
         return cls(n, n, (one if i == j else zero for i in range(n) for j in range(n)), backend)
 
-    @classmethod
-    def column(cls, values, backend=None):
-        return cls.from_rows([[v] for v in values], backend)
-
     def at(self, i, j):
         return self.data[i * self.n_cols + j]
 
@@ -188,14 +192,32 @@ class Matrix:
         return [list(self.row(i)) for i in range(self.n_rows)]
 
     def take(self, row_idx, col_idx):
-        """Submatrix from the given row and column index sequences."""
+        """Submatrix from the given row and column index sequences.
+
+        On the exact backend the submatrix inherits its share of this
+        matrix's integer rows, each keeping its parent row's scale.
+        """
         data, width = self.data, self.n_cols
-        return Matrix(
+        sub = Matrix(
             len(row_idx),
             len(col_idx),
             [data[i * width + j] for i in row_idx for j in col_idx],
             self.backend,
         )
+        if self.backend == EXACT:
+            rows = self._integer_rows()
+            sub._ints = [
+                ([ints[j] for j in col_idx], scale)
+                for ints, scale in (rows[i] for i in row_idx)
+            ]
+        return sub
+
+    def _integer_rows(self):
+        """Exact backend: per row (ints, scale) with ints = row * scale, an
+        integer list; derived on first use and kept."""
+        if self._ints is None:
+            self._ints = [_integers(self.row(i)) for i in range(self.n_rows)]
+        return self._ints
 
     def __eq__(self, other):
         return (
@@ -242,34 +264,34 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     _check_same_backend(a, b)
     if a.n_cols != b.n_rows:
         raise DimensionMismatch(f"cannot multiply {a.n_rows}x{a.n_cols} by {b.n_rows}x{b.n_cols}")
+    cols = [b.data[j :: b.n_cols] for j in range(b.n_cols)]
     if a.backend == EXACT:
-        rows = [_integers(a.row(i)) for i in range(a.n_rows)]
-        cols = [_integers(b.col(j)) for j in range(b.n_cols)]
+        int_cols = [_integers(col) for col in cols]
         out = [
             Fraction(sum(map(mul, row, col)), row_scale * col_scale)
-            for row, row_scale in rows
-            for col, col_scale in cols
+            for row, row_scale in a._integer_rows()
+            for col, col_scale in int_cols
         ]
     else:
-        cols = [b.col(j) for j in range(b.n_cols)]
-        out = []
-        for i in range(a.n_rows):
-            row = a.row(i)
-            for col in cols:
-                acc = row[0] * col[0]
-                for x, y in zip(row[1:], col[1:]):
-                    acc += x * y
-                out.append(acc)
+        # One left fold per entry, in the order of a running sum: sum() would
+        # compensate its float and complex additions on newer Pythons.
+        data, width = a.data, a.n_cols
+        out = [
+            reduce(add, map(mul, data[i : i + width], col))
+            for i in range(0, len(data), width)
+            for col in cols
+        ]
     _tally(mul=a.n_rows * b.n_cols * a.n_cols, add=a.n_rows * b.n_cols * (a.n_cols - 1))
     return Matrix(a.n_rows, b.n_cols, out, a.backend)
 
 
 def conj_transpose(a: Matrix) -> Matrix:
     """Hermitian transpose; plain transpose on the exact (real) backend."""
+    columns = (a.data[j :: a.n_cols] for j in range(a.n_cols))
     if a.backend == EXACT:
-        data = (a.at(i, j) for j in range(a.n_cols) for i in range(a.n_rows))
+        data = [e for column in columns for e in column]
     else:
-        data = (a.at(i, j).conjugate() for j in range(a.n_cols) for i in range(a.n_rows))
+        data = [e.conjugate() for column in columns for e in column]
     return Matrix(a.n_cols, a.n_rows, data, a.backend)
 
 
@@ -283,26 +305,34 @@ def _eliminate(rows, n_sys_cols, tol):
     """
     pivots = []
     pivot_row = 0
+    n_rows = len(rows)
     width = len(rows[0]) if rows else 0
+    update_mul = update_add = 0
     for col in range(n_sys_cols):
-        if pivot_row >= len(rows):
+        if pivot_row >= n_rows:
             break
-        best = max(range(pivot_row, len(rows)), key=lambda r: abs(rows[r][col]))
-        if abs(rows[best][col]) <= tol:
+        magnitudes = [abs(row[col]) for row in rows[pivot_row:]]
+        peak = max(magnitudes)
+        if peak <= tol:
             continue
+        best = pivot_row + magnitudes.index(peak)
         if best != pivot_row:
             rows[best], rows[pivot_row] = rows[pivot_row], rows[best]
-        pivot = rows[pivot_row][col]
-        for r in range(pivot_row + 1, len(rows)):
-            factor = rows[r][col] / pivot
+        top = rows[pivot_row]
+        pivot = top[col]
+        tail = top[col + 1 :]
+        for r in range(pivot_row + 1, n_rows):
+            row = rows[r]
+            factor = row[col] / pivot
             if factor == 0:
                 continue
-            _tally(mul=width - col + 1, add=width - col)
-            rows[r][col] = complex(0)
-            for c in range(col + 1, width):
-                rows[r][c] -= factor * rows[pivot_row][c]
+            update_mul += width - col + 1
+            update_add += width - col
+            row[col] = complex(0)
+            row[col + 1 :] = [x - factor * y for x, y in zip(row[col + 1 :], tail)]
         pivots.append((pivot_row, col))
         pivot_row += 1
+    _tally(mul=update_mul, add=update_add)
     return pivots
 
 
@@ -323,32 +353,36 @@ def _eliminate_exact(rows, n_sys_cols):
     pivots = []
     pivot_row = 0
     previous = 1
+    n_rows = len(rows)
     width = len(rows[0]) if rows else 0
+    update_mul = update_add = 0
     for col in range(n_sys_cols):
-        if pivot_row >= len(rows):
+        if pivot_row >= n_rows:
             break
-        best = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
+        best = next((r for r in range(pivot_row, n_rows) if rows[r][col]), None)
         if best is None:
             continue
         if best != pivot_row:
             rows[best], rows[pivot_row] = rows[pivot_row], rows[best]
         top = rows[pivot_row]
         pivot = top[col]
-        for r in range(pivot_row + 1, len(rows)):
+        updates = (n_rows - pivot_row - 1) * (width - col - 1)
+        update_mul += (2 if previous == 1 else 3) * updates
+        update_add += updates
+        for r in range(pivot_row + 1, n_rows):
             row = rows[r]
             factor = row[col]
             row[col] = 0
             if previous == 1:
-                _tally(mul=2 * (width - col - 1), add=width - col - 1)
                 for c in range(col + 1, width):
                     row[c] = pivot * row[c] - factor * top[c]
                 continue
-            _tally(mul=3 * (width - col - 1), add=width - col - 1)
             for c in range(col + 1, width):
                 row[c] = _exact_div(pivot * row[c] - factor * top[c], previous)
         pivots.append((pivot_row, col))
         previous = pivot
         pivot_row += 1
+    _tally(mul=update_mul, add=update_add)
     return pivots, previous
 
 
@@ -359,7 +393,7 @@ def _scale(entries):
 def rank(a: Matrix) -> int:
     """Row rank; exact for rationals, thresholded pivots for floats."""
     if a.backend == EXACT:
-        rows = [_integers(a.row(i))[0] for i in range(a.n_rows)]
+        rows = [list(ints) for ints, _ in a._integer_rows()]
         return len(_eliminate_exact(rows, a.n_cols)[0])
     return len(_eliminate(a.to_rows(), a.n_cols, PIVOT_RTOL * _scale(a.data)))
 
@@ -375,23 +409,50 @@ def _check_consistent(free_rows, n, n_rhs, nonzero):
             )
 
 
-def _solve_exact(a, b):
-    rows = [_integers(a.row(i) + b.row(i))[0] for i in range(a.n_rows)]
-    pivots, det = _eliminate_exact(rows, a.n_cols)
-    n = a.n_cols
-    _check_consistent(rows[len(pivots):], n, b.n_cols, bool)
-    # By Cramer's rule det * x is integral on the pivot columns; solve for
-    # it on integers and divide once per entry.
-    scaled = [[0] * b.n_cols for _ in range(n)]
+def _back_substitute(rows, pivots, n, divide, zero):
+    """Back-substitution over eliminated rows whose first ``n`` columns are
+    the system's; returns the solution's entries, row-major, free variables
+    ``zero``.
+
+    Free variables are zero, so only later pivot columns enter a sum, in
+    increasing order.  Each pivot entry is divide(rhs - sum, pivot), a
+    division counting as a multiplication.
+    """
+    n_rhs = len(rows[0]) - n if rows else 0
+    terms = len(pivots) * (len(pivots) - 1) // 2
+    _tally(mul=n_rhs * (len(pivots) + terms), add=n_rhs * terms)
+    x = [[zero] * n_rhs] * n  # pivot rows are replaced, never mutated
+    later = []
     for r, c in reversed(pivots):
         row = rows[r]
-        for j in range(b.n_cols):
-            acc = det * row[n + j]
-            for c2 in range(c + 1, n):
-                acc -= row[c2] * scaled[c2][j]
-            scaled[c][j] = _exact_div(acc, row[c])
-            _tally(mul=n - c + 1, add=n - c - 1)
-    return Matrix(n, b.n_cols, (Fraction(v, det) for row in scaled for v in row), EXACT)
+        acc = row[n:]
+        for c2 in later:
+            coef = row[c2]
+            acc = [e - coef * v for e, v in zip(acc, x[c2])]
+        pivot = row[c]
+        x[c] = [divide(e, pivot) for e in acc]
+        later.insert(0, c)
+    return [v for values in x for v in values]
+
+
+def _solve_exact(a, b):
+    rows = []
+    for (a_ints, a_scale), (b_ints, b_scale) in zip(a._integer_rows(), b._integer_rows()):
+        if a_scale != b_scale:
+            scale = lcm(a_scale, b_scale)
+            a_ints = [v * (scale // a_scale) for v in a_ints]
+            b_ints = [v * (scale // b_scale) for v in b_ints]
+        rows.append(a_ints + b_ints)
+    pivots, det = _eliminate_exact(rows, a.n_cols)
+    n, n_rhs = a.n_cols, b.n_cols
+    _check_consistent(rows[len(pivots):], n, n_rhs, bool)
+    # By Cramer's rule det * x is integral on the pivot columns; solve for
+    # it on integers and divide once per entry.
+    for r, _ in pivots:
+        rows[r][n:] = [det * v for v in rows[r][n:]]
+    _tally(mul=n_rhs * len(pivots))
+    scaled = _back_substitute(rows, pivots, n, _exact_div, 0)
+    return Matrix(n, n_rhs, [Fraction(v, det) for v in scaled], EXACT)
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
@@ -412,15 +473,8 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     if a.backend == EXACT:
         return _solve_exact(a, b)
     tol = PIVOT_RTOL * max(_scale(a.data), _scale(b.data))
-    rows = [list(a.row(i)) + list(b.row(i)) for i in range(a.n_rows)]
+    rows = [list(a.row(i) + b.row(i)) for i in range(a.n_rows)]
     pivots = _eliminate(rows, a.n_cols, tol)
     _check_consistent(rows[len(pivots):], a.n_cols, b.n_cols, lambda e: not abs(e) <= tol)
-    x = [[complex(0)] * b.n_cols for _ in range(a.n_cols)]
-    for r, c in reversed(pivots):
-        for j in range(b.n_cols):
-            acc = rows[r][a.n_cols + j]
-            for c2 in range(c + 1, a.n_cols):
-                acc -= rows[r][c2] * x[c2][j]
-            x[c][j] = acc / rows[r][c]
-            _tally(mul=a.n_cols - c, add=a.n_cols - c - 1)
-    return Matrix(a.n_cols, b.n_cols, (v for row in x for v in row), FLOAT)
+    x = _back_substitute(rows, pivots, a.n_cols, truediv, complex(0))
+    return Matrix(a.n_cols, b.n_cols, x, FLOAT)

@@ -3,9 +3,11 @@
 Everything here is written from the definitions, separately from the
 package code paths it checks: a naive condition checker, a brute-force
 per-slot rescan of the grid for the derived validation fields and slot
-cells, Gaussian elimination over Fractions, an exact channel whose
-submatrices are provably nonsingular, a per-column precoder synthesis, and
-a brute-force enumerator of small deliverable grids.
+cells, Gaussian elimination over Fractions, loop-form float kernels (a
+running-sum product and a solver with back-substitution over every
+column), an exact channel whose submatrices are provably nonsingular, a
+per-column precoder synthesis, and a brute-force enumerator of small
+deliverable grids.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations, combinations_with_replacement, islice, permu
 import numpy as np
 
 from mapda.engine import DegenerateChannel, PrecodingMatrix, _served_columns
-from mapda.linalg import Infeasible, Matrix, _one, _zero, matmul, solve
+from mapda.linalg import PIVOT_RTOL, Infeasible, Matrix, _one, _zero, matmul, solve
 
 
 def naive_conditions(grid, antennas):
@@ -146,6 +148,65 @@ def naive_solve_exact(a_rows, b_rows):
     for r, c in reversed(pivots):
         for j in range(len(b_rows[0])):
             acc = rows[r][n_cols + j] - sum(rows[r][c2] * x[c2][j] for c2 in range(c + 1, n_cols))
+            x[c][j] = acc / rows[r][c]
+    return x
+
+
+def loop_matmul_float(a_rows, b_rows):
+    """Complex product of row lists, each entry a running sum in index
+    order: acc = a[i][0] * b[0][j], then acc += a[i][x] * b[x][j]."""
+    out = []
+    for row in a_rows:
+        out_row = []
+        for j in range(len(b_rows[0])):
+            acc = row[0] * b_rows[0][j]
+            for x in range(1, len(row)):
+                acc += row[x] * b_rows[x][j]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def loop_solve_float(a_rows, b_rows):
+    """Solve A X = B over complex floats: Gaussian elimination with partial
+    pivoting (first row of largest magnitude, pivots at most PIVOT_RTOL times
+    the largest |entry| of [A | B] count as zero), free variables zero, and
+    back-substitution summing over every later column, free ones included.
+    Returns X as a list of rows, or None when the system is inconsistent.
+    """
+    n = len(a_rows[0])
+    rows = [[complex(e) for e in a + b] for a, b in zip(a_rows, b_rows)]
+    tol = PIVOT_RTOL * max(abs(e) for row in rows for e in row)
+    width = len(rows[0])
+    pivots = []
+    top = 0
+    for col in range(n):
+        if top >= len(rows):
+            break
+        best = top
+        for r in range(top + 1, len(rows)):
+            if abs(rows[r][col]) > abs(rows[best][col]):
+                best = r
+        if abs(rows[best][col]) <= tol:
+            continue
+        rows[top], rows[best] = rows[best], rows[top]
+        for r in range(top + 1, len(rows)):
+            factor = rows[r][col] / rows[top][col]
+            if factor == 0:
+                continue
+            rows[r][col] = complex(0)
+            for c in range(col + 1, width):
+                rows[r][c] -= factor * rows[top][c]
+        pivots.append((top, col))
+        top += 1
+    if any(not abs(e) <= tol for row in rows[top:] for e in row[n:]):
+        return None
+    x = [[complex(0)] * (width - n) for _ in range(n)]
+    for r, c in reversed(pivots):
+        for j in range(width - n):
+            acc = rows[r][n + j]
+            for c2 in range(c + 1, n):
+                acc -= rows[r][c2] * x[c2][j]
             x[c][j] = acc / rows[r][c]
     return x
 

@@ -38,6 +38,7 @@ from mapda.engine import (
 from mapda.linalg import (
     EXACT,
     FLOAT,
+    BackendMismatch,
     DimensionMismatch,
     Infeasible,
     Matrix,
@@ -559,6 +560,29 @@ class TestRunDelivery:
         )
         measured = sum(phase["mul"] for phase in report.ops_measured.values())
         assert measured / report.ops_model < 1
+
+    def test_float_ops_ratio_with_pivot_only_back_substitution(self):
+        # The same run as above.  Back-substitution over pivot columns
+        # skips the free variables of each 3 x 9 column system, which
+        # brings total multiplications to about half of lambda (0.508).
+        m = replicate(generate_mn_pda(10, 3), 3)
+        report = run_delivery(
+            build_instance(m, files=4),
+            make_channel(3, 30, seed=0),
+            default_demands(30, 4),
+            random_library(4, m.rows, seed=0, backend=FLOAT),
+        )
+        measured = sum(phase["mul"] for phase in report.ops_measured.values())
+        assert measured / report.ops_model < 0.55
+
+    def test_library_on_another_backend_refused(self, example1_instance):
+        with pytest.raises(BackendMismatch, match="mixed backends: float and exact"):
+            run_slot(
+                example1_instance.groups[0],
+                make_channel(2, 6, seed=0),
+                default_demands(6, 6),
+                random_library(6, 3, seed=0),
+            )
 
     def test_ops_measured_nonzero(self, example1_instance, fixture_channel):
         report = run_delivery(

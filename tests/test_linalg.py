@@ -22,7 +22,7 @@ from mapda.linalg import (
     solve,
 )
 
-from oracles import naive_solve_exact
+from oracles import loop_matmul_float, loop_solve_float, naive_solve_exact
 
 # Gram matrix of the 2x4 uplink channel [[1,1,1,1],[2,3,4,5]], worked out
 # by hand: entry (i,j) = 1 + h_i*h_j with h = (2,3,4,5).
@@ -65,6 +65,100 @@ def random_system(rng):
     width = rng.randint(1, 3)
     b = [[random_rational(rng) for _ in range(width)] for _ in range(n)]
     return a, b
+
+
+def random_complex(rng):
+    return complex(rng.gauss(0, 1), rng.gauss(0, 1))
+
+
+def float_rows(rows):
+    return Matrix.from_rows(rows, FLOAT)
+
+
+def bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def float_system(rng, kind):
+    """(A rows, B rows) of one kind of float system for the kernel oracles."""
+    if kind == "slot":
+        # A deliver-float column system: 3 equations over 9 cacher
+        # positions, one unit right-hand side per member of the cache group.
+        a = [[random_complex(rng) for _ in range(9)] for _ in range(3)]
+        return a, [[complex(i == j) for j in range(3)] for i in range(3)]
+    n = rng.randint(2 if kind == "deficient" else 1, 6)
+    m = {"square": n, "wide": rng.randint(n, 8)}.get(kind, rng.randint(2, 6))
+    a = [[random_complex(rng) for _ in range(m)] for _ in range(n)]
+    if kind == "free":
+        # Zero and repeated columns: free variables between pivot columns.
+        for c in rng.sample(range(m), rng.randint(1, m - 1)):
+            a_col = [0j] * n if rng.random() < 0.5 else [row[rng.randrange(m)] for row in a]
+            for row, e in zip(a, a_col):
+                row[c] = e
+    if kind == "deficient":
+        # Each row a combination of fewer independent rows.
+        rank_ = rng.randint(1, min(n, m) - 1)
+        base = [[random_complex(rng) for _ in range(m)] for _ in range(rank_)]
+        a = []
+        for _ in range(n):
+            weights = [random_complex(rng) for _ in base]
+            a.append([sum((w * row[j] for w, row in zip(weights, base)), 0j) for j in range(m)])
+    width = rng.randint(1, 3)
+    if kind == "deficient" and rng.random() < 0.5:
+        # A random right-hand side is inconsistent; one from A is not.
+        return a, [[random_complex(rng) for _ in range(width)] for _ in range(n)]
+    b = loop_matmul_float(a, [[random_complex(rng) for _ in range(width)] for _ in range(m)])
+    if rng.random() < 0.5:
+        # A zero right-hand side (of either sign): every solution entry is
+        # an exact zero, where dropping free-variable terms shows.
+        zero = rng.choice([0j, complex(-0.0, -0.0)])
+        for row in b:
+            row[0] = zero
+    return a, b
+
+
+class TestFloatKernelOracles:
+    """The float kernels against their loop forms in ``oracles``: the same
+    products in the same order, so the same bits."""
+
+    def test_matmul_bit_identical_to_running_sum(self):
+        rng = random.Random(101)
+        shapes = [(12, 3, 3), (12, 12, 1), (3, 9, 3)] * 20
+        shapes += [tuple(rng.randint(1, 7) for _ in range(3)) for _ in range(160)]
+        for n, k, m in shapes:
+            a = [[random_complex(rng) for _ in range(k)] for _ in range(n)]
+            b = [[random_complex(rng) for _ in range(m)] for _ in range(k)]
+            got = matmul(float_rows(a), float_rows(b))
+            want = [z for row in loop_matmul_float(a, b) for z in row]
+            assert [bits(z) for z in got.data] == [bits(z) for z in want]
+
+    def test_solve_bit_identical_to_full_back_substitution(self):
+        # Back-substitution over pivot columns drops the products of free
+        # variables, which are exact zeros.  Subtracting such a zero product
+        # can only flip the sign of an exact zero, so components that are
+        # zero in the oracle are compared with ==; every other component
+        # must have the same bits.
+        rng = random.Random(103)
+        kinds = ["slot", "square", "wide", "free", "deficient"]
+        seen = dict.fromkeys(kinds + ["infeasible"], 0)
+        for case in range(250):
+            kind = kinds[case % len(kinds)]
+            a, b = float_system(rng, kind)
+            want = loop_solve_float(a, b)
+            if want is None:
+                seen["infeasible"] += 1
+                with pytest.raises(Infeasible):
+                    solve(float_rows(a), float_rows(b))
+                continue
+            seen[kind] += 1
+            got = solve(float_rows(a), float_rows(b))
+            for z, w in zip(got.data, (e for row in want for e in row)):
+                for part, want_part in ((z.real, w.real), (z.imag, w.imag)):
+                    if want_part == 0:
+                        assert part == want_part
+                    else:
+                        assert part.hex() == want_part.hex()
+        assert min(seen.values()) >= 15, seen
 
 
 class TestMatmul:
@@ -264,6 +358,70 @@ class TestSolve:
             solve(frac_matrix([[1]]), frac_matrix([[1], [2]]))
 
 
+class TestIntegerRows:
+    """An exact matrix derives its integer rows once; a submatrix from
+    ``take`` reuses its share, each row keeping its parent row's scale."""
+
+    def test_take_of_take_matches_fresh_matrix(self):
+        rng = random.Random(59)
+        inherited_scales = solved = 0
+        for _ in range(150):
+            n, m = rng.randint(2, 7), rng.randint(2, 7)
+            parent = frac_matrix([[random_rational(rng) for _ in range(m)] for _ in range(n)])
+            mid = parent.take(
+                [rng.randrange(n) for _ in range(rng.randint(1, n))],
+                [rng.randrange(m) for _ in range(rng.randint(1, m))],
+            )
+            sub = mid.take(
+                [rng.randrange(mid.n_rows) for _ in range(rng.randint(1, mid.n_rows))],
+                [rng.randrange(mid.n_cols) for _ in range(rng.randint(1, mid.n_cols))],
+            )
+            fresh = Matrix(sub.n_rows, sub.n_cols, sub.data, EXACT)
+            scales = [scale for _, scale in sub._integer_rows()]
+            inherited_scales += scales != [scale for _, scale in fresh._integer_rows()]
+            width = rng.randint(1, 3)
+            right = frac_matrix(
+                [[random_rational(rng) for _ in range(width)] for _ in range(sub.n_cols)]
+            )
+            rhs = frac_matrix(
+                [[random_rational(rng) for _ in range(width)] for _ in range(sub.n_rows)]
+            )
+            assert matmul(sub, right) == matmul(fresh, right)
+            assert rank(sub) == rank(fresh)
+            try:
+                expected = solve(fresh, rhs)
+            except Infeasible:
+                with pytest.raises(Infeasible):
+                    solve(sub, rhs)
+                continue
+            solved += 1
+            assert solve(sub, rhs) == expected
+            # Elimination works on copies: the kept rows are unchanged.
+            assert solve(sub, rhs) == expected
+            assert [scale for _, scale in sub._integer_rows()] == scales
+        # Enough cases ran on scales a fresh matrix would not pick.
+        assert inherited_scales >= 50 and solved >= 30, (inherited_scales, solved)
+
+    def test_equality_and_hash_ignore_integer_rows(self):
+        parent = frac_matrix([[Fraction(1, 6), Fraction(2, 3)], [Fraction(3, 4), 5]])
+        sub = parent.take([0, 1], [1])
+        fresh = frac_matrix([[Fraction(2, 3)], [5]])
+        untouched = frac_matrix([[Fraction(2, 3)], [5]])
+        # sub keeps its parent rows' scales 6 and 4, fresh picks 3 and 1.
+        assert sub._integer_rows() == [([4], 6), ([20], 4)]
+        assert fresh._integer_rows() == [([2], 3), ([5], 1)]
+        assert sub == fresh == untouched
+        assert hash(sub) == hash(fresh) == hash(untouched)
+
+    def test_non_integer_rows_make_bareiss_raise(self):
+        # The integer kernels check each division instead of rounding, so
+        # rows that reach them unscaled (Fractions with scale 1) fail loudly.
+        m = frac_matrix([[Fraction(1, 2), 1, 1], [1, Fraction(1, 3), 1], [1, 1, Fraction(1, 5)]])
+        m._ints = [(list(m.row(i)), 1) for i in range(m.n_rows)]
+        with pytest.raises(ArithmeticError, match="is not exact"):
+            solve(m, frac_matrix([[1], [1], [1]]))
+
+
 class TestRank:
     def test_identity(self):
         for n in (1, 3, 5):
@@ -324,3 +482,33 @@ class TestOpCounting:
         assert x.col(0) == (6, 15, -23)
         assert tally.mul == 12 + 6 + 9
         assert tally.add == 6 + 2 + 3
+
+    def test_exact_free_variable_counts(self):
+        # Augmented width 5.  Column 0 follows the initial pivot 1: 1 row *
+        # 4 entries * 2 mul.  Column 1 has no pivot, so x1 is free; column 2
+        # pivots on the last row, and x3 is free too.  Back-substitution
+        # runs over pivot columns 2 and 0 only: det times the right-hand
+        # side and one division each, plus one product (x2's) for column 0.
+        a = frac_matrix([[1, 2, 0, 1], [2, 4, 1, 3]])
+        b = frac_matrix([[3], [7]])
+        with count_ops() as tally:
+            x = solve(a, b)
+        assert x.col(0) == (3, 0, 1, 0)
+        assert tally.mul == 8 + 2 * 2 + 1
+        assert tally.add == 4 + 1
+
+    def test_float_slot_system_counts(self):
+        # A deliver-float column system: 3 x 9 with 3 unit right-hand
+        # sides, augmented width 12, generic entries.  Elimination counts
+        # width - col + 1 mul and width - col add per updated row: 2 rows at
+        # column 0, 1 row at column 1.  Back-substitution runs over the 3
+        # pivot columns only: per right-hand side 3 divisions and 0 + 1 + 2
+        # products and subtractions, where a sum over all 9 columns had
+        # 8 + 7 + 6.
+        rng = random.Random(5)
+        a = float_rows([[random_complex(rng) for _ in range(9)] for _ in range(3)])
+        b = float_rows([[complex(i == j) for j in range(3)] for i in range(3)])
+        with count_ops() as tally:
+            solve(a, b)
+        assert tally.mul == 2 * 13 + 12 + 3 * (3 + 3)
+        assert tally.add == 2 * 12 + 11 + 3 * 3
