@@ -15,16 +15,26 @@ the antenna count L (equivalently K*Z >= L*F).  Below that density the
 per-column systems of the supported regime are overdetermined and the
 transmission is reported infeasible rather than attempted.
 
+Slots serving the same users form a family, and share their column
+systems: column n's reads only the served users' Gram block, position n
+and n's cacher set.  A delivery run solves each system of a family once,
+with one right-hand side per position using it in any of its slots, and
+each slot assembles V and B from those columns: on the circulant arrays of
+scheme 3, K systems instead of K(K-t).  A slot alone in its family is
+solved alone; every V and B is the one ``synthesize_precoder`` gives.
+
 Scalar work runs on either backend of ``linalg``; exact-rational runs make
-decode checks bit-exact.  Slots share no mutable state, so per-slot work
-can run in any order (a delivery run here simply iterates them).
+decode checks bit-exact.  Slots share no state but their family's solves,
+formed by whichever slot needs them first, so per-slot work can run in
+any order (a delivery run here simply iterates them).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import sub
@@ -111,12 +121,18 @@ class SlotGroup:
 @dataclass(frozen=True)
 class SchemeInstance:
     """An array bound to a library size: its slot groups; placement is read
-    from the grid on demand."""
+    from the grid on demand.
+
+    ``families`` maps the served users of each family of two or more slots
+    to its column systems: {cacher set: the positions whose column uses it
+    in some slot of the family}.
+    """
 
     mapda: Mapda
     files: int
     memory_ratio: Fraction
     groups: tuple
+    families: dict = field(compare=False)
 
     def cache_of(self, user):
         """The packet set cached by a 1-based user id: (n, f) for every file
@@ -202,41 +218,48 @@ class DeliveryReport:
 
 
 def build_instance(m: Mapda, files: int) -> SchemeInstance:
-    """Derive the slot groups of a validated array for a library of
-    ``files`` files."""
+    """Derive the slot groups and families of a validated array for a
+    library of ``files`` files."""
     if files < 1:
         raise DomainError(f"library size must be >= 1, got {files}")
-    grid = m.grid
     t = m.profile.t
+    # A packet row's cachers are the users holding a star in it.  Mapping
+    # them to a slot's positions costs each position its row's star count
+    # rather than the slot's size.
+    stars = [[k for k, e in enumerate(row, 1) if e is STAR] for row in m.grid]
     groups = []
+    by_users = {}
     for s in range(1, m.slots + 1):
         cells = m.slot_cells(s)
         served_rows = tuple(f for f, _ in cells)
         served_users = tuple(k for _, k in cells)
-        size = len(cells)
+        position = {k: i for i, k in enumerate(served_users)}
         cacher_sets = tuple(
-            tuple(
-                i
-                for i in range(size)
-                if grid[served_rows[n] - 1][served_users[i] - 1] is STAR
-            )
-            for n in range(size)
+            tuple(position[k] for k in stars[f - 1] if k in position) for f in served_rows
         )
-        groups.append(
-            SlotGroup(
-                slot=s,
-                served_users=served_users,
-                served_rows=served_rows,
-                cacher_sets=cacher_sets,
-                redundancy=t,
-                antennas=m.antennas,
-            )
+        group = SlotGroup(
+            slot=s,
+            served_users=served_users,
+            served_rows=served_rows,
+            cacher_sets=cacher_sets,
+            redundancy=t,
+            antennas=m.antennas,
         )
+        groups.append(group)
+        by_users.setdefault(served_users, []).append(group)
+    families = {}
+    for served_users, family in by_users.items():
+        if len(family) > 1:
+            systems = families[served_users] = {}
+            for group in family:
+                for n, cachers in enumerate(group.cacher_sets):
+                    systems.setdefault(cachers, set()).add(n)
     return SchemeInstance(
         mapda=m,
         files=files,
         memory_ratio=Fraction(m.stars_per_col, m.rows),
         groups=tuple(groups),
+        families=families,
     )
 
 
@@ -245,14 +268,10 @@ def default_demands(users, files):
     return tuple((k - 1) % files + 1 for k in range(1, users + 1))
 
 
-def _check_demands(demands, users, files):
-    demands = tuple(demands)
-    if len(demands) != users:
-        raise DomainError(f"demand vector has length {len(demands)}, expected {users}")
+def _check_demands(demands, files):
     for d in demands:
         if not 1 <= d <= files:
             raise DomainError(f"demand {d} outside library [1..{files}]")
-    return demands
 
 
 def make_channel(antennas, users, seed=0) -> ChannelMatrix:
@@ -361,7 +380,15 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix) -> PrecodingMa
     Requires the array redundancy gate t >= L; below it the supported
     regime offers no solution and Infeasible is raised.  A rank failure on
     a system a generic channel would solve raises DegenerateChannel instead.
+    This solves the slot alone; ``run_delivery`` shares each system's solve
+    among the slots serving the same users, with the same V and B.
     """
+    return _synthesize(group, channel, _solve_columns)
+
+
+def _synthesize(group, channel, solve_columns):
+    """``synthesize_precoder`` with the columns of each system from
+    ``solve_columns``, which must return what ``_solve_columns`` does."""
     if group.redundancy < group.antennas:
         raise Infeasible(
             f"slot {group.slot}: cache redundancy t={group.redundancy} is below the "
@@ -373,7 +400,6 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix) -> PrecodingMa
     block = channel.gram.take(users, users)
     size = len(users)
     backend = block.backend
-    zero, one = _zero(backend), _one(backend)
     all_rows = range(size)
     # Column n's equations are the positions outside its cacher set (n is
     # never its own cacher), so columns with equal cacher sets share one
@@ -381,25 +407,24 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix) -> PrecodingMa
     systems = {}
     for n in all_rows:
         systems.setdefault(group.cacher_sets[n], []).append(n)
+    zero = _zero(backend)
     v_rows = [[zero] * size for _ in all_rows]
     b_cols = [None] * size
     failures = {}
     for unknowns, members in systems.items():
-        first, width = members[0], len(members)
         if not unknowns:
-            failures[first] = Infeasible(
-                f"slot {group.slot}: no served user caches packet position {first + 1}",
+            failures[members[0]] = Infeasible(
+                f"slot {group.slot}: no served user caches packet position {members[0] + 1}",
                 slot=group.slot,
-                column=first + 1,
+                column=members[0] + 1,
             )
             continue
-        eq_rows = (first,) + tuple(l for l in all_rows if l != first and l not in unknowns)
-        rhs = [one if l == n else zero for l in eq_rows for n in members]
         try:
-            x = solve(block.take(eq_rows, unknowns), Matrix(len(eq_rows), width, rhs, backend))
+            positions, support, x_rows, b_data = solve_columns(block, unknowns, members)
         except Infeasible as exc:
             n = members[exc.column - 1]
-            if len(eq_rows) <= min(group.antennas, len(unknowns)):
+            equations = size - len(unknowns)
+            if equations <= min(group.antennas, len(unknowns)):
                 error = DegenerateChannel(
                     f"slot {group.slot}: column {n + 1} system is rank-deficient although "
                     f"a generic channel would solve it",
@@ -409,32 +434,77 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix) -> PrecodingMa
             else:
                 error = Infeasible(
                     f"slot {group.slot}: column {n + 1} has {len(unknowns)} unknowns but "
-                    f"{len(eq_rows)} equations and no solution",
+                    f"{equations} equations and no solution",
                     slot=group.slot,
                     column=n + 1,
                 )
             error.__cause__ = exc
             failures[n] = error
             continue
-        # Each column of x solves a system with an equation reading 1, so it
-        # has a nonzero; B is summed over the rows where any column does.
-        support, x_rows = [], []
-        for i, row in zip(unknowns, zip(*[iter(x.data)] * width)):
-            if any(row):
-                support.append(i)
-                x_rows.extend(row)
-                for n, value in zip(members, row):
-                    v_rows[i][n] = value
-        b_block = matmul(
-            block.take(all_rows, support), Matrix(len(support), width, x_rows, backend)
-        )
-        for j, n in enumerate(members):
-            b_cols[n] = b_block.data[j::width]
+        width = len(positions)
+        for n in members:
+            j = positions.index(n)
+            for i, row in zip(support, x_rows):
+                v_rows[i][n] = row[j]
+            b_cols[n] = b_data[j::width]
     if failures:
         raise failures[min(failures)]
     v = Matrix(size, size, [e for row in v_rows for e in row], backend)
     b = Matrix(size, size, [e for row in zip(*b_cols) for e in row], backend)
     return PrecodingMatrix(matrix=v, combined=b)
+
+
+def _solve_columns(block, unknowns, positions):
+    """Solve the columns at ``positions`` whose cacher set is ``unknowns``
+    with one ``solve``, a unit right-hand side each, and one product for B.
+    Returns (positions, the support rows, the solution's rows on them, B's
+    entries row-major).  A failure is linalg's Infeasible, its ``column``
+    counting in ``positions``."""
+    size, backend = block.n_rows, block.backend
+    zero, one = _zero(backend), _one(backend)
+    first, width = positions[0], len(positions)
+    # Position n is outside its own cacher set, so the equation rows are the
+    # positions outside ``unknowns``, the first position's row first.
+    eq_rows = (first,) + tuple(l for l in range(size) if l != first and l not in unknowns)
+    rhs = [one if l == n else zero for l in eq_rows for n in positions]
+    x = solve(block.take(eq_rows, unknowns), Matrix(len(eq_rows), width, rhs, backend))
+    # Each column of x solves a system with an equation reading 1, so it
+    # has a nonzero; B is summed over the rows where any column does.
+    support, x_rows, x_data = [], [], []
+    for i, row in zip(unknowns, zip(*[iter(x.data)] * width)):
+        if any(row):
+            support.append(i)
+            x_rows.append(row)
+            x_data.extend(row)
+    b_block = matmul(
+        block.take(range(size), support), Matrix(len(support), width, x_data, backend)
+    )
+    return positions, support, x_rows, b_block.data
+
+
+def _family_synthesis(families):
+    """``synthesize_precoder`` for one run, solving each system of a family
+    once, for all its positions, at the first slot that needs it.  If that
+    solve fails, each slot solves its own columns of the system, and so
+    reports the failure it would report alone."""
+    solved = {}
+
+    def synthesize(group, channel):
+        family = families.get(group.served_users)
+        if family is None:
+            return synthesize_precoder(group, channel)
+
+        def solve_columns(block, unknowns, members):
+            key = (group.served_users, unknowns)
+            if key not in solved:
+                solved[key] = None
+                with suppress(Infeasible):
+                    solved[key] = _solve_columns(block, unknowns, sorted(family[unknowns]))
+            return solved[key] or _solve_columns(block, unknowns, members)
+
+        return _synthesize(group, channel, solve_columns)
+
+    return synthesize
 
 
 def run_slot(group, channel, demands, library) -> SlotOutcome:
@@ -444,7 +514,8 @@ def run_slot(group, channel, demands, library) -> SlotOutcome:
     Packet values come from ``library`` (an N x F matrix of scalars on the
     channel's backend; BackendMismatch otherwise).  Each served user
     subtracts its cached contributions using the precoder's two-hop matrix
-    B and recovers its packet from the unit diagonal.
+    B and recovers its packet from the unit diagonal.  Only the served
+    users' demands are checked; ``run_delivery`` checks the whole vector.
     Raises DecodeMismatch if a recovered value strays from the library.
     """
     demands = tuple(demands)
@@ -453,11 +524,17 @@ def run_slot(group, channel, demands, library) -> SlotOutcome:
             f"demand vector covers {len(demands)} users but slot {group.slot} "
             f"serves user {max(group.served_users)}"
         )
-    _check_demands(demands, len(demands), library.n_rows)
+    _check_demands([demands[k - 1] for k in group.served_users], library.n_rows)
+    return _run_slot(group, channel, demands, library, synthesize_precoder)
+
+
+def _run_slot(group, channel, demands, library, synthesize) -> SlotOutcome:
+    """``run_slot`` on checked demands, with the precoder from
+    ``synthesize(group, channel)``."""
     _check_same_backend(channel.matrix, library)
     ops = {}
     with count_ops() as tally:
-        precoder = synthesize_precoder(group, channel)
+        precoder = synthesize(group, channel)
     ops["precoder_synthesis"] = {"mul": tally.mul, "add": tally.add}
     v = precoder.matrix
     backend = v.backend
@@ -532,13 +609,14 @@ def _ops_model(instance: SchemeInstance) -> Fraction:
     For regular arrays (every slot of size t+L) this is the analytical
     complexity ((t+L)^3 + (t+L)^2 + t(t+L)) * S.  ``ops_measured`` is what
     the run actually multiplied and added, phase by phase: the column
-    systems (one per group of columns sharing one), B summed over each
-    column's at most L nonzeros, the Gram matrix once per channel, encoding,
-    forwarding and decoding.  Its total multiplications over this model
-    read 0.51 on the deliver-float benchmark, where back-substitution
-    skips each column system's free variables, and 2.42 on deliver-exact,
-    where fraction-free elimination spends up to three multiplications per
-    updated entry.
+    systems (one per distinct system of a slot, or of a family of slots
+    serving the same users), B summed over each column's at most L
+    nonzeros, the Gram matrix once per channel, encoding, forwarding and
+    decoding.  Its total multiplications over this model read 0.51 on the
+    deliver-float benchmark, where back-substitution skips each column
+    system's free variables, and 1.26 on deliver-exact, where fraction-free
+    elimination spends up to three multiplications per updated entry but
+    the 8 slots of cyclic(16, 8) share 16 systems instead of solving 128.
     """
     t = instance.mapda.profile.t
     total = Fraction(0)
@@ -555,13 +633,18 @@ def run_delivery(instance, channel, demands, library) -> DeliveryReport:
     against the library.  This function checks that the recovered
     (user, row) cells are the integer cells of the grid, each delivered
     once; since a user's packets are its demanded file at those rows, that
-    fixes every user's packet set.  Refuses channels without exactly one
+    fixes every user's packet set.  Slots of one family share their column
+    solves (see the module docstring); every slot's V and B are those
+    ``synthesize_precoder`` gives it.  Refuses channels without exactly one
     column per user.  Propagates Infeasible (an array with t < L is refused
     at its first slot), DegenerateChannel, and DecodeMismatch with the
     offending slot id (None for a cell mismatch).
     """
     m = instance.mapda
-    demands = _check_demands(demands, m.cols, instance.files)
+    demands = tuple(demands)
+    if len(demands) != m.cols:
+        raise DomainError(f"demand vector has length {len(demands)}, expected {m.cols}")
+    _check_demands(demands, instance.files)
     if channel.matrix.n_cols != m.cols:
         # The Gram matrix spans every channel column, so surplus columns
         # would cost quadratic work and memory for nothing.
@@ -577,8 +660,9 @@ def run_delivery(instance, channel, demands, library) -> DeliveryReport:
     ops_total: dict[str, dict[str, int]] = {}
     recovered: dict[int, set] = {k: set() for k in range(1, m.cols + 1)}
     recovered_cells = []
+    synthesize = _family_synthesis(instance.families)
     for group in instance.groups:
-        outcome = run_slot(group, channel, demands, library)
+        outcome = _run_slot(group, channel, demands, library, synthesize)
         for phase, tally in outcome.ops.items():
             agg = ops_total.setdefault(phase, {"mul": 0, "add": 0})
             agg["mul"] += tally["mul"]

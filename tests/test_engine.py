@@ -1,9 +1,10 @@
 """Placement, precoder synthesis, and end-to-end delivery."""
 
 import dataclasses
+import random
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,37 @@ def fixture_channel():
     return read_channel_fixture(FIXTURES / "channel_2x6.txt")
 
 
+def isomorph(m, seed):
+    """``m`` with its rows, columns and slot ids permuted by a seeded PRNG."""
+    rng = random.Random(seed)
+    rows, cols, labels = list(range(m.rows)), list(range(m.cols)), list(range(1, m.slots + 1))
+    for permutation in (rows, cols, labels):
+        rng.shuffle(permutation)
+    grid = tuple(
+        tuple(STAR if m.grid[f][k] is STAR else labels[m.grid[f][k] - 1] for k in cols)
+        for f in rows
+    )
+    return Mapda(grid, m.antennas)
+
+
+def mixed_families():
+    """cyclic(4, 2) above mn(4, 2) on two antennas: one family of two slots
+    serving all four users, and four slots alone in their families."""
+    top = generate_cyclic(4, 2).grid
+    bottom = tuple(
+        tuple(e if e is STAR else e + 2 for e in row) for row in generate_mn_pda(4, 2).grid
+    )
+    return Mapda(top + bottom, antennas=2)
+
+
+def outcome(run):
+    """run()'s result, or the (type, slot, column, message) of its failure."""
+    try:
+        return run()
+    except (DegenerateChannel, Infeasible) as exc:
+        return (type(exc), exc.slot, exc.column, str(exc))
+
+
 class TestBuildInstance:
     def test_placement_sets(self, example1_instance):
         inst = example1_instance
@@ -109,6 +141,24 @@ class TestBuildInstance:
         # Packet rows (2,1,2,1): row 2 is cached by users 2 and 5
         # (positions 1, 3), row 1 by users 1 and 4 (positions 0, 2).
         assert group.cacher_sets == ((1, 3), (0, 2), (1, 3), (0, 2))
+
+    def test_cacher_sets_are_the_served_stars_of_each_packet_row(self):
+        for m in (
+            replicate(generate_mn_pda(3, 1), 2),
+            isomorph(replicate(generate_mn_pda(4, 2), 2), seed=2),
+            isomorph(generate_cyclic(8, 5), seed=11),
+            mixed_families(),
+        ):
+            for group in build_instance(m, files=2).groups:
+                positions = range(len(group.served_users))
+                assert group.cacher_sets == tuple(
+                    tuple(
+                        i
+                        for i in positions
+                        if m.grid[f - 1][group.served_users[i] - 1] is STAR
+                    )
+                    for f in group.served_rows
+                )
 
 
 class TestSynthesize:
@@ -292,6 +342,141 @@ class TestSharedSystems:
             assert calls == [3, 3, 3, 3]
 
 
+class TestFamilies:
+    """Slots serving the same users solve each distinct column system once
+    per run; every slot's V and B stay those of its own synthesis."""
+
+    ARRAYS = [
+        *(generate_cyclic(k, t) for k in range(2, 11) for t in range(1, k) if t >= k - t),
+        replicate(generate_cyclic(4, 2), 2),
+        isomorph(generate_cyclic(8, 5), seed=11),
+        mixed_families(),
+    ]
+
+    def test_families_group_slots_serving_the_same_users(self):
+        instance = build_instance(generate_cyclic(6, 3), files=2)
+        users = (1, 2, 3, 4, 5, 6)
+        assert [g.served_users for g in instance.groups] == [users] * 3
+        assert list(instance.families) == [users]
+        systems = instance.families[users]
+        assert systems.keys() == {c for g in instance.groups for c in g.cacher_sets}
+        # Every position outside a row's cachers reads that row in some slot.
+        for cachers, positions in systems.items():
+            assert positions == {p for p in range(6) if p not in cachers}
+        mixed = build_instance(mixed_families(), files=2)
+        assert len(mixed.groups) == 6
+        assert list(mixed.families) == [(1, 2, 3, 4)]
+        assert build_instance(replicate(generate_mn_pda(10, 3), 3), files=2).families == {}
+
+    def test_v_and_b_equal_standalone_synthesis(self, monkeypatch):
+        seen = {}
+        run_one = engine._run_slot
+
+        def recording(group, channel, demands, library, synthesize):
+            def recorded(g, c):
+                seen[g.slot] = synthesize(g, c)
+                return seen[g.slot]
+
+            return run_one(group, channel, demands, library, recorded)
+
+        monkeypatch.setattr(engine, "_run_slot", recording)
+        for m in self.ARRAYS:
+            assert m.profile.t >= m.antennas
+            instance = build_instance(m, files=2)
+            assert bool(instance.families) == (m.slots > 1)
+            channels = [channel_from_matrix(vandermonde_channel(m.antennas, m.cols))]
+            channels += [make_channel(m.antennas, m.cols, seed=seed) for seed in (1, 2, 3)]
+            for channel in channels:
+                seen.clear()
+                library = random_library(2, m.rows, seed=7, backend=channel.matrix.backend)
+                run_delivery(instance, channel, default_demands(m.cols, 2), library)
+                assert sorted(seen) == [g.slot for g in instance.groups]
+                for group in instance.groups:
+                    alone = synthesize_precoder(group, channel)
+                    assert seen[group.slot].matrix.data == alone.matrix.data
+                    assert seen[group.slot].combined.data == alone.combined.data
+
+    def test_one_solve_per_distinct_system(self, monkeypatch):
+        # cyclic(16, 8): 8 slots serve all 16 users, and its 16 rows give 16
+        # systems, each read by the 8 users outside the row's stars.
+        calls = []
+        real_solve = engine.solve
+
+        def counted(a, b):
+            calls.append(b.n_cols)
+            return real_solve(a, b)
+
+        monkeypatch.setattr(engine, "solve", counted)
+        m = generate_cyclic(16, 8)
+        run_delivery(
+            build_instance(m, files=2),
+            channel_from_matrix(vandermonde_channel(m.antennas, m.cols)),
+            default_demands(16, 2),
+            random_library(2, 16, seed=1),
+        )
+        assert calls == [8] * 16
+
+    def test_errors_match_one_slot_at_a_time(self, monkeypatch):
+        # Exact channels on which two users share a channel column, or with
+        # entries -1, 0 and 1, leave column systems rank-deficient.  A run
+        # must fail where running the slots one at a time fails, with the
+        # same error, and deliver where that delivers.
+        solved = []
+        real_solve_columns = engine._solve_columns
+
+        def recorded(block, unknowns, members):
+            columns = real_solve_columns(block, unknowns, members)
+            solved.append((unknowns, list(members)))
+            return columns
+
+        monkeypatch.setattr(engine, "_solve_columns", recorded)
+        rng = random.Random(5)
+        runs = failures = rescued = 0
+        for m in (
+            generate_cyclic(4, 2),
+            generate_cyclic(6, 3),
+            generate_cyclic(8, 4),
+            isomorph(generate_cyclic(8, 4), seed=3),
+            isomorph(generate_cyclic(9, 5), seed=4),
+        ):
+            instance = build_instance(m, files=2)
+            assert len(instance.families) == 1
+            demands = default_demands(m.cols, 2)
+            library = random_library(2, m.rows, seed=1)
+            channels = []
+            for a, b in combinations(range(m.cols), 2):
+                nodes = list(range(2, m.cols + 2))
+                nodes[b] = nodes[a]
+                channels.append([[node**l for node in nodes] for l in range(m.antennas)])
+            channels += [
+                [[rng.randint(-1, 1) for _ in range(m.cols)] for _ in range(m.antennas)]
+                for _ in range(10)
+            ]
+            for rows in channels:
+                channel = channel_from_matrix(Matrix.from_rows(rows, EXACT))
+                alone = outcome(
+                    lambda: [
+                        run_slot(g, channel, demands, library).recovered
+                        for g in instance.groups
+                    ]
+                )
+                solved.clear()
+                together = outcome(lambda: run_delivery(instance, channel, demands, library))
+                (family,) = instance.families.values()
+                # A system solved for fewer positions than its family's: a
+                # slot's own columns, after the family's solve failed.
+                rescued += sum(members != sorted(family[c]) for c, members in solved)
+                runs += 1
+                if isinstance(alone, list):
+                    assert isinstance(together, engine.DeliveryReport)
+                else:
+                    failures += 1
+                    assert together == alone
+        assert failures >= 80, (failures, runs)
+        # Some slots solved their own columns after a shared solve failed.
+        assert rescued >= 100, rescued
+
+
 class TestRunSlot:
     def test_worked_decode(self, example1_instance, fixture_channel):
         # User 1 hears its packet plus 3/2 and -1/2 of two packets it
@@ -379,8 +564,12 @@ class TestRunSlot:
         demands = (1, 2, 3, 4, 5, 7)
         message = "demand 7 outside library [1..6]"
         library = random_library(6, 3, seed=0)
+        # A slot checks the demands of the users it serves: user 6's here.
+        group = next(g for g in example1_instance.groups if 6 in g.served_users)
         with pytest.raises(arrays.DomainError, match=re.escape(message)):
-            run_slot(example1_instance.groups[0], fixture_channel, demands, library)
+            run_slot(group, fixture_channel, demands, library)
+        # A slot that does not serve user 6 delivers.
+        run_slot(example1_instance.groups[0], fixture_channel, demands, library)
         # The same text as a whole run's demand check.
         with pytest.raises(arrays.DomainError, match=re.escape(message)):
             run_delivery(example1_instance, fixture_channel, demands, library)

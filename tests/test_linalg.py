@@ -54,10 +54,13 @@ def random_system(rng):
     m = rng.randint(1, 6)
     if rng.random() < 0.4:
         base = [[random_rational(rng) for _ in range(m)] for _ in range(rng.randint(1, 3))]
-        a = [
-            [sum((random_rational(rng) * row[j] for row in base), Fraction(0)) for j in range(m)]
-            for _ in range(n)
-        ]
+        a = []
+        for _ in range(n):
+            # One coefficient per base row: the row is their combination.
+            coefs = [random_rational(rng) for _ in base]
+            a.append(
+                [sum((c * row[j] for c, row in zip(coefs, base)), Fraction(0)) for j in range(m)]
+            )
     else:
         a = [[random_rational(rng) for _ in range(m)] for _ in range(n)]
     if rng.random() < 0.3:
