@@ -15,13 +15,16 @@ the antenna count L (equivalently K*Z >= L*F).  Below that density the
 per-column systems of the supported regime are overdetermined and the
 transmission is reported infeasible rather than attempted.
 
-Slots serving the same users form a family, and share their column
-systems: column n's reads only the served users' Gram block, position n
-and n's cacher set.  A delivery run solves each system of a family once,
-with one right-hand side per position using it in any of its slots, and
-each slot assembles V and B from those columns: on the circulant arrays of
-scheme 3, K systems instead of K(K-t).  A slot alone in its family is
-solved alone; every V and B is the one ``synthesize_precoder`` gives.
+A channel forms H* and its Gram matrix H* H once.  A slot reads its users'
+rows of H* to decode, and its block of the Gram matrix, from whose rows
+(integer rows on the exact backend) ``linalg.solve_units`` solves each
+column system and forms its columns of B.  Column n's system depends only
+on the served users and n's cacher set, so slots serving the same users
+form a family: a delivery run solves each of its systems once, with one
+right-hand side per position using it in any slot, and each slot
+assembles V and B from those columns (on the circulant arrays of scheme 3,
+K systems instead of K(K-t)).  A slot alone in its family is solved
+alone; every V and B is the one ``synthesize_precoder`` gives.
 
 Scalar work runs on either backend of ``linalg``; exact-rational runs make
 decode checks bit-exact.  Slots share no state but their family's solves,
@@ -36,8 +39,7 @@ import random
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import sub
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -49,13 +51,13 @@ from .linalg import (
     Infeasible,
     Matrix,
     _check_same_backend,
-    _one,
-    _tally,
     _zero,
     conj_transpose,
     count_ops,
+    isolate,
     matmul,
-    solve,
+    solve,  # noqa: F401 -- engine.solve stays a name bench/tracing.py wraps
+    solve_units,
 )
 
 # Relative tolerance for float-backend decode checks; the exact backend
@@ -120,8 +122,8 @@ class SlotGroup:
 
 @dataclass(frozen=True)
 class SchemeInstance:
-    """An array bound to a library size: its slot groups; placement is read
-    from the grid on demand.
+    """An array bound to a library size, and its slot groups; a user caches
+    every file's packets at the rows where its column holds a star.
 
     ``families`` maps the served users of each family of two or more slots
     to its column systems: {cacher set: the positions whose column uses it
@@ -130,19 +132,8 @@ class SchemeInstance:
 
     mapda: Mapda
     files: int
-    memory_ratio: Fraction
     groups: tuple
     families: dict = field(compare=False)
-
-    def cache_of(self, user):
-        """The packet set cached by a 1-based user id: (n, f) for every file
-        n and every row f where the user's column holds a star."""
-        return frozenset(
-            PacketId(n, f)
-            for f, row in enumerate(self.mapda.grid, 1)
-            if row[user - 1] is STAR
-            for n in range(1, self.files + 1)
-        )
 
 
 @dataclass(frozen=True)
@@ -152,6 +143,11 @@ class ChannelMatrix:
     matrix: Matrix
 
     @cached_property
+    def adjoint(self) -> Matrix:
+        """H*, formed on first use: a slot's users read their rows of it."""
+        return conj_transpose(self.matrix)
+
+    @cached_property
     def gram(self) -> Matrix:
         """The K x K Gram matrix G = H* H, formed on first use.
 
@@ -159,7 +155,7 @@ class ChannelMatrix:
         once, and its operations count where it is first needed.  Entry
         (i, j) sums over antennas in order, as a per-slot product would.
         """
-        return matmul(conj_transpose(self.matrix), self.matrix)
+        return matmul(self.adjoint, self.matrix)
 
 
 @dataclass(frozen=True)
@@ -257,7 +253,6 @@ def build_instance(m: Mapda, files: int) -> SchemeInstance:
     return SchemeInstance(
         mapda=m,
         files=files,
-        memory_ratio=Fraction(m.stars_per_col, m.rows),
         groups=tuple(groups),
         families=families,
     )
@@ -367,16 +362,14 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix) -> PrecodingMa
 
     Column n is solved from the reduced system over the cacher positions:
     B(n, n) = 1 plus B(l, n) = 0 for every served user l that does not cache
-    packet n's row.  The slot's block of the channel's Gram matrix is taken
-    once; each column's system is read from it.  Columns sharing equation
-    rows and unknowns (one cache group of a replicated array) are solved as
-    one multi-right-hand-side system, one unit column each, which gives each
-    the solution it would get alone.  ``solve`` zeroes free variables, so a
-    solution x is nonzero only on its pivot columns, at most L of them since
-    the Gram block has rank at most L.  A shared system's columns of B are
-    one product over those rows: at most L terms per entry of B, where the
-    cacher set has t.  Exact zeros add nothing, so B is the same as a sum
-    over all t.  A failure names the slot's lowest failing column.
+    packet n's row, read from the slot's block of the channel's Gram
+    matrix.  Columns sharing equation rows and unknowns (one cache group of
+    a replicated array) are one system with a unit right-hand side each,
+    which gives each the solution it would get alone.  Free variables are
+    zero, so x is nonzero on at most L pivot rows (the block has rank at
+    most L), and B sums over those alone rather than the t of the cacher
+    set: exact zeros add nothing.  A failure names the slot's lowest
+    failing column.
     Requires the array redundancy gate t >= L; below it the supported
     regime offers no solution and Infeasible is raised.  A rank failure on
     a system a generic channel would solve raises DegenerateChannel instead.
@@ -420,7 +413,7 @@ def _synthesize(group, channel, solve_columns):
             )
             continue
         try:
-            positions, support, x_rows, b_data = solve_columns(block, unknowns, members)
+            positions, support, x_rows, b_columns = solve_columns(block, unknowns, members)
         except Infeasible as exc:
             n = members[exc.column - 1]
             equations = size - len(unknowns)
@@ -441,12 +434,11 @@ def _synthesize(group, channel, solve_columns):
             error.__cause__ = exc
             failures[n] = error
             continue
-        width = len(positions)
         for n in members:
             j = positions.index(n)
             for i, row in zip(support, x_rows):
                 v_rows[i][n] = row[j]
-            b_cols[n] = b_data[j::width]
+            b_cols[n] = b_columns[j]
     if failures:
         raise failures[min(failures)]
     v = Matrix(size, size, [e for row in v_rows for e in row], backend)
@@ -455,31 +447,14 @@ def _synthesize(group, channel, solve_columns):
 
 
 def _solve_columns(block, unknowns, positions):
-    """Solve the columns at ``positions`` whose cacher set is ``unknowns``
-    with one ``solve``, a unit right-hand side each, and one product for B.
-    Returns (positions, the support rows, the solution's rows on them, B's
-    entries row-major).  A failure is linalg's Infeasible, its ``column``
-    counting in ``positions``."""
-    size, backend = block.n_rows, block.backend
-    zero, one = _zero(backend), _one(backend)
-    first, width = positions[0], len(positions)
+    """``solve_units`` for the columns at ``positions`` whose cacher set is
+    ``unknowns``, a unit right-hand side each; returns (positions, the
+    support rows, the solution's rows on them, B's columns)."""
+    first = positions[0]
     # Position n is outside its own cacher set, so the equation rows are the
     # positions outside ``unknowns``, the first position's row first.
-    eq_rows = (first,) + tuple(l for l in range(size) if l != first and l not in unknowns)
-    rhs = [one if l == n else zero for l in eq_rows for n in positions]
-    x = solve(block.take(eq_rows, unknowns), Matrix(len(eq_rows), width, rhs, backend))
-    # Each column of x solves a system with an equation reading 1, so it
-    # has a nonzero; B is summed over the rows where any column does.
-    support, x_rows, x_data = [], [], []
-    for i, row in zip(unknowns, zip(*[iter(x.data)] * width)):
-        if any(row):
-            support.append(i)
-            x_rows.append(row)
-            x_data.extend(row)
-    b_block = matmul(
-        block.take(range(size), support), Matrix(len(support), width, x_data, backend)
-    )
-    return positions, support, x_rows, b_block.data
+    rest = [l for l in range(block.n_rows) if l != first and l not in unknowns]
+    return (positions, *solve_units(block, [first, *rest], unknowns, positions))
 
 
 def _family_synthesis(families):
@@ -536,44 +511,30 @@ def _run_slot(group, channel, demands, library, synthesize) -> SlotOutcome:
     with count_ops() as tally:
         precoder = synthesize(group, channel)
     ops["precoder_synthesis"] = {"mul": tally.mul, "add": tally.add}
-    v = precoder.matrix
-    backend = v.backend
-    h = channel.matrix
-    h_s = h.take(range(h.n_rows), [k - 1 for k in group.served_users])
-    size = len(group.served_users)
-    w = Matrix(
-        size,
-        1,
-        [
-            library.at(demands[group.served_users[j] - 1] - 1, group.served_rows[j] - 1)
-            for j in range(size)
-        ],
-        backend,
-    )
+    backend, antennas = library.backend, range(channel.matrix.n_rows)
+    users = [k - 1 for k in group.served_users]
+    packets = zip(group.served_users, group.served_rows)
+    w = Matrix(len(users), 1, [library.at(demands[k - 1] - 1, f - 1) for k, f in packets], backend)
     with count_ops() as tally:
-        x = matmul(v, w)
+        x = matmul(precoder.matrix, w)
     ops["uplink_encode"] = {"mul": tally.mul, "add": tally.add}
     with count_ops() as tally:
-        y_bs = matmul(h_s, x)
+        y_bs = matmul(channel.matrix.take(antennas, users), x)
     ops["bs_forward"] = {"mul": tally.mul, "add": tally.add}
     # User l caches the packets at the positions j whose cacher set holds
     # l; the rest of its row of B, but for its own entry, must vanish.
-    cached = [[] for _ in range(size)]
+    cached = [[] for _ in users]
     for j, cachers in enumerate(group.cacher_sets):
         for l in cachers:
             cached[l].append(j)
-    n_cached = sum(map(len, cached))
     with count_ops() as tally:
-        y_users = matmul(conj_transpose(h_s), y_bs)
+        y_users = matmul(channel.adjoint.take(users, antennas), y_bs)
         b = precoder.combined
-        _tally(mul=n_cached + size, add=n_cached)
+        # User l subtracts what it caches and divides by its unit entry.
+        values = isolate(b, w.data, y_users.data, cached)
         recovered = []
         residual = 0.0
-        for l, expected in enumerate(w.data):
-            b_row = b.row(l)
-            # User l subtracts what it caches and divides by its unit entry.
-            heard = reduce(sub, [b_row[j] * w.data[j] for j in cached[l]], y_users.data[l])
-            value = heard / b_row[l]
+        for l, (expected, value) in enumerate(zip(w.data, values)):
             if backend == EXACT:
                 if value != expected:
                     raise DecodeMismatch(
@@ -588,6 +549,7 @@ def _run_slot(group, channel, demands, library, synthesize) -> SlotOutcome:
                         f"slot {group.slot}: user {group.served_users[l]} decode error {err}",
                         slot=group.slot,
                     )
+                b_row = b.row(l)
                 exempt = set(cached[l])
                 exempt.add(l)
                 residual = max(
@@ -618,12 +580,8 @@ def _ops_model(instance: SchemeInstance) -> Fraction:
     elimination spends up to three multiplications per updated entry but
     the 8 slots of cyclic(16, 8) share 16 systems instead of solving 128.
     """
-    t = instance.mapda.profile.t
-    total = Fraction(0)
-    for group in instance.groups:
-        r = len(group.served_users)
-        total += r**3 + r**2 + t * r
-    return total
+    sizes = [len(group.served_users) for group in instance.groups]
+    return sum(r**3 + r**2 for r in sizes) + instance.mapda.profile.t * sum(sizes)
 
 
 def run_delivery(instance, channel, demands, library) -> DeliveryReport:

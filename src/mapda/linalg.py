@@ -4,8 +4,8 @@ The exact backend stores arbitrary-precision rationals (fractions.Fraction)
 and produces bit-exact results; the float backend stores complex doubles.
 A single computation never mixes backends.  Per-slot precoder systems need
 multiply, conjugate transpose, and a Gaussian-elimination solver that
-zeroes free variables and reports inconsistency instead of guessing.
-``rank`` is offered to callers and tests; no delivery path calls it.
+zeroes free variables and reports inconsistency instead of guessing; the
+engine's column systems and decode run on ``solve_units`` and ``isolate``.
 
 Exact kernels compute on Python ints and build one Fraction per output
 entry.  An exact matrix derives its integer rows once, on first use: each
@@ -13,15 +13,14 @@ row times the lcm of its denominators, kept with that scale, and ``take``
 hands a submatrix its share of them, so the rows of a Gram matrix are
 scaled once however many blocks are read from it.  ``matmul`` scales each
 column of the right operand the same way and divides each integer dot
-product once.  ``solve`` and ``rank`` eliminate the integer rows
+product once.  The solvers and ``rank`` eliminate integer rows
 fraction-free (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 1968): every division
 is exact, none is made while the previous pivot is 1, and a Fraction
 appears only in the solution.  The float backend runs plain Gaussian
-elimination with partial pivoting; its ``matmul`` folds each entry's
-products left to right, the order of a running sum.  On both backends
-back-substitution sums over pivot columns only, since free variables are
-zero.
+elimination with partial pivoting; its products fold each entry left to
+right, the order of a running sum.  On both backends back-substitution
+sums over pivot columns only, since free variables are zero.
 
 Scalar multiply/add counts can be observed through ``count_ops``; counting
 state is thread-local, keeping the operations re-entrant.  They count the
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import add, mul, truediv
+from operator import add, mul, sub, truediv
 
 EXACT = "exact"
 FLOAT = "float"
@@ -129,10 +128,6 @@ def _zero(backend):
     return Fraction(0) if backend == EXACT else complex(0)
 
 
-def _one(backend):
-    return Fraction(1) if backend == EXACT else complex(1)
-
-
 class Matrix:
     """Immutable row-major dense matrix bound to one scalar backend."""
 
@@ -174,19 +169,11 @@ class Matrix:
             )
         return cls(len(rows), width, (_coerce(e, backend) for e in flat), backend)
 
-    @classmethod
-    def identity(cls, n, backend=EXACT):
-        one, zero = _one(backend), _zero(backend)
-        return cls(n, n, (one if i == j else zero for i in range(n) for j in range(n)), backend)
-
     def at(self, i, j):
         return self.data[i * self.n_cols + j]
 
     def row(self, i):
         return self.data[i * self.n_cols : (i + 1) * self.n_cols]
-
-    def col(self, j):
-        return tuple(self.data[i * self.n_cols + j] for i in range(self.n_rows))
 
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.n_rows)]
@@ -230,9 +217,6 @@ class Matrix:
 
     def __hash__(self):
         return hash((self.n_rows, self.n_cols, self.data, self.backend))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Matrix({self.n_rows}x{self.n_cols}, {self.backend})"
@@ -398,21 +382,10 @@ def rank(a: Matrix) -> int:
     return len(_eliminate(a.to_rows(), a.n_cols, PIVOT_RTOL * _scale(a.data)))
 
 
-def _check_consistent(free_rows, n, n_rhs, nonzero):
-    """Raise Infeasible naming the first right-hand side (1-based, after a's
-    n columns) with a ``nonzero`` entry on a row left without a pivot."""
-    for j in range(n_rhs):
-        if any(nonzero(row[n + j]) for row in free_rows):
-            raise Infeasible(
-                f"system is inconsistent in right-hand side {j + 1}: rank(A) < rank(A|b)",
-                column=j + 1,
-            )
-
-
 def _back_substitute(rows, pivots, n, divide, zero):
     """Back-substitution over eliminated rows whose first ``n`` columns are
-    the system's; returns the solution's entries, row-major, free variables
-    ``zero``.
+    the system's; returns the solution's rows, one list per unknown, free
+    variables ``zero``.
 
     Free variables are zero, so only later pivot columns enter a sum, in
     increasing order.  Each pivot entry is divide(rhs - sum, pivot), a
@@ -432,27 +405,33 @@ def _back_substitute(rows, pivots, n, divide, zero):
         pivot = row[c]
         x[c] = [divide(e, pivot) for e in acc]
         later.insert(0, c)
-    return [v for values in x for v in values]
+    return x
 
 
-def _solve_exact(a, b):
-    rows = []
-    for (a_ints, a_scale), (b_ints, b_scale) in zip(a._integer_rows(), b._integer_rows()):
-        if a_scale != b_scale:
-            scale = lcm(a_scale, b_scale)
-            a_ints = [v * (scale // a_scale) for v in a_ints]
-            b_ints = [v * (scale // b_scale) for v in b_ints]
-        rows.append(a_ints + b_ints)
-    pivots, det = _eliminate_exact(rows, a.n_cols)
-    n, n_rhs = a.n_cols, b.n_cols
-    _check_consistent(rows[len(pivots):], n, n_rhs, bool)
-    # By Cramer's rule det * x is integral on the pivot columns; solve for
-    # it on integers and divide once per entry.
+def _solve_rows(rows, n, backend):
+    """Solve augmented rows in place, the first ``n`` columns the system's;
+    returns (the solution's rows, one list per unknown, their denominator:
+    1 on floats, the last Bareiss pivot on integer rows)."""
+    if backend == EXACT:
+        (pivots, det), nonzero = _eliminate_exact(rows, n), bool
+    else:
+        tol = PIVOT_RTOL * _scale([e for row in rows for e in row])
+        pivots, det, nonzero = _eliminate(rows, n, tol), 1, lambda e: not abs(e) <= tol
+    n_rhs = len(rows[0]) - n
+    for j in range(n, n + n_rhs):
+        if any(nonzero(row[j]) for row in rows[len(pivots):]):
+            raise Infeasible(
+                f"system is inconsistent in right-hand side {j - n + 1}: rank(A) < rank(A|b)",
+                column=j - n + 1,
+            )
+    if backend == FLOAT:
+        return _back_substitute(rows, pivots, n, truediv, complex(0)), det
+    # By Cramer's rule det * x is integral on the pivot columns; solve for it
+    # on integers and divide once per entry.
     for r, _ in pivots:
         rows[r][n:] = [det * v for v in rows[r][n:]]
     _tally(mul=n_rhs * len(pivots))
-    scaled = _back_substitute(rows, pivots, n, _exact_div, 0)
-    return Matrix(n, n_rhs, [Fraction(v, det) for v in scaled], EXACT)
+    return _back_substitute(rows, pivots, n, _exact_div, 0), det
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
@@ -470,11 +449,74 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     _check_same_backend(a, b)
     if a.n_rows != b.n_rows:
         raise DimensionMismatch(f"a has {a.n_rows} rows but b has {b.n_rows}")
-    if a.backend == EXACT:
-        return _solve_exact(a, b)
-    tol = PIVOT_RTOL * max(_scale(a.data), _scale(b.data))
-    rows = [list(a.row(i) + b.row(i)) for i in range(a.n_rows)]
-    pivots = _eliminate(rows, a.n_cols, tol)
-    _check_consistent(rows[len(pivots):], a.n_cols, b.n_cols, lambda e: not abs(e) <= tol)
-    x = _back_substitute(rows, pivots, a.n_cols, truediv, complex(0))
-    return Matrix(a.n_cols, b.n_cols, x, FLOAT)
+    if a.backend == FLOAT:
+        x, _ = _solve_rows([list(a.row(i) + b.row(i)) for i in range(a.n_rows)], a.n_cols, FLOAT)
+        return Matrix(a.n_cols, b.n_cols, [v for values in x for v in values], FLOAT)
+    rows = []
+    for (a_ints, a_scale), (b_ints, b_scale) in zip(a._integer_rows(), b._integer_rows()):
+        scale = lcm(a_scale, b_scale)
+        a_ints = [v * (scale // a_scale) for v in a_ints]
+        rows.append(a_ints + [v * (scale // b_scale) for v in b_ints])
+    x, det = _solve_rows(rows, a.n_cols, EXACT)
+    return Matrix(a.n_cols, b.n_cols, [Fraction(v, det) for values in x for v in values], EXACT)
+
+
+def solve_units(block, equations, unknowns, units):
+    """Solve ``block``'s rows ``equations`` over its columns ``unknowns``
+    for unit right-hand sides, the j-th reading 1 in row ``units[j]``, and
+    form B = block x: returns (the unknowns where x is nonzero, x's rows
+    there, B's columns).  Values, bits and counts are those of ``solve`` and
+    of ``matmul`` over the support; Infeasible's ``column`` counts in
+    ``units``."""
+    size, width, n_rhs = block.n_rows, block.n_cols, len(units)
+    exact = block.backend == EXACT
+    ints, zero = (block._integer_rows(), 0) if exact else (None, complex(0))
+    rows = []
+    for l in equations:
+        row, unit = ints[l] if exact else (block.row(l), complex(1))
+        rows.append([row[i] for i in unknowns] + [unit if l == u else zero for u in units])
+    x, det = _solve_rows(rows, len(unknowns), block.backend)
+    # Each unit reads 1 in some equation, so no column of x is zero.
+    support = [i for i, values in zip(unknowns, x) if any(values)]
+    x_rows = [values for values in x if any(values)]
+    _tally(mul=size * n_rhs * len(support), add=size * n_rhs * (len(support) - 1))
+    if exact:
+        parts = [([row[i] for i in support], scale * det) for row, scale in ints]
+        b_cols = [
+            [Fraction(sum(map(mul, part, column)), den) for part, den in parts]
+            for column in zip(*x_rows)
+        ]
+        return support, [[Fraction(v, det) for v in values] for values in x_rows], b_cols
+    # B column by column, each entry a running sum over the support, as in
+    # ``matmul``.
+    columns = [block.data[i::width] for i in support]
+    b_cols = []
+    for j in range(n_rhs):
+        acc = [g * x_rows[0][j] for g in columns[0]]
+        for column, values in zip(columns[1:], x_rows[1:]):
+            v = values[j]
+            acc = [e + g * v for e, g in zip(acc, column)]
+        b_cols.append(acc)
+    return support, x_rows, b_cols
+
+
+def isolate(b, w, y, known):
+    """(y[l] - the sum of b(l, j) * w[j] over j in known[l]) / b(l, l) per
+    row l of ``b``: floats subtract left to right from y[l]; exact values are
+    one integer dot product of b's integer row with w's, and one Fraction.
+    A term counts one multiplication and addition, the division one more."""
+    n_known = sum(map(len, known))
+    _tally(mul=n_known + b.n_rows, add=n_known)
+    if b.backend == FLOAT:
+        return [
+            reduce(sub, [row[j] * w[j] for j in cached], y_l) / row[l]
+            for l, (row, y_l, cached) in enumerate(zip(map(b.row, range(b.n_rows)), y, known))
+        ]
+    w_ints, w_scale = _integers(w)
+    out = []
+    for l, ((row, scale), y_l, cached) in enumerate(zip(b._integer_rows(), y, known)):
+        dot = sum(row[j] * w_ints[j] for j in cached)
+        # (y_l - dot / (scale * w_scale)) / (row[l] / scale) on integers.
+        num = y_l.numerator * scale * w_scale - y_l.denominator * dot
+        out.append(Fraction(num, y_l.denominator * w_scale * row[l]))
+    return out

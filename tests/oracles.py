@@ -18,7 +18,7 @@ from itertools import combinations, combinations_with_replacement, islice, permu
 import numpy as np
 
 from mapda.engine import DegenerateChannel, PrecodingMatrix, _served_columns
-from mapda.linalg import PIVOT_RTOL, Infeasible, Matrix, _one, _zero, matmul, solve
+from mapda.linalg import PIVOT_RTOL, Infeasible, Matrix, _zero, matmul, solve
 
 
 def naive_conditions(grid, antennas):
@@ -234,7 +234,8 @@ def synthesize_precoder_per_column(group, channel) -> PrecodingMatrix:
     block = channel.gram.take(users, users)
     size = len(users)
     backend = block.backend
-    zero, one = _zero(backend), _one(backend)
+    zero = _zero(backend)
+    one = zero + 1
     all_rows = range(size)
     v_rows = [[zero] * size for _ in all_rows]
     b_cols = []

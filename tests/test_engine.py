@@ -113,12 +113,13 @@ def outcome(run):
 
 class TestBuildInstance:
     def test_placement_sets(self, example1_instance):
+        # A user caches every file's packets at its column's star rows.
         inst = example1_instance
+        assert inst.files == 6
         for user, part in ((1, 1), (4, 1), (2, 2), (5, 2), (3, 3), (6, 3)):
-            assert inst.cache_of(user) == frozenset(
-                PacketId(n, part) for n in range(1, 7)
-            )
-        assert inst.memory_ratio == Fraction(1, 3)
+            stars = [f for f, row in enumerate(inst.mapda.grid, 1) if row[user - 1] is STAR]
+            assert stars == [part]
+        assert Fraction(inst.mapda.stars_per_col, inst.mapda.rows) == Fraction(1, 3)
 
     def test_slot_one_group(self, example1_instance):
         group = example1_instance.groups[0]
@@ -327,13 +328,13 @@ class TestSharedSystems:
         # Each slot of replicate(mn(10, 3), 3) serves 12 users in 4 cache
         # groups of 3: 4 systems, one solve each.
         calls = []
-        real_solve = engine.solve
+        real_solve_units = engine.solve_units
 
-        def counted(a, b):
-            calls.append(b.n_cols)
-            return real_solve(a, b)
+        def counted(block, equations, unknowns, units):
+            calls.append(len(units))
+            return real_solve_units(block, equations, unknowns, units)
 
-        monkeypatch.setattr(engine, "solve", counted)
+        monkeypatch.setattr(engine, "solve_units", counted)
         m = replicate(generate_mn_pda(10, 3), 3)
         channel = make_channel(m.antennas, m.cols, seed=1)
         for group in build_instance(m, files=2).groups:
@@ -400,13 +401,13 @@ class TestFamilies:
         # cyclic(16, 8): 8 slots serve all 16 users, and its 16 rows give 16
         # systems, each read by the 8 users outside the row's stars.
         calls = []
-        real_solve = engine.solve
+        real_solve_units = engine.solve_units
 
-        def counted(a, b):
-            calls.append(b.n_cols)
-            return real_solve(a, b)
+        def counted(block, equations, unknowns, units):
+            calls.append(len(units))
+            return real_solve_units(block, equations, unknowns, units)
 
-        monkeypatch.setattr(engine, "solve", counted)
+        monkeypatch.setattr(engine, "solve_units", counted)
         m = generate_cyclic(16, 8)
         run_delivery(
             build_instance(m, files=2),

@@ -17,9 +17,11 @@ from mapda.linalg import (
     _exact_div,
     conj_transpose,
     count_ops,
+    isolate,
     matmul,
     rank,
     solve,
+    solve_units,
 )
 
 from oracles import loop_matmul_float, loop_solve_float, naive_solve_exact
@@ -37,6 +39,10 @@ GRAM_4X4 = [
 
 def frac_matrix(rows):
     return Matrix.from_rows(rows, EXACT)
+
+
+def identity(n):
+    return frac_matrix([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def random_rational(rng):
@@ -164,11 +170,212 @@ class TestFloatKernelOracles:
         assert min(seen.values()) >= 15, seen
 
 
+def unit_system(rng, kind, entry):
+    """(A rows, units) of one kind of column system whose right-hand sides
+    are units: the j-th reads 1 in row units[j] of A and 0 elsewhere."""
+    if kind == "slot":
+        # A deliver-float column system: 3 equations over 9 cacher
+        # positions, one unit right-hand side per member of the cache group.
+        return [[entry(rng) for _ in range(9)] for _ in range(3)], [0, 1, 2]
+    n = rng.randint(3 if kind == "deficient" else 2 if kind == "tall" else 1, 5)
+    low, high = {"square": (n, n), "wide": (n + 1, 8), "tall": (1, n - 1), "free": (n + 2, 8)}.get(
+        kind, (n, 8)
+    )
+    m = rng.randint(low, high)
+    a = [[entry(rng) for _ in range(m)] for _ in range(n)]
+    units = rng.sample(range(n), rng.randint(1, min(3, n)))
+    if kind == "free":
+        # Zero and repeated columns between pivot columns; n columns stay.
+        for c in rng.sample(range(m), m - n):
+            copy = rng.randrange(m)
+            for row in a:
+                row[c] = 0 * row[c] if rng.random() < 0.5 else row[copy]
+    if kind == "deficient":
+        # Rows outside the first k, which hold the units, are multiples of
+        # row k (or zero): rank k + 1 < n.  A unit on one of them is
+        # inconsistent, one unit in two.
+        k = rng.randint(1, n - 2)
+        for row in a[k + 1 :]:
+            factor = entry(rng)
+            row[:] = [factor * e for e in a[k]]
+        units = rng.sample(range(k), min(k, 2))
+        if rng.random() < 0.5:
+            units.append(rng.randrange(k + 1, n))
+    return a, units
+
+
+def embed(rng, a, entry):
+    """A square block holding ``a`` at random distinct rows and columns,
+    with random entries elsewhere; returns (block rows, rows, columns)."""
+    size = max(len(a), len(a[0])) + rng.randint(0, 3)
+    rows = rng.sample(range(size), len(a))
+    cols = rng.sample(range(size), len(a[0]))
+    block = [[entry(rng) for _ in range(size)] for _ in range(size)]
+    for values, l in zip(a, rows):
+        for e, i in zip(values, cols):
+            block[l][i] = e
+    return block, rows, cols
+
+
+class TestColumnKernels:
+    """``solve_units`` against ``solve`` and ``matmul`` on the same system and
+    the oracles, and ``isolate`` against its loop form."""
+
+    KINDS = ["slot", "square", "wide", "tall", "free", "deficient"]
+
+    def column_system(self, rng, kind, entry, matrix):
+        a, units = unit_system(rng, kind, entry)
+        block, equations, unknowns = embed(rng, a, entry)
+        units = [equations[u] for u in units]
+        unit_rows = [[int(l == u) for u in units] for l in equations]
+        return matrix(block), equations, unknowns, units, a, unit_rows
+
+    def reference(self, block, equations, unknowns, units, unit_rows):
+        """solve on the taken system, then matmul over the solution's
+        support; returns (support, x_rows, B's columns, op counts)."""
+        backend = block.backend
+        with count_ops() as tally:
+            x = solve(block.take(equations, unknowns), Matrix.from_rows(unit_rows, backend))
+            kept = [(i, x.row(r)) for r, i in enumerate(unknowns) if any(x.row(r))]
+            support = [i for i, _ in kept]
+            x_support = Matrix(len(kept), len(units), [e for _, row in kept for e in row], backend)
+            product = matmul(block.take(range(block.n_rows), support), x_support)
+        b_cols = [list(product.data[j :: len(units)]) for j in range(len(units))]
+        return support, [list(row) for _, row in kept], b_cols, (tally.mul, tally.add)
+
+    def test_float_matches_solve_matmul_and_oracles(self):
+        rng = random.Random(107)
+        seen = dict.fromkeys(self.KINDS + ["infeasible"], 0)
+        for case in range(300):
+            kind = self.KINDS[case % len(self.KINDS)]
+            block, equations, unknowns, units, a, unit_rows = self.column_system(
+                rng, kind, random_complex, float_rows
+            )
+            want = loop_solve_float(a, unit_rows)
+            if want is None:
+                seen["infeasible"] += 1
+                with pytest.raises(Infeasible) as reference:
+                    solve(block.take(equations, unknowns), float_rows(unit_rows))
+                with pytest.raises(Infeasible) as exc:
+                    solve_units(block, equations, unknowns, units)
+                assert exc.value.column == reference.value.column
+                continue
+            seen[kind] += 1
+            with count_ops() as tally:
+                support, x_rows, b_cols = solve_units(block, equations, unknowns, units)
+            ref_support, ref_rows, ref_cols, ref_counts = self.reference(
+                block, equations, unknowns, units, unit_rows
+            )
+            assert (support, (tally.mul, tally.add)) == (ref_support, ref_counts)
+            assert [[bits(z) for z in row] for row in x_rows] == [
+                [bits(z) for z in row] for row in ref_rows
+            ]
+            assert [[bits(z) for z in col] for col in b_cols] == [
+                [bits(z) for z in col] for col in ref_cols
+            ]
+            # The oracles: full back-substitution, whose exact zeros may
+            # differ in sign, and the running-sum product over the support.
+            assert support == [i for i, row in zip(unknowns, want) if any(row)]
+            for got, expected in zip(x_rows, (row for row in want if any(row))):
+                for z, w in zip(got, expected):
+                    for part, want_part in ((z.real, w.real), (z.imag, w.imag)):
+                        if want_part == 0:
+                            assert part == want_part
+                        else:
+                            assert part.hex() == want_part.hex()
+            columns = [[block.at(l, i) for i in support] for l in range(block.n_rows)]
+            product = loop_matmul_float(columns, x_rows)
+            assert [[bits(z) for z in col] for col in b_cols] == [
+                [bits(row[j]) for row in product] for j in range(len(units))
+            ]
+        # A tall system rarely has a solution for a unit right-hand side;
+        # it counts among the infeasible ones.
+        seen.pop("tall")
+        assert min(seen.values()) >= 15, seen
+
+    def test_exact_matches_solve_matmul_and_fraction_elimination(self):
+        rng = random.Random(109)
+        seen = dict.fromkeys(self.KINDS + ["infeasible"], 0)
+
+        def inherited(rows):
+            # A block taken from a wider parent keeps the parent rows' scales.
+            parent = frac_matrix([row + [random_rational(rng)] for row in rows])
+            return parent.take(range(len(rows)), range(len(rows[0])))
+
+        for case in range(300):
+            kind = self.KINDS[case % len(self.KINDS)]
+            block, equations, unknowns, units, a, unit_rows = self.column_system(
+                rng, kind, random_rational, inherited
+            )
+            expected = naive_solve_exact(a, unit_rows)
+            if expected is None:
+                seen["infeasible"] += 1
+                with pytest.raises(Infeasible) as reference:
+                    solve(block.take(equations, unknowns), frac_matrix(unit_rows))
+                with pytest.raises(Infeasible) as exc:
+                    solve_units(block, equations, unknowns, units)
+                assert exc.value.column == reference.value.column
+                continue
+            seen[kind] += 1
+            with count_ops() as tally:
+                support, x_rows, b_cols = solve_units(block, equations, unknowns, units)
+            ref_support, ref_rows, ref_cols, ref_counts = self.reference(
+                block, equations, unknowns, units, unit_rows
+            )
+            assert (support, x_rows, b_cols) == (ref_support, ref_rows, ref_cols)
+            assert (tally.mul, tally.add) == ref_counts
+            assert support == [i for i, row in zip(unknowns, expected) if any(row)]
+            assert x_rows == [row for row in expected if any(row)]
+            assert b_cols == [
+                [
+                    sum((block.at(l, i) * row[j] for i, row in zip(support, x_rows)), Fraction(0))
+                    for l in range(block.n_rows)
+                ]
+                for j in range(len(units))
+            ]
+            assert all(type(e) is Fraction for part in x_rows + b_cols for e in part)
+        # A tall system rarely has a solution for a unit right-hand side;
+        # it counts among the infeasible ones.
+        seen.pop("tall")
+        assert min(seen.values()) >= 15, seen
+
+    def test_isolate_matches_loop_form(self):
+        rng = random.Random(113)
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            known = [
+                sorted(rng.sample([j for j in range(n) if j != l], rng.randint(0, n - 1)))
+                for l in range(n)
+            ]
+            for entry, backend in ((random_complex, FLOAT), (random_rational, EXACT)):
+                rows = [[entry(rng) for _ in range(n + 1)] for _ in range(n)]
+                for l, row in enumerate(rows):
+                    row[l] = row[l] or entry(rng) or 1
+                # The extra column gives the rows scales of their own.
+                b = Matrix.from_rows(rows, backend).take(range(n), range(n))
+                w = [entry(rng) for _ in range(n)]
+                y = [entry(rng) for _ in range(n)]
+                want = []
+                for l in range(n):
+                    acc = y[l]
+                    for j in known[l]:
+                        acc = acc - rows[l][j] * w[j]
+                    want.append(acc / rows[l][l])
+                with count_ops() as tally:
+                    got = isolate(b, w, y, known)
+                n_known = sum(map(len, known))
+                assert (tally.mul, tally.add) == (n_known + n, n_known)
+                if backend == FLOAT:
+                    assert [bits(z) for z in got] == [bits(z) for z in want]
+                else:
+                    assert got == want and all(type(e) is Fraction for e in got)
+
+
 class TestMatmul:
     def test_identity(self):
         m = frac_matrix([[1, 2], [3, 4]])
-        assert matmul(Matrix.identity(2), m) == m
-        assert m @ Matrix.identity(2) == m
+        assert matmul(identity(2), m) == m
+        assert matmul(m, identity(2)) == m
 
     def test_gram_fixture(self):
         h = frac_matrix(CHANNEL_2X4)
@@ -238,7 +445,7 @@ class TestConjTranspose:
 class TestSolve:
     def test_identity_system(self):
         b = frac_matrix([[5], [7]])
-        assert solve(Matrix.identity(2), b) == b
+        assert solve(identity(2), b) == b
 
     def test_worked_column_system(self):
         # {7 v2 + 11 v4 = 1, 13 v2 + 21 v4 = 0}: determinant 4, so
@@ -246,11 +453,11 @@ class TestSolve:
         a = frac_matrix([[7, 11], [13, 21]])
         b = frac_matrix([[1], [0]])
         x = solve(a, b)
-        assert x.col(0) == (Fraction(21, 4), Fraction(-13, 4))
+        assert x.data == (Fraction(21, 4), Fraction(-13, 4))
 
     def test_free_variables_zeroed(self):
         x = solve(frac_matrix([[1, 1]]), frac_matrix([[2]]))
-        assert x.col(0) == (2, 0)
+        assert x.data == (2, 0)
 
     def test_inconsistent_raises(self):
         a = frac_matrix([[1, 2], [2, 4]])
@@ -428,7 +635,7 @@ class TestIntegerRows:
 class TestRank:
     def test_identity(self):
         for n in (1, 3, 5):
-            assert rank(Matrix.identity(n)) == n
+            assert rank(identity(n)) == n
 
     def test_dependent_rows(self):
         assert rank(frac_matrix([[1, 2], [2, 4]])) == 1
@@ -482,7 +689,7 @@ class TestOpCounting:
         b = frac_matrix([[4], [5], [6]])
         with count_ops() as tally:
             x = solve(a, b)
-        assert x.col(0) == (6, 15, -23)
+        assert x.data == (6, 15, -23)
         assert tally.mul == 12 + 6 + 9
         assert tally.add == 6 + 2 + 3
 
@@ -496,7 +703,7 @@ class TestOpCounting:
         b = frac_matrix([[3], [7]])
         with count_ops() as tally:
             x = solve(a, b)
-        assert x.col(0) == (3, 0, 1, 0)
+        assert x.data == (3, 0, 1, 0)
         assert tally.mul == 8 + 2 * 2 + 1
         assert tally.add == 4 + 1
 
