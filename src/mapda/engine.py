@@ -17,7 +17,7 @@ transmission is reported infeasible rather than attempted.
 
 A channel forms H* and its Gram matrix H* H once.  A slot reads its users'
 rows of H* to decode, and its block of the Gram matrix, from whose rows
-(integer rows on the exact backend) ``linalg.solve_units`` solves each
+(integer rows on the exact backend) ``linalg.solve`` solves each
 column system and forms its columns of B.  Column n's system depends only
 on the served users and n's cacher set, so slots serving the same users
 form a family: a delivery run solves each of its systems once, with one
@@ -56,8 +56,7 @@ from .linalg import (
     count_ops,
     isolate,
     matmul,
-    solve,  # noqa: F401 -- engine.solve stays a name bench/tracing.py wraps
-    solve_units,
+    solve,
 )
 
 # Relative tolerance for float-backend decode checks; the exact backend
@@ -447,14 +446,14 @@ def _synthesize(group, channel, solve_columns):
 
 
 def _solve_columns(block, unknowns, positions):
-    """``solve_units`` for the columns at ``positions`` whose cacher set is
+    """``solve`` for the columns at ``positions`` whose cacher set is
     ``unknowns``, a unit right-hand side each; returns (positions, the
     support rows, the solution's rows on them, B's columns)."""
     first = positions[0]
     # Position n is outside its own cacher set, so the equation rows are the
     # positions outside ``unknowns``, the first position's row first.
     rest = [l for l in range(block.n_rows) if l != first and l not in unknowns]
-    return (positions, *solve_units(block, [first, *rest], unknowns, positions))
+    return (positions, *solve(block, positions, [first, *rest], unknowns))
 
 
 def _family_synthesis(families):

@@ -5,7 +5,7 @@ and produces bit-exact results; the float backend stores complex doubles.
 A single computation never mixes backends.  Per-slot precoder systems need
 multiply, conjugate transpose, and a Gaussian-elimination solver that
 zeroes free variables and reports inconsistency instead of guessing; the
-engine's column systems and decode run on ``solve_units`` and ``isolate``.
+engine solves its column systems in place and decodes with ``isolate``.
 
 Exact kernels compute on Python ints and build one Fraction per output
 entry.  An exact matrix derives its integer rows once, on first use: each
@@ -434,7 +434,7 @@ def _solve_rows(rows, n, backend):
     return _back_substitute(rows, pivots, n, _exact_div, 0), det
 
 
-def solve(a: Matrix, b: Matrix) -> Matrix:
+def solve(a: Matrix, b, rows=None, cols=None):
     """Solve a*x = b, returning the solution with free variables set to zero.
 
     Raises Infeasible when the system is inconsistent
@@ -445,7 +445,14 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     (Bareiss), pivoting on the first nonzero entry of each column, so
     results are exact; on floats it is Gaussian elimination with partial
     pivoting.
+
+    Given ``rows`` and ``cols``, the system is a's rows ``rows`` over its
+    columns ``cols``, read in place, and b lists unit right-hand sides, the
+    j-th reading 1 in a's row b[j]; returns (the unknowns where x is nonzero,
+    x's rows there, the columns of a x), each as ``matmul`` would form it.
     """
+    if rows is not None:
+        return _solve_units(a, rows, cols, b)
     _check_same_backend(a, b)
     if a.n_rows != b.n_rows:
         raise DimensionMismatch(f"a has {a.n_rows} rows but b has {b.n_rows}")
@@ -461,43 +468,37 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.n_cols, b.n_cols, [Fraction(v, det) for values in x for v in values], EXACT)
 
 
-def solve_units(block, equations, unknowns, units):
-    """Solve ``block``'s rows ``equations`` over its columns ``unknowns``
-    for unit right-hand sides, the j-th reading 1 in row ``units[j]``, and
-    form B = block x: returns (the unknowns where x is nonzero, x's rows
-    there, B's columns).  Values, bits and counts are those of ``solve`` and
-    of ``matmul`` over the support; Infeasible's ``column`` counts in
-    ``units``."""
-    size, width, n_rhs = block.n_rows, block.n_cols, len(units)
-    exact = block.backend == EXACT
-    ints, zero = (block._integer_rows(), 0) if exact else (None, complex(0))
+def _solve_units(a, equations, unknowns, units):
+    """``solve``'s unit form; a unit enters an integer row at its scale."""
+    size, width, n_rhs = a.n_rows, a.n_cols, len(units)
+    exact = a.backend == EXACT
+    ints, zero = (a._integer_rows(), 0) if exact else (None, complex(0))
     rows = []
     for l in equations:
-        row, unit = ints[l] if exact else (block.row(l), complex(1))
+        row, unit = ints[l] if exact else (a.row(l), complex(1))
         rows.append([row[i] for i in unknowns] + [unit if l == u else zero for u in units])
-    x, det = _solve_rows(rows, len(unknowns), block.backend)
+    x, det = _solve_rows(rows, len(unknowns), a.backend)
     # Each unit reads 1 in some equation, so no column of x is zero.
     support = [i for i, values in zip(unknowns, x) if any(values)]
     x_rows = [values for values in x if any(values)]
     _tally(mul=size * n_rhs * len(support), add=size * n_rhs * (len(support) - 1))
     if exact:
         parts = [([row[i] for i in support], scale * det) for row, scale in ints]
-        b_cols = [
+        a_x = [
             [Fraction(sum(map(mul, part, column)), den) for part, den in parts]
             for column in zip(*x_rows)
         ]
-        return support, [[Fraction(v, det) for v in values] for values in x_rows], b_cols
-    # B column by column, each entry a running sum over the support, as in
-    # ``matmul``.
-    columns = [block.data[i::width] for i in support]
-    b_cols = []
+        return support, [[Fraction(v, det) for v in values] for values in x_rows], a_x
+    # a x column by column, each entry a running sum as in ``matmul``.
+    columns = [a.data[i::width] for i in support]
+    a_x = []
     for j in range(n_rhs):
         acc = [g * x_rows[0][j] for g in columns[0]]
         for column, values in zip(columns[1:], x_rows[1:]):
             v = values[j]
             acc = [e + g * v for e, g in zip(acc, column)]
-        b_cols.append(acc)
-    return support, x_rows, b_cols
+        a_x.append(acc)
+    return support, x_rows, a_x
 
 
 def isolate(b, w, y, known):

@@ -113,13 +113,19 @@ def outcome(run):
 
 class TestBuildInstance:
     def test_placement_sets(self, example1_instance):
-        # A user caches every file's packets at its column's star rows.
+        # User k caches every file's packets at row part[k], a third of the
+        # library, so t = 6/3 users cache each packet.  In every slot, a
+        # served packet's cachers are the served users caching its row.
+        part = {1: 1, 4: 1, 2: 2, 5: 2, 3: 3, 6: 3}
         inst = example1_instance
         assert inst.files == 6
-        for user, part in ((1, 1), (4, 1), (2, 2), (5, 2), (3, 3), (6, 3)):
-            stars = [f for f, row in enumerate(inst.mapda.grid, 1) if row[user - 1] is STAR]
-            assert stars == [part]
-        assert Fraction(inst.mapda.stars_per_col, inst.mapda.rows) == Fraction(1, 3)
+        assert {f for group in inst.groups for f in group.served_rows} == {1, 2, 3}
+        for group in inst.groups:
+            assert group.redundancy == 6 * Fraction(1, 3)
+            assert group.cacher_sets == tuple(
+                tuple(l for l, k in enumerate(group.served_users) if part[k] == f)
+                for f in group.served_rows
+            )
 
     def test_slot_one_group(self, example1_instance):
         group = example1_instance.groups[0]
@@ -328,13 +334,13 @@ class TestSharedSystems:
         # Each slot of replicate(mn(10, 3), 3) serves 12 users in 4 cache
         # groups of 3: 4 systems, one solve each.
         calls = []
-        real_solve_units = engine.solve_units
+        real_solve = engine.solve
 
-        def counted(block, equations, unknowns, units):
-            calls.append(len(units))
-            return real_solve_units(block, equations, unknowns, units)
+        def counted(a, b, rows, cols):
+            calls.append(len(b))
+            return real_solve(a, b, rows, cols)
 
-        monkeypatch.setattr(engine, "solve_units", counted)
+        monkeypatch.setattr(engine, "solve", counted)
         m = replicate(generate_mn_pda(10, 3), 3)
         channel = make_channel(m.antennas, m.cols, seed=1)
         for group in build_instance(m, files=2).groups:
@@ -401,13 +407,13 @@ class TestFamilies:
         # cyclic(16, 8): 8 slots serve all 16 users, and its 16 rows give 16
         # systems, each read by the 8 users outside the row's stars.
         calls = []
-        real_solve_units = engine.solve_units
+        real_solve = engine.solve
 
-        def counted(block, equations, unknowns, units):
-            calls.append(len(units))
-            return real_solve_units(block, equations, unknowns, units)
+        def counted(a, b, rows, cols):
+            calls.append(len(b))
+            return real_solve(a, b, rows, cols)
 
-        monkeypatch.setattr(engine, "solve_units", counted)
+        monkeypatch.setattr(engine, "solve", counted)
         m = generate_cyclic(16, 8)
         run_delivery(
             build_instance(m, files=2),

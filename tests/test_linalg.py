@@ -21,7 +21,6 @@ from mapda.linalg import (
     matmul,
     rank,
     solve,
-    solve_units,
 )
 
 from oracles import loop_matmul_float, loop_solve_float, naive_solve_exact
@@ -218,8 +217,8 @@ def embed(rng, a, entry):
 
 
 class TestColumnKernels:
-    """``solve_units`` against ``solve`` and ``matmul`` on the same system and
-    the oracles, and ``isolate`` against its loop form."""
+    """``solve``'s unit form against its Matrix form and ``matmul`` on the
+    same system and the oracles, and ``isolate`` against its loop form."""
 
     KINDS = ["slot", "square", "wide", "tall", "free", "deficient"]
 
@@ -257,12 +256,12 @@ class TestColumnKernels:
                 with pytest.raises(Infeasible) as reference:
                     solve(block.take(equations, unknowns), float_rows(unit_rows))
                 with pytest.raises(Infeasible) as exc:
-                    solve_units(block, equations, unknowns, units)
+                    solve(block, units, equations, unknowns)
                 assert exc.value.column == reference.value.column
                 continue
             seen[kind] += 1
             with count_ops() as tally:
-                support, x_rows, b_cols = solve_units(block, equations, unknowns, units)
+                support, x_rows, b_cols = solve(block, units, equations, unknowns)
             ref_support, ref_rows, ref_cols, ref_counts = self.reference(
                 block, equations, unknowns, units, unit_rows
             )
@@ -313,12 +312,12 @@ class TestColumnKernels:
                 with pytest.raises(Infeasible) as reference:
                     solve(block.take(equations, unknowns), frac_matrix(unit_rows))
                 with pytest.raises(Infeasible) as exc:
-                    solve_units(block, equations, unknowns, units)
+                    solve(block, units, equations, unknowns)
                 assert exc.value.column == reference.value.column
                 continue
             seen[kind] += 1
             with count_ops() as tally:
-                support, x_rows, b_cols = solve_units(block, equations, unknowns, units)
+                support, x_rows, b_cols = solve(block, units, equations, unknowns)
             ref_support, ref_rows, ref_cols, ref_counts = self.reference(
                 block, equations, unknowns, units, unit_rows
             )
