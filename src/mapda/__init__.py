@@ -28,7 +28,6 @@ from .engine import (
     SchemeInstance,
     SlotGroup,
     build_instance,
-    channel_from_matrix,
     default_demands,
     make_channel,
     random_library,

@@ -135,7 +135,7 @@ def cmd_simulate(args) -> int:
     if backend == EXACT and fixture is None:
         raise DomainError("exact backend needs a rational channel fixture (--channel)")
     if fixture is not None:
-        fixture = engine.channel_from_matrix(_on_backend(fixture.matrix, backend, "channel"))
+        fixture = engine.ChannelMatrix(_on_backend(fixture.matrix, backend, "channel"))
 
     instance = engine.build_instance(m, args.files)
     demands = _parse_demands(args.demands, m.cols, args.files, rng)

@@ -279,10 +279,6 @@ def make_channel(antennas, users, seed=0) -> ChannelMatrix:
     return ChannelMatrix(Matrix.from_rows(rows, FLOAT))
 
 
-def channel_from_matrix(matrix: Matrix) -> ChannelMatrix:
-    return ChannelMatrix(matrix)
-
-
 def _parse_scalar(token, line_no):
     """One finite fixture entry: rational 'p/q', integer, decimal, or 'a+bi'."""
     if "/" in token:
@@ -307,7 +303,7 @@ def _parse_scalar(token, line_no):
 def parse_channel_fixture(text) -> ChannelMatrix:
     """Channel fixture: header 'L K' then L lines of K scalar entries."""
     _, _, rows = read_table(text, "L K", ("L", "K"), _parse_scalar)
-    return channel_from_matrix(Matrix.from_rows(rows))
+    return ChannelMatrix(Matrix.from_rows(rows))
 
 
 def read_channel_fixture(path) -> ChannelMatrix:
@@ -572,12 +568,13 @@ def _ops_model(instance: SchemeInstance) -> Fraction:
     the run actually multiplied and added, phase by phase: the column
     systems (one per distinct system of a slot, or of a family of slots
     serving the same users), B summed over each column's at most L
-    nonzeros, the Gram matrix once per channel, encoding, forwarding and
-    decoding.  Its total multiplications over this model read 0.51 on the
-    deliver-float benchmark, where back-substitution skips each column
-    system's free variables, and 1.26 on deliver-exact, where fraction-free
-    elimination spends up to three multiplications per updated entry but
-    the 8 slots of cyclic(16, 8) share 16 systems instead of solving 128.
+    nonzeros (on the exact backend over its cacher rows alone), the Gram
+    matrix once per channel, encoding, forwarding and decoding.  Its total
+    multiplications over this model read 0.51 on the deliver-float
+    benchmark, where back-substitution skips each column system's free
+    variables, and 1.03 on deliver-exact, where fraction-free elimination
+    spends up to three multiplications per updated entry but the 8 slots
+    of cyclic(16, 8) share 16 systems instead of solving 128.
     """
     sizes = [len(group.served_users) for group in instance.groups]
     return sum(r**3 + r**2 for r in sizes) + instance.mapda.profile.t * sum(sizes)

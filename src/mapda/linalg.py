@@ -17,10 +17,12 @@ product once.  The solvers and ``rank`` eliminate integer rows
 fraction-free (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 1968): every division
 is exact, none is made while the previous pivot is 1, and a Fraction
-appears only in the solution.  The float backend runs plain Gaussian
-elimination with partial pivoting; its products fold each entry left to
-right, the order of a running sum.  On both backends back-substitution
-sums over pivot columns only, since free variables are zero.
+appears only in the solution.  The exact unit form reads a x's equation
+rows from the right-hand side, which its solve satisfies.  The float
+backend runs plain Gaussian elimination with partial pivoting; its
+products fold each entry left to right, in running-sum order.  On both
+backends back-substitution sums over pivot columns only, since free
+variables are zero.
 
 Scalar multiply/add counts can be observed through ``count_ops``; counting
 state is thread-local, keeping the operations re-entrant.  They count the
@@ -449,7 +451,9 @@ def solve(a: Matrix, b, rows=None, cols=None):
     Given ``rows`` and ``cols``, the system is a's rows ``rows`` over its
     columns ``cols``, read in place, and b lists unit right-hand sides, the
     j-th reading 1 in a's row b[j]; returns (the unknowns where x is nonzero,
-    x's rows there, the columns of a x), each as ``matmul`` would form it.
+    x's rows there, the columns of a x), each as ``matmul`` would form it,
+    save that the exact equation rows of a x are read from the right-hand
+    side the solve satisfied; float ones keep their rounding residue.
     """
     if rows is not None:
         return _solve_units(a, rows, cols, b)
@@ -481,13 +485,15 @@ def _solve_units(a, equations, unknowns, units):
     # Each unit reads 1 in some equation, so no column of x is zero.
     support = [i for i, values in zip(unknowns, x) if any(values)]
     x_rows = [values for values in x if any(values)]
-    _tally(mul=size * n_rhs * len(support), add=size * n_rhs * (len(support) - 1))
+    summed = sorted(set(range(size)).difference(equations)) if exact else range(size)
+    _tally(mul=len(summed) * n_rhs * len(support), add=len(summed) * n_rhs * (len(support) - 1))
     if exact:
-        parts = [([row[i] for i in support], scale * det) for row, scale in ints]
-        a_x = [
-            [Fraction(sum(map(mul, part, column)), den) for part, den in parts]
-            for column in zip(*x_rows)
-        ]
+        one, nought = Fraction(1), Fraction(0)
+        a_x = [[one if l == u else nought for l in range(size)] for u in units]
+        parts = [(l, [ints[l][0][i] for i in support], ints[l][1] * det) for l in summed]
+        for entries, column in zip(a_x, zip(*x_rows)):
+            for l, part, den in parts:
+                entries[l] = Fraction(sum(map(mul, part, column)), den)
         return support, [[Fraction(v, det) for v in values] for values in x_rows], a_x
     # a x column by column, each entry a running sum as in ``matmul``.
     columns = [a.data[i::width] for i in support]

@@ -81,9 +81,6 @@ class SystemPoint:
     def alpha(self) -> int:
         return math.gcd(self.users, self.t, self.antennas)
 
-    def with_m(self, m):
-        return SystemPoint(self.users, self.antennas, self.memory_ratio, m)
-
 
 @dataclass(frozen=True)
 class SchemeMetrics:

@@ -295,7 +295,7 @@ class TestSimulate:
 
         def rigged(antennas, users, seed=0):
             if seed == 5:  # singular on the first try only
-                return engine_mod.channel_from_matrix(
+                return engine_mod.ChannelMatrix(
                     Matrix.from_rows(
                         [[1.0] * users for _ in range(antennas)], "float"
                     )

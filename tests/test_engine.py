@@ -22,10 +22,10 @@ from mapda.arrays import (
     replicate,
 )
 from mapda.engine import (
+    ChannelMatrix,
     DegenerateChannel,
     PacketId,
     build_instance,
-    channel_from_matrix,
     default_demands,
     make_channel,
     parse_channel_fixture,
@@ -187,12 +187,12 @@ class TestSynthesize:
         # Two cross-caching users behind one antenna with unit gains: each
         # column has a single 1x1 system, giving the anti-diagonal of ones.
         inst = build_instance(generate_mn_pda(2, 1), files=2)
-        channel = channel_from_matrix(Matrix.from_rows([[1, 1]], EXACT))
+        channel = ChannelMatrix(Matrix.from_rows([[1, 1]], EXACT))
         pre = synthesize_precoder(inst.groups[0], channel)
         assert pre.matrix.to_rows() == [[0, 1], [1, 0]]
 
     def test_sparsity_pattern(self, example1_instance):
-        channel = channel_from_matrix(vandermonde_channel(2, 6))
+        channel = ChannelMatrix(vandermonde_channel(2, 6))
         for group in example1_instance.groups:
             v = synthesize_precoder(group, channel).matrix
             for i in range(len(group.served_users)):
@@ -201,12 +201,12 @@ class TestSynthesize:
                         assert v.at(i, j) == 0
 
     def test_b_constraints_exact(self):
-        channel6 = channel_from_matrix(vandermonde_channel(2, 6))
+        channel6 = ChannelMatrix(vandermonde_channel(2, 6))
         for m in (replicate(generate_mn_pda(3, 1), 2), generate_cyclic(4, 2), generate_cyclic(6, 3)):
             channel = (
                 channel6
                 if m.antennas == 2
-                else channel_from_matrix(vandermonde_channel(m.antennas, m.cols))
+                else ChannelMatrix(vandermonde_channel(m.antennas, m.cols))
             )
             for group in build_instance(m, files=2).groups:
                 pre = synthesize_precoder(group, channel)
@@ -232,7 +232,7 @@ class TestSynthesize:
         for m in arrays_t_ge_l:
             assert m.profile.t >= m.antennas
             h = vandermonde_channel(m.antennas, m.cols)
-            channel = channel_from_matrix(h)
+            channel = ChannelMatrix(h)
             for group in build_instance(m, files=2).groups:
                 h_s = h.take(range(h.n_rows), [k - 1 for k in group.served_users])
                 pre = synthesize_precoder(group, channel)
@@ -243,7 +243,7 @@ class TestSynthesize:
         # the density below the t >= L gate: every slot must refuse.
         m = Mapda(generate_mn_pda(3, 1).grid, antennas=2)
         inst = build_instance(m, files=3)
-        channel = channel_from_matrix(vandermonde_channel(2, 3))
+        channel = ChannelMatrix(vandermonde_channel(2, 3))
         for group in inst.groups:
             with pytest.raises(Infeasible):
                 synthesize_precoder(group, channel)
@@ -252,7 +252,7 @@ class TestSynthesize:
         # Users 2 and 5 share the channel column (1, 2), and they are the
         # only cachers of slot 1's first packet: column 1's system has two
         # equal columns.
-        bad = channel_from_matrix(
+        bad = ChannelMatrix(
             Matrix.from_rows([[1, 1, 1, 1, 1, 1], [2, 2, 4, 2, 2, 7]], EXACT)
         )
         with pytest.raises(DegenerateChannel) as exc:
@@ -268,7 +268,7 @@ class TestSynthesize:
         # failing column, as the per-column reference reports.
         group = build_instance(replicate(generate_mn_pda(3, 2), 3), files=2).groups[0]
         assert group.cacher_sets[4] == group.cacher_sets[1] == group.cacher_sets[7]
-        bad = channel_from_matrix(
+        bad = ChannelMatrix(
             Matrix.from_rows(
                 [
                     [0, 0, 1, 1, 0, -1, 0, 1, -1],
@@ -289,7 +289,7 @@ class TestSynthesize:
         with pytest.raises(DimensionMismatch):
             synthesize_precoder(
                 example1_instance.groups[0],
-                channel_from_matrix(vandermonde_channel(3, 6)),
+                ChannelMatrix(vandermonde_channel(3, 6)),
             )
 
 
@@ -307,7 +307,7 @@ class TestSharedSystems:
 
     def test_exact_matches_per_column_reference(self):
         for m in self.ARRAYS:
-            channel = channel_from_matrix(vandermonde_channel(m.antennas, m.cols))
+            channel = ChannelMatrix(vandermonde_channel(m.antennas, m.cols))
             for group in build_instance(m, files=2).groups:
                 pre = synthesize_precoder(group, channel)
                 reference = synthesize_precoder_per_column(group, channel)
@@ -375,7 +375,10 @@ class TestFamilies:
         assert list(mixed.families) == [(1, 2, 3, 4)]
         assert build_instance(replicate(generate_mn_pda(10, 3), 3), files=2).families == {}
 
-    def test_v_and_b_equal_standalone_synthesis(self, monkeypatch):
+    @staticmethod
+    def record_precoders(monkeypatch):
+        """{slot: the precoder a run synthesized for it}, filled by every
+        ``run_delivery`` call from now on."""
         seen = {}
         run_one = engine._run_slot
 
@@ -387,11 +390,15 @@ class TestFamilies:
             return run_one(group, channel, demands, library, recorded)
 
         monkeypatch.setattr(engine, "_run_slot", recording)
+        return seen
+
+    def test_v_and_b_equal_standalone_synthesis(self, monkeypatch):
+        seen = self.record_precoders(monkeypatch)
         for m in self.ARRAYS:
             assert m.profile.t >= m.antennas
             instance = build_instance(m, files=2)
             assert bool(instance.families) == (m.slots > 1)
-            channels = [channel_from_matrix(vandermonde_channel(m.antennas, m.cols))]
+            channels = [ChannelMatrix(vandermonde_channel(m.antennas, m.cols))]
             channels += [make_channel(m.antennas, m.cols, seed=seed) for seed in (1, 2, 3)]
             for channel in channels:
                 seen.clear()
@@ -402,6 +409,27 @@ class TestFamilies:
                     alone = synthesize_precoder(group, channel)
                     assert seen[group.slot].matrix.data == alone.matrix.data
                     assert seen[group.slot].combined.data == alone.combined.data
+
+    def test_receive_matrix_is_the_full_product_inside_a_run(self, monkeypatch):
+        # An exact solve's B reads its equation rows from the unit
+        # right-hand sides; inside a run, where families share their
+        # solves, every slot's B must still equal its Gram block times V in
+        # full.
+        seen = self.record_precoders(monkeypatch)
+        for m in (isomorph(generate_cyclic(8, 5), seed=11), mixed_families()):
+            instance = build_instance(m, files=2)
+            assert instance.families
+            h = vandermonde_channel(m.antennas, m.cols)
+            library = random_library(2, m.rows, seed=7)
+            seen.clear()
+            run_delivery(instance, ChannelMatrix(h), default_demands(m.cols, 2), library)
+            assert sorted(seen) == [g.slot for g in instance.groups]
+            for group in instance.groups:
+                h_s = h.take(range(h.n_rows), [k - 1 for k in group.served_users])
+                precoder = seen[group.slot]
+                assert precoder.combined == matmul(
+                    matmul(conj_transpose(h_s), h_s), precoder.matrix
+                )
 
     def test_one_solve_per_distinct_system(self, monkeypatch):
         # cyclic(16, 8): 8 slots serve all 16 users, and its 16 rows give 16
@@ -415,13 +443,15 @@ class TestFamilies:
 
         monkeypatch.setattr(engine, "solve", counted)
         m = generate_cyclic(16, 8)
-        run_delivery(
+        report = run_delivery(
             build_instance(m, files=2),
-            channel_from_matrix(vandermonde_channel(m.antennas, m.cols)),
+            ChannelMatrix(vandermonde_channel(m.antennas, m.cols)),
             default_demands(16, 2),
             random_library(2, 16, seed=1),
         )
         assert calls == [8] * 16
+        # B is summed over the 8 cacher rows of each column, not all 16.
+        assert report.ops_measured["precoder_synthesis"] == {"mul": 31664, "add": 18368}
 
     def test_errors_match_one_slot_at_a_time(self, monkeypatch):
         # Exact channels on which two users share a channel column, or with
@@ -460,7 +490,7 @@ class TestFamilies:
                 for _ in range(10)
             ]
             for rows in channels:
-                channel = channel_from_matrix(Matrix.from_rows(rows, EXACT))
+                channel = ChannelMatrix(Matrix.from_rows(rows, EXACT))
                 alone = outcome(
                     lambda: [
                         run_slot(g, channel, demands, library).recovered
@@ -545,7 +575,7 @@ class TestRunSlot:
         with pytest.raises(engine.DecodeMismatch) as info:
             run_slot(
                 example1_instance.groups[0],
-                engine.channel_from_matrix(Matrix.from_rows(fixture_channel.matrix.to_rows(), FLOAT)),
+                engine.ChannelMatrix(Matrix.from_rows(fixture_channel.matrix.to_rows(), FLOAT)),
                 default_demands(6, 6),
                 Matrix.from_rows(rows, FLOAT),
             )
@@ -562,7 +592,7 @@ class TestRunSlot:
         with pytest.raises(DimensionMismatch, match=re.escape(message)):
             run_slot(
                 example1_instance.groups[0],
-                channel_from_matrix(vandermonde_channel(antennas, users)),
+                ChannelMatrix(vandermonde_channel(antennas, users)),
                 default_demands(6, 6),
                 random_library(6, 3, seed=0),
             )
@@ -643,7 +673,7 @@ class TestRunDelivery:
 
     def test_all_demand_vectors_on_smallest_instance(self):
         inst = build_instance(generate_mn_pda(2, 1), files=2)
-        channel = channel_from_matrix(vandermonde_channel(1, 2))
+        channel = ChannelMatrix(vandermonde_channel(1, 2))
         library = random_library(2, 2, seed=3)
         for demands in product((1, 2), repeat=2):
             report = run_delivery(inst, channel, demands, library)
@@ -668,7 +698,7 @@ class TestRunDelivery:
     def test_gate_refuses_low_density(self):
         m = Mapda(generate_mn_pda(3, 1).grid, antennas=2)
         inst = build_instance(m, files=3)
-        channel = channel_from_matrix(vandermonde_channel(2, 3))
+        channel = ChannelMatrix(vandermonde_channel(2, 3))
         library = random_library(3, 3, seed=1)
         demands = default_demands(3, 3)
         with pytest.raises(Infeasible) as info:
@@ -684,7 +714,7 @@ class TestRunDelivery:
                 continue
             assert m.profile.regular
             inst = build_instance(m, files=2)
-            channel = channel_from_matrix(vandermonde_channel(m.antennas, m.cols))
+            channel = ChannelMatrix(vandermonde_channel(m.antennas, m.cols))
             library = random_library(2, m.rows, seed=13)
             for demands in product((1, 2), repeat=m.cols):
                 run_delivery(inst, channel, demands, library)
@@ -696,7 +726,7 @@ class TestRunDelivery:
         m = Mapda(((STAR, 1), (2, STAR)), antennas=1)
         assert not m.profile.regular
         inst = build_instance(m, files=2)
-        channel = channel_from_matrix(vandermonde_channel(1, 2))
+        channel = ChannelMatrix(vandermonde_channel(1, 2))
         with pytest.raises(Infeasible):
             synthesize_precoder(inst.groups[0], channel)
 
@@ -707,7 +737,7 @@ class TestRunDelivery:
         assert inst.groups == ()
         report = run_delivery(
             inst,
-            channel_from_matrix(vandermonde_channel(1, 2)),
+            ChannelMatrix(vandermonde_channel(1, 2)),
             (1, 2),
             random_library(2, 2, seed=0),
         )
@@ -880,8 +910,8 @@ class TestBackendsAgree:
     @given(integer_channels())
     def test_float_precoder_matches_exact(self, case):
         m, rows = case
-        exact = channel_from_matrix(Matrix.from_rows(rows, EXACT))
-        approx = channel_from_matrix(Matrix.from_rows(rows, FLOAT))
+        exact = ChannelMatrix(Matrix.from_rows(rows, EXACT))
+        approx = ChannelMatrix(Matrix.from_rows(rows, FLOAT))
         for group in build_instance(m, files=2).groups:
             try:
                 v = synthesize_precoder(group, exact).matrix

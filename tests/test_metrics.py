@@ -1,5 +1,6 @@
 """Closed-form scheme calculators and the comparison table."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -99,7 +100,7 @@ class TestSchemes:
                     best = None
                     for m in admissible_m_values(p):
                         try:
-                            metric = scheme_metrics(p.with_m(m), 1)
+                            metric = scheme_metrics(dataclasses.replace(p, m=m), 1)
                         except ConstraintViolation:
                             continue
                         if best is None or metric.subpacketization < best[1].subpacketization:
@@ -224,7 +225,10 @@ def every_scheme(p):
     their limitations hold at p."""
     calls = [asmst_metrics]
     calls += [lambda p, which=which: scheme_metrics(p, which) for which in (1, 2, 3)]
-    calls += [lambda p, m=m: scheme_metrics(p.with_m(m), 1) for m in admissible_m_values(p)]
+    calls += [
+        lambda p, m=m: scheme_metrics(dataclasses.replace(p, m=m), 1)
+        for m in admissible_m_values(p)
+    ]
     found = []
     for call in calls:
         try:
