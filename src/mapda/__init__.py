@@ -45,7 +45,6 @@ from .linalg import (
     conj_transpose,
     count_ops,
     matmul,
-    rank,
     solve,
 )
 from .metrics import (

@@ -17,10 +17,12 @@ transmission is reported infeasible rather than attempted.
 
 A channel forms H* and its Gram matrix H* H once.  A slot reads its users'
 rows of H* to decode, and its block of the Gram matrix, from whose rows
-(integer rows on the exact backend) ``linalg.solve`` solves each
-column system and forms its columns of B.  Column n's system depends only
-on the served users and n's cacher set, so slots serving the same users
-form a family: a delivery run solves each of its systems once, with one
+(integer rows on the exact backend) ``linalg.solve`` solves each column
+system and forms its columns of B; exact V and B reach the encode and the
+decode as integer rows over one denominator per slot, their Fractions
+built only if ``data`` is read.  Column n's system depends only on the
+served users and n's cacher set, so slots serving the same users form a
+family: a delivery run solves each of its systems once, with one
 right-hand side per position using it in any slot, and each slot
 assembles V and B from those columns (on the circulant arrays of scheme 3,
 K systems instead of K(K-t)).  A slot alone in its family is solved
@@ -40,6 +42,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from pathlib import Path
 from typing import NamedTuple
 
@@ -51,7 +54,6 @@ from .linalg import (
     Infeasible,
     Matrix,
     _check_same_backend,
-    _zero,
     conj_transpose,
     count_ops,
     isolate,
@@ -395,9 +397,10 @@ def _synthesize(group, channel, solve_columns):
     systems = {}
     for n in all_rows:
         systems.setdefault(group.cacher_sets[n], []).append(n)
-    zero = _zero(backend)
+    zero = complex(0) if backend == FLOAT else 0
     v_rows = [[zero] * size for _ in all_rows]
     b_cols = [None] * size
+    dets = [1] * size
     failures = {}
     for unknowns, members in systems.items():
         if not unknowns:
@@ -408,7 +411,7 @@ def _synthesize(group, channel, solve_columns):
             )
             continue
         try:
-            positions, support, x_rows, b_columns = solve_columns(block, unknowns, members)
+            positions, support, x_rows, b_columns, det = solve_columns(block, unknowns, members)
         except Infeasible as exc:
             n = members[exc.column - 1]
             equations = size - len(unknowns)
@@ -434,17 +437,29 @@ def _synthesize(group, channel, solve_columns):
             for i, row in zip(support, x_rows):
                 v_rows[i][n] = row[j]
             b_cols[n] = b_columns[j]
+            dets[n] = det
     if failures:
         raise failures[min(failures)]
-    v = Matrix(size, size, [e for row in v_rows for e in row], backend)
-    b = Matrix(size, size, [e for row in zip(*b_cols) for e in row], backend)
+    if backend == FLOAT:
+        v = Matrix(size, size, [e for row in v_rows for e in row], backend)
+        b = Matrix(size, size, [e for row in zip(*b_cols) for e in row], backend)
+        return PrecodingMatrix(matrix=v, combined=b)
+    # Exact column n is over dets[n] (B's row l also over Gram row l's
+    # scale); V and B keep integer rows over the lcm of the determinants.
+    common = math.lcm(*dets)
+    factors = [common // det for det in dets]
+    v = Matrix.from_integer_rows(size, [(list(map(mul, row, factors)), common) for row in v_rows])
+    b_rows = [list(map(mul, row, factors)) for row in zip(*b_cols)]
+    grams = block._integer_rows()
+    b = Matrix.from_integer_rows(size, [(row, s * common) for row, (_, s) in zip(b_rows, grams)])
     return PrecodingMatrix(matrix=v, combined=b)
 
 
 def _solve_columns(block, unknowns, positions):
     """``solve`` for the columns at ``positions`` whose cacher set is
     ``unknowns``, a unit right-hand side each; returns (positions, the
-    support rows, the solution's rows on them, B's columns)."""
+    support rows, the solution's rows on them, B's columns, and the
+    denominator ``solve`` gives them)."""
     first = positions[0]
     # Position n is outside its own cacher set, so the equation rows are the
     # positions outside ``unknowns``, the first position's row first.

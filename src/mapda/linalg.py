@@ -7,22 +7,24 @@ multiply, conjugate transpose, and a Gaussian-elimination solver that
 zeroes free variables and reports inconsistency instead of guessing; the
 engine solves its column systems in place and decodes with ``isolate``.
 
-Exact kernels compute on Python ints and build one Fraction per output
-entry.  An exact matrix derives its integer rows once, on first use: each
-row times the lcm of its denominators, kept with that scale, and ``take``
-hands a submatrix its share of them, so the rows of a Gram matrix are
-scaled once however many blocks are read from it.  ``matmul`` scales each
+Exact kernels compute on Python ints.  An exact matrix derives its integer
+rows once, on first use: each row times the lcm of its denominators, kept
+with that scale, and ``take`` hands a submatrix its share of them, so the
+rows of a Gram matrix are scaled once however many blocks are read from it.
+A matrix built by ``Matrix.from_integer_rows`` keeps the rows it is given
+and builds its Fractions only when ``data`` is first read, so a matrix that
+only the integer kernels read never builds them.  ``matmul`` scales each
 column of the right operand the same way and divides each integer dot
-product once.  The solvers and ``rank`` eliminate integer rows
-fraction-free (Bareiss, "Sylvester's identity and multistep
+product once, one Fraction per output entry.  The solvers eliminate
+integer rows fraction-free (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 1968): every division
-is exact, none is made while the previous pivot is 1, and a Fraction
-appears only in the solution.  The exact unit form reads a x's equation
-rows from the right-hand side, which its solve satisfies.  The float
-backend runs plain Gaussian elimination with partial pivoting; its
-products fold each entry left to right, in running-sum order.  On both
-backends back-substitution sums over pivot columns only, since free
-variables are zero.
+is exact and none is made while the previous pivot is 1.  The Matrix form
+of ``solve`` returns integer rows over the determinant; the unit form
+returns the integers themselves, reading a x's equation rows from the
+right-hand side, which its solve satisfies.  The float backend runs plain
+Gaussian elimination with partial pivoting; its products fold each entry
+left to right, in running-sum order.  On both backends back-substitution
+sums over pivot columns only, since free variables are zero.
 
 Scalar multiply/add counts can be observed through ``count_ops``; counting
 state is thread-local, keeping the operations re-entrant.  They count the
@@ -126,10 +128,6 @@ def _coerce(value, backend):
     raise BackendMismatch(f"unknown backend {backend!r}")
 
 
-def _zero(backend):
-    return Fraction(0) if backend == EXACT else complex(0)
-
-
 class Matrix:
     """Immutable row-major dense matrix bound to one scalar backend."""
 
@@ -148,6 +146,12 @@ class Matrix:
         self.data = data
         self.backend = backend
         self._ints = None
+
+    @classmethod
+    def from_integer_rows(cls, n_cols, rows):
+        """Exact matrix from (ints, scale) rows, each row ints / scale, kept as
+        its integer rows; its ``data`` Fractions are built on first read."""
+        return _IntegerRowMatrix(n_cols, rows)
 
     @classmethod
     def from_rows(cls, rows, backend=None):
@@ -203,7 +207,8 @@ class Matrix:
 
     def _integer_rows(self):
         """Exact backend: per row (ints, scale) with ints = row * scale, an
-        integer list; derived on first use and kept."""
+        integer list; given at construction, or derived on first use and
+        kept."""
         if self._ints is None:
             self._ints = [_integers(self.row(i)) for i in range(self.n_rows)]
         return self._ints
@@ -222,6 +227,23 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.n_rows}x{self.n_cols}, {self.backend})"
+
+
+class _IntegerRowMatrix(Matrix):
+    """``Matrix.from_integer_rows``'s matrix.  Every other matrix keeps ``data``
+    a plain slot: a property costs about 3% of deliver-float on CPython 3.11."""
+
+    __slots__ = ("_data",)
+
+    def __init__(self, n_cols, rows):
+        self.n_rows, self.n_cols, self.backend, self._ints = len(rows), n_cols, EXACT, rows
+        self._data = None
+
+    @property
+    def data(self):
+        if self._data is None:
+            self._data = tuple(Fraction(v, scale) for ints, scale in self._ints for v in ints)
+        return self._data
 
 
 def _check_same_backend(a, b):
@@ -376,14 +398,6 @@ def _scale(entries):
     return max(map(abs, entries), default=0.0)
 
 
-def rank(a: Matrix) -> int:
-    """Row rank; exact for rationals, thresholded pivots for floats."""
-    if a.backend == EXACT:
-        rows = [list(ints) for ints, _ in a._integer_rows()]
-        return len(_eliminate_exact(rows, a.n_cols)[0])
-    return len(_eliminate(a.to_rows(), a.n_cols, PIVOT_RTOL * _scale(a.data)))
-
-
 def _back_substitute(rows, pivots, n, divide, zero):
     """Back-substitution over eliminated rows whose first ``n`` columns are
     the system's; returns the solution's rows, one list per unknown, free
@@ -451,9 +465,12 @@ def solve(a: Matrix, b, rows=None, cols=None):
     Given ``rows`` and ``cols``, the system is a's rows ``rows`` over its
     columns ``cols``, read in place, and b lists unit right-hand sides, the
     j-th reading 1 in a's row b[j]; returns (the unknowns where x is nonzero,
-    x's rows there, the columns of a x), each as ``matmul`` would form it,
-    save that the exact equation rows of a x are read from the right-hand
-    side the solve satisfied; float ones keep their rounding residue.
+    x's rows there, the columns of a x, a denominator d).  On floats x and
+    a x are as ``matmul`` would form them, equation rows keeping their
+    rounding residue, and d is 1.  On the exact backend every part is an
+    integer: x's rows are over d, the Bareiss determinant, and row l of a x
+    is over a's row-l scale times d.  Its equation rows are read from the
+    right-hand side the solve satisfied; only the other rows are summed.
     """
     if rows is not None:
         return _solve_units(a, rows, cols, b)
@@ -469,7 +486,7 @@ def solve(a: Matrix, b, rows=None, cols=None):
         a_ints = [v * (scale // a_scale) for v in a_ints]
         rows.append(a_ints + [v * (scale // b_scale) for v in b_ints])
     x, det = _solve_rows(rows, a.n_cols, EXACT)
-    return Matrix(a.n_cols, b.n_cols, [Fraction(v, det) for values in x for v in values], EXACT)
+    return Matrix.from_integer_rows(b.n_cols, [(values, det) for values in x])
 
 
 def _solve_units(a, equations, unknowns, units):
@@ -488,13 +505,12 @@ def _solve_units(a, equations, unknowns, units):
     summed = sorted(set(range(size)).difference(equations)) if exact else range(size)
     _tally(mul=len(summed) * n_rhs * len(support), add=len(summed) * n_rhs * (len(support) - 1))
     if exact:
-        one, nought = Fraction(1), Fraction(0)
-        a_x = [[one if l == u else nought for l in range(size)] for u in units]
-        parts = [(l, [ints[l][0][i] for i in support], ints[l][1] * det) for l in summed]
+        a_x = [[ints[l][1] * det if l == u else 0 for l in range(size)] for u in units]
+        parts = [(l, [ints[l][0][i] for i in support]) for l in summed]
         for entries, column in zip(a_x, zip(*x_rows)):
-            for l, part, den in parts:
-                entries[l] = Fraction(sum(map(mul, part, column)), den)
-        return support, [[Fraction(v, det) for v in values] for values in x_rows], a_x
+            for l, part in parts:
+                entries[l] = sum(map(mul, part, column))
+        return support, x_rows, a_x, det
     # a x column by column, each entry a running sum as in ``matmul``.
     columns = [a.data[i::width] for i in support]
     a_x = []
@@ -504,7 +520,7 @@ def _solve_units(a, equations, unknowns, units):
             v = values[j]
             acc = [e + g * v for e, g in zip(acc, column)]
         a_x.append(acc)
-    return support, x_rows, a_x
+    return support, x_rows, a_x, det
 
 
 def isolate(b, w, y, known):

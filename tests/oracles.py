@@ -1,13 +1,14 @@
-"""Independent oracles for the test suite.
+"""Independent oracles for the test suite, and a rank helper.
 
-Everything here is written from the definitions, separately from the
-package code paths it checks: a naive condition checker, a brute-force
-per-slot rescan of the grid for the derived validation fields and slot
-cells, Gaussian elimination over Fractions, loop-form float kernels (a
-running-sum product and a solver with back-substitution over every
-column), an exact channel whose submatrices are provably nonsingular, a
-per-column precoder synthesis, and a brute-force enumerator of small
-deliverable grids.
+Everything here but ``rank`` is written from the definitions, separately
+from the package code paths it checks: a naive condition checker, a
+brute-force per-slot rescan of the grid for the derived validation fields
+and slot cells, Gaussian elimination over Fractions, loop-form float
+kernels (a running-sum product and a solver with back-substitution over
+every column), an exact channel whose submatrices are provably
+nonsingular, a per-column precoder synthesis, and a brute-force
+enumerator of small deliverable grids.  ``rank`` runs the package's own
+elimination kernels; its tests compare it with sympy.
 """
 
 from __future__ import annotations
@@ -18,7 +19,16 @@ from itertools import combinations, combinations_with_replacement, islice, permu
 import numpy as np
 
 from mapda.engine import DegenerateChannel, PrecodingMatrix, _served_columns
-from mapda.linalg import PIVOT_RTOL, Infeasible, Matrix, _zero, matmul, solve
+from mapda.linalg import (
+    EXACT,
+    PIVOT_RTOL,
+    Infeasible,
+    Matrix,
+    _eliminate,
+    _eliminate_exact,
+    matmul,
+    solve,
+)
 
 
 def naive_conditions(grid, antennas):
@@ -211,6 +221,16 @@ def loop_solve_float(a_rows, b_rows):
     return x
 
 
+def rank(a: Matrix) -> int:
+    """Row rank through the package's elimination kernels: fraction-free on
+    the exact backend, pivots at most PIVOT_RTOL times the largest |entry|
+    counting as zero on floats."""
+    if a.backend == EXACT:
+        return len(_eliminate_exact([list(ints) for ints, _ in a._integer_rows()], a.n_cols)[0])
+    tol = PIVOT_RTOL * max(map(abs, a.data), default=0.0)
+    return len(_eliminate(a.to_rows(), a.n_cols, tol))
+
+
 def vandermonde_channel(antennas, users, first_node=2) -> Matrix:
     """Exact L x K channel h[l, k] = node_k ** l with distinct positive nodes.
 
@@ -234,7 +254,7 @@ def synthesize_precoder_per_column(group, channel) -> PrecodingMatrix:
     block = channel.gram.take(users, users)
     size = len(users)
     backend = block.backend
-    zero = _zero(backend)
+    zero = Fraction(0) if backend == EXACT else complex(0)
     one = zero + 1
     all_rows = range(size)
     v_rows = [[zero] * size for _ in all_rows]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mapda import arrays, engine
+from mapda import arrays, engine, linalg
 from mapda.arrays import (
     STAR,
     Mapda,
@@ -414,44 +414,73 @@ class TestFamilies:
         # An exact solve's B reads its equation rows from the unit
         # right-hand sides; inside a run, where families share their
         # solves, every slot's B must still equal its Gram block times V in
-        # full.
+        # full.  B's integer rows are over the Gram rows' scales, so a second
+        # channel divides the Vandermonde columns by distinct integers: it
+        # stays totally positive, and its Gram rows get scales above 1.
         seen = self.record_precoders(monkeypatch)
         for m in (isomorph(generate_cyclic(8, 5), seed=11), mixed_families()):
             instance = build_instance(m, files=2)
             assert instance.families
             h = vandermonde_channel(m.antennas, m.cols)
+            scaled = Matrix.from_rows(
+                [[e / (k + 1) for k, e in enumerate(row)] for row in h.to_rows()]
+            )
+            assert any(scale > 1 for _, scale in ChannelMatrix(scaled).gram._integer_rows())
             library = random_library(2, m.rows, seed=7)
-            seen.clear()
-            run_delivery(instance, ChannelMatrix(h), default_demands(m.cols, 2), library)
-            assert sorted(seen) == [g.slot for g in instance.groups]
-            for group in instance.groups:
-                h_s = h.take(range(h.n_rows), [k - 1 for k in group.served_users])
-                precoder = seen[group.slot]
-                assert precoder.combined == matmul(
-                    matmul(conj_transpose(h_s), h_s), precoder.matrix
-                )
+            for h in (h, scaled):
+                seen.clear()
+                run_delivery(instance, ChannelMatrix(h), default_demands(m.cols, 2), library)
+                assert sorted(seen) == [g.slot for g in instance.groups]
+                for group in instance.groups:
+                    h_s = h.take(range(h.n_rows), [k - 1 for k in group.served_users])
+                    precoder = seen[group.slot]
+                    assert precoder.combined == matmul(
+                        matmul(conj_transpose(h_s), h_s), precoder.matrix
+                    )
 
     def test_one_solve_per_distinct_system(self, monkeypatch):
         # cyclic(16, 8): 8 slots serve all 16 users, and its 16 rows give 16
         # systems, each read by the 8 users outside the row's stars.
         calls = []
-        real_solve = engine.solve
+        counts = {"_integers": 0, "Fraction": 0}
+        real_solve, real_integers, real_new = engine.solve, linalg._integers, Fraction.__new__
 
         def counted(a, b, rows, cols):
             calls.append(len(b))
             return real_solve(a, b, rows, cols)
 
-        monkeypatch.setattr(engine, "solve", counted)
+        def integers(entries):
+            counts["_integers"] += 1
+            return real_integers(entries)
+
+        def new(cls, *args, **kwargs):
+            # Direct constructions only: arithmetic results pass
+            # _normalize=False on Python 3.10 and 3.11 and skip __new__ later.
+            counts["Fraction"] += kwargs.get("_normalize", True)
+            return real_new(cls, *args, **kwargs)
+
         m = generate_cyclic(16, 8)
-        report = run_delivery(
-            build_instance(m, files=2),
-            ChannelMatrix(vandermonde_channel(m.antennas, m.cols)),
-            default_demands(16, 2),
-            random_library(2, 16, seed=1),
-        )
+        instance, demands = build_instance(m, files=2), default_demands(16, 2)
+        channel = ChannelMatrix(vandermonde_channel(m.antennas, m.cols))
+        library = random_library(2, 16, seed=1)
+        monkeypatch.setattr(engine, "solve", counted)
+        monkeypatch.setattr(linalg, "_integers", integers)
+        monkeypatch.setattr(Fraction, "__new__", new)
+        report = run_delivery(instance, channel, demands, library)
+        monkeypatch.undo()
         assert calls == [8] * 16
         # B is summed over the 8 cacher rows of each column, not all 16.
         assert report.ops_measured["precoder_synthesis"] == {"mul": 31664, "add": 18368}
+        # V and B reach the encode and decode as integer rows, and their
+        # Fractions are never built.  _integers runs on the 8 rows of H, its
+        # 16 columns and the 16 rows of H* (the Gram product), the Gram
+        # matrix's 16 rows, and per slot on the packets w, the encoded x,
+        # the forwarded signal and w again in the decode: 8 + 16 + 16 + 16 +
+        # 8 * 4.  Fractions are the Gram matrix's 256 entries, per slot the
+        # 16 + 8 + 16 entries of the three products and the 16 decoded
+        # values, and the NDT: 256 + 8 * 56 + 1.  (344 and 2,793 when V and
+        # B were handed over as Fractions.)
+        assert counts == {"_integers": 88, "Fraction": 705}
 
     def test_errors_match_one_slot_at_a_time(self, monkeypatch):
         # Exact channels on which two users share a channel column, or with

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 import sympy
 
+from mapda import linalg
 from mapda.linalg import (
     EXACT,
     FLOAT,
@@ -19,11 +21,10 @@ from mapda.linalg import (
     count_ops,
     isolate,
     matmul,
-    rank,
     solve,
 )
 
-from oracles import loop_matmul_float, loop_solve_float, naive_solve_exact
+from oracles import loop_matmul_float, loop_solve_float, naive_solve_exact, rank
 
 # Gram matrix of the 2x4 uplink channel [[1,1,1,1],[2,3,4,5]], worked out
 # by hand: entry (i,j) = 1 + h_i*h_j with h = (2,3,4,5).
@@ -261,11 +262,11 @@ class TestColumnKernels:
                 continue
             seen[kind] += 1
             with count_ops() as tally:
-                support, x_rows, b_cols = solve(block, units, equations, unknowns)
+                support, x_rows, b_cols, det = solve(block, units, equations, unknowns)
             ref_support, ref_rows, ref_cols, ref_counts = self.reference(
                 block, equations, unknowns, units, unit_rows
             )
-            assert (support, (tally.mul, tally.add)) == (ref_support, ref_counts)
+            assert (support, (tally.mul, tally.add), det) == (ref_support, ref_counts, 1)
             assert [[bits(z) for z in row] for row in x_rows] == [
                 [bits(z) for z in row] for row in ref_rows
             ]
@@ -317,7 +318,12 @@ class TestColumnKernels:
                 continue
             seen[kind] += 1
             with count_ops() as tally:
-                support, x_rows, b_cols = solve(block, units, equations, unknowns)
+                support, x_ints, b_ints, det = solve(block, units, equations, unknowns)
+            assert all(type(e) is int for part in [[det], *x_ints, *b_ints] for e in part)
+            # x's rows are over det, B's row l over block row l's scale times det.
+            scales = [scale for _, scale in block._integer_rows()]
+            x_rows = [[Fraction(v, det) for v in values] for values in x_ints]
+            b_cols = [[Fraction(v, s * det) for v, s in zip(col, scales)] for col in b_ints]
             ref_support, ref_rows, ref_cols, ref_counts = self.reference(
                 block, equations, unknowns, units, unit_rows
             )
@@ -338,7 +344,6 @@ class TestColumnKernels:
                 ]
                 for j in range(len(units))
             ]
-            assert all(type(e) is Fraction for part in x_rows + b_cols for e in part)
         # A tall system rarely has a solution for a unit right-hand side;
         # it counts among the infeasible ones.
         seen.pop("tall")
@@ -574,8 +579,9 @@ class TestSolve:
 
 
 class TestIntegerRows:
-    """An exact matrix derives its integer rows once; a submatrix from
-    ``take`` reuses its share, each row keeping its parent row's scale."""
+    """An exact matrix derives its integer rows once, or keeps those it was
+    built from; a submatrix from ``take`` reuses its share, each row keeping
+    its parent row's scale."""
 
     def test_take_of_take_matches_fresh_matrix(self):
         rng = random.Random(59)
@@ -627,6 +633,53 @@ class TestIntegerRows:
         assert fresh._integer_rows() == [([2], 3), ([5], 1)]
         assert sub == fresh == untouched
         assert hash(sub) == hash(fresh) == hash(untouched)
+
+    def test_built_from_integer_rows_matches_eager_matrix(self, monkeypatch):
+        # Rows over non-minimal scales of either sign, as the engine's common
+        # denominator and a negative Bareiss determinant give, and all-zero
+        # rows.
+        rng = random.Random(61)
+        negative = zero_rows = isolated = 0
+        for _ in range(200):
+            n, m = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [[random_rational(rng) for _ in range(m)] for _ in range(n)]
+            if rng.random() < 0.3:
+                rows[rng.randrange(n)] = [Fraction(0)] * m
+            given = []
+            for row in rows:
+                scale = lcm(*(e.denominator for e in row)) * rng.choice([-6, -1, 1, 4])
+                given.append(([int(e * scale) for e in row], scale))
+            negative += any(scale < 0 for _, scale in given)
+            zero_rows += not all(map(any, rows))
+            lazy, eager = Matrix.from_integer_rows(m, given), frac_matrix(rows)
+            with monkeypatch.context() as patched:
+                patched.setattr(linalg, "_integers", None)  # must not be called
+                assert lazy._integer_rows() is given
+            # The kernels read the integer rows; data is built on first read.
+            width = rng.randint(1, 3)
+            right = frac_matrix([[random_rational(rng) for _ in range(width)] for _ in range(m)])
+            assert matmul(lazy, right) == matmul(eager, right)
+            if m >= n and all(rows[l][l] for l in range(n)):
+                isolated += 1
+                known = [[j for j in range(m) if j != l] for l in range(n)]
+                w = [random_rational(rng) for _ in range(m)]
+                y = [random_rational(rng) for _ in range(n)]
+                assert isolate(lazy, w, y, known) == isolate(eager, w, y, known)
+            assert lazy._data is None
+            data = lazy.data
+            assert data == eager.data and all(type(e) is Fraction for e in data)
+            assert lazy.data is data
+            assert [lazy.row(i) for i in range(n)] == [eager.row(i) for i in range(n)]
+            assert lazy.at(n - 1, m - 1) == eager.at(n - 1, m - 1)
+            assert lazy.to_rows() == eager.to_rows() == rows
+            row_idx, col_idx = rng.sample(range(n), rng.randint(1, n)), [rng.randrange(m)]
+            sub = lazy.take(row_idx, col_idx)
+            assert sub == eager.take(row_idx, col_idx)
+            assert [scale for _, scale in sub._integer_rows()] == [given[i][1] for i in row_idx]
+            assert lazy == eager and hash(lazy) == hash(eager)
+            left = frac_matrix([[random_rational(rng) for _ in range(n)] for _ in range(width)])
+            assert matmul(left, lazy) == matmul(left, eager)
+        assert min(negative, zero_rows, isolated) >= 30, (negative, zero_rows, isolated)
 
     def test_non_integer_rows_make_bareiss_raise(self):
         # The integer kernels check each division instead of rounding, so
