@@ -162,15 +162,14 @@ def validate(grid, claimed_antennas):
     c3 = not repeats
     failures.extend(repeats)
 
-    # C4: within each slot's subgrid, count integer entries per row.
+    # C4: within each slot's subgrid, count integer entries per row, as
+    # the size of the row's integer columns intersected with the slot's.
+    int_cols = [{k for k, e in enumerate(row, 1) if e is not STAR} for row in rows]
     min_antennas = 0
     c4 = True
     for s, members in index.items():
-        slot_cols = {k - 1 for _, k in members}
-        worst = max(
-            sum(1 for k in slot_cols if rows[f - 1][k] is not STAR)
-            for f in {f for f, _ in members}
-        )
+        slot_cols = {k for _, k in members}
+        worst = max(len(int_cols[f - 1] & slot_cols) for f in {f for f, _ in members})
         if worst > min_antennas:
             min_antennas = worst
         if worst > claimed_antennas and c4:
@@ -178,10 +177,12 @@ def validate(grid, claimed_antennas):
             failures.append(f"C4 violated at s={s}")
 
     t = sum_dof = None
+    regular = False
     if c1:
         t = Fraction(n_cols * stars_per_col, n_rows)
         sum_dof = Fraction(n_cols * (n_rows - stars_per_col), slots) if slots else Fraction(0)
-    regular = c1 and all(len(c) == t + claimed_antennas for c in index.values())
+        size = t + claimed_antennas
+        regular = all(len(c) == size for c in index.values())
     ok = c1 and c2 and c3 and c4
     return ValidationReport(
         ok=ok,

@@ -4,12 +4,15 @@ Exit codes are stable across commands: 0 success, 1 domain error or
 infeasibility, 2 I/O or parse failure.  Output is deterministic for a
 fixed configuration and seed; the MAPDA_SEED environment variable
 overrides --seed.  ``gen`` writes the array file format on stdout so
-commands compose through pipes.
+commands compose through pipes.  ``main`` builds the argument parser once
+per process and reuses it; the environment, stdin and stdout/stderr are
+still read on each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -286,9 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, arrays.RaggedGrid, arrays.NonPositiveSlotId, OSError) as exc:

@@ -13,10 +13,14 @@ Scheme parameter formulas:
   asmst     F = C(K,t) C(K-t-1,L-1),  S = C(K,t+L) C(t+L-1,t)
   scheme 1  F = beta C(K/m,t/m),      S = sgn(t/m+1, m/L) l (K-t)/(t+m) C(K/m,t/m)
             with l = m/gcd(m,L-m), beta = (sgn(t/m+1, m/L) + (L-m)/m) l,
+            sgn(x, y) = 1 if y = 1 else x, Z = F t/K,
             requiring t+L < K, m <= L, m | K, m | t
   scheme 2  F = (t+L)/a C(K/a,(t+L)/a), S = (K-t)/a C(K/a,(t+L)/a),
             a = gcd(K,t,L), requiring t+L <= K
   scheme 3  F = K, Z = t, S = K-t, requiring L = K-t
+
+Since m | t, every operand of scheme 1 is an integer, so beta, S and Z are
+each one integer quotient; a remainder raises ConstraintViolation.
 
 Every scheme, the baseline included, satisfies S/F = K(1-M/N)/(t+L) =
 (K-t)/(t+L) and K(F-Z)/S = t+L exactly, by construction; nothing here
@@ -36,11 +40,6 @@ from .arrays import DomainError
 
 class ConstraintViolation(ValueError):
     """A scheme's parameter limitation fails at the given point."""
-
-
-def sgn_pair(x, y):
-    """1 when y equals 1, otherwise x (table-footnote selector)."""
-    return 1 if y == 1 else x
 
 
 def check_counts(users, antennas, m=None):
@@ -97,13 +96,6 @@ class SchemeMetrics:
     @property
     def parameters(self):
         return (self.subpacketization, self.stars_per_col, self.slots)
-
-
-def _as_int(value, what):
-    value = Fraction(value)
-    if value.denominator != 1:
-        raise ConstraintViolation(f"{what} = {value} is not an integer")
-    return int(value)
 
 
 def asmst_metrics(p: SystemPoint) -> SchemeMetrics:
@@ -172,14 +164,22 @@ def _scheme1_at(p: SystemPoint, m) -> SchemeMetrics:
         raise ConstraintViolation(f"scheme 1 needs m <= L, got m={m}, L={big_l}")
     if big_k % m or t % m:
         raise ConstraintViolation(f"scheme 1 needs m | K and m | t, got m={m}")
-    sgn = sgn_pair(Fraction(t, m) + 1, Fraction(m, big_l))
+    sgn = 1 if m == big_l else t // m + 1  # sgn(t/m+1, m/L)
     l_rep = m // math.gcd(m, big_l - m)
-    beta = _as_int((sgn + Fraction(big_l - m, m)) * l_rep, "beta")
+    beta = _quotient((sgn * m + big_l - m) * l_rep, m, "beta")
     base = math.comb(big_k // m, t // m)
     f = beta * base
-    s = _as_int(sgn * l_rep * Fraction(big_k - t, t + m) * base, "S")
-    z = _as_int(Fraction(f * t, big_k), "Z")
+    s = _quotient(sgn * l_rep * (big_k - t) * base, t + m, "S")
+    z = _quotient(f * t, big_k, "Z")
     return _finish("scheme1", p, f, z, s)
+
+
+def _quotient(numerator, denominator, what):
+    """numerator / denominator, which must be an integer."""
+    q, r = divmod(numerator, denominator)
+    if r:
+        raise ConstraintViolation(f"{what} = {Fraction(numerator, denominator)} is not an integer")
+    return q
 
 
 def _scheme2(p: SystemPoint) -> SchemeMetrics:

@@ -155,6 +155,41 @@ class TestValidate:
             for s in range(1, m.slots + 1):
                 assert m.slot_cells(s) == naive_slot_cells(m.grid, s)
 
+    @pytest.mark.parametrize(
+        "shape, antennas, min_antennas",
+        [
+            ("mn(12,4)", 1, 1),
+            ("replicate(mn(10,3),3)", 3, 3),
+            ("replicate(mn(10,3),3)", 2, 3),
+            ("cyclic(16,8)", 8, 8),
+            ("cyclic(16,8)", 7, 8),
+        ],
+    )
+    def test_benchmark_shapes_agree_with_naive_recheck(self, shape, antennas, min_antennas):
+        # The benchmark's arrays, far larger than the random samples above,
+        # accepted and C4-rejected, as built and under a seeded row and
+        # column permutation.
+        grid = {
+            "mn(12,4)": lambda: generate_mn_pda(12, 4),
+            "replicate(mn(10,3),3)": lambda: replicate(generate_mn_pda(10, 3), 3),
+            "cyclic(16,8)": lambda: generate_cyclic(16, 8),
+        }[shape]().grid
+        rng = random.Random(f"{shape}:{antennas}")
+        rows = rng.sample(range(len(grid)), len(grid))
+        cols = rng.sample(range(len(grid[0])), len(grid[0]))
+        permuted = tuple(tuple(grid[f][k] for k in cols) for f in rows)
+        for g in (grid, permuted):
+            report = validate(g, antennas)
+            assert (report.c1, report.c2, report.c3, report.c4) == naive_conditions(g, antennas)
+            assert (
+                report.min_antennas,
+                report.slots,
+                report.regular,
+                report.failures,
+            ) == naive_report(g, antennas)
+            assert report.min_antennas == min_antennas
+            assert report.c4 == (antennas >= min_antennas)
+
 
 class TestGenerators:
     def test_mn_three_users(self):

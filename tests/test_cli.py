@@ -5,7 +5,7 @@ import json
 import time
 from pathlib import Path
 
-from mapda import metrics
+from mapda import cli, metrics
 from mapda.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -496,3 +496,66 @@ class TestSweep:
         assert code == 0
         assert wide == clamped
         assert len(clamped.splitlines()) == 8
+
+
+class TestParserReuse:
+    def test_one_parser_per_process_keeps_no_state(self, capsys, monkeypatch, tmp_path):
+        plot = tmp_path / "plot.csv"
+        example = Path(EXAMPLE1).read_text()
+        simulate = ("simulate", EXAMPLE1, "--files", "3")
+        compare = ("compare", "--point", "20,1/5,4", "--point", "6,1/3,2")
+        # (argv, MAPDA_SEED, stdin text)
+        calls = [
+            (("validate", EXAMPLE1, "--antennas", "2"), None, None),
+            (("validate", EXAMPLE1), None, None),  # argparse error: -L missing
+            (("gen", "mn", "--users", "4", "--t", "2"), None, None),
+            (("sweep", "-K", "8", "-L", "2"), None, None),
+            (("sweep", "-K", "8", "-L", "2", "--plot-out", str(plot)), None, None),
+            (compare, None, None),
+            (compare, None, None),
+            (("compare", "--point", "12,1/2,4,3"), None, None),
+            (simulate, "5", None),
+            (simulate, None, None),
+            (("validate", "-", "-L", "2"), None, example),
+        ]
+        built = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+
+        def run(fresh):
+            results = []
+            for argv, seed, stdin in calls:
+                if seed is None:
+                    monkeypatch.delenv("MAPDA_SEED", raising=False)
+                else:
+                    monkeypatch.setenv("MAPDA_SEED", seed)
+                monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
+                if fresh:
+                    cli._parser.cache_clear()
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                written = plot.read_text() if plot.exists() else None
+                plot.unlink(missing_ok=True)
+                results.append((code, captured.out, captured.err, written))
+            return results
+
+        try:
+            cli._parser.cache_clear()
+            reused = run(fresh=False)
+            assert len(built) == 1
+            fresh = run(fresh=True)
+            assert len(built) == 1 + len(calls)
+        finally:
+            cli._parser.cache_clear()
+        assert reused == fresh
+        codes = [code for code, *_ in reused]
+        assert codes == [0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+        assert reused[1][2].startswith("usage: mapda validate")
+        assert reused[4][3].startswith("ratio,log10_F_asmst")
+        assert len(reused[6][1].splitlines()) == 3  # header and the two points
+        assert len(reused[7][1].splitlines()) == 2
+        assert reused[8][1] != reused[9][1]  # MAPDA_SEED read on each call
+        assert reused[10][1] == reused[0][1]

@@ -1,6 +1,7 @@
 """Closed-form scheme calculators and the comparison table."""
 
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from mapda import metrics
 from mapda.arrays import DomainError, generate_cyclic
+from mapda.cli import main
 from mapda.metrics import (
     ConstraintViolation,
     SystemPoint,
@@ -209,6 +211,60 @@ class TestSchemes:
             for k in range(10, 55, 5)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def scheme1_oracle(users, t, antennas, m):
+    """Scheme 1's (F, Z, S) by the module docstring's Fraction formulas."""
+    sgn = 1 if Fraction(m, antennas) == 1 else Fraction(t, m) + 1
+    l_rep = Fraction(m, math.gcd(m, antennas - m))
+    beta = (sgn + Fraction(antennas - m, m)) * l_rep
+    base = math.comb(users // m, t // m)
+    f = beta * base
+    s = sgn * l_rep * Fraction(users - t, t + m) * base
+    return f, f * t / users, s
+
+
+class TestScheme1Figures:
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_integer_figures_match_fraction_formulas(self, data):
+        users = data.draw(st.integers(2, 200), label="K")
+        t = data.draw(st.integers(1, users - 1), label="t")
+        antennas = data.draw(st.integers(1, users - t), label="L")
+        p = SystemPoint(users, antennas, Fraction(t, users))
+        admissible = admissible_m_values(p) if t + antennas < users else ()
+        for m in range(1, antennas + 1):
+            if m not in admissible:
+                with pytest.raises(ConstraintViolation):
+                    scheme_metrics(dataclasses.replace(p, m=m), 1)
+                continue
+            figures = scheme_metrics(dataclasses.replace(p, m=m), 1).parameters
+            assert all(type(x) is int for x in figures)
+            assert figures == scheme1_oracle(users, t, antennas, m)
+
+    def test_non_integer_figure_names_its_fraction(self):
+        with pytest.raises(ConstraintViolation, match="^S = 15/2 is not an integer$"):
+            metrics._quotient(15, 2, "S")
+        assert metrics._quotient(15, 3, "S") == 5
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("-K", "150", "-L", "10"),
+                "f5d5cf1ed46859e26541376f29e673834a55543939d94ed0039de3f09b740c23",
+            ),
+            (
+                ("-K", "120", "-L", "8", "--m", "4"),
+                "28fedf85c5eaf1436fb7132e965b40ef1d84e96d7526b2b5c6d552724019a17c",
+            ),
+        ],
+        ids=["K150-L10", "K120-L8-m4"],
+    )
+    def test_sweep_csv_pinned(self, capsys, argv, digest):
+        assert main(["sweep", *argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def assert_identities(metric, users, t, antennas):
