@@ -266,22 +266,14 @@ def generate_mn_pda(users, cached):
     """
     if not 1 <= cached < users:
         raise DomainError(f"need 1 <= t < K, got t={cached}, K={users}")
-    t_subsets = list(combinations(range(1, users + 1), cached))
-    rank = {
-        sub: i + 1
-        for i, sub in enumerate(combinations(range(1, users + 1), cached + 1))
-    }
-    grid = []
-    for sub in t_subsets:
-        members = set(sub)
-        row = []
-        for k in range(1, users + 1):
-            if k in members:
-                row.append(STAR)
-            else:
-                row.append(rank[tuple(sorted(members | {k}))])
-        grid.append(tuple(row))
-    return Mapda(tuple(grid), antennas=1)
+    everyone = range(1, users + 1)
+    row_of = {sub: i for i, sub in enumerate(combinations(everyone, cached))}
+    grid = [[STAR] * users for _ in row_of]
+    # The s-th (t+1)-subset U fills cell (U - {k}, k) for each k in U.
+    for s, sub in enumerate(combinations(everyone, cached + 1), 1):
+        for i, k in enumerate(sub):
+            grid[row_of[sub[:i] + sub[i + 1 :]]][k - 1] = s
+    return Mapda(tuple(map(tuple, grid)), antennas=1)
 
 
 def replicate(base, copies):

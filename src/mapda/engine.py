@@ -17,16 +17,16 @@ transmission is reported infeasible rather than attempted.
 
 A channel forms H* and its Gram matrix H* H once.  A slot reads its users'
 rows of H* to decode, and its block of the Gram matrix, from whose rows
-(integer rows on the exact backend) ``linalg.solve`` solves each column
-system and forms its columns of B; exact V and B reach the encode and the
-decode as integer rows over one denominator per slot, their Fractions
-built only if ``data`` is read.  Column n's system depends only on the
-served users and n's cacher set, so slots serving the same users form a
-family: a delivery run solves each of its systems once, with one
-right-hand side per position using it in any slot, and each slot
-assembles V and B from those columns (on the circulant arrays of scheme 3,
-K systems instead of K(K-t)).  A slot alone in its family is solved
-alone; every V and B is the one ``synthesize_precoder`` gives.
+``linalg.solve`` solves each column system and forms its columns of B; on
+the exact backend every matrix from the Gram to the decode is handed on as
+integer rows, V and B over one denominator per slot.  Column n's system
+depends only on the served users and n's cacher set, so slots serving the
+same users form a family.  ``synthesize_precoder`` is the one synthesizer:
+inside ``run_delivery`` a family's slots share one store of solves for the
+run, each system solved once with one right-hand side per position using
+it in any slot (on the circulant arrays of scheme 3, K systems instead of
+K(K-t)); a slot alone in its family is the one-slot case, and its solves
+are not kept.  Every V and B is the one the slot gets alone.
 
 Scalar work runs on either backend of ``linalg``; exact-rational runs make
 decode checks bit-exact.  Slots share no state but their family's solves,
@@ -354,7 +354,7 @@ def _served_columns(channel: ChannelMatrix, group: SlotGroup) -> list:
     return [k - 1 for k in group.served_users]
 
 
-def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix) -> PrecodingMatrix:
+def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -> PrecodingMatrix:
     """Choose the slot's uplink precoder V so B = H* H V decodes one-shot.
 
     Column n is solved from the reduced system over the cacher positions:
@@ -370,15 +370,15 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix) -> PrecodingMa
     Requires the array redundancy gate t >= L; below it the supported
     regime offers no solution and Infeasible is raised.  A rank failure on
     a system a generic channel would solve raises DegenerateChannel instead.
-    This solves the slot alone; ``run_delivery`` shares each system's solve
-    among the slots serving the same users, with the same V and B.
+
+    ``run_delivery`` gives each slot of a family of two or more its
+    ``family``: (its systems, as in ``SchemeInstance.families``, and the
+    run's solves of them).  Each system is then solved once for every
+    position using it, at the first slot that needs it; a failed shared
+    solve is retried on the slot's own columns, so the error is the one the
+    slot raises alone.  Without it the slot solves its own systems and keeps
+    nothing.  V and B are the same either way.
     """
-    return _synthesize(group, channel, _solve_columns)
-
-
-def _synthesize(group, channel, solve_columns):
-    """``synthesize_precoder`` with the columns of each system from
-    ``solve_columns``, which must return what ``_solve_columns`` does."""
     if group.redundancy < group.antennas:
         raise Infeasible(
             f"slot {group.slot}: cache redundancy t={group.redundancy} is below the "
@@ -397,6 +397,7 @@ def _synthesize(group, channel, solve_columns):
     systems = {}
     for n in all_rows:
         systems.setdefault(group.cacher_sets[n], []).append(n)
+    shared, solved = family or (None, {})
     zero = complex(0) if backend == FLOAT else 0
     v_rows = [[zero] * size for _ in all_rows]
     b_cols = [None] * size
@@ -411,7 +412,13 @@ def _synthesize(group, channel, solve_columns):
             )
             continue
         try:
-            positions, support, x_rows, b_columns, det = solve_columns(block, unknowns, members)
+            if shared and unknowns not in solved:
+                solved[unknowns] = None
+                with suppress(Infeasible):
+                    solved[unknowns] = _solve_columns(block, unknowns, sorted(shared[unknowns]))
+            positions, support, x_rows, b_columns, det = solved.get(unknowns) or _solve_columns(
+                block, unknowns, members
+            )
         except Infeasible as exc:
             n = members[exc.column - 1]
             equations = size - len(unknowns)
@@ -467,31 +474,6 @@ def _solve_columns(block, unknowns, positions):
     return (positions, *solve(block, positions, [first, *rest], unknowns))
 
 
-def _family_synthesis(families):
-    """``synthesize_precoder`` for one run, solving each system of a family
-    once, for all its positions, at the first slot that needs it.  If that
-    solve fails, each slot solves its own columns of the system, and so
-    reports the failure it would report alone."""
-    solved = {}
-
-    def synthesize(group, channel):
-        family = families.get(group.served_users)
-        if family is None:
-            return synthesize_precoder(group, channel)
-
-        def solve_columns(block, unknowns, members):
-            key = (group.served_users, unknowns)
-            if key not in solved:
-                solved[key] = None
-                with suppress(Infeasible):
-                    solved[key] = _solve_columns(block, unknowns, sorted(family[unknowns]))
-            return solved[key] or _solve_columns(block, unknowns, members)
-
-        return _synthesize(group, channel, solve_columns)
-
-    return synthesize
-
-
 def run_slot(group, channel, demands, library) -> SlotOutcome:
     """Execute one transmission: synthesize the precoder, uplink combine,
     forward, decode.
@@ -510,16 +492,16 @@ def run_slot(group, channel, demands, library) -> SlotOutcome:
             f"serves user {max(group.served_users)}"
         )
     _check_demands([demands[k - 1] for k in group.served_users], library.n_rows)
-    return _run_slot(group, channel, demands, library, synthesize_precoder)
+    return _run_slot(group, channel, demands, library)
 
 
-def _run_slot(group, channel, demands, library, synthesize) -> SlotOutcome:
-    """``run_slot`` on checked demands, with the precoder from
-    ``synthesize(group, channel)``."""
+def _run_slot(group, channel, demands, library, family=None) -> SlotOutcome:
+    """``run_slot`` on checked demands; ``family`` as in
+    ``synthesize_precoder``."""
     _check_same_backend(channel.matrix, library)
     ops = {}
     with count_ops() as tally:
-        precoder = synthesize(group, channel)
+        precoder = synthesize_precoder(group, channel, family)
     ops["precoder_synthesis"] = {"mul": tally.mul, "add": tally.add}
     backend, antennas = library.backend, range(channel.matrix.n_rows)
     users = [k - 1 for k in group.served_users]
@@ -541,7 +523,7 @@ def _run_slot(group, channel, demands, library, synthesize) -> SlotOutcome:
         y_users = matmul(channel.adjoint.take(users, antennas), y_bs)
         b = precoder.combined
         # User l subtracts what it caches and divides by its unit entry.
-        values = isolate(b, w.data, y_users.data, cached)
+        values = isolate(b, w, y_users, cached)
         recovered = []
         residual = 0.0
         for l, (expected, value) in enumerate(zip(w.data, values)):
@@ -603,8 +585,8 @@ def run_delivery(instance, channel, demands, library) -> DeliveryReport:
     (user, row) cells are the integer cells of the grid, each delivered
     once; since a user's packets are its demanded file at those rows, that
     fixes every user's packet set.  Slots of one family share their column
-    solves (see the module docstring); every slot's V and B are those
-    ``synthesize_precoder`` gives it.  Refuses channels without exactly one
+    solves for this run (see ``synthesize_precoder``); every slot's V and B
+    are those the slot gets alone.  Refuses channels without exactly one
     column per user.  Propagates Infeasible (an array with t < L is refused
     at its first slot), DegenerateChannel, and DecodeMismatch with the
     offending slot id (None for a cell mismatch).
@@ -629,9 +611,9 @@ def run_delivery(instance, channel, demands, library) -> DeliveryReport:
     ops_total: dict[str, dict[str, int]] = {}
     recovered: dict[int, set] = {k: set() for k in range(1, m.cols + 1)}
     recovered_cells = []
-    synthesize = _family_synthesis(instance.families)
+    families = {users: (systems, {}) for users, systems in instance.families.items()}
     for group in instance.groups:
-        outcome = _run_slot(group, channel, demands, library, synthesize)
+        outcome = _run_slot(group, channel, demands, library, families.get(group.served_users))
         for phase, tally in outcome.ops.items():
             agg = ops_total.setdefault(phase, {"mul": 0, "add": 0})
             agg["mul"] += tally["mul"]

@@ -7,15 +7,15 @@ multiply, conjugate transpose, and a Gaussian-elimination solver that
 zeroes free variables and reports inconsistency instead of guessing; the
 engine solves its column systems in place and decodes with ``isolate``.
 
-Exact kernels compute on Python ints.  An exact matrix derives its integer
-rows once, on first use: each row times the lcm of its denominators, kept
-with that scale, and ``take`` hands a submatrix its share of them, so the
-rows of a Gram matrix are scaled once however many blocks are read from it.
-A matrix built by ``Matrix.from_integer_rows`` keeps the rows it is given
-and builds its Fractions only when ``data`` is first read, so a matrix that
-only the integer kernels read never builds them.  ``matmul`` scales each
-column of the right operand the same way and divides each integer dot
-product once, one Fraction per output entry.  The solvers eliminate
+Exact kernels compute on Python ints.  An exact matrix holds integer rows,
+each row times a scale (the lcm of its denominators when derived), its
+Fraction ``data``, or both, and derives either from the other on first
+read.  The kernels read and return integer rows, so ``Fraction``s are
+built only at the edges: fixture and library input, the decoded values,
+and reads of ``data`` and ``==``.  ``take`` hands a submatrix its share of
+the rows, so the rows of a Gram matrix are scaled once however many blocks
+are read from it.  ``matmul`` brings the right operand's rows to one scale
+and reduces each output row to its lowest terms.  The solvers eliminate
 integer rows fraction-free (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 1968): every division
 is exact and none is made while the previous pivot is 1.  The Matrix form
@@ -32,9 +32,9 @@ arithmetic each kernel performs on the operands it is given: a product
 counts n*m*k multiplications, so a caller that drops exact-zero terms
 before multiplying pays, and counts, only for the rest.  On the exact
 backend they count the integer kernels' operations, an exact division
-counting as a multiplication; scaling to integers and building the output
-Fractions are not counted.  The delivery engine compares these counts
-against its cost model lambda.
+counting as a multiplication; scaling and reducing integer rows and
+building Fractions are not counted.  The delivery engine compares these
+counts against its cost model lambda.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul, sub, truediv
 
 EXACT = "exact"
@@ -129,9 +129,15 @@ def _coerce(value, backend):
 
 
 class Matrix:
-    """Immutable row-major dense matrix bound to one scalar backend."""
+    """Immutable row-major dense matrix bound to one scalar backend.
 
-    __slots__ = ("n_rows", "n_cols", "data", "backend", "_ints")
+    An exact matrix holds its integer rows, its Fraction ``data``, or both:
+    whichever it was built from, the other is derived on first read and
+    kept.  The kernels read the ``_data`` slot of float matrices, which
+    always hold it.
+    """
+
+    __slots__ = ("n_rows", "n_cols", "_data", "backend", "_ints")
 
     def __init__(self, n_rows, n_cols, data, backend):
         if n_rows < 1 or n_cols < 1:
@@ -143,15 +149,29 @@ class Matrix:
             )
         self.n_rows = n_rows
         self.n_cols = n_cols
-        self.data = data
+        self._data = data
         self.backend = backend
         self._ints = None
 
     @classmethod
     def from_integer_rows(cls, n_cols, rows):
-        """Exact matrix from (ints, scale) rows, each row ints / scale, kept as
-        its integer rows; its ``data`` Fractions are built on first read."""
-        return _IntegerRowMatrix(n_cols, rows)
+        """Exact matrix from (ints, scale) rows, each row ints / scale."""
+        m = object.__new__(cls)
+        m.n_rows, m.n_cols, m._data, m.backend, m._ints = len(rows), n_cols, None, EXACT, rows
+        return m
+
+    @property
+    def data(self):
+        if self._data is None:
+            self._data = tuple(Fraction(v, scale) for ints, scale in self._ints for v in ints)
+        return self._data
+
+    def _integer_rows(self):
+        """Exact backend: per row (ints, scale), the row times the lcm of its
+        denominators unless given at construction."""
+        if self._ints is None:
+            self._ints = [_integers(self.row(i)) for i in range(self.n_rows)]
+        return self._ints
 
     @classmethod
     def from_rows(cls, rows, backend=None):
@@ -187,31 +207,17 @@ class Matrix:
     def take(self, row_idx, col_idx):
         """Submatrix from the given row and column index sequences.
 
-        On the exact backend the submatrix inherits its share of this
+        On the exact backend the submatrix is built from its share of this
         matrix's integer rows, each keeping its parent row's scale.
         """
-        data, width = self.data, self.n_cols
-        sub = Matrix(
-            len(row_idx),
-            len(col_idx),
-            [data[i * width + j] for i in row_idx for j in col_idx],
-            self.backend,
-        )
         if self.backend == EXACT:
-            rows = self._integer_rows()
-            sub._ints = [
-                ([ints[j] for j in col_idx], scale)
-                for ints, scale in (rows[i] for i in row_idx)
-            ]
-        return sub
-
-    def _integer_rows(self):
-        """Exact backend: per row (ints, scale) with ints = row * scale, an
-        integer list; given at construction, or derived on first use and
-        kept."""
-        if self._ints is None:
-            self._ints = [_integers(self.row(i)) for i in range(self.n_rows)]
-        return self._ints
+            rows = map(self._integer_rows().__getitem__, row_idx)
+            return Matrix.from_integer_rows(
+                len(col_idx), [([ints[j] for j in col_idx], scale) for ints, scale in rows]
+            )
+        data, width = self._data, self.n_cols
+        entries = [data[i * width + j] for i in row_idx for j in col_idx]
+        return Matrix(len(row_idx), len(col_idx), entries, FLOAT)
 
     def __eq__(self, other):
         return (
@@ -229,23 +235,6 @@ class Matrix:
         return f"Matrix({self.n_rows}x{self.n_cols}, {self.backend})"
 
 
-class _IntegerRowMatrix(Matrix):
-    """``Matrix.from_integer_rows``'s matrix.  Every other matrix keeps ``data``
-    a plain slot: a property costs about 3% of deliver-float on CPython 3.11."""
-
-    __slots__ = ("_data",)
-
-    def __init__(self, n_cols, rows):
-        self.n_rows, self.n_cols, self.backend, self._ints = len(rows), n_cols, EXACT, rows
-        self._data = None
-
-    @property
-    def data(self):
-        if self._data is None:
-            self._data = tuple(Fraction(v, scale) for ints, scale in self._ints for v in ints)
-        return self._data
-
-
 def _check_same_backend(a, b):
     if a.backend != b.backend:
         raise BackendMismatch(f"mixed backends: {a.backend} and {b.backend}")
@@ -257,6 +246,18 @@ def _integers(entries):
     if scale == 1:
         return [e.numerator for e in entries], 1
     return [e.numerator * (scale // e.denominator) for e in entries], scale
+
+
+def _rescaled(ints, scale, target):
+    """ints / scale as integers over ``target``, a multiple of ``scale``."""
+    return ints if scale == target else [v * (target // scale) for v in ints]
+
+
+def _lowest(ints, scale):
+    """ints / scale over its least scale of the same sign: for a positive
+    scale, the row ``_integers`` derives from the same values."""
+    g = gcd(scale, *ints)
+    return [v // g for v in ints], scale // g
 
 
 def _exact_div(num, den):
@@ -272,24 +273,29 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     _check_same_backend(a, b)
     if a.n_cols != b.n_rows:
         raise DimensionMismatch(f"cannot multiply {a.n_rows}x{a.n_cols} by {b.n_rows}x{b.n_cols}")
-    cols = [b.data[j :: b.n_cols] for j in range(b.n_cols)]
-    if a.backend == EXACT:
-        int_cols = [_integers(col) for col in cols]
-        out = [
-            Fraction(sum(map(mul, row, col)), row_scale * col_scale)
-            for row, row_scale in a._integer_rows()
-            for col, col_scale in int_cols
-        ]
-    else:
-        # One left fold per entry, in the order of a running sum: sum() would
-        # compensate its float and complex additions on newer Pythons.
-        data, width = a.data, a.n_cols
-        out = [
-            reduce(add, map(mul, data[i : i + width], col))
-            for i in range(0, len(data), width)
-            for col in cols
-        ]
     _tally(mul=a.n_rows * b.n_cols * a.n_cols, add=a.n_rows * b.n_cols * (a.n_cols - 1))
+    if a.backend == EXACT:
+        # b's rows over one common scale, read by columns; each output row is
+        # over a's row scale times it, then reduced to its lowest terms.
+        b_rows = b._integer_rows()
+        common = lcm(*(scale for _, scale in b_rows))
+        cols = list(zip(*(_rescaled(ints, scale, common) for ints, scale in b_rows)))
+        return Matrix.from_integer_rows(
+            b.n_cols,
+            [
+                _lowest([sum(map(mul, row, col)) for col in cols], scale * common)
+                for row, scale in a._integer_rows()
+            ],
+        )
+    # One left fold per entry, in the order of a running sum: sum() would
+    # compensate its float and complex additions on newer Pythons.
+    data, width = a._data, a.n_cols
+    cols = [b._data[j :: b.n_cols] for j in range(b.n_cols)]
+    out = [
+        reduce(add, map(mul, data[i : i + width], col))
+        for i in range(0, len(data), width)
+        for col in cols
+    ]
     return Matrix(a.n_rows, b.n_cols, out, a.backend)
 
 
@@ -483,8 +489,7 @@ def solve(a: Matrix, b, rows=None, cols=None):
     rows = []
     for (a_ints, a_scale), (b_ints, b_scale) in zip(a._integer_rows(), b._integer_rows()):
         scale = lcm(a_scale, b_scale)
-        a_ints = [v * (scale // a_scale) for v in a_ints]
-        rows.append(a_ints + [v * (scale // b_scale) for v in b_ints])
+        rows.append(_rescaled(a_ints, a_scale, scale) + _rescaled(b_ints, b_scale, scale))
     x, det = _solve_rows(rows, a.n_cols, EXACT)
     return Matrix.from_integer_rows(b.n_cols, [(values, det) for values in x])
 
@@ -496,7 +501,7 @@ def _solve_units(a, equations, unknowns, units):
     ints, zero = (a._integer_rows(), 0) if exact else (None, complex(0))
     rows = []
     for l in equations:
-        row, unit = ints[l] if exact else (a.row(l), complex(1))
+        row, unit = ints[l] if exact else (a._data[l * width : (l + 1) * width], complex(1))
         rows.append([row[i] for i in unknowns] + [unit if l == u else zero for u in units])
     x, det = _solve_rows(rows, len(unknowns), a.backend)
     # Each unit reads 1 in some equation, so no column of x is zero.
@@ -512,7 +517,7 @@ def _solve_units(a, equations, unknowns, units):
                 entries[l] = sum(map(mul, part, column))
         return support, x_rows, a_x, det
     # a x column by column, each entry a running sum as in ``matmul``.
-    columns = [a.data[i::width] for i in support]
+    columns = [a._data[i::width] for i in support]
     a_x = []
     for j in range(n_rhs):
         acc = [g * x_rows[0][j] for g in columns[0]]
@@ -525,21 +530,27 @@ def _solve_units(a, equations, unknowns, units):
 
 def isolate(b, w, y, known):
     """(y[l] - the sum of b(l, j) * w[j] over j in known[l]) / b(l, l) per
-    row l of ``b``: floats subtract left to right from y[l]; exact values are
-    one integer dot product of b's integer row with w's, and one Fraction.
-    A term counts one multiplication and addition, the division one more."""
+    row l of ``b``, for column vectors w and y: floats subtract left to right
+    from y[l]; exact values are one integer dot product of b's integer row
+    with w's over their common scale, and one Fraction.  A term counts one
+    multiplication and addition, the division one more."""
     n_known = sum(map(len, known))
     _tally(mul=n_known + b.n_rows, add=n_known)
     if b.backend == FLOAT:
+        w = w._data
         return [
             reduce(sub, [row[j] * w[j] for j in cached], y_l) / row[l]
-            for l, (row, y_l, cached) in enumerate(zip(map(b.row, range(b.n_rows)), y, known))
+            for l, (row, y_l, cached) in enumerate(zip(map(b.row, range(b.n_rows)), y._data, known))
         ]
-    w_ints, w_scale = _integers(w)
+    w_rows = w._integer_rows()
+    w_scale = lcm(*(scale for _, scale in w_rows))
+    w_ints = [v * (w_scale // scale) for (v,), scale in w_rows]
     out = []
-    for l, ((row, scale), y_l, cached) in enumerate(zip(b._integer_rows(), y, known)):
+    for l, ((row, scale), ((y_l,), y_scale), cached) in enumerate(
+        zip(b._integer_rows(), y._integer_rows(), known)
+    ):
         dot = sum(row[j] * w_ints[j] for j in cached)
-        # (y_l - dot / (scale * w_scale)) / (row[l] / scale) on integers.
-        num = y_l.numerator * scale * w_scale - y_l.denominator * dot
-        out.append(Fraction(num, y_l.denominator * w_scale * row[l]))
+        # (y_l / y_scale - dot / (scale * w_scale)) / (row[l] / scale) on integers.
+        num = y_l * scale * w_scale - y_scale * dot
+        out.append(Fraction(num, y_scale * w_scale * row[l]))
     return out

@@ -83,19 +83,28 @@ class SystemPoint:
 
 @dataclass(frozen=True)
 class SchemeMetrics:
-    """The (F, Z, S) triple of one scheme plus its derived figures."""
+    """The (F, Z, S) triple of one scheme plus its derived figures; ``ndt``
+    and ``sum_dof`` are derived when read (the comparison table reads
+    neither), the latter from K."""
 
     scheme: str
     subpacketization: int
     stars_per_col: int
     slots: int
-    ndt: Fraction
-    sum_dof: Fraction
     complexity: int
+    _users: int
 
     @property
     def parameters(self):
         return (self.subpacketization, self.stars_per_col, self.slots)
+
+    @property
+    def ndt(self) -> Fraction:
+        return Fraction(self.slots, self.subpacketization)
+
+    @property
+    def sum_dof(self) -> Fraction:
+        return Fraction(self._users * (self.subpacketization - self.stars_per_col), self.slots)
 
 
 def asmst_metrics(p: SystemPoint) -> SchemeMetrics:
@@ -212,9 +221,8 @@ def _finish(tag, p, f, z, s, complexity=None) -> SchemeMetrics:
         subpacketization=f,
         stars_per_col=z,
         slots=s,
-        ndt=Fraction(s, f),
-        sum_dof=Fraction(p.users * (f - z), s),
         complexity=complexity,
+        _users=p.users,
     )
 
 

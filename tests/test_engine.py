@@ -1,6 +1,7 @@
 """Placement, precoder synthesis, and end-to-end delivery."""
 
 import dataclasses
+import gc
 import random
 import re
 from fractions import Fraction
@@ -380,16 +381,13 @@ class TestFamilies:
         """{slot: the precoder a run synthesized for it}, filled by every
         ``run_delivery`` call from now on."""
         seen = {}
-        run_one = engine._run_slot
+        real_synthesize = engine.synthesize_precoder
 
-        def recording(group, channel, demands, library, synthesize):
-            def recorded(g, c):
-                seen[g.slot] = synthesize(g, c)
-                return seen[g.slot]
+        def recorded(group, channel, family=None):
+            seen[group.slot] = real_synthesize(group, channel, family)
+            return seen[group.slot]
 
-            return run_one(group, channel, demands, library, recorded)
-
-        monkeypatch.setattr(engine, "_run_slot", recording)
+        monkeypatch.setattr(engine, "synthesize_precoder", recorded)
         return seen
 
     def test_v_and_b_equal_standalone_synthesis(self, monkeypatch):
@@ -471,16 +469,47 @@ class TestFamilies:
         assert calls == [8] * 16
         # B is summed over the 8 cacher rows of each column, not all 16.
         assert report.ops_measured["precoder_synthesis"] == {"mul": 31664, "add": 18368}
-        # V and B reach the encode and decode as integer rows, and their
-        # Fractions are never built.  _integers runs on the 8 rows of H, its
-        # 16 columns and the 16 rows of H* (the Gram product), the Gram
-        # matrix's 16 rows, and per slot on the packets w, the encoded x,
-        # the forwarded signal and w again in the decode: 8 + 16 + 16 + 16 +
-        # 8 * 4.  Fractions are the Gram matrix's 256 entries, per slot the
-        # 16 + 8 + 16 entries of the three products and the 16 decoded
-        # values, and the NDT: 256 + 8 * 56 + 1.  (344 and 2,793 when V and
-        # B were handed over as Fractions.)
-        assert counts == {"_integers": 88, "Fraction": 705}
+        # Every product and block is handed on as integer rows, so Fractions
+        # are only the 128 decoded values (16 per slot) and the NDT.
+        # _integers runs on the 8 rows of H and the 16 rows of H* (the Gram
+        # product) and per slot on the 16 packets of w, one row each: 8 + 16
+        # + 8 * 16.  (88 and 705 when the products built Fractions, which
+        # the next kernel only rescaled to integers; 344 and 2,793 when V and
+        # B were handed over as Fractions too.)
+        assert counts == {"_integers": 152, "Fraction": 129}
+
+    def test_slots_sharing_nothing_keep_no_solve(self, monkeypatch):
+        # A run keeps a family's solves for its later slots, and nothing for
+        # a slot alone in its family: when the next slot starts, the test's
+        # own record is the only container holding an earlier slot's solve.
+        results, kept = [], []
+        real_solve_columns, real_synthesize = engine._solve_columns, engine.synthesize_precoder
+
+        def recorded_solve(*args):
+            results.append(real_solve_columns(*args))
+            return results[-1]
+
+        def checked_synthesize(group, channel, family=None):
+            kept.append(sum(gc.get_referrers(result) != [results] for result in results))
+            return real_synthesize(group, channel, family)
+
+        monkeypatch.setattr(engine, "_solve_columns", recorded_solve)
+        monkeypatch.setattr(engine, "synthesize_precoder", checked_synthesize)
+        lone = replicate(generate_mn_pda(4, 1), 2)
+        for m, shares in ((lone, False), (generate_cyclic(6, 3), True)):
+            instance = build_instance(m, files=2)
+            assert bool(instance.families) == shares
+            for channel in (
+                ChannelMatrix(vandermonde_channel(m.antennas, m.cols)),
+                make_channel(m.antennas, m.cols, seed=1),
+            ):
+                results.clear()
+                kept.clear()
+                library = random_library(2, m.rows, seed=3, backend=channel.matrix.backend)
+                run_delivery(instance, channel, default_demands(m.cols, 2), library)
+                assert len(kept) == m.slots and len(results) >= m.slots
+                # The family's slots after the first find its solves kept.
+                assert any(kept) == shares, kept
 
     def test_errors_match_one_slot_at_a_time(self, monkeypatch):
         # Exact channels on which two users share a channel column, or with

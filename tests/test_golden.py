@@ -1,0 +1,55 @@
+"""Byte-exact stdout (and ``gen``'s stderr line) of fixed CLI requests.
+
+Each case's expected bytes live in ``fixtures/golden/<name>.out`` (and
+``<name>.err`` for ``gen``).  The arrays that ``gen`` writes there are the
+inputs of the ``simulate`` cases, so a change to a generator shows in its
+own case first.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from mapda.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = FIXTURES / "golden"
+
+CASES = {
+    "gen_mn_6_2": ["gen", "mn", "--users", "6", "--t", "2"],
+    "gen_cyclic_8_5": ["gen", "cyclic", "--users", "8", "--t", "5"],
+    "gen_replicate_mn_6_2_x2": ["gen", "replicate", "-i", "golden/gen_mn_6_2.out", "--copies", "2"],
+    # cyclic(8, 5): three slots serving all eight users, one family.
+    "simulate_cyclic_8_5_exact": [
+        "simulate", "golden/gen_cyclic_8_5.out", "-N", "2",
+        "--channel", "vandermonde_3x8.txt", "--scalar", "exact",
+    ],
+    "simulate_cyclic_8_5_float": [
+        "simulate", "golden/gen_cyclic_8_5.out", "-N", "2", "--scalar", "float", "--seed", "4",
+    ],
+    # Every slot of replicate(mn(6, 2), 2) serves users no other slot serves.
+    "simulate_mn_6_2_x2_float": [
+        "simulate", "golden/gen_replicate_mn_6_2_x2.out", "-N", "2", "--scalar", "float",
+        "--seed", "2",
+    ],
+    "simulate_example1_exact": [
+        "simulate", "example1.mapda", "-N", "6", "--channel", "channel_2x6.txt",
+        "--scalar", "exact",
+    ],
+    "simulate_example1_float": [
+        "simulate", "example1.mapda", "-N", "6", "--channel", "channel_2x6.txt",
+        "--scalar", "float",
+    ],
+    "compare_table_points": ["compare", "--points", "table_points.txt"],
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_output_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.chdir(FIXTURES)
+    monkeypatch.delenv("MAPDA_SEED", raising=False)
+    assert main(CASES[name]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    err = GOLDEN / f"{name}.err"
+    assert captured.err == (err.read_text(encoding="utf-8") if err.exists() else "")

@@ -371,8 +371,9 @@ class TestColumnKernels:
                     for j in known[l]:
                         acc = acc - rows[l][j] * w[j]
                     want.append(acc / rows[l][l])
+                w_col, y_col = (Matrix.from_rows([[e] for e in v], backend) for v in (w, y))
                 with count_ops() as tally:
-                    got = isolate(b, w, y, known)
+                    got = isolate(b, w_col, y_col, known)
                 n_known = sum(map(len, known))
                 assert (tally.mul, tally.add) == (n_known + n, n_known)
                 if backend == FLOAT:
@@ -658,12 +659,14 @@ class TestIntegerRows:
             # The kernels read the integer rows; data is built on first read.
             width = rng.randint(1, 3)
             right = frac_matrix([[random_rational(rng) for _ in range(width)] for _ in range(m)])
-            assert matmul(lazy, right) == matmul(eager, right)
+            product = matmul(lazy, right)
+            assert product._data is None
+            assert product == matmul(eager, right)
             if m >= n and all(rows[l][l] for l in range(n)):
                 isolated += 1
                 known = [[j for j in range(m) if j != l] for l in range(n)]
-                w = [random_rational(rng) for _ in range(m)]
-                y = [random_rational(rng) for _ in range(n)]
+                w = frac_matrix([[random_rational(rng)] for _ in range(m)])
+                y = frac_matrix([[random_rational(rng)] for _ in range(n)])
                 assert isolate(lazy, w, y, known) == isolate(eager, w, y, known)
             assert lazy._data is None
             data = lazy.data
