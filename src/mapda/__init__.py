@@ -49,12 +49,10 @@ from .linalg import (
 )
 from .metrics import (
     ConstraintViolation,
-    RatioReport,
     SchemeMetrics,
     SystemPoint,
     asmst_metrics,
     best_m,
-    ratio_asymptotics,
     scheme_metrics,
     silence_antennas,
     table_report,

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
+from math import comb
 from pathlib import Path
 
 # A grid entry is either STAR (cached) or a positive slot id.
@@ -256,6 +257,17 @@ class Mapda:
         return self.report.slot_index.get(s, ())
 
 
+_MAX_CELLS = 10**6  # the largest table a generator or random library builds
+
+
+def _check_cells(what, rows, cols):
+    """Refuse ``what``, a rows x cols table, before it is allocated."""
+    if rows * cols > _MAX_CELLS:
+        raise DomainError(
+            f"{what} needs at least {rows} x {cols} = {rows * cols} cells, limit {_MAX_CELLS}"
+        )
+
+
 def generate_mn_pda(users, cached):
     """Build the classic t-subset star pattern as a single-antenna array.
 
@@ -266,6 +278,8 @@ def generate_mn_pda(users, cached):
     """
     if not 1 <= cached < users:
         raise DomainError(f"need 1 <= t < K, got t={cached}, K={users}")
+    rows = users if users**2 > _MAX_CELLS else comb(users, cached)  # F >= K; comb is slow there
+    _check_cells(f"mn({users}, {cached})", rows, users)
     everyone = range(1, users + 1)
     row_of = {sub: i for i, sub in enumerate(combinations(everyone, cached))}
     grid = [[STAR] * users for _ in row_of]
@@ -285,6 +299,7 @@ def replicate(base, copies):
     """
     if copies < 1:
         raise DomainError(f"copies must be >= 1, got {copies}")
+    _check_cells(f"{copies} copies of the array", base.rows, base.cols * copies)
     grid = tuple(row * copies for row in base.grid)
     return Mapda(grid, antennas=base.antennas * copies)
 
@@ -298,6 +313,7 @@ def generate_cyclic(users, cached):
     """
     if not 1 <= cached < users:
         raise DomainError(f"need 1 <= t < K, got t={cached}, K={users}")
+    _check_cells(f"cyclic({users}, {cached})", users, users)
     k_users, t = users, cached
     grid = []
     for f in range(1, k_users + 1):

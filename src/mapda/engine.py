@@ -46,7 +46,7 @@ from operator import mul
 from pathlib import Path
 from typing import NamedTuple
 
-from .arrays import STAR, DomainError, Mapda, ParseError, read_table
+from .arrays import STAR, DomainError, Mapda, ParseError, _check_cells, read_table
 from .linalg import (
     EXACT,
     FLOAT,
@@ -182,7 +182,6 @@ class SlotOutcome:
 class SlotReport:
     s: int
     served: tuple
-    feasible: bool
     residual_max: float
 
 
@@ -204,7 +203,7 @@ class DeliveryReport:
                 {
                     "s": r.s,
                     "served": list(r.served),
-                    "feasible": r.feasible,
+                    "feasible": True,  # a failed slot raises, so never False
                     "residual_max": r.residual_max,
                 }
                 for r in self.slots
@@ -324,6 +323,7 @@ def read_library_fixture(path) -> Matrix:
 
 def random_library(files, parts, seed=0, backend=EXACT) -> Matrix:
     """Deterministic random packet values, one scalar per (file, part)."""
+    _check_cells(f"a library of {files} files", files, parts)
     rng = random.Random(seed)
     if backend == EXACT:
         rows = [
@@ -474,7 +474,7 @@ def _solve_columns(block, unknowns, positions):
     return (positions, *solve(block, positions, [first, *rest], unknowns))
 
 
-def run_slot(group, channel, demands, library) -> SlotOutcome:
+def run_slot(group, channel, demands, library, family=None) -> SlotOutcome:
     """Execute one transmission: synthesize the precoder, uplink combine,
     forward, decode.
 
@@ -483,7 +483,8 @@ def run_slot(group, channel, demands, library) -> SlotOutcome:
     subtracts its cached contributions using the precoder's two-hop matrix
     B and recovers its packet from the unit diagonal.  Only the served
     users' demands are checked; ``run_delivery`` checks the whole vector.
-    Raises DecodeMismatch if a recovered value strays from the library.
+    ``family`` is as in ``synthesize_precoder``.  Raises DecodeMismatch if
+    a recovered value strays from the library.
     """
     demands = tuple(demands)
     if len(demands) < max(group.served_users):
@@ -492,12 +493,6 @@ def run_slot(group, channel, demands, library) -> SlotOutcome:
             f"serves user {max(group.served_users)}"
         )
     _check_demands([demands[k - 1] for k in group.served_users], library.n_rows)
-    return _run_slot(group, channel, demands, library)
-
-
-def _run_slot(group, channel, demands, library, family=None) -> SlotOutcome:
-    """``run_slot`` on checked demands; ``family`` as in
-    ``synthesize_precoder``."""
     _check_same_backend(channel.matrix, library)
     ops = {}
     with count_ops() as tally:
@@ -613,7 +608,7 @@ def run_delivery(instance, channel, demands, library) -> DeliveryReport:
     recovered_cells = []
     families = {users: (systems, {}) for users, systems in instance.families.items()}
     for group in instance.groups:
-        outcome = _run_slot(group, channel, demands, library, families.get(group.served_users))
+        outcome = run_slot(group, channel, demands, library, families.get(group.served_users))
         for phase, tally in outcome.ops.items():
             agg = ops_total.setdefault(phase, {"mul": 0, "add": 0})
             agg["mul"] += tally["mul"]
@@ -625,7 +620,6 @@ def run_delivery(instance, channel, demands, library) -> DeliveryReport:
             SlotReport(
                 s=group.slot,
                 served=group.served_users,
-                feasible=True,
                 residual_max=outcome.residual_max,
             )
         )

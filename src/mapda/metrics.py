@@ -247,56 +247,6 @@ def silence_antennas(p: SystemPoint) -> SystemPoint:
     return SystemPoint(p.users, p.t, p.memory_ratio, p.m)
 
 
-@dataclass(frozen=True)
-class RatioReport:
-    """Evaluation of one asymptotic gain model at a concrete point.
-
-    Subpacketization ratios (kinds F1, F2) report a base-2 exponent:
-    the new scheme's F is about 2**exponent times the baseline's.
-    Cost ratios (kinds lambda1..lambda3) report the polynomial model
-    constant * K**k_degree and its exact value at the point.
-    """
-
-    kind: str
-    exponent: Fraction | None = None
-    constant: int | None = None
-    k_degree: Fraction | None = None
-    value: int | None = None
-
-
-def ratio_asymptotics(p: SystemPoint, which: str) -> RatioReport:
-    """Evaluate the stated asymptotic ratio models (not measurements)."""
-    t, big_l, big_k = p.t, p.antennas, p.users
-    g = t + big_l
-    if which == "F1":
-        if p.m is None:
-            raise DomainError("F1 ratio needs m")
-        if big_k % p.m:
-            raise DomainError("F1 ratio needs m | K")
-        return RatioReport(kind="F1", exponent=Fraction((1 - p.m) * big_k, p.m))
-    if which == "F2":
-        a = p.alpha
-        return RatioReport(kind="F2", exponent=Fraction(big_k * (1 - a), a))
-    # Each cost ratio is (g-1)^(3t-2) * factor * K^degree.
-    if which == "lambda1":
-        a = p.alpha
-        factor, degree = a ** (g // a), Fraction(g * (a - 1), a)
-    elif which == "lambda2":
-        if p.m is None:
-            raise DomainError("lambda2 ratio needs m")
-        if t % p.m:
-            raise DomainError("lambda2 ratio needs m | t")
-        factor, degree = p.m ** (t // p.m), Fraction(big_l) + Fraction(t * (p.m - 1), p.m)
-    elif which == "lambda3":
-        factor, degree = 1, Fraction(big_l + t - 1)
-    else:
-        raise DomainError(f"unknown ratio kind {which!r}")
-    constant = (g - 1) ** (3 * t - 2) * factor
-    return RatioReport(
-        kind=which, constant=constant, k_degree=degree, value=constant * big_k ** int(degree)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Tabular comparison.
 #

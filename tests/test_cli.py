@@ -2,8 +2,14 @@
 
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from mapda import cli, metrics
 from mapda.cli import main
@@ -11,6 +17,7 @@ from mapda.cli import main
 FIXTURES = Path(__file__).parent / "fixtures"
 EXAMPLE1 = str(FIXTURES / "example1.mapda")
 CHANNEL = str(FIXTURES / "channel_2x6.txt")
+SRC = Path(__file__).parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -496,6 +503,56 @@ class TestSweep:
         assert code == 0
         assert wide == clamped
         assert len(clamped.splitlines()) == 8
+
+
+class TestAllocationBound:
+    # Each request asks for hundreds of millions of cells.  The child runs
+    # under a 400 MB address-space limit, so a missing size check ends there
+    # in a MemoryError traceback instead of exhausting the host.
+    CASES = {
+        "mn_k26_t13": (
+            ["gen", "mn", "--users", "26", "--t", "13"],
+            "mn(26, 13) needs at least 10400600 x 26 = 270415600 cells",
+        ),
+        # F = C(2000, 3) is never formed: F >= K already puts K x K over.
+        "mn_k2000": (
+            ["gen", "mn", "--users", "2000", "--t", "3"],
+            "mn(2000, 3) needs at least 2000 x 2000 = 4000000 cells",
+        ),
+        "cyclic_k2000": (
+            ["gen", "cyclic", "--users", "2000", "--t", "3"],
+            "cyclic(2000, 3) needs at least 2000 x 2000 = 4000000 cells",
+        ),
+        "replicate": (
+            ["gen", "replicate", "-i", EXAMPLE1, "--copies", "100000000"],
+            "100000000 copies of the array needs at least 3 x 600000000 = 1800000000 cells",
+        ),
+        "library": (
+            ["simulate", EXAMPLE1, "-N", "100000000"],
+            "a library of 100000000 files needs at least 100000000 x 3 = 300000000 cells",
+        ),
+    }
+
+    @staticmethod
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_refused_before_allocating(self, name):
+        argv, message = self.CASES[name]
+        env = {k: v for k, v in os.environ.items() if k != "MAPDA_SEED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        main_code = "import sys; from mapda.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", main_code, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=self.limit_address_space,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+        assert proc.stderr == f"error: {message}, limit 1000000\n"
 
 
 class TestParserReuse:

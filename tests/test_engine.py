@@ -742,7 +742,7 @@ class TestRunDelivery:
         report = run_delivery(
             example1_instance, fixture_channel, (1,) * 6, library
         )
-        assert all(r.feasible for r in report.slots)
+        assert [r.s for r in report.slots] == [g.slot for g in example1_instance.groups]
 
     def test_float_backend_seeds(self, example1):
         inst = build_instance(example1, files=6)

@@ -41,6 +41,9 @@ CASES = {
         "--scalar", "float",
     ],
     "compare_table_points": ["compare", "--points", "table_points.txt"],
+    "validate_mn_6_2_L1": ["validate", "golden/gen_mn_6_2.out", "-L", "1"],
+    # The table, then the plot CSV, both on stdout.
+    "sweep_20_4": ["sweep", "-K", "20", "-L", "4", "--plot-out", "-"],
 }
 
 

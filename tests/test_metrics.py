@@ -18,7 +18,6 @@ from mapda.metrics import (
     admissible_m_values,
     asmst_metrics,
     best_m,
-    ratio_asymptotics,
     scheme_metrics,
     sci,
     silence_antennas,
@@ -353,31 +352,6 @@ class TestSilencing:
     def test_boundary_rejected(self):
         with pytest.raises(DomainError):
             silence_antennas(point(4, "1/2", 2))  # t == L
-
-
-class TestRatios:
-    def test_f1_exponent(self):
-        r = ratio_asymptotics(point(8, "1/4", 2, m=2), "F1")
-        assert r.exponent == -4  # (1-m)/m * K with m=2
-
-    def test_f2_exponent_trivial_alpha(self):
-        r = ratio_asymptotics(point(9, "1/3", 2), "F2")  # gcd(9,3,2) = 1
-        assert r.exponent == 0
-
-    def test_lambda1_model_value(self):
-        r = ratio_asymptotics(point(6, "1/3", 2), "lambda1")  # alpha = 2
-        assert r.constant == 3**4 * 2**2
-        assert r.k_degree == 2
-        assert r.value == 3**4 * 2**2 * 6**2 == 11664
-
-    def test_lambda3_model(self):
-        r = ratio_asymptotics(point(6, "1/3", 2), "lambda3")
-        assert r.constant == 3**4
-        assert r.k_degree == 3
-
-    def test_missing_m_rejected(self):
-        with pytest.raises(DomainError):
-            ratio_asymptotics(point(8, "1/4", 2), "F1")
 
 
 class TestTable:
