@@ -35,6 +35,7 @@ from .metrics import ConstraintViolation, SystemPoint
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
+_MAX_SWEEP_ROWS = 1000  # the longest t range ``sweep`` tabulates
 
 
 def _effective_seed(args):
@@ -213,10 +214,12 @@ def cmd_sweep(args) -> int:
     # Checked here too so bad K, L or m fail even when the t range is empty.
     metrics.check_counts(users, antennas, args.m)
     t_max = args.t_max if args.t_max is not None else users - antennas
-    points = [
-        SystemPoint(users, antennas, Fraction(t, users), args.m)
-        for t in range(max(args.t_min, 1), min(t_max, users - 1) + 1)
-    ]
+    ts = range(max(args.t_min, 1), min(t_max, users - 1) + 1)
+    if len(ts) > _MAX_SWEEP_ROWS:
+        raise DomainError(
+            f"sweep of t = {ts[0]}..{ts[-1]} needs {len(ts)} rows, limit {_MAX_SWEEP_ROWS}"
+        )
+    points = [SystemPoint(users, antennas, Fraction(t, users), args.m) for t in ts]
     rows = [metrics.table_row(p) for p in points]
     _write_text(args.out, metrics.format_table(rows))
     if args.plot_out is not None:

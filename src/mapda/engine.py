@@ -19,9 +19,9 @@ A channel forms H* and its Gram matrix H* H once.  A slot reads its users'
 rows of H* to decode, and its block of the Gram matrix, from whose rows
 ``linalg.solve`` solves each column system and forms its columns of B; on
 the exact backend every matrix from the Gram to the decode is handed on as
-integer rows, V and B over one denominator per slot.  Column n's system
-depends only on the served users and n's cacher set, so slots serving the
-same users form a family.  ``synthesize_precoder`` is the one synthesizer:
+integer rows over one denominator.  Column n's system depends only on the
+served users and n's cacher set, so slots serving the same users form a
+family.  ``synthesize_precoder`` is the one synthesizer:
 inside ``run_delivery`` a family's slots share one store of solves for the
 run, each system solved once with one right-hand side per position using
 it in any slot (on the circulant arrays of scheme 3, K systems instead of
@@ -401,7 +401,7 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
     zero = complex(0) if backend == FLOAT else 0
     v_rows = [[zero] * size for _ in all_rows]
     b_cols = [None] * size
-    dets = [1] * size
+    dens = [None] * size
     failures = {}
     for unknowns, members in systems.items():
         if not unknowns:
@@ -416,7 +416,7 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
                 solved[unknowns] = None
                 with suppress(Infeasible):
                     solved[unknowns] = _solve_columns(block, unknowns, sorted(shared[unknowns]))
-            positions, support, x_rows, b_columns, det = solved.get(unknowns) or _solve_columns(
+            positions, support, x_rows, b_columns, *den = solved.get(unknowns) or _solve_columns(
                 block, unknowns, members
             )
         except Infeasible as exc:
@@ -444,29 +444,32 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
             for i, row in zip(support, x_rows):
                 v_rows[i][n] = row[j]
             b_cols[n] = b_columns[j]
-            dets[n] = det
+            dens[n] = den
     if failures:
         raise failures[min(failures)]
     if backend == FLOAT:
         v = Matrix(size, size, [e for row in v_rows for e in row], backend)
         b = Matrix(size, size, [e for row in zip(*b_cols) for e in row], backend)
         return PrecodingMatrix(matrix=v, combined=b)
-    # Exact column n is over dets[n] (B's row l also over Gram row l's
-    # scale); V and B keep integer rows over the lcm of the determinants.
-    common = math.lcm(*dets)
-    factors = [common // det for det in dets]
-    v = Matrix.from_integer_rows(size, [(list(map(mul, row, factors)), common) for row in v_rows])
-    b_rows = [list(map(mul, row, factors)) for row in zip(*b_cols)]
-    grams = block._integer_rows()
-    b = Matrix.from_integer_rows(size, [(row, s * common) for row, (_, s) in zip(b_rows, grams)])
-    return PrecodingMatrix(matrix=v, combined=b)
+    x_dens, b_dens = zip(*dens)
+    return PrecodingMatrix(
+        matrix=_over_lcm(v_rows, x_dens), combined=_over_lcm(list(zip(*b_cols)), b_dens)
+    )
+
+
+def _over_lcm(rows, dens):
+    """Exact matrix of integer ``rows`` whose column n is over dens[n],
+    brought over one denominator, the lcm of ``dens``."""
+    common = math.lcm(*dens)
+    factors = [common // den for den in dens]
+    return Matrix.from_integer_rows([list(map(mul, row, factors)) for row in rows], common)
 
 
 def _solve_columns(block, unknowns, positions):
     """``solve`` for the columns at ``positions`` whose cacher set is
     ``unknowns``, a unit right-hand side each; returns (positions, the
     support rows, the solution's rows on them, B's columns, and the
-    denominator ``solve`` gives them)."""
+    denominators ``solve`` gives the solution and B)."""
     first = positions[0]
     # Position n is outside its own cacher set, so the equation rows are the
     # positions outside ``unknowns``, the first position's row first.

@@ -7,24 +7,24 @@ multiply, conjugate transpose, and a Gaussian-elimination solver that
 zeroes free variables and reports inconsistency instead of guessing; the
 engine solves its column systems in place and decodes with ``isolate``.
 
-Exact kernels compute on Python ints.  An exact matrix holds integer rows,
-each row times a scale (the lcm of its denominators when derived), its
-Fraction ``data``, or both, and derives either from the other on first
-read.  The kernels read and return integer rows, so ``Fraction``s are
-built only at the edges: fixture and library input, the decoded values,
-and reads of ``data`` and ``==``.  ``take`` hands a submatrix its share of
-the rows, so the rows of a Gram matrix are scaled once however many blocks
-are read from it.  ``matmul`` brings the right operand's rows to one scale
-and reduces each output row to its lowest terms.  The solvers eliminate
-integer rows fraction-free (Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 1968): every division
-is exact and none is made while the previous pivot is 1.  The Matrix form
-of ``solve`` returns integer rows over the determinant; the unit form
-returns the integers themselves, reading a x's equation rows from the
-right-hand side, which its solve satisfies.  The float backend runs plain
-Gaussian elimination with partial pivoting; its products fold each entry
-left to right, in running-sum order.  On both backends back-substitution
-sums over pivot columns only, since free variables are zero.
+Exact kernels compute on Python ints.  An exact matrix is one integer
+matrix over one denominator (the lcm of its entries' denominators when
+derived), its Fraction ``data``, or both, and derives either from the other
+on first read.  The kernels read and return integer rows, so ``Fraction``s
+are built only at the edges: fixture and library input, the decoded values,
+and reads of ``data`` and ``==``.  ``take`` and ``conj_transpose`` keep the
+denominator, so a Gram matrix is brought to integers once however many
+blocks are read from it, and ``matmul`` multiplies the two denominators.
+The solvers eliminate integer rows fraction-free (Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 1968): every division is exact and none is made while the previous
+pivot is 1.  The Matrix form of ``solve`` returns integer rows over the
+determinant times b's denominator; the unit form returns the integers
+themselves, reading a x's equation rows from the right-hand side, which its
+solve satisfies.  The float backend runs plain Gaussian elimination with
+partial pivoting; its products fold each entry left to right, in
+running-sum order.  On both backends back-substitution sums over pivot
+columns only, since free variables are zero.
 
 Scalar multiply/add counts can be observed through ``count_ops``; counting
 state is thread-local, keeping the operations re-entrant.  They count the
@@ -32,7 +32,7 @@ arithmetic each kernel performs on the operands it is given: a product
 counts n*m*k multiplications, so a caller that drops exact-zero terms
 before multiplying pays, and counts, only for the rest.  On the exact
 backend they count the integer kernels' operations, an exact division
-counting as a multiplication; scaling and reducing integer rows and
+counting as a multiplication; bringing entries over one denominator and
 building Fractions are not counted.  The delivery engine compares these
 counts against its cost model lambda.
 """
@@ -44,7 +44,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import lcm
 from operator import add, mul, sub, truediv
 
 EXACT = "exact"
@@ -131,10 +131,10 @@ def _coerce(value, backend):
 class Matrix:
     """Immutable row-major dense matrix bound to one scalar backend.
 
-    An exact matrix holds its integer rows, its Fraction ``data``, or both:
-    whichever it was built from, the other is derived on first read and
-    kept.  The kernels read the ``_data`` slot of float matrices, which
-    always hold it.
+    An exact matrix holds its integer rows over one denominator, its
+    Fraction ``data``, or both: whichever it was built from, the other is
+    derived on first read and kept.  The kernels read the ``_data`` slot of
+    float matrices, which always hold it.
     """
 
     __slots__ = ("n_rows", "n_cols", "_data", "backend", "_ints")
@@ -154,23 +154,25 @@ class Matrix:
         self._ints = None
 
     @classmethod
-    def from_integer_rows(cls, n_cols, rows):
-        """Exact matrix from (ints, scale) rows, each row ints / scale."""
+    def from_integer_rows(cls, rows, den):
+        """Exact matrix of the integer ``rows`` over the nonzero ``den``."""
         m = object.__new__(cls)
-        m.n_rows, m.n_cols, m._data, m.backend, m._ints = len(rows), n_cols, None, EXACT, rows
+        m.n_rows, m.n_cols, m._data, m.backend = len(rows), len(rows[0]), None, EXACT
+        m._ints = rows, den
         return m
 
     @property
     def data(self):
         if self._data is None:
-            self._data = tuple(Fraction(v, scale) for ints, scale in self._ints for v in ints)
+            rows, den = self._ints
+            self._data = tuple(Fraction(v, den) for row in rows for v in row)
         return self._data
 
     def _integer_rows(self):
-        """Exact backend: per row (ints, scale), the row times the lcm of its
+        """Exact backend: (rows, den), the matrix times the lcm of its
         denominators unless given at construction."""
         if self._ints is None:
-            self._ints = [_integers(self.row(i)) for i in range(self.n_rows)]
+            self._ints = _integers(self._data, self.n_cols)
         return self._ints
 
     @classmethod
@@ -208,13 +210,11 @@ class Matrix:
         """Submatrix from the given row and column index sequences.
 
         On the exact backend the submatrix is built from its share of this
-        matrix's integer rows, each keeping its parent row's scale.
+        matrix's integer rows, over this matrix's denominator.
         """
         if self.backend == EXACT:
-            rows = map(self._integer_rows().__getitem__, row_idx)
-            return Matrix.from_integer_rows(
-                len(col_idx), [([ints[j] for j in col_idx], scale) for ints, scale in rows]
-            )
+            rows, den = self._integer_rows()
+            return Matrix.from_integer_rows([[rows[i][j] for j in col_idx] for i in row_idx], den)
         data, width = self._data, self.n_cols
         entries = [data[i * width + j] for i in row_idx for j in col_idx]
         return Matrix(len(row_idx), len(col_idx), entries, FLOAT)
@@ -240,24 +240,12 @@ def _check_same_backend(a, b):
         raise BackendMismatch(f"mixed backends: {a.backend} and {b.backend}")
 
 
-def _integers(entries):
-    """(ints, scale): Fraction entries times the lcm of their denominators."""
-    scale = lcm(*(e.denominator for e in entries))
-    if scale == 1:
-        return [e.numerator for e in entries], 1
-    return [e.numerator * (scale // e.denominator) for e in entries], scale
-
-
-def _rescaled(ints, scale, target):
-    """ints / scale as integers over ``target``, a multiple of ``scale``."""
-    return ints if scale == target else [v * (target // scale) for v in ints]
-
-
-def _lowest(ints, scale):
-    """ints / scale over its least scale of the same sign: for a positive
-    scale, the row ``_integers`` derives from the same values."""
-    g = gcd(scale, *ints)
-    return [v // g for v in ints], scale // g
+def _integers(entries, width):
+    """(rows, den): row-major Fraction entries, rows ``width`` long, times
+    den, the lcm of their denominators."""
+    den = lcm(*(e.denominator for e in entries))
+    ints = [e.numerator * (den // e.denominator) for e in entries]
+    return [ints[i : i + width] for i in range(0, len(ints), width)], den
 
 
 def _exact_div(num, den):
@@ -275,17 +263,10 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatch(f"cannot multiply {a.n_rows}x{a.n_cols} by {b.n_rows}x{b.n_cols}")
     _tally(mul=a.n_rows * b.n_cols * a.n_cols, add=a.n_rows * b.n_cols * (a.n_cols - 1))
     if a.backend == EXACT:
-        # b's rows over one common scale, read by columns; each output row is
-        # over a's row scale times it, then reduced to its lowest terms.
-        b_rows = b._integer_rows()
-        common = lcm(*(scale for _, scale in b_rows))
-        cols = list(zip(*(_rescaled(ints, scale, common) for ints, scale in b_rows)))
+        (a_rows, a_den), (b_rows, b_den) = a._integer_rows(), b._integer_rows()
+        cols = list(zip(*b_rows))
         return Matrix.from_integer_rows(
-            b.n_cols,
-            [
-                _lowest([sum(map(mul, row, col)) for col in cols], scale * common)
-                for row, scale in a._integer_rows()
-            ],
+            [[sum(map(mul, row, col)) for col in cols] for row in a_rows], a_den * b_den
         )
     # One left fold per entry, in the order of a running sum: sum() would
     # compensate its float and complex additions on newer Pythons.
@@ -300,13 +281,13 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def conj_transpose(a: Matrix) -> Matrix:
-    """Hermitian transpose; plain transpose on the exact (real) backend."""
-    columns = (a.data[j :: a.n_cols] for j in range(a.n_cols))
+    """Hermitian transpose; plain transpose on the exact (real) backend,
+    over a's denominator."""
     if a.backend == EXACT:
-        data = [e for column in columns for e in column]
-    else:
-        data = [e.conjugate() for column in columns for e in column]
-    return Matrix(a.n_cols, a.n_rows, data, a.backend)
+        rows, den = a._integer_rows()
+        return Matrix.from_integer_rows([list(column) for column in zip(*rows)], den)
+    columns = (a._data[j :: a.n_cols] for j in range(a.n_cols))
+    return Matrix(a.n_cols, a.n_rows, [e.conjugate() for column in columns for e in column], FLOAT)
 
 
 def _eliminate(rows, n_sys_cols, tol):
@@ -463,20 +444,21 @@ def solve(a: Matrix, b, rows=None, cols=None):
     (rank(a) < rank(a|b)); its ``column`` is the 1-based index of the first
     inconsistent column of b.  Pivots are chosen from a alone, so each
     column of b gets the solution it would get alone.  On the rational
-    backend the elimination is fraction-free on integer-scaled rows
-    (Bareiss), pivoting on the first nonzero entry of each column, so
-    results are exact; on floats it is Gaussian elimination with partial
-    pivoting.
+    backend, for a = A/p and b = B/q over integers, the elimination solves
+    A (q x) = p B fraction-free (Bareiss), pivoting on the first nonzero
+    entry of each column, so results are exact; on floats it is Gaussian
+    elimination with partial pivoting.
 
     Given ``rows`` and ``cols``, the system is a's rows ``rows`` over its
     columns ``cols``, read in place, and b lists unit right-hand sides, the
     j-th reading 1 in a's row b[j]; returns (the unknowns where x is nonzero,
-    x's rows there, the columns of a x, a denominator d).  On floats x and
-    a x are as ``matmul`` would form them, equation rows keeping their
-    rounding residue, and d is 1.  On the exact backend every part is an
-    integer: x's rows are over d, the Bareiss determinant, and row l of a x
-    is over a's row-l scale times d.  Its equation rows are read from the
-    right-hand side the solve satisfied; only the other rows are summed.
+    x's rows there, the columns of a x, x's denominator, a x's
+    denominator).  On floats x and a x are as ``matmul`` would form them,
+    equation rows keeping their rounding residue, and both denominators are
+    1.  On the exact backend every part is an integer: x's rows are over d,
+    the Bareiss determinant, and a x is over a's denominator times d.  Its
+    equation rows are read from the right-hand side the solve satisfied;
+    only the other rows are summed.
     """
     if rows is not None:
         return _solve_units(a, rows, cols, b)
@@ -486,22 +468,24 @@ def solve(a: Matrix, b, rows=None, cols=None):
     if a.backend == FLOAT:
         x, _ = _solve_rows([list(a.row(i) + b.row(i)) for i in range(a.n_rows)], a.n_cols, FLOAT)
         return Matrix(a.n_cols, b.n_cols, [v for values in x for v in values], FLOAT)
-    rows = []
-    for (a_ints, a_scale), (b_ints, b_scale) in zip(a._integer_rows(), b._integer_rows()):
-        scale = lcm(a_scale, b_scale)
-        rows.append(_rescaled(a_ints, a_scale, scale) + _rescaled(b_ints, b_scale, scale))
+    (a_rows, p), (b_rows, q) = a._integer_rows(), b._integer_rows()
+    rows = [row + [p * v for v in b_row] for row, b_row in zip(a_rows, b_rows)]
     x, det = _solve_rows(rows, a.n_cols, EXACT)
-    return Matrix.from_integer_rows(b.n_cols, [(values, det) for values in x])
+    return Matrix.from_integer_rows(x, q * det)
 
 
 def _solve_units(a, equations, unknowns, units):
-    """``solve``'s unit form; a unit enters an integer row at its scale."""
+    """``solve``'s unit form; a unit enters an exact system at a's
+    denominator."""
     size, width, n_rhs = a.n_rows, a.n_cols, len(units)
     exact = a.backend == EXACT
-    ints, zero = (a._integer_rows(), 0) if exact else (None, complex(0))
+    if exact:
+        (ints, unit), zero = a._integer_rows(), 0
+    else:
+        ints, unit, zero = None, complex(1), complex(0)
     rows = []
     for l in equations:
-        row, unit = ints[l] if exact else (a._data[l * width : (l + 1) * width], complex(1))
+        row = ints[l] if exact else a._data[l * width : (l + 1) * width]
         rows.append([row[i] for i in unknowns] + [unit if l == u else zero for u in units])
     x, det = _solve_rows(rows, len(unknowns), a.backend)
     # Each unit reads 1 in some equation, so no column of x is zero.
@@ -510,12 +494,12 @@ def _solve_units(a, equations, unknowns, units):
     summed = sorted(set(range(size)).difference(equations)) if exact else range(size)
     _tally(mul=len(summed) * n_rhs * len(support), add=len(summed) * n_rhs * (len(support) - 1))
     if exact:
-        a_x = [[ints[l][1] * det if l == u else 0 for l in range(size)] for u in units]
-        parts = [(l, [ints[l][0][i] for i in support]) for l in summed]
+        a_x = [[unit * det if l == u else 0 for l in range(size)] for u in units]
+        parts = [(l, [ints[l][i] for i in support]) for l in summed]
         for entries, column in zip(a_x, zip(*x_rows)):
             for l, part in parts:
                 entries[l] = sum(map(mul, part, column))
-        return support, x_rows, a_x, det
+        return support, x_rows, a_x, det, unit * det
     # a x column by column, each entry a running sum as in ``matmul``.
     columns = [a._data[i::width] for i in support]
     a_x = []
@@ -525,15 +509,15 @@ def _solve_units(a, equations, unknowns, units):
             v = values[j]
             acc = [e + g * v for e, g in zip(acc, column)]
         a_x.append(acc)
-    return support, x_rows, a_x, det
+    return support, x_rows, a_x, 1, 1
 
 
 def isolate(b, w, y, known):
     """(y[l] - the sum of b(l, j) * w[j] over j in known[l]) / b(l, l) per
     row l of ``b``, for column vectors w and y: floats subtract left to right
     from y[l]; exact values are one integer dot product of b's integer row
-    with w's over their common scale, and one Fraction.  A term counts one
-    multiplication and addition, the division one more."""
+    with w's, and one Fraction.  A term counts one multiplication and
+    addition, the division one more."""
     n_known = sum(map(len, known))
     _tally(mul=n_known + b.n_rows, add=n_known)
     if b.backend == FLOAT:
@@ -542,15 +526,11 @@ def isolate(b, w, y, known):
             reduce(sub, [row[j] * w[j] for j in cached], y_l) / row[l]
             for l, (row, y_l, cached) in enumerate(zip(map(b.row, range(b.n_rows)), y._data, known))
         ]
-    w_rows = w._integer_rows()
-    w_scale = lcm(*(scale for _, scale in w_rows))
-    w_ints = [v * (w_scale // scale) for (v,), scale in w_rows]
+    (b_rows, p), (w_rows, q), (y_rows, r) = b._integer_rows(), w._integer_rows(), y._integer_rows()
+    w_ints = [v for (v,) in w_rows]
     out = []
-    for l, ((row, scale), ((y_l,), y_scale), cached) in enumerate(
-        zip(b._integer_rows(), y._integer_rows(), known)
-    ):
+    for l, (row, (y_l,), cached) in enumerate(zip(b_rows, y_rows, known)):
         dot = sum(row[j] * w_ints[j] for j in cached)
-        # (y_l / y_scale - dot / (scale * w_scale)) / (row[l] / scale) on integers.
-        num = y_l * scale * w_scale - y_scale * dot
-        out.append(Fraction(num, y_scale * w_scale * row[l]))
+        # (y_l / r - dot / (p q)) / (row[l] / p) on integers.
+        out.append(Fraction(y_l * p * q - r * dot, r * q * row[l]))
     return out

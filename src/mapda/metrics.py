@@ -19,8 +19,9 @@ Scheme parameter formulas:
             a = gcd(K,t,L), requiring t+L <= K
   scheme 3  F = K, Z = t, S = K-t, requiring L = K-t
 
-Since m | t, every operand of scheme 1 is an integer, so beta, S and Z are
-each one integer quotient; a remainder raises ConstraintViolation.
+Since m | K and m | t, beta, S and Z of scheme 1 are each one exact integer
+quotient: beta = (sgn m + L-m)/gcd(m,L-m), S = sgn l C(K/m,t/m+1) and
+Z = beta C(K/m-1,t/m-1).  tests/test_metrics.py proves them exact.
 
 Every scheme, the baseline included, satisfies S/F = K(1-M/N)/(t+L) =
 (K-t)/(t+L) and K(F-Z)/S = t+L exactly, by construction; nothing here
@@ -153,17 +154,9 @@ def _scheme1(p: SystemPoint, m) -> tuple:
         raise ConstraintViolation(f"scheme 1 needs t+L < K, got t={t}, L={big_l}, K={big_k}")
     if m is not None:
         return m, _scheme1_at(p, m)
-    best = None
-    for candidate in admissible_m_values(p):
-        try:
-            metrics = _scheme1_at(p, candidate)
-        except ConstraintViolation:
-            continue
-        if best is None or metrics.subpacketization < best[1].subpacketization:
-            best = (candidate, metrics)
-    if best is None:
-        raise ConstraintViolation("scheme 1 has no admissible m at this point")
-    return best
+    # m = 1 is always admissible; min keeps the first, smallest, m on ties.
+    candidates = [(candidate, _scheme1_at(p, candidate)) for candidate in admissible_m_values(p)]
+    return min(candidates, key=lambda c: c[1].subpacketization)
 
 
 def _scheme1_at(p: SystemPoint, m) -> SchemeMetrics:
@@ -175,20 +168,12 @@ def _scheme1_at(p: SystemPoint, m) -> SchemeMetrics:
         raise ConstraintViolation(f"scheme 1 needs m | K and m | t, got m={m}")
     sgn = 1 if m == big_l else t // m + 1  # sgn(t/m+1, m/L)
     l_rep = m // math.gcd(m, big_l - m)
-    beta = _quotient((sgn * m + big_l - m) * l_rep, m, "beta")
+    beta = (sgn * m + big_l - m) * l_rep // m
     base = math.comb(big_k // m, t // m)
     f = beta * base
-    s = _quotient(sgn * l_rep * (big_k - t) * base, t + m, "S")
-    z = _quotient(f * t, big_k, "Z")
+    s = sgn * l_rep * (big_k - t) * base // (t + m)
+    z = f * t // big_k
     return _finish("scheme1", p, f, z, s)
-
-
-def _quotient(numerator, denominator, what):
-    """numerator / denominator, which must be an integer."""
-    q, r = divmod(numerator, denominator)
-    if r:
-        raise ConstraintViolation(f"{what} = {Fraction(numerator, denominator)} is not an integer")
-    return q
 
 
 def _scheme2(p: SystemPoint) -> SchemeMetrics:

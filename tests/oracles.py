@@ -226,7 +226,7 @@ def rank(a: Matrix) -> int:
     the exact backend, pivots at most PIVOT_RTOL times the largest |entry|
     counting as zero on floats."""
     if a.backend == EXACT:
-        return len(_eliminate_exact([list(ints) for ints, _ in a._integer_rows()], a.n_cols)[0])
+        return len(_eliminate_exact([list(row) for row in a._integer_rows()[0]], a.n_cols)[0])
     tol = PIVOT_RTOL * max(map(abs, a.data), default=0.0)
     return len(_eliminate(a.to_rows(), a.n_cols, tol))
 

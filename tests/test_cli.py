@@ -506,30 +506,37 @@ class TestSweep:
 
 
 class TestAllocationBound:
-    # Each request asks for hundreds of millions of cells.  The child runs
-    # under a 400 MB address-space limit, so a missing size check ends there
-    # in a MemoryError traceback instead of exhausting the host.
+    # Each request asks for hundreds of millions of cells or table rows.
+    # The child runs under a 400 MB address-space limit, so a missing size
+    # check ends there in a MemoryError traceback instead of exhausting the
+    # host.
     CASES = {
         "mn_k26_t13": (
             ["gen", "mn", "--users", "26", "--t", "13"],
-            "mn(26, 13) needs at least 10400600 x 26 = 270415600 cells",
+            "mn(26, 13) needs at least 10400600 x 26 = 270415600 cells, limit 1000000",
         ),
         # F = C(2000, 3) is never formed: F >= K already puts K x K over.
         "mn_k2000": (
             ["gen", "mn", "--users", "2000", "--t", "3"],
-            "mn(2000, 3) needs at least 2000 x 2000 = 4000000 cells",
+            "mn(2000, 3) needs at least 2000 x 2000 = 4000000 cells, limit 1000000",
         ),
         "cyclic_k2000": (
             ["gen", "cyclic", "--users", "2000", "--t", "3"],
-            "cyclic(2000, 3) needs at least 2000 x 2000 = 4000000 cells",
+            "cyclic(2000, 3) needs at least 2000 x 2000 = 4000000 cells, limit 1000000",
         ),
         "replicate": (
             ["gen", "replicate", "-i", EXAMPLE1, "--copies", "100000000"],
-            "100000000 copies of the array needs at least 3 x 600000000 = 1800000000 cells",
+            "100000000 copies of the array needs at least 3 x 600000000 = 1800000000 cells, "
+            "limit 1000000",
         ),
         "library": (
             ["simulate", EXAMPLE1, "-N", "100000000"],
-            "a library of 100000000 files needs at least 100000000 x 3 = 300000000 cells",
+            "a library of 100000000 files needs at least 100000000 x 3 = 300000000 cells, "
+            "limit 1000000",
+        ),
+        "sweep": (
+            ["sweep", "-K", "100000000", "-L", "4"],
+            "sweep of t = 1..99999996 needs 99999996 rows, limit 1000",
         ),
     }
 
@@ -552,7 +559,7 @@ class TestAllocationBound:
             timeout=60,
         )
         assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
-        assert proc.stderr == f"error: {message}, limit 1000000\n"
+        assert proc.stderr == f"error: {message}\n"
 
 
 class TestParserReuse:

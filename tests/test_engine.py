@@ -412,9 +412,10 @@ class TestFamilies:
         # An exact solve's B reads its equation rows from the unit
         # right-hand sides; inside a run, where families share their
         # solves, every slot's B must still equal its Gram block times V in
-        # full.  B's integer rows are over the Gram rows' scales, so a second
-        # channel divides the Vandermonde columns by distinct integers: it
-        # stays totally positive, and its Gram rows get scales above 1.
+        # full.  B's integer rows are over the Gram matrix's denominator, so
+        # a second channel divides the Vandermonde columns by distinct
+        # integers: it stays totally positive, and its Gram matrix gets a
+        # denominator above 1.
         seen = self.record_precoders(monkeypatch)
         for m in (isomorph(generate_cyclic(8, 5), seed=11), mixed_families()):
             instance = build_instance(m, files=2)
@@ -423,7 +424,7 @@ class TestFamilies:
             scaled = Matrix.from_rows(
                 [[e / (k + 1) for k, e in enumerate(row)] for row in h.to_rows()]
             )
-            assert any(scale > 1 for _, scale in ChannelMatrix(scaled).gram._integer_rows())
+            assert ChannelMatrix(scaled).gram._integer_rows()[1] > 1
             library = random_library(2, m.rows, seed=7)
             for h in (h, scaled):
                 seen.clear()
@@ -447,9 +448,9 @@ class TestFamilies:
             calls.append(len(b))
             return real_solve(a, b, rows, cols)
 
-        def integers(entries):
+        def integers(*args):
             counts["_integers"] += 1
-            return real_integers(entries)
+            return real_integers(*args)
 
         def new(cls, *args, **kwargs):
             # Direct constructions only: arithmetic results pass
@@ -471,12 +472,33 @@ class TestFamilies:
         assert report.ops_measured["precoder_synthesis"] == {"mul": 31664, "add": 18368}
         # Every product and block is handed on as integer rows, so Fractions
         # are only the 128 decoded values (16 per slot) and the NDT.
-        # _integers runs on the 8 rows of H and the 16 rows of H* (the Gram
-        # product) and per slot on the 16 packets of w, one row each: 8 + 16
-        # + 8 * 16.  (88 and 705 when the products built Fractions, which
-        # the next kernel only rescaled to integers; 344 and 2,793 when V and
-        # B were handed over as Fractions too.)
-        assert counts == {"_integers": 152, "Fraction": 129}
+        # _integers runs once on H, whose integer rows H* transposes, and
+        # once per slot on the packet vector w: 1 + 8.  (152 when each row
+        # of H, H* and w was scaled on its own; 88 and 705 when the products
+        # built Fractions, which the next kernel only rescaled to integers;
+        # 344 and 2,793 when V and B were handed over as Fractions too.)
+        assert counts == {"_integers": 9, "Fraction": 129}
+
+    def test_synthesis_counts_over_a_non_integer_channel(self):
+        # Bareiss skips a division only where the previous pivot is exactly
+        # 1, so how the Gram rows are brought to integers could move the
+        # counts.  Dividing channel column k by k + 1 puts the Gram matrix
+        # over a denominator above 1; the counts were recorded when each
+        # Gram row was scaled on its own.
+        for (users, t), synthesis in (
+            ((8, 5), {"mul": 1136, "add": 600}),
+            ((16, 8), {"mul": 31664, "add": 18368}),
+        ):
+            m = generate_cyclic(users, t)
+            h = vandermonde_channel(m.antennas, m.cols)
+            channel = ChannelMatrix(
+                Matrix.from_rows([[e / (k + 1) for k, e in enumerate(row)] for row in h.to_rows()])
+            )
+            library = random_library(2, m.rows, seed=7)
+            report = run_delivery(
+                build_instance(m, files=2), channel, default_demands(users, 2), library
+            )
+            assert report.ops_measured["precoder_synthesis"] == synthesis
 
     def test_slots_sharing_nothing_keep_no_solve(self, monkeypatch):
         # A run keeps a family's solves for its later slots, and nothing for

@@ -25,3 +25,17 @@ def test_package_imports_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names
     }
     assert foreign == {}
+
+
+def test_only_linalg_reads_matrix_internals():
+    # Scalar handling for each backend lives in linalg: other modules build
+    # and read matrices through its public names and ``from_integer_rows``.
+    internals = {"_ints", "_data", "_integer_rows"}
+    reads = {
+        (path.name, node.attr, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in internals
+    }
+    assert reads == set()

@@ -262,11 +262,11 @@ class TestColumnKernels:
                 continue
             seen[kind] += 1
             with count_ops() as tally:
-                support, x_rows, b_cols, det = solve(block, units, equations, unknowns)
+                support, x_rows, b_cols, *dens = solve(block, units, equations, unknowns)
             ref_support, ref_rows, ref_cols, ref_counts = self.reference(
                 block, equations, unknowns, units, unit_rows
             )
-            assert (support, (tally.mul, tally.add), det) == (ref_support, ref_counts, 1)
+            assert (support, (tally.mul, tally.add), dens) == (ref_support, ref_counts, [1, 1])
             assert [[bits(z) for z in row] for row in x_rows] == [
                 [bits(z) for z in row] for row in ref_rows
             ]
@@ -298,7 +298,7 @@ class TestColumnKernels:
         seen = dict.fromkeys(self.KINDS + ["infeasible"], 0)
 
         def inherited(rows):
-            # A block taken from a wider parent keeps the parent rows' scales.
+            # A block taken from a wider parent keeps the parent's denominator.
             parent = frac_matrix([row + [random_rational(rng)] for row in rows])
             return parent.take(range(len(rows)), range(len(rows[0])))
 
@@ -318,12 +318,12 @@ class TestColumnKernels:
                 continue
             seen[kind] += 1
             with count_ops() as tally:
-                support, x_ints, b_ints, det = solve(block, units, equations, unknowns)
-            assert all(type(e) is int for part in [[det], *x_ints, *b_ints] for e in part)
-            # x's rows are over det, B's row l over block row l's scale times det.
-            scales = [scale for _, scale in block._integer_rows()]
+                support, x_ints, b_ints, det, b_den = solve(block, units, equations, unknowns)
+            assert all(type(e) is int for part in [[det, b_den], *x_ints, *b_ints] for e in part)
+            # x's rows are over det, B over the block's denominator times det.
+            assert b_den == block._integer_rows()[1] * det
             x_rows = [[Fraction(v, det) for v in values] for values in x_ints]
-            b_cols = [[Fraction(v, s * det) for v, s in zip(col, scales)] for col in b_ints]
+            b_cols = [[Fraction(v, b_den) for v in col] for col in b_ints]
             ref_support, ref_rows, ref_cols, ref_counts = self.reference(
                 block, equations, unknowns, units, unit_rows
             )
@@ -361,7 +361,7 @@ class TestColumnKernels:
                 rows = [[entry(rng) for _ in range(n + 1)] for _ in range(n)]
                 for l, row in enumerate(rows):
                     row[l] = row[l] or entry(rng) or 1
-                # The extra column gives the rows scales of their own.
+                # The extra column gives b its parent's denominator.
                 b = Matrix.from_rows(rows, backend).take(range(n), range(n))
                 w = [entry(rng) for _ in range(n)]
                 y = [entry(rng) for _ in range(n)]
@@ -580,13 +580,13 @@ class TestSolve:
 
 
 class TestIntegerRows:
-    """An exact matrix derives its integer rows once, or keeps those it was
-    built from; a submatrix from ``take`` reuses its share, each row keeping
-    its parent row's scale."""
+    """An exact matrix derives its integer rows and their one denominator
+    once, or keeps those it was built from; a submatrix from ``take`` reuses
+    its share of the rows over its parent's denominator."""
 
     def test_take_of_take_matches_fresh_matrix(self):
         rng = random.Random(59)
-        inherited_scales = solved = 0
+        inherited_dens = solved = 0
         for _ in range(150):
             n, m = rng.randint(2, 7), rng.randint(2, 7)
             parent = frac_matrix([[random_rational(rng) for _ in range(m)] for _ in range(n)])
@@ -599,8 +599,9 @@ class TestIntegerRows:
                 [rng.randrange(mid.n_cols) for _ in range(rng.randint(1, mid.n_cols))],
             )
             fresh = Matrix(sub.n_rows, sub.n_cols, sub.data, EXACT)
-            scales = [scale for _, scale in sub._integer_rows()]
-            inherited_scales += scales != [scale for _, scale in fresh._integer_rows()]
+            den = sub._integer_rows()[1]
+            assert den == mid._integer_rows()[1] == parent._integer_rows()[1]
+            inherited_dens += den != fresh._integer_rows()[1]
             width = rng.randint(1, 3)
             right = frac_matrix(
                 [[random_rational(rng) for _ in range(width)] for _ in range(sub.n_cols)]
@@ -620,25 +621,25 @@ class TestIntegerRows:
             assert solve(sub, rhs) == expected
             # Elimination works on copies: the kept rows are unchanged.
             assert solve(sub, rhs) == expected
-            assert [scale for _, scale in sub._integer_rows()] == scales
-        # Enough cases ran on scales a fresh matrix would not pick.
-        assert inherited_scales >= 50 and solved >= 30, (inherited_scales, solved)
+            assert sub._integer_rows()[1] == den
+        # Enough cases ran on denominators a fresh matrix would not pick.
+        assert inherited_dens >= 50 and solved >= 30, (inherited_dens, solved)
 
     def test_equality_and_hash_ignore_integer_rows(self):
         parent = frac_matrix([[Fraction(1, 6), Fraction(2, 3)], [Fraction(3, 4), 5]])
         sub = parent.take([0, 1], [1])
         fresh = frac_matrix([[Fraction(2, 3)], [5]])
         untouched = frac_matrix([[Fraction(2, 3)], [5]])
-        # sub keeps its parent rows' scales 6 and 4, fresh picks 3 and 1.
-        assert sub._integer_rows() == [([4], 6), ([20], 4)]
-        assert fresh._integer_rows() == [([2], 3), ([5], 1)]
+        # sub keeps its parent's denominator 12, fresh picks 3.
+        assert sub._integer_rows() == ([[8], [60]], 12)
+        assert fresh._integer_rows() == ([[2], [15]], 3)
         assert sub == fresh == untouched
         assert hash(sub) == hash(fresh) == hash(untouched)
 
     def test_built_from_integer_rows_matches_eager_matrix(self, monkeypatch):
-        # Rows over non-minimal scales of either sign, as the engine's common
-        # denominator and a negative Bareiss determinant give, and all-zero
-        # rows.
+        # Rows over a non-minimal denominator of either sign, as the engine's
+        # common denominator and a negative Bareiss determinant give, and
+        # all-zero rows.
         rng = random.Random(61)
         negative = zero_rows = isolated = 0
         for _ in range(200):
@@ -646,16 +647,15 @@ class TestIntegerRows:
             rows = [[random_rational(rng) for _ in range(m)] for _ in range(n)]
             if rng.random() < 0.3:
                 rows[rng.randrange(n)] = [Fraction(0)] * m
-            given = []
-            for row in rows:
-                scale = lcm(*(e.denominator for e in row)) * rng.choice([-6, -1, 1, 4])
-                given.append(([int(e * scale) for e in row], scale))
-            negative += any(scale < 0 for _, scale in given)
+            den = lcm(*(e.denominator for row in rows for e in row)) * rng.choice([-6, -1, 1, 4])
+            given = [[int(e * den) for e in row] for row in rows]
+            negative += den < 0
             zero_rows += not all(map(any, rows))
-            lazy, eager = Matrix.from_integer_rows(m, given), frac_matrix(rows)
+            lazy, eager = Matrix.from_integer_rows(given, den), frac_matrix(rows)
             with monkeypatch.context() as patched:
                 patched.setattr(linalg, "_integers", None)  # must not be called
-                assert lazy._integer_rows() is given
+                assert lazy._integer_rows()[0] is given
+                assert lazy._integer_rows()[1] == den
             # The kernels read the integer rows; data is built on first read.
             width = rng.randint(1, 3)
             right = frac_matrix([[random_rational(rng) for _ in range(width)] for _ in range(m)])
@@ -678,7 +678,7 @@ class TestIntegerRows:
             row_idx, col_idx = rng.sample(range(n), rng.randint(1, n)), [rng.randrange(m)]
             sub = lazy.take(row_idx, col_idx)
             assert sub == eager.take(row_idx, col_idx)
-            assert [scale for _, scale in sub._integer_rows()] == [given[i][1] for i in row_idx]
+            assert sub._integer_rows()[1] == den
             assert lazy == eager and hash(lazy) == hash(eager)
             left = frac_matrix([[random_rational(rng) for _ in range(n)] for _ in range(width)])
             assert matmul(left, lazy) == matmul(left, eager)
@@ -686,9 +686,10 @@ class TestIntegerRows:
 
     def test_non_integer_rows_make_bareiss_raise(self):
         # The integer kernels check each division instead of rounding, so
-        # rows that reach them unscaled (Fractions with scale 1) fail loudly.
+        # rows that reach them unscaled (Fractions over denominator 1) fail
+        # loudly.
         m = frac_matrix([[Fraction(1, 2), 1, 1], [1, Fraction(1, 3), 1], [1, 1, Fraction(1, 5)]])
-        m._ints = [(list(m.row(i)), 1) for i in range(m.n_rows)]
+        m._ints = ([list(m.row(i)) for i in range(m.n_rows)], 1)
         with pytest.raises(ArithmeticError, match="is not exact"):
             solve(m, frac_matrix([[1], [1], [1]]))
 

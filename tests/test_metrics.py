@@ -241,10 +241,31 @@ class TestScheme1Figures:
             assert all(type(x) is int for x in figures)
             assert figures == scheme1_oracle(users, t, antennas, m)
 
-    def test_non_integer_figure_names_its_fraction(self):
-        with pytest.raises(ConstraintViolation, match="^S = 15/2 is not an integer$"):
-            metrics._quotient(15, 2, "S")
-        assert metrics._quotient(15, 3, "S") == 5
+    def test_quotients_are_exact_to_80_users(self):
+        # For m | K and m | t, beta, S and Z are integers: beta =
+        # (sgn m + L-m)/gcd(m, L-m), S = sgn l C(K/m, t/m+1) and
+        # Z = beta C(K/m-1, t/m-1).  So the calculator divides with //
+        # and never checks a remainder; every admissible point with t+L < K
+        # and K <= 80 is checked here against Fraction arithmetic.
+        evaluated = 0
+        for users in range(2, 81):
+            for t in range(1, users):
+                for antennas in range(1, users - t):
+                    p = SystemPoint(users, antennas, Fraction(t, users))
+                    for m in admissible_m_values(p):
+                        k, r = users // m, t // m
+                        sgn = 1 if m == antennas else r + 1
+                        l_rep = m // math.gcd(m, antennas - m)
+                        beta = Fraction((sgn * m + antennas - m) * l_rep, m)
+                        f = beta * math.comb(k, r)
+                        s = Fraction(sgn * l_rep * (users - t) * math.comb(k, r), t + m)
+                        z = Fraction(f * t, users)
+                        assert beta == (sgn * m + antennas - m) // math.gcd(m, antennas - m)
+                        assert s == sgn * l_rep * math.comb(k, r + 1)
+                        assert z == beta * math.comb(k - 1, r - 1)
+                        assert metrics._scheme1_at(p, m).parameters == (f, z, s)
+                        evaluated += 1
+        assert evaluated == 123747
 
     @pytest.mark.parametrize(
         "argv, digest",
