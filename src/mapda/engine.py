@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import random
-from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -365,8 +364,9 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
     which gives each the solution it would get alone.  Free variables are
     zero, so x is nonzero on at most L pivot rows (the block has rank at
     most L), and B sums over those alone rather than the t of the cacher
-    set: exact zeros add nothing.  A failure names the slot's lowest
-    failing column.
+    set: exact zeros add nothing.  Columns are taken in order, each system
+    solved when its first column needs it, and the first column without a
+    solution raises.
     Requires the array redundancy gate t >= L; below it the supported
     regime offers no solution and Infeasible is raised.  A rank failure on
     a system a generic channel would solve raises DegenerateChannel instead.
@@ -374,10 +374,10 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
     ``run_delivery`` gives each slot of a family of two or more its
     ``family``: (its systems, as in ``SchemeInstance.families``, and the
     run's solves of them).  Each system is then solved once for every
-    position using it, at the first slot that needs it; a failed shared
-    solve is retried on the slot's own columns, so the error is the one the
-    slot raises alone.  Without it the slot solves its own systems and keeps
-    nothing.  V and B are the same either way.
+    position using it, at the first slot that needs it; ``solve`` reports
+    each right-hand side's consistency on its own, so a slot's columns fail
+    as they fail alone.  Without it the slot solves its own systems and
+    keeps nothing.  V and B are the same either way.
     """
     if group.redundancy < group.antennas:
         raise Infeasible(
@@ -390,63 +390,42 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
     block = channel.gram.take(users, users)
     size = len(users)
     backend = block.backend
-    all_rows = range(size)
-    # Column n's equations are the positions outside its cacher set (n is
-    # never its own cacher), so columns with equal cacher sets share one
-    # system and differ only in which equation reads 1.
-    systems = {}
-    for n in all_rows:
-        systems.setdefault(group.cacher_sets[n], []).append(n)
-    shared, solved = family or (None, {})
+    systems, solved = family or ({}, {})
+    if not family:
+        # Column n's equations are the positions outside its cacher set (n is
+        # never its own cacher), so columns with equal cacher sets share one
+        # system and differ only in which equation reads 1.
+        for n, cachers in enumerate(group.cacher_sets):
+            systems.setdefault(cachers, []).append(n)
     zero = complex(0) if backend == FLOAT else 0
-    v_rows = [[zero] * size for _ in all_rows]
-    b_cols = [None] * size
-    dens = [None] * size
-    failures = {}
-    for unknowns, members in systems.items():
+    v_rows = [[zero] * size for _ in range(size)]
+    b_cols, dens = [], []
+    for n, unknowns in enumerate(group.cacher_sets):
+        where = {"slot": group.slot, "column": n + 1}
         if not unknowns:
-            failures[members[0]] = Infeasible(
-                f"slot {group.slot}: no served user caches packet position {members[0] + 1}",
-                slot=group.slot,
-                column=members[0] + 1,
-            )
-            continue
-        try:
-            if shared and unknowns not in solved:
-                solved[unknowns] = None
-                with suppress(Infeasible):
-                    solved[unknowns] = _solve_columns(block, unknowns, sorted(shared[unknowns]))
-            positions, support, x_rows, b_columns, *den = solved.get(unknowns) or _solve_columns(
-                block, unknowns, members
-            )
-        except Infeasible as exc:
-            n = members[exc.column - 1]
+            message = f"slot {group.slot}: no served user caches packet position {n + 1}"
+            raise Infeasible(message, **where)
+        if unknowns not in solved:
+            solved[unknowns] = _solve_columns(block, unknowns, sorted(systems[unknowns]))
+        positions, flagged, support, x_rows, b_columns, *den = solved[unknowns]
+        j = positions.index(n)
+        if j in flagged:
             equations = size - len(unknowns)
             if equations <= min(group.antennas, len(unknowns)):
-                error = DegenerateChannel(
+                raise DegenerateChannel(
                     f"slot {group.slot}: column {n + 1} system is rank-deficient although "
                     f"a generic channel would solve it",
-                    slot=group.slot,
-                    column=n + 1,
+                    **where,
                 )
-            else:
-                error = Infeasible(
-                    f"slot {group.slot}: column {n + 1} has {len(unknowns)} unknowns but "
-                    f"{equations} equations and no solution",
-                    slot=group.slot,
-                    column=n + 1,
-                )
-            error.__cause__ = exc
-            failures[n] = error
-            continue
-        for n in members:
-            j = positions.index(n)
-            for i, row in zip(support, x_rows):
-                v_rows[i][n] = row[j]
-            b_cols[n] = b_columns[j]
-            dens[n] = den
-    if failures:
-        raise failures[min(failures)]
+            raise Infeasible(
+                f"slot {group.slot}: column {n + 1} has {len(unknowns)} unknowns but "
+                f"{equations} equations and no solution",
+                **where,
+            )
+        for i, row in zip(support, x_rows):
+            v_rows[i][n] = row[j]
+        b_cols.append(b_columns[j])
+        dens.append(den)
     if backend == FLOAT:
         v = Matrix(size, size, [e for row in v_rows for e in row], backend)
         b = Matrix(size, size, [e for row in zip(*b_cols) for e in row], backend)
@@ -462,14 +441,15 @@ def _over_lcm(rows, dens):
     brought over one denominator, the lcm of ``dens``."""
     common = math.lcm(*dens)
     factors = [common // den for den in dens]
-    return Matrix.from_integer_rows([list(map(mul, row, factors)) for row in rows], common)
+    return Matrix.from_ints([list(map(mul, row, factors)) for row in rows], common)
 
 
 def _solve_columns(block, unknowns, positions):
     """``solve`` for the columns at ``positions`` whose cacher set is
     ``unknowns``, a unit right-hand side each; returns (positions, the
-    support rows, the solution's rows on them, B's columns, and the
-    denominators ``solve`` gives the solution and B)."""
+    indices into them of the columns without a solution, the support rows,
+    the solution's rows on them, B's columns, and the denominators
+    ``solve`` gives the solution and B)."""
     first = positions[0]
     # Position n is outside its own cacher set, so the equation rows are the
     # positions outside ``unknowns``, the first position's row first.

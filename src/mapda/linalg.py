@@ -8,26 +8,29 @@ zeroes free variables and reports inconsistency instead of guessing; the
 engine solves its column systems in place and decodes with ``isolate``.
 
 Exact kernels compute on Python ints.  An exact matrix is one integer
-matrix over one denominator (the lcm of its entries' denominators when
-derived), its Fraction ``data``, or both, and derives either from the other
-on first read.  The kernels read and return integer rows, so ``Fraction``s
-are built only at the edges: fixture and library input, the decoded values,
-and reads of ``data`` and ``==``.  ``take`` and ``conj_transpose`` keep the
-denominator, so a Gram matrix is brought to integers once however many
-blocks are read from it, and ``matmul`` multiplies the two denominators.
-The solvers eliminate integer rows fraction-free (Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", Math.
-Comp. 1968): every division is exact and none is made while the previous
-pivot is 1.  The Matrix form of ``solve`` returns integer rows over the
-determinant times b's denominator; the unit form returns the integers
+matrix over one denominator, the lcm of its entries' denominators when it
+is built from Fractions; its Fraction ``data`` is only a cache, kept from
+construction or built on first read.  The kernels read and return integer
+rows, so ``Fraction``s are built only at the edges: fixture and library
+input, the decoded values, and reads of ``data`` and ``==``.  ``take`` and
+``conj_transpose`` keep the denominator, so a Gram matrix is brought to
+integers once however many blocks are read from it, and ``matmul``
+multiplies the two denominators.  The solvers eliminate integer rows
+fraction-free (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 1968): every division
+is exact and none is made while the previous pivot is 1.  Pivots come from
+the system alone, so every right-hand side is back-substituted over the
+pivot rows, exactly whether or not it is consistent, and the inconsistent
+ones are reported.  The Matrix form of ``solve`` returns integer rows over
+the determinant times b's denominator; the unit form returns the integers
 themselves, reading a x's equation rows from the right-hand side, which its
 solve satisfies.  The float backend runs plain Gaussian elimination with
 partial pivoting; its products fold each entry left to right, in
 running-sum order.  On both backends back-substitution sums over pivot
 columns only, since free variables are zero.
 
-Scalar multiply/add counts can be observed through ``count_ops``; counting
-state is thread-local, keeping the operations re-entrant.  They count the
+Scalar multiply/add counts can be observed through ``count_ops``, whose
+blocks nest, the innermost open one counting.  They count the
 arithmetic each kernel performs on the operands it is given: a product
 counts n*m*k multiplications, so a caller that drops exact-zero terms
 before multiplying pays, and counts, only for the rest.  On the exact
@@ -39,7 +42,6 @@ counts against its cost model lambda.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,8 +76,8 @@ class BackendMismatch(TypeError):
 class Infeasible(Exception):
     """A linear system has no solution (rank(A) < rank(A|b)).
 
-    ``solve`` sets ``column`` to the first inconsistent right-hand side.
-    The delivery engine reuses this to signal transmissions whose precoder
+    The Matrix form of ``solve`` sets ``column`` to the first inconsistent
+    right-hand side.  The delivery engine reuses this to signal transmissions whose precoder
     cannot exist; there ``slot`` and ``column`` name the slot and precoder
     column when known.
     """
@@ -92,26 +94,25 @@ class OpTally:
     add: int = 0
 
 
-_ACTIVE = threading.local()
+_active = None  # the innermost open count_ops tally
 
 
 @contextmanager
 def count_ops():
-    """Collect scalar multiply/add counts of operations run in this thread."""
-    tally = OpTally()
-    previous = getattr(_ACTIVE, "tally", None)
-    _ACTIVE.tally = tally
+    """Collect scalar multiply/add counts of the operations run inside the
+    block, until an inner block opens."""
+    global _active
+    previous, _active = _active, OpTally()
     try:
-        yield tally
+        yield _active
     finally:
-        _ACTIVE.tally = previous
+        _active = previous
 
 
 def _tally(mul=0, add=0):
-    tally = getattr(_ACTIVE, "tally", None)
-    if tally is not None:
-        tally.mul += mul
-        tally.add += add
+    if _active is not None:
+        _active.mul += mul
+        _active.add += add
 
 
 def _coerce(value, backend):
@@ -131,10 +132,10 @@ def _coerce(value, backend):
 class Matrix:
     """Immutable row-major dense matrix bound to one scalar backend.
 
-    An exact matrix holds its integer rows over one denominator, its
-    Fraction ``data``, or both: whichever it was built from, the other is
-    derived on first read and kept.  The kernels read the ``_data`` slot of
-    float matrices, which always hold it.
+    An exact matrix holds ``_ints``, its integer rows over one denominator,
+    which the kernels read; its Fraction ``data`` is kept when it is built
+    from them and built on first read otherwise.  The kernels read the
+    ``_data`` slot of float matrices, which always hold it.
     """
 
     __slots__ = ("n_rows", "n_cols", "_data", "backend", "_ints")
@@ -151,10 +152,10 @@ class Matrix:
         self.n_cols = n_cols
         self._data = data
         self.backend = backend
-        self._ints = None
+        self._ints = _integers(data, n_cols) if backend == EXACT else None
 
     @classmethod
-    def from_integer_rows(cls, rows, den):
+    def from_ints(cls, rows, den):
         """Exact matrix of the integer ``rows`` over the nonzero ``den``."""
         m = object.__new__(cls)
         m.n_rows, m.n_cols, m._data, m.backend = len(rows), len(rows[0]), None, EXACT
@@ -167,13 +168,6 @@ class Matrix:
             rows, den = self._ints
             self._data = tuple(Fraction(v, den) for row in rows for v in row)
         return self._data
-
-    def _integer_rows(self):
-        """Exact backend: (rows, den), the matrix times the lcm of its
-        denominators unless given at construction."""
-        if self._ints is None:
-            self._ints = _integers(self._data, self.n_cols)
-        return self._ints
 
     @classmethod
     def from_rows(cls, rows, backend=None):
@@ -213,8 +207,8 @@ class Matrix:
         matrix's integer rows, over this matrix's denominator.
         """
         if self.backend == EXACT:
-            rows, den = self._integer_rows()
-            return Matrix.from_integer_rows([[rows[i][j] for j in col_idx] for i in row_idx], den)
+            rows, den = self._ints
+            return Matrix.from_ints([[rows[i][j] for j in col_idx] for i in row_idx], den)
         data, width = self._data, self.n_cols
         entries = [data[i * width + j] for i in row_idx for j in col_idx]
         return Matrix(len(row_idx), len(col_idx), entries, FLOAT)
@@ -263,9 +257,9 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatch(f"cannot multiply {a.n_rows}x{a.n_cols} by {b.n_rows}x{b.n_cols}")
     _tally(mul=a.n_rows * b.n_cols * a.n_cols, add=a.n_rows * b.n_cols * (a.n_cols - 1))
     if a.backend == EXACT:
-        (a_rows, a_den), (b_rows, b_den) = a._integer_rows(), b._integer_rows()
+        (a_rows, a_den), (b_rows, b_den) = a._ints, b._ints
         cols = list(zip(*b_rows))
-        return Matrix.from_integer_rows(
+        return Matrix.from_ints(
             [[sum(map(mul, row, col)) for col in cols] for row in a_rows], a_den * b_den
         )
     # One left fold per entry, in the order of a running sum: sum() would
@@ -284,8 +278,8 @@ def conj_transpose(a: Matrix) -> Matrix:
     """Hermitian transpose; plain transpose on the exact (real) backend,
     over a's denominator."""
     if a.backend == EXACT:
-        rows, den = a._integer_rows()
-        return Matrix.from_integer_rows([list(column) for column in zip(*rows)], den)
+        rows, den = a._ints
+        return Matrix.from_ints([list(column) for column in zip(*rows)], den)
     columns = (a._data[j :: a.n_cols] for j in range(a.n_cols))
     return Matrix(a.n_cols, a.n_rows, [e.conjugate() for column in columns for e in column], FLOAT)
 
@@ -413,28 +407,24 @@ def _back_substitute(rows, pivots, n, divide, zero):
 
 def _solve_rows(rows, n, backend):
     """Solve augmented rows in place, the first ``n`` columns the system's;
-    returns (the solution's rows, one list per unknown, their denominator:
-    1 on floats, the last Bareiss pivot on integer rows)."""
+    returns (the 0-based indices of the inconsistent right-hand sides, whose
+    values solve the pivot rows alone, the solution's rows, one list per
+    unknown, their denominator: 1 on floats, the last Bareiss pivot)."""
     if backend == EXACT:
         (pivots, det), nonzero = _eliminate_exact(rows, n), bool
     else:
         tol = PIVOT_RTOL * _scale([e for row in rows for e in row])
         pivots, det, nonzero = _eliminate(rows, n, tol), 1, lambda e: not abs(e) <= tol
     n_rhs = len(rows[0]) - n
-    for j in range(n, n + n_rhs):
-        if any(nonzero(row[j]) for row in rows[len(pivots):]):
-            raise Infeasible(
-                f"system is inconsistent in right-hand side {j - n + 1}: rank(A) < rank(A|b)",
-                column=j - n + 1,
-            )
+    flagged = [j for j in range(n_rhs) if any(nonzero(row[n + j]) for row in rows[len(pivots) :])]
     if backend == FLOAT:
-        return _back_substitute(rows, pivots, n, truediv, complex(0)), det
+        return flagged, _back_substitute(rows, pivots, n, truediv, complex(0)), det
     # By Cramer's rule det * x is integral on the pivot columns; solve for it
     # on integers and divide once per entry.
     for r, _ in pivots:
         rows[r][n:] = [det * v for v in rows[r][n:]]
     _tally(mul=n_rhs * len(pivots))
-    return _back_substitute(rows, pivots, n, _exact_div, 0), det
+    return flagged, _back_substitute(rows, pivots, n, _exact_div, 0), det
 
 
 def solve(a: Matrix, b, rows=None, cols=None):
@@ -451,14 +441,16 @@ def solve(a: Matrix, b, rows=None, cols=None):
 
     Given ``rows`` and ``cols``, the system is a's rows ``rows`` over its
     columns ``cols``, read in place, and b lists unit right-hand sides, the
-    j-th reading 1 in a's row b[j]; returns (the unknowns where x is nonzero,
-    x's rows there, the columns of a x, x's denominator, a x's
-    denominator).  On floats x and a x are as ``matmul`` would form them,
-    equation rows keeping their rounding residue, and both denominators are
-    1.  On the exact backend every part is an integer: x's rows are over d,
-    the Bareiss determinant, and a x is over a's denominator times d.  Its
-    equation rows are read from the right-hand side the solve satisfied;
-    only the other rows are summed.
+    j-th reading 1 in a's row b[j].  Nothing is raised for an inconsistent
+    one: returns (the 0-based indices j of the inconsistent right-hand
+    sides, the unknowns where x is nonzero, x's rows there, the columns of
+    a x, x's denominator, a x's denominator), where x and a x solve nothing
+    in a column j that is listed.  On floats x and a x are as ``matmul``
+    would form them, equation rows keeping their rounding residue, and both
+    denominators are 1.  On the exact backend every part is an integer: x's
+    rows are over d, the Bareiss determinant, and a x is over a's
+    denominator times d.  Its equation rows are read from the right-hand
+    side the solve satisfied; only the other rows are summed.
     """
     if rows is not None:
         return _solve_units(a, rows, cols, b)
@@ -466,12 +458,18 @@ def solve(a: Matrix, b, rows=None, cols=None):
     if a.n_rows != b.n_rows:
         raise DimensionMismatch(f"a has {a.n_rows} rows but b has {b.n_rows}")
     if a.backend == FLOAT:
-        x, _ = _solve_rows([list(a.row(i) + b.row(i)) for i in range(a.n_rows)], a.n_cols, FLOAT)
+        rows = [list(a.row(i) + b.row(i)) for i in range(a.n_rows)]
+    else:
+        (a_rows, p), (b_rows, q) = a._ints, b._ints
+        rows = [row + [p * v for v in b_row] for row, b_row in zip(a_rows, b_rows)]
+    flagged, x, det = _solve_rows(rows, a.n_cols, a.backend)
+    if flagged:
+        j = flagged[0] + 1
+        message = f"system is inconsistent in right-hand side {j}: rank(A) < rank(A|b)"
+        raise Infeasible(message, column=j)
+    if a.backend == FLOAT:
         return Matrix(a.n_cols, b.n_cols, [v for values in x for v in values], FLOAT)
-    (a_rows, p), (b_rows, q) = a._integer_rows(), b._integer_rows()
-    rows = [row + [p * v for v in b_row] for row, b_row in zip(a_rows, b_rows)]
-    x, det = _solve_rows(rows, a.n_cols, EXACT)
-    return Matrix.from_integer_rows(x, q * det)
+    return Matrix.from_ints(x, q * det)
 
 
 def _solve_units(a, equations, unknowns, units):
@@ -480,36 +478,38 @@ def _solve_units(a, equations, unknowns, units):
     size, width, n_rhs = a.n_rows, a.n_cols, len(units)
     exact = a.backend == EXACT
     if exact:
-        (ints, unit), zero = a._integer_rows(), 0
+        (ints, unit), zero = a._ints, 0
     else:
         ints, unit, zero = None, complex(1), complex(0)
     rows = []
     for l in equations:
         row = ints[l] if exact else a._data[l * width : (l + 1) * width]
         rows.append([row[i] for i in unknowns] + [unit if l == u else zero for u in units])
-    x, det = _solve_rows(rows, len(unknowns), a.backend)
-    # Each unit reads 1 in some equation, so no column of x is zero.
+    flagged, x, det = _solve_rows(rows, len(unknowns), a.backend)
+    # A consistent unit reads 1 in some equation, so its column of x is not
+    # zero; when none is consistent, x can be zero and the support empty.
     support = [i for i, values in zip(unknowns, x) if any(values)]
     x_rows = [values for values in x if any(values)]
     summed = sorted(set(range(size)).difference(equations)) if exact else range(size)
-    _tally(mul=len(summed) * n_rhs * len(support), add=len(summed) * n_rhs * (len(support) - 1))
+    terms = len(summed) * n_rhs
+    _tally(mul=terms * len(support), add=terms * max(len(support) - 1, 0))
     if exact:
         a_x = [[unit * det if l == u else 0 for l in range(size)] for u in units]
         parts = [(l, [ints[l][i] for i in support]) for l in summed]
         for entries, column in zip(a_x, zip(*x_rows)):
             for l, part in parts:
                 entries[l] = sum(map(mul, part, column))
-        return support, x_rows, a_x, det, unit * det
+        return flagged, support, x_rows, a_x, det, unit * det
     # a x column by column, each entry a running sum as in ``matmul``.
     columns = [a._data[i::width] for i in support]
     a_x = []
     for j in range(n_rhs):
-        acc = [g * x_rows[0][j] for g in columns[0]]
-        for column, values in zip(columns[1:], x_rows[1:]):
+        acc = None
+        for col, values in zip(columns, x_rows):
             v = values[j]
-            acc = [e + g * v for e, g in zip(acc, column)]
+            acc = [g * v for g in col] if acc is None else [e + g * v for e, g in zip(acc, col)]
         a_x.append(acc)
-    return support, x_rows, a_x, 1, 1
+    return flagged, support, x_rows, a_x, 1, 1
 
 
 def isolate(b, w, y, known):
@@ -526,7 +526,7 @@ def isolate(b, w, y, known):
             reduce(sub, [row[j] * w[j] for j in cached], y_l) / row[l]
             for l, (row, y_l, cached) in enumerate(zip(map(b.row, range(b.n_rows)), y._data, known))
         ]
-    (b_rows, p), (w_rows, q), (y_rows, r) = b._integer_rows(), w._integer_rows(), y._integer_rows()
+    (b_rows, p), (w_rows, q), (y_rows, r) = b._ints, w._ints, y._ints
     w_ints = [v for (v,) in w_rows]
     out = []
     for l, (row, (y_l,), cached) in enumerate(zip(b_rows, y_rows, known)):

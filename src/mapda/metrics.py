@@ -294,7 +294,26 @@ def _reference_mismatch(key, column, computed):
 
 
 def table_row(p: SystemPoint) -> dict:
-    """One comparison row; scheme cells outside their limits say n/a."""
+    """One comparison row; scheme cells outside their limits say n/a.
+
+    ``sci`` formats through a float, so a figure of 2**1024 or more raises
+    DomainError.  Each binomial is at most C(K, t), C(K-t-1, L-1), C(K, t+L)
+    or C(t+L, t+1), each at most a figure: none is formed where C(n, k) >=
+    (n/k)**k puts one past 2**1025, which needs K > 1025 (C(n, k) < 2**n).
+    """
+    t, big_l, big_k = p.t, p.antennas, p.users
+    tops = ((big_k, t), (big_k - t - 1, big_l - 1), (big_k, t + big_l), (t + big_l, t + 1))
+    lows = [(n, min(k, n - k)) for n, k in tops] if 1025 < big_k >= t + big_l else []
+    try:
+        if not any(k > 0 and k * (math.log2(n) - math.log2(k)) > 1025 for n, k in lows):
+            return _table_row(p)
+    except OverflowError:
+        pass
+    message = f"point K={big_k}, ratio {p.memory_ratio}, L={big_l} has a figure of 2**1024 or more"
+    raise DomainError(f"{message}, past the float range of the table's scientific cells")
+
+
+def _table_row(p: SystemPoint) -> dict:
     row = {c: "" for c in TABLE_COLUMNS}
     flags = []
     row["K"] = str(p.users)

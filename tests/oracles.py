@@ -8,13 +8,16 @@ kernels (a running-sum product and a solver with back-substitution over
 every column), an exact channel whose submatrices are provably
 nonsingular, a per-column precoder synthesis, and a brute-force
 enumerator of small deliverable grids.  ``rank`` runs the package's own
-elimination kernels; its tests compare it with sympy.
+elimination kernels; its tests compare it with sympy.  On floats the
+per-column synthesis runs the package's ``solve`` and ``matmul`` too, so
+that the engine can be compared with it bit for bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice, permutations
+from operator import mul
 
 import numpy as np
 
@@ -226,7 +229,7 @@ def rank(a: Matrix) -> int:
     the exact backend, pivots at most PIVOT_RTOL times the largest |entry|
     counting as zero on floats."""
     if a.backend == EXACT:
-        return len(_eliminate_exact([list(row) for row in a._integer_rows()[0]], a.n_cols)[0])
+        return len(_eliminate_exact([list(row) for row in a._ints[0]], a.n_cols)[0])
     tol = PIVOT_RTOL * max(map(abs, a.data), default=0.0)
     return len(_eliminate(a.to_rows(), a.n_cols, tol))
 
@@ -248,7 +251,10 @@ def synthesize_precoder_per_column(group, channel) -> PrecodingMatrix:
     one reading 1) and every position outside its cacher set, in that order,
     over the cacher positions.  Column n of B is the Gram block over the
     solution's nonzero rows times those entries.  The first failing column
-    raises, as ``synthesize_precoder`` must report it.
+    raises, as ``synthesize_precoder`` must report it.  On the exact backend
+    the system is solved by ``naive_solve_exact`` and B summed over
+    Fractions; floats run the package's ``solve`` and ``matmul``, so that
+    the engine's V and B can be compared with them bit for bit.
     """
     users = _served_columns(channel, group)
     block = channel.gram.take(users, users)
@@ -264,10 +270,15 @@ def synthesize_precoder_per_column(group, channel) -> PrecodingMatrix:
         if not unknowns:
             raise Infeasible(f"slot {group.slot}: column {n + 1}", slot=group.slot, column=n + 1)
         eq_rows = (n,) + tuple(l for l in all_rows if l != n and l not in unknowns)
-        rhs = Matrix(len(eq_rows), 1, (one,) + (zero,) * (len(eq_rows) - 1), backend)
-        try:
-            x = solve(block.take(eq_rows, unknowns), rhs)
-        except Infeasible:
+        rhs = [[one]] + [[zero]] * (len(eq_rows) - 1)
+        if backend == EXACT:
+            x = naive_solve_exact([[block.at(l, i) for i in unknowns] for l in eq_rows], rhs)
+        else:
+            try:
+                x = solve(block.take(eq_rows, unknowns), Matrix.from_rows(rhs, backend)).to_rows()
+            except Infeasible:
+                x = None
+        if x is None:
             error = (
                 DegenerateChannel
                 if len(eq_rows) <= min(group.antennas, len(unknowns))
@@ -275,13 +286,18 @@ def synthesize_precoder_per_column(group, channel) -> PrecodingMatrix:
             )
             raise error(f"slot {group.slot}: column {n + 1}", slot=group.slot, column=n + 1)
         support, values = [], []
-        for i, value in zip(unknowns, x.data):
+        for i, (value,) in zip(unknowns, x):
             if value:
                 support.append(i)
                 values.append(value)
                 v_rows[i][n] = value
-        x_support = Matrix(len(values), 1, values, backend)
-        b_cols.append(matmul(block.take(all_rows, support), x_support).data)
+        if backend == EXACT:
+            b_cols.append(
+                [sum(map(mul, (block.at(l, i) for i in support), values), zero) for l in all_rows]
+            )
+        else:
+            x_support = Matrix(len(values), 1, values, backend)
+            b_cols.append(matmul(block.take(all_rows, support), x_support).data)
     v = Matrix(size, size, [e for row in v_rows for e in row], backend)
     b = Matrix(size, size, [e for row in zip(*b_cols) for e in row], backend)
     return PrecodingMatrix(matrix=v, combined=b)

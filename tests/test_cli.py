@@ -506,10 +506,11 @@ class TestSweep:
 
 
 class TestAllocationBound:
-    # Each request asks for hundreds of millions of cells or table rows.
-    # The child runs under a 400 MB address-space limit, so a missing size
-    # check ends there in a MemoryError traceback instead of exhausting the
-    # host.
+    # Each request asks for hundreds of millions of cells or table rows, or
+    # for a table row whose figures pass the float range of its scientific
+    # cells.  The child runs under a 400 MB address-space limit, so a
+    # missing size check ends there in a MemoryError traceback instead of
+    # exhausting the host.
     CASES = {
         "mn_k26_t13": (
             ["gen", "mn", "--users", "26", "--t", "13"],
@@ -537,6 +538,24 @@ class TestAllocationBound:
         "sweep": (
             ["sweep", "-K", "100000000", "-L", "4"],
             "sweep of t = 1..99999996 needs 99999996 rows, limit 1000",
+        ),
+        # F_asmst = C(1100, 550) C(545, 3) fits an int but not a float.
+        "compare_row_past_float_range": (
+            ["compare", "--point", "1100,1/2,4"],
+            "point K=1100, ratio 1/2, L=4 has a figure of 2**1024 or more, past the float "
+            "range of the table's scientific cells",
+        ),
+        # C(20000, 10000) has about 6000 digits: refused before it is formed.
+        "sweep_row_past_digit_limit": (
+            ["sweep", "-K", "20000", "--t-min", "10000", "--t-max", "10000", "-L", "4"],
+            "point K=20000, ratio 1/2, L=4 has a figure of 2**1024 or more, past the float "
+            "range of the table's scientific cells",
+        ),
+        # C(10**7, 5 * 10**6) would take many seconds to form.
+        "sweep_row_unbounded_binomial": (
+            ["sweep", "-K", "10000000", "--t-min", "5000000", "--t-max", "5000000", "-L", "4"],
+            "point K=10000000, ratio 1/2, L=4 has a figure of 2**1024 or more, past the float "
+            "range of the table's scientific cells",
         ),
     }
 

@@ -1,9 +1,10 @@
-"""Byte-exact stdout (and ``gen``'s stderr line) of fixed CLI requests.
+"""Byte-exact stdout and stderr, and the exit code, of fixed CLI requests.
 
 Each case's expected bytes live in ``fixtures/golden/<name>.out`` (and
-``<name>.err`` for ``gen``).  The arrays that ``gen`` writes there are the
+``<name>.err`` when stderr is not empty: ``gen``'s summary line, or the
+error of a failing request).  The arrays that ``gen`` writes there are the
 inputs of the ``simulate`` cases, so a change to a generator shows in its
-own case first.
+own case first.  A case exits 0 unless ``EXIT_CODES`` says otherwise.
 """
 
 from pathlib import Path
@@ -19,6 +20,7 @@ CASES = {
     "gen_mn_6_2": ["gen", "mn", "--users", "6", "--t", "2"],
     "gen_cyclic_8_5": ["gen", "cyclic", "--users", "8", "--t", "5"],
     "gen_replicate_mn_6_2_x2": ["gen", "replicate", "-i", "golden/gen_mn_6_2.out", "--copies", "2"],
+    "gen_cyclic_4_2": ["gen", "cyclic", "--users", "4", "--t", "2"],
     # cyclic(8, 5): three slots serving all eight users, one family.
     "simulate_cyclic_8_5_exact": [
         "simulate", "golden/gen_cyclic_8_5.out", "-N", "2",
@@ -44,6 +46,34 @@ CASES = {
     "validate_mn_6_2_L1": ["validate", "golden/gen_mn_6_2.out", "-L", "1"],
     # The table, then the plot CSV, both on stdout.
     "sweep_20_4": ["sweep", "-K", "20", "-L", "4", "--plot-out", "-"],
+    # Failing deliveries: the error names the slot and column.
+    "simulate_no_cacher": [
+        "simulate", "no_cacher.mapda", "-N", "1", "--channel", "channel_1x2.txt",
+    ],
+    "simulate_mn_4_1_L2": [
+        "simulate", "mn_4_1_L2.mapda", "-N", "2", "--scalar", "float", "--seed", "1",
+    ],
+    "simulate_cyclic_4_2_equal_users_exact": [
+        "simulate", "golden/gen_cyclic_4_2.out", "-N", "2",
+        "--channel", "channel_2x4_equal_users_1_2.txt", "--scalar", "exact",
+    ],
+    "simulate_cyclic_4_2_equal_users_float": [
+        "simulate", "golden/gen_cyclic_4_2.out", "-N", "2",
+        "--channel", "channel_2x4_equal_users_1_2.txt", "--scalar", "float",
+    ],
+    # One family: slot 1 delivers, slot 2 fails on the family's shared solves.
+    "simulate_cyclic_9_5_isomorph_exact": [
+        "simulate", "cyclic_9_5_isomorph.mapda", "-N", "2",
+        "--channel", "channel_4x9_equal_users_1_2.txt", "--scalar", "exact",
+    ],
+}
+
+EXIT_CODES = {
+    "simulate_no_cacher": 1,
+    "simulate_mn_4_1_L2": 1,
+    "simulate_cyclic_4_2_equal_users_exact": 1,
+    "simulate_cyclic_4_2_equal_users_float": 1,
+    "simulate_cyclic_9_5_isomorph_exact": 1,
 }
 
 
@@ -51,7 +81,7 @@ CASES = {
 def test_output_matches_golden(name, capsys, monkeypatch):
     monkeypatch.chdir(FIXTURES)
     monkeypatch.delenv("MAPDA_SEED", raising=False)
-    assert main(CASES[name]) == 0
+    assert main(CASES[name]) == EXIT_CODES.get(name, 0)
     captured = capsys.readouterr()
     assert captured.out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     err = GOLDEN / f"{name}.err"

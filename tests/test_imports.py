@@ -29,7 +29,7 @@ def test_package_imports_only_the_standard_library():
 
 def test_only_linalg_reads_matrix_internals():
     # Scalar handling for each backend lives in linalg: other modules build
-    # and read matrices through its public names and ``from_integer_rows``.
+    # and read matrices through its public names and ``from_ints``.
     internals = {"_ints", "_data", "_integer_rows"}
     reads = {
         (path.name, node.attr, node.lineno)

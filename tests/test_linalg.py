@@ -245,24 +245,27 @@ class TestColumnKernels:
 
     def test_float_matches_solve_matmul_and_oracles(self):
         rng = random.Random(107)
-        seen = dict.fromkeys(self.KINDS + ["infeasible"], 0)
+        seen = dict.fromkeys(self.KINDS + ["infeasible", "partial"], 0)
         for case in range(300):
             kind = self.KINDS[case % len(self.KINDS)]
             block, equations, unknowns, units, a, unit_rows = self.column_system(
                 rng, kind, random_complex, float_rows
             )
             want = loop_solve_float(a, unit_rows)
+            with count_ops() as tally:
+                flagged, support, x_rows, b_cols, *dens = solve(block, units, equations, unknowns)
+            # The unit form flags the right-hand sides that the oracle, run
+            # on each alone, finds no solution for.
+            alone = [loop_solve_float(a, [[row[j]] for row in unit_rows]) for j in range(len(units))]
+            assert flagged == [j for j, x in enumerate(alone) if x is None]
             if want is None:
                 seen["infeasible"] += 1
+                seen["partial"] += len(flagged) < len(units)
                 with pytest.raises(Infeasible) as reference:
                     solve(block.take(equations, unknowns), float_rows(unit_rows))
-                with pytest.raises(Infeasible) as exc:
-                    solve(block, units, equations, unknowns)
-                assert exc.value.column == reference.value.column
+                assert reference.value.column == flagged[0] + 1
                 continue
             seen[kind] += 1
-            with count_ops() as tally:
-                support, x_rows, b_cols, *dens = solve(block, units, equations, unknowns)
             ref_support, ref_rows, ref_cols, ref_counts = self.reference(
                 block, equations, unknowns, units, unit_rows
             )
@@ -295,7 +298,7 @@ class TestColumnKernels:
 
     def test_exact_matches_solve_matmul_and_fraction_elimination(self):
         rng = random.Random(109)
-        seen = dict.fromkeys(self.KINDS + ["infeasible"], 0)
+        seen = dict.fromkeys(self.KINDS + ["infeasible", "partial"], 0)
 
         def inherited(rows):
             # A block taken from a wider parent keeps the parent's denominator.
@@ -308,21 +311,32 @@ class TestColumnKernels:
                 rng, kind, random_rational, inherited
             )
             expected = naive_solve_exact(a, unit_rows)
-            if expected is None:
-                seen["infeasible"] += 1
-                with pytest.raises(Infeasible) as reference:
-                    solve(block.take(equations, unknowns), frac_matrix(unit_rows))
-                with pytest.raises(Infeasible) as exc:
-                    solve(block, units, equations, unknowns)
-                assert exc.value.column == reference.value.column
-                continue
-            seen[kind] += 1
             with count_ops() as tally:
-                support, x_ints, b_ints, det, b_den = solve(block, units, equations, unknowns)
+                flagged, support, x_ints, b_ints, det, b_den = solve(
+                    block, units, equations, unknowns
+                )
             assert all(type(e) is int for part in [[det, b_den], *x_ints, *b_ints] for e in part)
             # x's rows are over det, B over the block's denominator times det.
-            assert b_den == block._integer_rows()[1] * det
+            assert b_den == block._ints[1] * det
             x_rows = [[Fraction(v, det) for v in values] for values in x_ints]
+            # The unit form flags the right-hand sides that the oracle, run
+            # on each alone, finds no solution for, and solves the others as
+            # the oracle does.
+            alone = [naive_solve_exact(a, [[row[j]] for row in unit_rows]) for j in range(len(units))]
+            assert flagged == [j for j, x in enumerate(alone) if x is None]
+            for j, x in enumerate(alone):
+                if x is not None:
+                    column = dict(zip(unknowns, (values[0] for values in x)))
+                    assert [row[j] for row in x_rows] == [column[i] for i in support]
+                    assert not any(column[i] for i in unknowns if i not in support)
+            if expected is None:
+                seen["infeasible"] += 1
+                seen["partial"] += len(flagged) < len(units)
+                with pytest.raises(Infeasible) as reference:
+                    solve(block.take(equations, unknowns), frac_matrix(unit_rows))
+                assert reference.value.column == flagged[0] + 1
+                continue
+            seen[kind] += 1
             b_cols = [[Fraction(v, b_den) for v in col] for col in b_ints]
             ref_support, ref_rows, ref_cols, ref_counts = self.reference(
                 block, equations, unknowns, units, unit_rows
@@ -580,9 +594,10 @@ class TestSolve:
 
 
 class TestIntegerRows:
-    """An exact matrix derives its integer rows and their one denominator
-    once, or keeps those it was built from; a submatrix from ``take`` reuses
-    its share of the rows over its parent's denominator."""
+    """An exact matrix brings its entries to integer rows over one
+    denominator when it is built, or keeps those it was built from; a
+    submatrix from ``take`` reuses its share of the rows over its parent's
+    denominator."""
 
     def test_take_of_take_matches_fresh_matrix(self):
         rng = random.Random(59)
@@ -599,9 +614,9 @@ class TestIntegerRows:
                 [rng.randrange(mid.n_cols) for _ in range(rng.randint(1, mid.n_cols))],
             )
             fresh = Matrix(sub.n_rows, sub.n_cols, sub.data, EXACT)
-            den = sub._integer_rows()[1]
-            assert den == mid._integer_rows()[1] == parent._integer_rows()[1]
-            inherited_dens += den != fresh._integer_rows()[1]
+            den = sub._ints[1]
+            assert den == mid._ints[1] == parent._ints[1]
+            inherited_dens += den != fresh._ints[1]
             width = rng.randint(1, 3)
             right = frac_matrix(
                 [[random_rational(rng) for _ in range(width)] for _ in range(sub.n_cols)]
@@ -621,7 +636,7 @@ class TestIntegerRows:
             assert solve(sub, rhs) == expected
             # Elimination works on copies: the kept rows are unchanged.
             assert solve(sub, rhs) == expected
-            assert sub._integer_rows()[1] == den
+            assert sub._ints[1] == den
         # Enough cases ran on denominators a fresh matrix would not pick.
         assert inherited_dens >= 50 and solved >= 30, (inherited_dens, solved)
 
@@ -631,8 +646,8 @@ class TestIntegerRows:
         fresh = frac_matrix([[Fraction(2, 3)], [5]])
         untouched = frac_matrix([[Fraction(2, 3)], [5]])
         # sub keeps its parent's denominator 12, fresh picks 3.
-        assert sub._integer_rows() == ([[8], [60]], 12)
-        assert fresh._integer_rows() == ([[2], [15]], 3)
+        assert sub._ints == ([[8], [60]], 12)
+        assert fresh._ints == ([[2], [15]], 3)
         assert sub == fresh == untouched
         assert hash(sub) == hash(fresh) == hash(untouched)
 
@@ -651,11 +666,11 @@ class TestIntegerRows:
             given = [[int(e * den) for e in row] for row in rows]
             negative += den < 0
             zero_rows += not all(map(any, rows))
-            lazy, eager = Matrix.from_integer_rows(given, den), frac_matrix(rows)
+            lazy, eager = Matrix.from_ints(given, den), frac_matrix(rows)
             with monkeypatch.context() as patched:
                 patched.setattr(linalg, "_integers", None)  # must not be called
-                assert lazy._integer_rows()[0] is given
-                assert lazy._integer_rows()[1] == den
+                assert lazy._ints[0] is given
+                assert lazy._ints[1] == den
             # The kernels read the integer rows; data is built on first read.
             width = rng.randint(1, 3)
             right = frac_matrix([[random_rational(rng) for _ in range(width)] for _ in range(m)])
@@ -678,7 +693,7 @@ class TestIntegerRows:
             row_idx, col_idx = rng.sample(range(n), rng.randint(1, n)), [rng.randrange(m)]
             sub = lazy.take(row_idx, col_idx)
             assert sub == eager.take(row_idx, col_idx)
-            assert sub._integer_rows()[1] == den
+            assert sub._ints[1] == den
             assert lazy == eager and hash(lazy) == hash(eager)
             left = frac_matrix([[random_rational(rng) for _ in range(n)] for _ in range(width)])
             assert matmul(left, lazy) == matmul(left, eager)
