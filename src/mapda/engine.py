@@ -154,7 +154,11 @@ class ChannelMatrix:
         Every slot's block is a submatrix of it, so a delivery run forms it
         once, and its operations count where it is first needed.  Entry
         (i, j) sums over antennas in order, as a per-slot product would.
+        A K x K past the cell limit is refused before it is formed, however
+        few users each slot serves.
         """
+        users = self.matrix.n_cols
+        _check_cells(f"the Gram matrix of {users} users", users, users)
         return matmul(self.adjoint, self.matrix)
 
 
@@ -270,7 +274,9 @@ def _check_demands(demands, files):
 
 def make_channel(antennas, users, seed=0) -> ChannelMatrix:
     """Draw an L x K float channel with i.i.d. standard-normal real and
-    imaginary parts from a deterministic PRNG (same seed, same matrix)."""
+    imaginary parts from a deterministic PRNG (same seed, same matrix);
+    an L x K past the cell limit is refused before any is drawn."""
+    _check_cells(f"a channel of {antennas} antennas", antennas, users)
     rng = random.Random(seed)
     rows = [
         [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(users)]
@@ -426,22 +432,23 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
             v_rows[i][n] = row[j]
         b_cols.append(b_columns[j])
         dens.append(den)
-    if backend == FLOAT:
-        v = Matrix(size, size, [e for row in v_rows for e in row], backend)
-        b = Matrix(size, size, [e for row in zip(*b_cols) for e in row], backend)
-        return PrecodingMatrix(matrix=v, combined=b)
     x_dens, b_dens = zip(*dens)
     return PrecodingMatrix(
-        matrix=_over_lcm(v_rows, x_dens), combined=_over_lcm(list(zip(*b_cols)), b_dens)
+        matrix=_over_lcm(v_rows, x_dens, backend),
+        combined=_over_lcm(list(zip(*b_cols)), b_dens, backend),
     )
 
 
-def _over_lcm(rows, dens):
-    """Exact matrix of integer ``rows`` whose column n is over dens[n],
-    brought over one denominator, the lcm of ``dens``."""
+def _over_lcm(rows, dens, backend):
+    """Matrix of ``rows`` whose column n is over dens[n], brought over one
+    denominator, the lcm of ``dens``.  Rows are rescaled only when some
+    factor is not 1: a negative determinant has lcm 1 but factor -1, and a
+    float entry times an int 1 can lose the sign of a zero."""
     common = math.lcm(*dens)
     factors = [common // den for den in dens]
-    return Matrix.from_ints([list(map(mul, row, factors)) for row in rows], common)
+    if any(factor != 1 for factor in factors):
+        rows = [list(map(mul, row, factors)) for row in rows]
+    return Matrix.from_ints(rows, common, backend)
 
 
 def _solve_columns(block, unknowns, positions):

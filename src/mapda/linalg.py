@@ -7,27 +7,30 @@ multiply, conjugate transpose, and a Gaussian-elimination solver that
 zeroes free variables and reports inconsistency instead of guessing; the
 engine solves its column systems in place and decodes with ``isolate``.
 
-Exact kernels compute on Python ints.  An exact matrix is one integer
-matrix over one denominator, the lcm of its entries' denominators when it
-is built from Fractions; its Fraction ``data`` is only a cache, kept from
-construction or built on first read.  The kernels read and return integer
-rows, so ``Fraction``s are built only at the edges: fixture and library
-input, the decoded values, and reads of ``data`` and ``==``.  ``take`` and
+Every matrix, on either backend, is a list of rows over one denominator,
+which the kernels read and return; the flat ``data`` is only a cache, kept
+from construction or built on first read.  Float rows hold the complex
+entries over 1 and are never rescaled: an int 1 times a complex entry can
+turn -0.0 into 0.0.  Exact rows are Python ints, over the lcm of the
+entries' denominators when the matrix is built from Fractions, so
+``Fraction``s are built only at the edges: fixture and library input, the
+decoded values, and reads of ``data`` and ``==``.  ``take`` and
 ``conj_transpose`` keep the denominator, so a Gram matrix is brought to
 integers once however many blocks are read from it, and ``matmul``
-multiplies the two denominators.  The solvers eliminate integer rows
-fraction-free (Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 1968): every division
-is exact and none is made while the previous pivot is 1.  Pivots come from
-the system alone, so every right-hand side is back-substituted over the
-pivot rows, exactly whether or not it is consistent, and the inconsistent
-ones are reported.  The Matrix form of ``solve`` returns integer rows over
-the determinant times b's denominator; the unit form returns the integers
-themselves, reading a x's equation rows from the right-hand side, which its
-solve satisfies.  The float backend runs plain Gaussian elimination with
-partial pivoting; its products fold each entry left to right, in
-running-sum order.  On both backends back-substitution sums over pivot
-columns only, since free variables are zero.
+multiplies the two denominators, folding each entry left to right in
+running-sum order.  The backends differ in arithmetic alone.  Exact
+solvers eliminate integer rows fraction-free (Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 1968): every division is exact and none is made while the previous
+pivot is 1.  Pivots come from the system alone, so every right-hand side
+is back-substituted over the pivot rows, exactly whether or not it is
+consistent, and the inconsistent ones are reported.  The Matrix form of
+``solve`` returns integer rows over the determinant times b's denominator;
+the unit form returns the integers themselves, reading a x's equation rows
+from the right-hand side, which its solve satisfies.  The float backend
+runs plain Gaussian elimination with partial pivoting.  On both backends
+back-substitution sums over pivot columns only, since free variables are
+zero.
 
 Scalar multiply/add counts can be observed through ``count_ops``, whose
 blocks nest, the innermost open one counting.  They count the
@@ -130,15 +133,15 @@ def _coerce(value, backend):
 
 
 class Matrix:
-    """Immutable row-major dense matrix bound to one scalar backend.
+    """Immutable dense matrix bound to one scalar backend.
 
-    An exact matrix holds ``_ints``, its integer rows over one denominator,
-    which the kernels read; its Fraction ``data`` is kept when it is built
-    from them and built on first read otherwise.  The kernels read the
-    ``_data`` slot of float matrices, which always hold it.
+    Every matrix holds ``_rows``: its rows over one denominator, which the
+    kernels read.  Exact rows are integers; float rows are the complex
+    entries themselves, over 1.  The flat row-major ``data`` is kept when
+    the matrix is built from it and built on first read otherwise.
     """
 
-    __slots__ = ("n_rows", "n_cols", "_data", "backend", "_ints")
+    __slots__ = ("n_rows", "n_cols", "_data", "backend", "_rows")
 
     def __init__(self, n_rows, n_cols, data, backend):
         if n_rows < 1 or n_cols < 1:
@@ -152,21 +155,28 @@ class Matrix:
         self.n_cols = n_cols
         self._data = data
         self.backend = backend
-        self._ints = _integers(data, n_cols) if backend == EXACT else None
+        if backend == EXACT:
+            self._rows = _integers(data, n_cols)
+        else:
+            self._rows = [data[i : i + n_cols] for i in range(0, len(data), n_cols)], 1
 
     @classmethod
-    def from_ints(cls, rows, den):
-        """Exact matrix of the integer ``rows`` over the nonzero ``den``."""
+    def from_ints(cls, rows, den, backend=EXACT):
+        """Matrix of the ``rows`` over the nonzero ``den``: integer rows on
+        the exact backend, complex entries over 1 on floats."""
         m = object.__new__(cls)
-        m.n_rows, m.n_cols, m._data, m.backend = len(rows), len(rows[0]), None, EXACT
-        m._ints = rows, den
+        m.n_rows, m.n_cols, m._data, m.backend = len(rows), len(rows[0]), None, backend
+        m._rows = rows, den
         return m
 
     @property
     def data(self):
         if self._data is None:
-            rows, den = self._ints
-            self._data = tuple(Fraction(v, den) for row in rows for v in row)
+            rows, den = self._rows
+            entries = (v for row in rows for v in row)
+            if self.backend == EXACT:
+                entries = (Fraction(v, den) for v in entries)
+            self._data = tuple(entries)
         return self._data
 
     @classmethod
@@ -195,23 +205,19 @@ class Matrix:
         return self.data[i * self.n_cols + j]
 
     def row(self, i):
+        if self.backend == FLOAT:
+            return tuple(self._rows[0][i])
         return self.data[i * self.n_cols : (i + 1) * self.n_cols]
 
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.n_rows)]
 
     def take(self, row_idx, col_idx):
-        """Submatrix from the given row and column index sequences.
-
-        On the exact backend the submatrix is built from its share of this
-        matrix's integer rows, over this matrix's denominator.
-        """
-        if self.backend == EXACT:
-            rows, den = self._ints
-            return Matrix.from_ints([[rows[i][j] for j in col_idx] for i in row_idx], den)
-        data, width = self._data, self.n_cols
-        entries = [data[i * width + j] for i in row_idx for j in col_idx]
-        return Matrix(len(row_idx), len(col_idx), entries, FLOAT)
+        """Submatrix from the given row and column index sequences, built
+        from its share of this matrix's rows, over this matrix's
+        denominator."""
+        rows, den = self._rows
+        return Matrix.from_ints([[rows[i][j] for j in col_idx] for i in row_idx], den, self.backend)
 
     def __eq__(self, other):
         return (
@@ -251,37 +257,33 @@ def _exact_div(num, den):
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product; exact for rationals, IEEE double for floats."""
+    """Matrix product; exact for rationals, IEEE double for floats.
+
+    Each entry is one left fold in the order of a running sum, over the
+    product of the two denominators: sum() would compensate its float and
+    complex additions on newer Pythons, and integer sums are exact in any
+    order.
+    """
     _check_same_backend(a, b)
     if a.n_cols != b.n_rows:
         raise DimensionMismatch(f"cannot multiply {a.n_rows}x{a.n_cols} by {b.n_rows}x{b.n_cols}")
     _tally(mul=a.n_rows * b.n_cols * a.n_cols, add=a.n_rows * b.n_cols * (a.n_cols - 1))
-    if a.backend == EXACT:
-        (a_rows, a_den), (b_rows, b_den) = a._ints, b._ints
-        cols = list(zip(*b_rows))
-        return Matrix.from_ints(
-            [[sum(map(mul, row, col)) for col in cols] for row in a_rows], a_den * b_den
-        )
-    # One left fold per entry, in the order of a running sum: sum() would
-    # compensate its float and complex additions on newer Pythons.
-    data, width = a._data, a.n_cols
-    cols = [b._data[j :: b.n_cols] for j in range(b.n_cols)]
-    out = [
-        reduce(add, map(mul, data[i : i + width], col))
-        for i in range(0, len(data), width)
-        for col in cols
-    ]
-    return Matrix(a.n_rows, b.n_cols, out, a.backend)
+    (a_rows, a_den), (b_rows, b_den) = a._rows, b._rows
+    cols = list(zip(*b_rows))
+    return Matrix.from_ints(
+        [[reduce(add, map(mul, row, col)) for col in cols] for row in a_rows],
+        a_den * b_den,
+        a.backend,
+    )
 
 
 def conj_transpose(a: Matrix) -> Matrix:
-    """Hermitian transpose; plain transpose on the exact (real) backend,
-    over a's denominator."""
-    if a.backend == EXACT:
-        rows, den = a._ints
-        return Matrix.from_ints([list(column) for column in zip(*rows)], den)
-    columns = (a._data[j :: a.n_cols] for j in range(a.n_cols))
-    return Matrix(a.n_cols, a.n_rows, [e.conjugate() for column in columns for e in column], FLOAT)
+    """Hermitian transpose, over a's denominator; plain transpose on the
+    exact (real) backend."""
+    rows, den = a._rows
+    return Matrix.from_ints(
+        [[e.conjugate() for e in column] for column in zip(*rows)], den, a.backend
+    )
 
 
 def _eliminate(rows, n_sys_cols, tol):
@@ -457,33 +459,28 @@ def solve(a: Matrix, b, rows=None, cols=None):
     _check_same_backend(a, b)
     if a.n_rows != b.n_rows:
         raise DimensionMismatch(f"a has {a.n_rows} rows but b has {b.n_rows}")
-    if a.backend == FLOAT:
-        rows = [list(a.row(i) + b.row(i)) for i in range(a.n_rows)]
-    else:
-        (a_rows, p), (b_rows, q) = a._ints, b._ints
-        rows = [row + [p * v for v in b_row] for row, b_row in zip(a_rows, b_rows)]
+    (a_rows, p), (b_rows, q) = a._rows, b._rows
+    if p != 1:  # a float entry times an int 1 can lose the sign of a zero
+        b_rows = [[p * v for v in b_row] for b_row in b_rows]
+    rows = [[*row, *b_row] for row, b_row in zip(a_rows, b_rows)]
     flagged, x, det = _solve_rows(rows, a.n_cols, a.backend)
     if flagged:
         j = flagged[0] + 1
         message = f"system is inconsistent in right-hand side {j}: rank(A) < rank(A|b)"
         raise Infeasible(message, column=j)
-    if a.backend == FLOAT:
-        return Matrix(a.n_cols, b.n_cols, [v for values in x for v in values], FLOAT)
-    return Matrix.from_ints(x, q * det)
+    return Matrix.from_ints(x, q * det, a.backend)
 
 
 def _solve_units(a, equations, unknowns, units):
     """``solve``'s unit form; a unit enters an exact system at a's
     denominator."""
-    size, width, n_rhs = a.n_rows, a.n_cols, len(units)
+    size, n_rhs = a.n_rows, len(units)
+    a_rows, den = a._rows
     exact = a.backend == EXACT
-    if exact:
-        (ints, unit), zero = a._ints, 0
-    else:
-        ints, unit, zero = None, complex(1), complex(0)
+    unit, zero = (den, 0) if exact else (complex(1), complex(0))
     rows = []
     for l in equations:
-        row = ints[l] if exact else a._data[l * width : (l + 1) * width]
+        row = a_rows[l]
         rows.append([row[i] for i in unknowns] + [unit if l == u else zero for u in units])
     flagged, x, det = _solve_rows(rows, len(unknowns), a.backend)
     # A consistent unit reads 1 in some equation, so its column of x is not
@@ -495,13 +492,13 @@ def _solve_units(a, equations, unknowns, units):
     _tally(mul=terms * len(support), add=terms * max(len(support) - 1, 0))
     if exact:
         a_x = [[unit * det if l == u else 0 for l in range(size)] for u in units]
-        parts = [(l, [ints[l][i] for i in support]) for l in summed]
+        parts = [(l, [a_rows[l][i] for i in support]) for l in summed]
         for entries, column in zip(a_x, zip(*x_rows)):
             for l, part in parts:
                 entries[l] = sum(map(mul, part, column))
         return flagged, support, x_rows, a_x, det, unit * det
     # a x column by column, each entry a running sum as in ``matmul``.
-    columns = [a._data[i::width] for i in support]
+    columns = [[row[i] for row in a_rows] for i in support]
     a_x = []
     for j in range(n_rhs):
         acc = None
@@ -520,17 +517,16 @@ def isolate(b, w, y, known):
     addition, the division one more."""
     n_known = sum(map(len, known))
     _tally(mul=n_known + b.n_rows, add=n_known)
+    (b_rows, p), (w_rows, q), (y_rows, r) = b._rows, w._rows, y._rows
+    w = [v for (v,) in w_rows]
     if b.backend == FLOAT:
-        w = w._data
         return [
             reduce(sub, [row[j] * w[j] for j in cached], y_l) / row[l]
-            for l, (row, y_l, cached) in enumerate(zip(map(b.row, range(b.n_rows)), y._data, known))
+            for l, (row, (y_l,), cached) in enumerate(zip(b_rows, y_rows, known))
         ]
-    (b_rows, p), (w_rows, q), (y_rows, r) = b._ints, w._ints, y._ints
-    w_ints = [v for (v,) in w_rows]
     out = []
     for l, (row, (y_l,), cached) in enumerate(zip(b_rows, y_rows, known)):
-        dot = sum(row[j] * w_ints[j] for j in cached)
+        dot = sum(row[j] * w[j] for j in cached)
         # (y_l / r - dot / (p q)) / (row[l] / p) on integers.
         out.append(Fraction(y_l * p * q - r * dot, r * q * row[l]))
     return out

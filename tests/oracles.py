@@ -11,6 +11,8 @@ enumerator of small deliverable grids.  ``rank`` runs the package's own
 elimination kernels; its tests compare it with sympy.  On floats the
 per-column synthesis runs the package's ``solve`` and ``matmul`` too, so
 that the engine can be compared with it bit for bit.
+``assert_reads_as_flat`` compares a float matrix with the one built from
+its expected entries.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from mapda.engine import DegenerateChannel, PrecodingMatrix, _served_columns
 from mapda.linalg import (
     EXACT,
+    FLOAT,
     PIVOT_RTOL,
     Infeasible,
     Matrix,
@@ -224,12 +227,34 @@ def loop_solve_float(a_rows, b_rows):
     return x
 
 
+def float_bits(entries):
+    return [(z.real.hex(), z.imag.hex()) for z in entries]
+
+
+def assert_reads_as_flat(matrix, entries):
+    """A float ``matrix`` reads as the matrix built from the flat row-major
+    ``entries`` through row, to_rows, at, data, == and hash, bit for bit:
+    rows first, before ``at`` builds the flat cache."""
+    flat = Matrix(matrix.n_rows, matrix.n_cols, entries, FLOAT)
+    assert matrix.backend == FLOAT
+    for i in range(flat.n_rows):
+        assert matrix.row(i) == flat.row(i)
+        assert float_bits(matrix.row(i)) == float_bits(flat.row(i))
+    assert matrix.to_rows() == flat.to_rows()
+    cells = [(i, j) for i in range(flat.n_rows) for j in range(flat.n_cols)]
+    assert float_bits(matrix.at(i, j) for i, j in cells) == float_bits(
+        flat.at(i, j) for i, j in cells
+    )
+    assert float_bits(matrix.data) == float_bits(flat.data)
+    assert matrix == flat and hash(matrix) == hash(flat)
+
+
 def rank(a: Matrix) -> int:
     """Row rank through the package's elimination kernels: fraction-free on
     the exact backend, pivots at most PIVOT_RTOL times the largest |entry|
     counting as zero on floats."""
     if a.backend == EXACT:
-        return len(_eliminate_exact([list(row) for row in a._ints[0]], a.n_cols)[0])
+        return len(_eliminate_exact([list(row) for row in a._rows[0]], a.n_cols)[0])
     tol = PIVOT_RTOL * max(map(abs, a.data), default=0.0)
     return len(_eliminate(a.to_rows(), a.n_cols, tol))
 

@@ -557,6 +557,28 @@ class TestAllocationBound:
             "point K=10000000, ratio 1/2, L=4 has a figure of 2**1024 or more, past the float "
             "range of the table's scientific cells",
         ),
+        # Slot s serves users 2s - 1 and 2s of K = 4000, yet the Gram matrix
+        # spans all K users.
+        "simulate_gram_k4000": (
+            ["simulate", "ARRAY", "-N", "2"],
+            "the Gram matrix of 4000 users needs at least 4000 x 4000 = 16000000 cells, "
+            "limit 1000000",
+        ),
+        # t = 1 < L refuses slot 1, but only after the channel is drawn.
+        "simulate_channel_l1e8": (
+            ["simulate", "ARRAY", "-N", "2"],
+            "a channel of 100000000 antennas needs at least 100000000 x 2 = 200000000 cells, "
+            "limit 1000000",
+        ),
+    }
+    # The array file each case reads in place of ARRAY; each passes validation.
+    ARRAYS = {
+        "simulate_gram_k4000": "1 4000 2 1 2000\n"
+        + "".join(
+            " ".join(str(k // 2 + 1) if k % 2 == row else "*" for k in range(4000)) + "\n"
+            for row in (0, 1)
+        ),
+        "simulate_channel_l1e8": "100000000 2 2 1 1\n* 1\n1 *\n",
     }
 
     @staticmethod
@@ -564,8 +586,12 @@ class TestAllocationBound:
         resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
 
     @pytest.mark.parametrize("name", CASES)
-    def test_refused_before_allocating(self, name):
+    def test_refused_before_allocating(self, name, tmp_path):
         argv, message = self.CASES[name]
+        if name in self.ARRAYS:
+            array = tmp_path / "array.mapda"
+            array.write_text(self.ARRAYS[name], encoding="utf-8")
+            argv = [str(array) if arg == "ARRAY" else arg for arg in argv]
         env = {k: v for k, v in os.environ.items() if k != "MAPDA_SEED"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         main_code = "import sys; from mapda.cli import main; sys.exit(main(sys.argv[1:]))"

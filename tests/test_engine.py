@@ -48,7 +48,7 @@ from mapda.linalg import (
     matmul,
 )
 
-from oracles import synthesize_precoder_per_column, vandermonde_channel
+from oracles import assert_reads_as_flat, synthesize_precoder_per_column, vandermonde_channel
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -350,6 +350,21 @@ class TestSharedSystems:
             assert calls == [3, 3, 3, 3]
 
 
+class TestFloatPrecoderRows:
+    def test_v_and_b_read_as_the_flat_reference(self):
+        # V and B are built from rows; the per-column reference builds them
+        # flat.  A real channel puts zeros of both signs in the imaginary
+        # parts of its Gram matrix and so of V and B.
+        for m in TestSharedSystems.ARRAYS:
+            real = Matrix.from_rows(vandermonde_channel(m.antennas, m.cols).to_rows(), FLOAT)
+            for channel in (ChannelMatrix(real), make_channel(m.antennas, m.cols, seed=1)):
+                for group in build_instance(m, files=2).groups:
+                    pre = synthesize_precoder(group, channel)
+                    reference = synthesize_precoder_per_column(group, channel)
+                    assert_reads_as_flat(pre.matrix, reference.matrix.data)
+                    assert_reads_as_flat(pre.combined, reference.combined.data)
+
+
 class TestFamilies:
     """Slots serving the same users solve each distinct column system once
     per run; every slot's V and B stay those of its own synthesis."""
@@ -424,7 +439,7 @@ class TestFamilies:
             scaled = Matrix.from_rows(
                 [[e / (k + 1) for k, e in enumerate(row)] for row in h.to_rows()]
             )
-            assert ChannelMatrix(scaled).gram._ints[1] > 1
+            assert ChannelMatrix(scaled).gram._rows[1] > 1
             library = random_library(2, m.rows, seed=7)
             for h in (h, scaled):
                 seen.clear()

@@ -24,7 +24,13 @@ from mapda.linalg import (
     solve,
 )
 
-from oracles import loop_matmul_float, loop_solve_float, naive_solve_exact, rank
+from oracles import (
+    assert_reads_as_flat,
+    loop_matmul_float,
+    loop_solve_float,
+    naive_solve_exact,
+    rank,
+)
 
 # Gram matrix of the 2x4 uplink channel [[1,1,1,1],[2,3,4,5]], worked out
 # by hand: entry (i,j) = 1 + h_i*h_j with h = (2,3,4,5).
@@ -317,7 +323,7 @@ class TestColumnKernels:
                 )
             assert all(type(e) is int for part in [[det, b_den], *x_ints, *b_ints] for e in part)
             # x's rows are over det, B over the block's denominator times det.
-            assert b_den == block._ints[1] * det
+            assert b_den == block._rows[1] * det
             x_rows = [[Fraction(v, det) for v in values] for values in x_ints]
             # The unit form flags the right-hand sides that the oracle, run
             # on each alone, finds no solution for, and solves the others as
@@ -614,9 +620,9 @@ class TestIntegerRows:
                 [rng.randrange(mid.n_cols) for _ in range(rng.randint(1, mid.n_cols))],
             )
             fresh = Matrix(sub.n_rows, sub.n_cols, sub.data, EXACT)
-            den = sub._ints[1]
-            assert den == mid._ints[1] == parent._ints[1]
-            inherited_dens += den != fresh._ints[1]
+            den = sub._rows[1]
+            assert den == mid._rows[1] == parent._rows[1]
+            inherited_dens += den != fresh._rows[1]
             width = rng.randint(1, 3)
             right = frac_matrix(
                 [[random_rational(rng) for _ in range(width)] for _ in range(sub.n_cols)]
@@ -636,7 +642,7 @@ class TestIntegerRows:
             assert solve(sub, rhs) == expected
             # Elimination works on copies: the kept rows are unchanged.
             assert solve(sub, rhs) == expected
-            assert sub._ints[1] == den
+            assert sub._rows[1] == den
         # Enough cases ran on denominators a fresh matrix would not pick.
         assert inherited_dens >= 50 and solved >= 30, (inherited_dens, solved)
 
@@ -646,8 +652,8 @@ class TestIntegerRows:
         fresh = frac_matrix([[Fraction(2, 3)], [5]])
         untouched = frac_matrix([[Fraction(2, 3)], [5]])
         # sub keeps its parent's denominator 12, fresh picks 3.
-        assert sub._ints == ([[8], [60]], 12)
-        assert fresh._ints == ([[2], [15]], 3)
+        assert sub._rows == ([[8], [60]], 12)
+        assert fresh._rows == ([[2], [15]], 3)
         assert sub == fresh == untouched
         assert hash(sub) == hash(fresh) == hash(untouched)
 
@@ -669,8 +675,8 @@ class TestIntegerRows:
             lazy, eager = Matrix.from_ints(given, den), frac_matrix(rows)
             with monkeypatch.context() as patched:
                 patched.setattr(linalg, "_integers", None)  # must not be called
-                assert lazy._ints[0] is given
-                assert lazy._ints[1] == den
+                assert lazy._rows[0] is given
+                assert lazy._rows[1] == den
             # The kernels read the integer rows; data is built on first read.
             width = rng.randint(1, 3)
             right = frac_matrix([[random_rational(rng) for _ in range(width)] for _ in range(m)])
@@ -693,7 +699,7 @@ class TestIntegerRows:
             row_idx, col_idx = rng.sample(range(n), rng.randint(1, n)), [rng.randrange(m)]
             sub = lazy.take(row_idx, col_idx)
             assert sub == eager.take(row_idx, col_idx)
-            assert sub._ints[1] == den
+            assert sub._rows[1] == den
             assert lazy == eager and hash(lazy) == hash(eager)
             left = frac_matrix([[random_rational(rng) for _ in range(n)] for _ in range(width)])
             assert matmul(left, lazy) == matmul(left, eager)
@@ -704,9 +710,55 @@ class TestIntegerRows:
         # rows that reach them unscaled (Fractions over denominator 1) fail
         # loudly.
         m = frac_matrix([[Fraction(1, 2), 1, 1], [1, Fraction(1, 3), 1], [1, 1, Fraction(1, 5)]])
-        m._ints = ([list(m.row(i)) for i in range(m.n_rows)], 1)
+        m._rows = ([list(m.row(i)) for i in range(m.n_rows)], 1)
         with pytest.raises(ArithmeticError, match="is not exact"):
             solve(m, frac_matrix([[1], [1], [1]]))
+
+
+class TestFloatRows:
+    """A float matrix holds its complex rows over 1, as an exact one holds
+    integer rows: built flat, from rows or by a kernel, it reads as the
+    flat-built matrix of its entries.  Zeros of both signs show a kernel
+    that multiplies a row by an int 1, which can turn -0.0 into 0.0."""
+
+    @staticmethod
+    def entry(rng):
+        if rng.random() < 0.5:
+            return complex(rng.choice([0.0, -0.0, 1.5]), rng.choice([0.0, -0.0, -1.0]))
+        return random_complex(rng)
+
+    def test_every_construction_reads_as_flat(self):
+        rng = random.Random(107)
+        solved = 0
+        for _ in range(120):
+            n, m, k = (rng.randint(1, 5) for _ in range(3))
+            a = [[self.entry(rng) for _ in range(m)] for _ in range(n)]
+            flat = [e for row in a for e in row]
+            assert_reads_as_flat(Matrix(n, m, flat, FLOAT), flat)
+            assert_reads_as_flat(float_rows(a), flat)
+            rows = [rng.randrange(n) for _ in range(rng.randint(1, n))]
+            cols = [rng.randrange(m) for _ in range(rng.randint(1, m))]
+            part = float_rows(a).take(rows, cols)
+            assert_reads_as_flat(part, [a[i][j] for i in rows for j in cols])
+            assert_reads_as_flat(part.take([0], [0]), [a[rows[0]][cols[0]]])
+            b = [[self.entry(rng) for _ in range(k)] for _ in range(m)]
+            product = loop_matmul_float(a, b)
+            assert_reads_as_flat(
+                matmul(float_rows(a), float_rows(b)), [z for row in product for z in row]
+            )
+            assert_reads_as_flat(
+                conj_transpose(float_rows(a)), [a[i][j].conjugate() for j in range(m) for i in range(n)]
+            )
+            # A square generic system has no free variables, so its solution
+            # is the loop form's, bit for bit, signed zeros of b included.
+            square = [[random_complex(rng) for _ in range(n)] for _ in range(n)]
+            rhs = [[self.entry(rng) for _ in range(k)] for _ in range(n)]
+            want = loop_solve_float(square, rhs)
+            if want is not None:
+                solved += 1
+                got = solve(float_rows(square), float_rows(rhs))
+                assert_reads_as_flat(got, [z for row in want for z in row])
+        assert solved >= 100, solved
 
 
 class TestRank:
