@@ -66,6 +66,19 @@ CASES = {
         "simulate", "cyclic_9_5_isomorph.mapda", "-N", "2",
         "--channel", "channel_4x9_equal_users_1_2.txt", "--scalar", "exact",
     ],
+    # The benchmark's two delivery shapes.  replicate(mn(10, 3), 3): 210
+    # slots of 12 users in 4 cache groups, on floats.
+    "gen_mn_10_3": ["gen", "mn", "-K", "10", "--t", "3"],
+    "gen_replicate_mn_10_3_x3": ["gen", "replicate", "-i", "golden/gen_mn_10_3.out", "--copies", "3"],
+    "simulate_mn_10_3_x3_float": [
+        "simulate", "golden/gen_replicate_mn_10_3_x3.out", "-N", "4", "--scalar", "float",
+        "--demands", "random", "--seed", "5",
+    ],
+    # cyclic(16, 8): 8 slots serving all 16 users, one family of 16 systems.
+    "gen_cyclic_16_8": ["gen", "cyclic", "-K", "16", "--t", "8"],
+    "simulate_cyclic_16_8_exact": [
+        "simulate", "golden/gen_cyclic_16_8.out", "-N", "4", "--channel", "vandermonde_8x16.txt",
+    ],
 }
 
 EXIT_CODES = {
