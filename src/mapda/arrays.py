@@ -22,6 +22,7 @@ All objects are immutable after construction; every function is pure.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
@@ -339,13 +340,30 @@ def format_mapda(m) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _quote(token):
+    """A bad token for a message: its repr, cut after 40 characters."""
+    return repr(token) if len(token) <= 40 else f"{token[:40]!r}..."
+
+
+def _check_digits(token, line_no):
+    """Refuse a decimal integer token that int() cannot read because it is
+    longer than Python's digit limit, sys.get_int_max_str_digits()."""
+    digits, limit = token.lstrip("+-"), sys.get_int_max_str_digits()
+    if 0 < limit < len(digits) and digits.isascii() and digits.isdigit():
+        raise ParseError(
+            f"line {line_no}: integer {_quote(token)} has {len(digits)} digits, past "
+            f"Python's limit of {limit} (sys.get_int_max_str_digits())"
+        )
+
+
 def _parse_entry(token, line_no):
     if token == "*":
         return STAR
     try:
         value = int(token)
     except ValueError:
-        raise ParseError(f"line {line_no}: bad entry {token!r}") from None
+        _check_digits(token, line_no)
+        raise ParseError(f"line {line_no}: bad entry {_quote(token)}") from None
     if value < 1:
         raise ParseError(f"line {line_no}: slot ids start at 1, got {value}")
     return value

@@ -15,18 +15,19 @@ the antenna count L (equivalently K*Z >= L*F).  Below that density the
 per-column systems of the supported regime are overdetermined and the
 transmission is reported infeasible rather than attempted.
 
-A channel forms H* and its Gram matrix H* H once.  A slot reads its users'
-rows of H* to decode, and its block of the Gram matrix, from whose rows
-``linalg.solve`` solves each column system and forms its columns of B; on
-the exact backend every matrix from the Gram to the decode is handed on as
-integer rows over one denominator.  Column n's system depends only on the
-served users and n's cacher set, so slots serving the same users form a
-family.  ``synthesize_precoder`` is the one synthesizer:
-inside ``run_delivery`` a family's slots share one store of solves for the
-run, each system solved once with one right-hand side per position using
-it in any slot (on the circulant arrays of scheme 3, K systems instead of
-K(K-t)); a slot alone in its family is the one-slot case, and its solves
-are not kept.  Every V and B is the one the slot gets alone.
+A channel forms H* and its Gram matrix H* H once.  A slot reads its block
+of the Gram matrix, and in place its users' columns of H to forward and
+their rows of H* to decode.  Column n's system depends only on the served
+users and n's cacher set: ``synthesize_precoder``, the one synthesizer,
+hands each distinct system of a slot to ``linalg.solve`` once, with a unit
+right-hand side per column, and places those columns of V and B straight
+from the result.  On the exact backend every matrix from the Gram to the
+decode is integer rows over one denominator.  Slots serving the same users
+form a family: inside ``run_delivery`` they share one store of solves for
+the run, each system solved once with one right-hand side per position
+using it in any slot (on the circulant arrays of scheme 3, K systems
+instead of K(K-t)); a slot alone in its family keeps none.  Every V and B
+is the one the slot gets alone.
 
 Scalar work runs on either backend of ``linalg``; exact-rational runs make
 decode checks bit-exact.  Slots share no state but their family's solves,
@@ -41,11 +42,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 from pathlib import Path
 from typing import NamedTuple
 
-from .arrays import STAR, DomainError, Mapda, ParseError, _check_cells, read_table
+from .arrays import STAR, DomainError, Mapda, ParseError, read_table
+from .arrays import _check_cells, _check_digits, _quote
 from .linalg import (
     EXACT,
     FLOAT,
@@ -71,6 +72,8 @@ from .linalg import (
 # orders of magnitude for worse-conditioned random channels before a correct
 # run would fail, and is still far below any structural error.
 DECODE_RTOL = 1e-6
+# The phases of a slot, in order, each with its own ``ops_measured`` count.
+PHASES = ("precoder_synthesis", "uplink_encode", "bs_forward", "user_decode")
 
 
 class DegenerateChannel(Exception):
@@ -167,11 +170,14 @@ class PrecodingMatrix:
     """Per-slot uplink precoder; row i weights user k_i's transmission.
 
     ``combined`` holds the two-hop receive matrix B = H* H V so receivers
-    need not recompute it.
+    need not recompute it.  ``residual`` is the largest |B(l, l) - 1| and
+    |B(l, j)| over B's forced zeros: rounding on floats, and 0.0 on the
+    exact backend, where both hold by construction.
     """
 
     matrix: Matrix
     combined: Matrix
+    residual: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -222,20 +228,23 @@ def build_instance(m: Mapda, files: int) -> SchemeInstance:
     if files < 1:
         raise DomainError(f"library size must be >= 1, got {files}")
     t = m.profile.t
-    # A packet row's cachers are the users holding a star in it.  Mapping
-    # them to a slot's positions costs each position its row's star count
-    # rather than the slot's size.
+    # A packet row's cachers are the users holding a star in it.  Each
+    # distinct row of a slot is mapped to the slot's positions once, walking
+    # the smaller of the row's stars and the slot's users.
     stars = [[k for k, e in enumerate(row, 1) if e is STAR] for row in m.grid]
     groups = []
     by_users = {}
     for s in range(1, m.slots + 1):
-        cells = m.slot_cells(s)
-        served_rows = tuple(f for f, _ in cells)
-        served_users = tuple(k for _, k in cells)
-        position = {k: i for i, k in enumerate(served_users)}
-        cacher_sets = tuple(
-            tuple(position[k] for k in stars[f - 1] if k in position) for f in served_rows
-        )
+        served_rows, served_users = zip(*m.slot_cells(s))
+        position = dict(zip(served_users, range(len(served_users))))
+        cachers = {}
+        for f in dict.fromkeys(served_rows):
+            row, row_stars = m.grid[f - 1], stars[f - 1]
+            if len(row_stars) < len(served_users):
+                cachers[f] = tuple(position[k] for k in row_stars if k in position)
+            else:
+                cachers[f] = tuple(i for i, k in enumerate(served_users) if row[k - 1] is STAR)
+        cacher_sets = tuple(map(cachers.__getitem__, served_rows))
         group = SlotGroup(
             slot=s,
             served_users=served_users,
@@ -286,23 +295,27 @@ def make_channel(antennas, users, seed=0) -> ChannelMatrix:
 
 
 def _parse_scalar(token, line_no):
-    """One finite fixture entry: rational 'p/q', integer, decimal, or 'a+bi'."""
+    """One finite fixture entry: rational 'p/q', integer, decimal, or 'a+bi'.
+    An integer past Python's digit limit for int() is refused by that name,
+    not read as an infinite float."""
     if "/" in token:
         num, _, den = token.partition("/")
         try:
             return Fraction(int(num), int(den))
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"line {line_no}: bad rational {token!r}") from None
+            _check_digits(num, line_no)
+            _check_digits(den, line_no)
+            raise ParseError(f"line {line_no}: bad rational {_quote(token)}") from None
     try:
         return int(token)
     except ValueError:
-        pass
+        _check_digits(token, line_no)
     try:
         value = complex(token.replace("i", "j")) if "i" in token or "j" in token else float(token)
     except ValueError:
-        raise ParseError(f"line {line_no}: bad scalar {token!r}") from None
+        raise ParseError(f"line {line_no}: bad scalar {_quote(token)}") from None
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ParseError(f"line {line_no}: non-finite entry {token!r}")
+        raise ParseError(f"line {line_no}: non-finite entry {_quote(token)}")
     return value
 
 
@@ -370,9 +383,9 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
     which gives each the solution it would get alone.  Free variables are
     zero, so x is nonzero on at most L pivot rows (the block has rank at
     most L), and B sums over those alone rather than the t of the cacher
-    set: exact zeros add nothing.  Columns are taken in order, each system
-    solved when its first column needs it, and the first column without a
-    solution raises.
+    set: exact zeros add nothing.  Systems are solved in the order of their
+    first columns, and the smallest column without a solution raises, as
+    it would if the columns were solved one at a time.
     Requires the array redundancy gate t >= L; below it the supported
     regime offers no solution and Infeasible is raised.  A rank failure on
     a system a generic channel would solve raises DegenerateChannel instead.
@@ -394,74 +407,73 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
         )
     users = _served_columns(channel, group)
     block = channel.gram.take(users, users)
-    size = len(users)
-    backend = block.backend
-    systems, solved = family or ({}, {})
-    if not family:
-        # Column n's equations are the positions outside its cacher set (n is
-        # never its own cacher), so columns with equal cacher sets share one
-        # system and differ only in which equation reads 1.
-        for n, cachers in enumerate(group.cacher_sets):
-            systems.setdefault(cachers, []).append(n)
-    zero = complex(0) if backend == FLOAT else 0
-    v_rows = [[zero] * size for _ in range(size)]
-    b_cols, dens = [], []
-    for n, unknowns in enumerate(group.cacher_sets):
-        where = {"slot": group.slot, "column": n + 1}
+    size, backend = len(users), block.backend
+    # Column n's equations are the positions outside its cacher set (n is
+    # never its own cacher), so columns with equal cacher sets share one
+    # system and differ only in which equation reads 1.
+    columns = {}
+    for n, cachers in enumerate(group.cacher_sets):
+        columns.setdefault(cachers, []).append(n)
+    systems, solved = family or (columns, {})
+    failures, solutions, x_common, b_common = [], [], 1, 1
+    for unknowns, members in columns.items():
+        if not unknowns:
+            failures.append((members[0], unknowns))
+            continue
+        if unknowns not in solved:
+            solved[unknowns] = _solve_columns(block, unknowns, sorted(systems[unknowns]))
+        positions, _, flagged, *_, x_den, b_den = solution = solved[unknowns]
+        failures += [(n, unknowns) for n in members if positions.index(n) in flagged]
+        # V and B are each brought over one denominator, the lcm of their
+        # systems' (1 on floats, whose entries are never rescaled).
+        x_common, b_common = math.lcm(x_common, x_den), math.lcm(b_common, b_den)
+        solutions.append((members, solution))
+    if failures:
+        n, unknowns = min(failures)
+        where, equations = {"slot": group.slot, "column": n + 1}, size - len(unknowns)
         if not unknowns:
             message = f"slot {group.slot}: no served user caches packet position {n + 1}"
             raise Infeasible(message, **where)
-        if unknowns not in solved:
-            solved[unknowns] = _solve_columns(block, unknowns, sorted(systems[unknowns]))
-        positions, flagged, support, x_rows, b_columns, *den = solved[unknowns]
-        j = positions.index(n)
-        if j in flagged:
-            equations = size - len(unknowns)
-            if equations <= min(group.antennas, len(unknowns)):
-                raise DegenerateChannel(
-                    f"slot {group.slot}: column {n + 1} system is rank-deficient although "
-                    f"a generic channel would solve it",
-                    **where,
-                )
-            raise Infeasible(
-                f"slot {group.slot}: column {n + 1} has {len(unknowns)} unknowns but "
-                f"{equations} equations and no solution",
+        if equations <= min(group.antennas, len(unknowns)):
+            raise DegenerateChannel(
+                f"slot {group.slot}: column {n + 1} system is rank-deficient although "
+                f"a generic channel would solve it",
                 **where,
             )
-        for i, row in zip(support, x_rows):
-            v_rows[i][n] = row[j]
-        b_cols.append(b_columns[j])
-        dens.append(den)
-    x_dens, b_dens = zip(*dens)
+        raise Infeasible(
+            f"slot {group.slot}: column {n + 1} has {len(unknowns)} unknowns but "
+            f"{equations} equations and no solution",
+            **where,
+        )
+    zero = complex(0) if backend == FLOAT else 0
+    v_rows = [[zero] * size for _ in range(size)]
+    b_cols, residual = [None] * size, 0.0
+    for members, (positions, equations, _, support, x_rows, bs, x_den, b_den) in solutions:
+        x_factor, b_factor = x_common // x_den, b_common // b_den
+        for n in members:
+            j = positions.index(n)
+            for i, row in zip(support, x_rows):
+                v_rows[i][n] = row[j] if x_factor == 1 else row[j] * x_factor
+            b = b_cols[n] = bs[j] if b_factor == 1 else [v * b_factor for v in bs[j]]
+            if backend == FLOAT:
+                # Column n's unit entry and forced zeros are its equation rows.
+                residual = max(residual, abs(b[n] - 1), *[abs(b[l]) for l in equations if l != n])
     return PrecodingMatrix(
-        matrix=_over_lcm(v_rows, x_dens, backend),
-        combined=_over_lcm(list(zip(*b_cols)), b_dens, backend),
+        matrix=Matrix.from_ints(v_rows, x_common, backend),
+        combined=Matrix.from_ints(list(zip(*b_cols)), b_common, backend),
+        residual=residual,
     )
-
-
-def _over_lcm(rows, dens, backend):
-    """Matrix of ``rows`` whose column n is over dens[n], brought over one
-    denominator, the lcm of ``dens``.  Rows are rescaled only when some
-    factor is not 1: a negative determinant has lcm 1 but factor -1, and a
-    float entry times an int 1 can lose the sign of a zero."""
-    common = math.lcm(*dens)
-    factors = [common // den for den in dens]
-    if any(factor != 1 for factor in factors):
-        rows = [list(map(mul, row, factors)) for row in rows]
-    return Matrix.from_ints(rows, common, backend)
 
 
 def _solve_columns(block, unknowns, positions):
     """``solve`` for the columns at ``positions`` whose cacher set is
     ``unknowns``, a unit right-hand side each; returns (positions, the
-    indices into them of the columns without a solution, the support rows,
-    the solution's rows on them, B's columns, and the denominators
-    ``solve`` gives the solution and B)."""
+    equation rows, and ``solve``'s unit-form result)."""
     first = positions[0]
     # Position n is outside its own cacher set, so the equation rows are the
     # positions outside ``unknowns``, the first position's row first.
-    rest = [l for l in range(block.n_rows) if l != first and l not in unknowns]
-    return (positions, *solve(block, positions, [first, *rest], unknowns))
+    equations = [first, *[l for l in range(block.n_rows) if l != first and l not in unknowns]]
+    return (positions, equations, *solve(block, positions, equations, unknowns))
 
 
 def run_slot(group, channel, demands, library, family=None) -> SlotOutcome:
@@ -482,63 +494,40 @@ def run_slot(group, channel, demands, library, family=None) -> SlotOutcome:
             f"demand vector covers {len(demands)} users but slot {group.slot} "
             f"serves user {max(group.served_users)}"
         )
-    _check_demands([demands[k - 1] for k in group.served_users], library.n_rows)
+    wanted = [demands[k - 1] for k in group.served_users]
+    _check_demands(wanted, library.n_rows)
     _check_same_backend(channel.matrix, library)
-    ops = {}
-    with count_ops() as tally:
+    with count_ops() as synthesis:
         precoder = synthesize_precoder(group, channel, family)
-    ops["precoder_synthesis"] = {"mul": tally.mul, "add": tally.add}
-    backend, antennas = library.backend, range(channel.matrix.n_rows)
-    users = [k - 1 for k in group.served_users]
-    packets = zip(group.served_users, group.served_rows)
-    w = Matrix(len(users), 1, [library.at(demands[k - 1] - 1, f - 1) for k, f in packets], backend)
-    with count_ops() as tally:
+    backend, users = library.backend, [k - 1 for k in group.served_users]
+    packets = [library.at(d - 1, f - 1) for d, f in zip(wanted, group.served_rows)]
+    w = Matrix(len(users), 1, packets, backend)
+    with count_ops() as encode:
         x = matmul(precoder.matrix, w)
-    ops["uplink_encode"] = {"mul": tally.mul, "add": tally.add}
-    with count_ops() as tally:
-        y_bs = matmul(channel.matrix.take(antennas, users), x)
-    ops["bs_forward"] = {"mul": tally.mul, "add": tally.add}
-    # User l caches the packets at the positions j whose cacher set holds
-    # l; the rest of its row of B, but for its own entry, must vanish.
+    with count_ops() as forward:
+        y_bs = matmul(channel.matrix, x, cols=users)
+    # User l caches the packets at the positions j whose cacher set holds l.
     cached = [[] for _ in users]
     for j, cachers in enumerate(group.cacher_sets):
         for l in cachers:
             cached[l].append(j)
-    with count_ops() as tally:
-        y_users = matmul(channel.adjoint.take(users, antennas), y_bs)
-        b = precoder.combined
+    with count_ops() as decode:
+        y_users = matmul(channel.adjoint, y_bs, rows=users)
         # User l subtracts what it caches and divides by its unit entry.
-        values = isolate(b, w, y_users, cached)
-        recovered = []
-        residual = 0.0
-        for l, (expected, value) in enumerate(zip(w.data, values)):
+        values = isolate(precoder.combined, w, y_users, cached)
+        residual = precoder.residual
+        for user, expected, value in zip(group.served_users, packets, values):
             if backend == EXACT:
-                if value != expected:
-                    raise DecodeMismatch(
-                        f"slot {group.slot}: user {group.served_users[l]} recovered "
-                        f"{value} != {expected}",
-                        slot=group.slot,
-                    )
+                wrong = value != expected and f"recovered {value} != {expected}"
             else:
                 err = abs(value - expected)
-                if not err <= DECODE_RTOL * max(1.0, abs(expected)):
-                    raise DecodeMismatch(
-                        f"slot {group.slot}: user {group.served_users[l]} decode error {err}",
-                        slot=group.slot,
-                    )
-                b_row = b.row(l)
-                exempt = set(cached[l])
-                exempt.add(l)
-                residual = max(
-                    residual,
-                    err,
-                    abs(b_row[l] - 1),
-                    *[abs(e) for j, e in enumerate(b_row) if j not in exempt],
-                )
-            user = group.served_users[l]
-            packet = PacketId(demands[user - 1], group.served_rows[l])
-            recovered.append((user, packet, value))
-    ops["user_decode"] = {"mul": tally.mul, "add": tally.add}
+                wrong = not err <= DECODE_RTOL * max(1.0, abs(expected)) and f"decode error {err}"
+                residual = max(residual, err)
+            if wrong:
+                raise DecodeMismatch(f"slot {group.slot}: user {user} {wrong}", slot=group.slot)
+    recovered = zip(group.served_users, map(PacketId, wanted, group.served_rows), values)
+    tallies = zip(PHASES, (synthesis, encode, forward, decode))
+    ops = {phase: {"mul": tally.mul, "add": tally.add} for phase, tally in tallies}
     return SlotOutcome(recovered=tuple(recovered), residual_max=residual, ops=ops)
 
 
@@ -606,25 +595,14 @@ def run_delivery(instance, channel, demands, library) -> DeliveryReport:
         for user, packet, _value in outcome.recovered:
             recovered[user].add(packet)
             recovered_cells.append((user, packet.part))
-        slot_reports.append(
-            SlotReport(
-                s=group.slot,
-                served=group.served_users,
-                residual_max=outcome.residual_max,
-            )
-        )
+        slot_reports.append(SlotReport(group.slot, group.served_users, outcome.residual_max))
     # Conservation: the recovered (user, row) cells are exactly the integer
-    # cells of the grid, each delivered once.
-    expected_cells = sorted(
-        (k + 1, f + 1)
-        for k in range(m.cols)
-        for f in range(m.rows)
-        if m.grid[f][k] is not STAR
-    )
-    if sorted(recovered_cells) != expected_cells:
-        raise DecodeMismatch(
-            "recovered cells do not match the integer cells of the array"
-        )
+    # cells of the grid, each delivered once: as many, and no other.
+    expected_cells = {
+        (k, f) for f, row in enumerate(m.grid, 1) for k, e in enumerate(row, 1) if e is not STAR
+    }
+    if len(recovered_cells) != len(expected_cells) or set(recovered_cells) != expected_cells:
+        raise DecodeMismatch("recovered cells do not match the integer cells of the array")
     ndt = Fraction(m.slots, m.rows)
     return DeliveryReport(
         ndt_ul=ndt,

@@ -45,10 +45,10 @@ counts against its cost model lambda.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from math import lcm
 from operator import add, mul, sub, truediv
 
@@ -100,16 +100,18 @@ class OpTally:
 _active = None  # the innermost open count_ops tally
 
 
-@contextmanager
-def count_ops():
+class count_ops:
     """Collect scalar multiply/add counts of the operations run inside the
     block, until an inner block opens."""
-    global _active
-    previous, _active = _active, OpTally()
-    try:
-        yield _active
-    finally:
-        _active = previous
+
+    def __enter__(self):
+        global _active
+        self.previous, _active = _active, OpTally()
+        return _active
+
+    def __exit__(self, *exc_info):
+        global _active
+        _active = self.previous
 
 
 def _tally(mul=0, add=0):
@@ -256,25 +258,28 @@ def _exact_div(num, den):
     return quotient
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
+def matmul(a: Matrix, b: Matrix, rows=None, cols=None) -> Matrix:
     """Matrix product; exact for rationals, IEEE double for floats.
 
     Each entry is one left fold in the order of a running sum, over the
     product of the two denominators: sum() would compensate its float and
     complex additions on newer Pythons, and integer sums are exact in any
-    order.
+    order.  Given ``rows`` or ``cols``, the left operand is a's rows
+    ``rows`` over its columns ``cols``, as ``take`` would give it, read in
+    place.
     """
     _check_same_backend(a, b)
-    if a.n_cols != b.n_rows:
-        raise DimensionMismatch(f"cannot multiply {a.n_rows}x{a.n_cols} by {b.n_rows}x{b.n_cols}")
-    _tally(mul=a.n_rows * b.n_cols * a.n_cols, add=a.n_rows * b.n_cols * (a.n_cols - 1))
     (a_rows, a_den), (b_rows, b_den) = a._rows, b._rows
-    cols = list(zip(*b_rows))
-    return Matrix.from_ints(
-        [[reduce(add, map(mul, row, col)) for col in cols] for row in a_rows],
-        a_den * b_den,
-        a.backend,
-    )
+    if rows is not None:
+        a_rows = [a_rows[i] for i in rows]
+    if cols is not None:
+        a_rows = [[row[j] for j in cols] for row in a_rows]
+    n, inner = len(a_rows), a.n_cols if cols is None else len(cols)
+    if inner != b.n_rows:
+        raise DimensionMismatch(f"cannot multiply {n}x{inner} by {b.n_rows}x{b.n_cols}")
+    _tally(mul=n * b.n_cols * inner, add=n * b.n_cols * (inner - 1))
+    columns = [[reduce(add, map(mul, row, col)) for row in a_rows] for col in zip(*b_rows)]
+    return Matrix.from_ints(list(zip(*columns)), a_den * b_den, a.backend)
 
 
 def conj_transpose(a: Matrix) -> Matrix:
@@ -377,10 +382,6 @@ def _eliminate_exact(rows, n_sys_cols):
     return pivots, previous
 
 
-def _scale(entries):
-    return max(map(abs, entries), default=0.0)
-
-
 def _back_substitute(rows, pivots, n, divide, zero):
     """Back-substitution over eliminated rows whose first ``n`` columns are
     the system's; returns the solution's rows, one list per unknown, free
@@ -415,10 +416,10 @@ def _solve_rows(rows, n, backend):
     if backend == EXACT:
         (pivots, det), nonzero = _eliminate_exact(rows, n), bool
     else:
-        tol = PIVOT_RTOL * _scale([e for row in rows for e in row])
+        tol = PIVOT_RTOL * max(map(abs, chain.from_iterable(rows)), default=0.0)
         pivots, det, nonzero = _eliminate(rows, n, tol), 1, lambda e: not abs(e) <= tol
-    n_rhs = len(rows[0]) - n
-    flagged = [j for j in range(n_rhs) if any(nonzero(row[n + j]) for row in rows[len(pivots) :])]
+    n_rhs, below = len(rows[0]) - n, rows[len(pivots) :]
+    flagged = [j for j in range(n_rhs) if any(nonzero(row[n + j]) for row in below)] if below else []
     if backend == FLOAT:
         return flagged, _back_substitute(rows, pivots, n, truediv, complex(0)), det
     # By Cramer's rule det * x is integral on the pivot columns; solve for it

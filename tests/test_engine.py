@@ -736,9 +736,9 @@ class TestRunDelivery:
         formed = []
         matmul = engine.matmul
 
-        def counting(a, b):
+        def counting(a, b, **selection):
             formed.extend(c for c in channels if b is c.matrix)
-            return matmul(a, b)
+            return matmul(a, b, **selection)
 
         monkeypatch.setattr(engine, "matmul", counting)
         m = parse_mapda((FIXTURES / "example1.mapda").read_text())
