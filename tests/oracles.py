@@ -6,8 +6,9 @@ brute-force per-slot rescan of the grid for the derived validation fields
 and slot cells, Gaussian elimination over Fractions, loop-form float
 kernels (a running-sum product and a solver with back-substitution over
 every column), an exact channel whose submatrices are provably
-nonsingular, a per-column precoder synthesis, and a brute-force
-enumerator of small deliverable grids.  ``rank`` runs the package's own
+nonsingular, a per-column precoder synthesis that also names every
+column without a solution, and a brute-force enumerator of small
+deliverable grids.  ``rank`` runs the package's own
 elimination kernels; its tests compare it with sympy.  On floats the
 per-column synthesis runs the package's ``solve`` and ``matmul`` too, so
 that the engine can be compared with it bit for bit.
@@ -269,49 +270,78 @@ def vandermonde_channel(antennas, users, first_node=2) -> Matrix:
     return Matrix.from_rows([[node**l for node in nodes] for l in range(antennas)])
 
 
+def _solve_column(group, block, n):
+    """Column n's solution over its cacher positions, solved alone, or the
+    error that names it when it has none.
+
+    The system is equation rows n (the one reading 1) and every position
+    outside the cacher set, in that order, over the cacher positions.  On
+    the exact backend it is solved by ``naive_solve_exact``; floats run the
+    package's ``solve``.  A column no served user caches is infeasible; a
+    system without a solution is a degenerate channel when it has no more
+    equations than a generic channel of L antennas can meet, and infeasible
+    otherwise.
+    """
+    backend, size = block.backend, block.n_rows
+    where = {"slot": group.slot, "column": n + 1}
+    unknowns = group.cacher_sets[n]
+    if not unknowns:
+        message = f"slot {group.slot}: no served user caches packet position {n + 1}"
+        return Infeasible(message, **where)
+    eq_rows = (n,) + tuple(l for l in range(size) if l != n and l not in unknowns)
+    zero = Fraction(0) if backend == EXACT else complex(0)
+    rhs = [[zero + 1]] + [[zero]] * (len(eq_rows) - 1)
+    if backend == EXACT:
+        x = naive_solve_exact([[block.at(l, i) for i in unknowns] for l in eq_rows], rhs)
+    else:
+        try:
+            x = solve(block.take(eq_rows, unknowns), Matrix.from_rows(rhs, backend)).to_rows()
+        except Infeasible:
+            x = None
+    if x is not None:
+        return [value for (value,) in x]
+    if len(eq_rows) <= min(group.antennas, len(unknowns)):
+        message = "system is rank-deficient although a generic channel would solve it"
+        return DegenerateChannel(f"slot {group.slot}: column {n + 1} {message}", **where)
+    return Infeasible(
+        f"slot {group.slot}: column {n + 1} has {len(unknowns)} unknowns but "
+        f"{len(eq_rows)} equations and no solution",
+        **where,
+    )
+
+
+def failing_columns(group, channel):
+    """The 0-based columns of the slot's precoder that have no solution when
+    each is solved alone, in increasing order."""
+    users = _served_columns(channel, group)
+    block = channel.gram.take(users, users)
+    return [n for n in range(len(users)) if isinstance(_solve_column(group, block, n), Exception)]
+
+
 def synthesize_precoder_per_column(group, channel) -> PrecodingMatrix:
     """The slot's precoder solved one column at a time.
 
-    Column n is solved alone from its reduced system: equation rows n (the
-    one reading 1) and every position outside its cacher set, in that order,
-    over the cacher positions.  Column n of B is the Gram block over the
-    solution's nonzero rows times those entries.  The first failing column
-    raises, as ``synthesize_precoder`` must report it.  On the exact backend
-    the system is solved by ``naive_solve_exact`` and B summed over
-    Fractions; floats run the package's ``solve`` and ``matmul``, so that
-    the engine's V and B can be compared with them bit for bit.
+    Column n is solved alone (``_solve_column``), and the first failing
+    column raises its error, as ``synthesize_precoder`` must report it.
+    Column n of B is the Gram block over the solution's nonzero rows times
+    those entries: summed over Fractions on the exact backend, by the
+    package's ``matmul`` on floats, so that the engine's V and B can be
+    compared with them bit for bit.
     """
     users = _served_columns(channel, group)
     block = channel.gram.take(users, users)
     size = len(users)
     backend = block.backend
     zero = Fraction(0) if backend == EXACT else complex(0)
-    one = zero + 1
     all_rows = range(size)
     v_rows = [[zero] * size for _ in all_rows]
     b_cols = []
     for n in all_rows:
-        unknowns = group.cacher_sets[n]
-        if not unknowns:
-            raise Infeasible(f"slot {group.slot}: column {n + 1}", slot=group.slot, column=n + 1)
-        eq_rows = (n,) + tuple(l for l in all_rows if l != n and l not in unknowns)
-        rhs = [[one]] + [[zero]] * (len(eq_rows) - 1)
-        if backend == EXACT:
-            x = naive_solve_exact([[block.at(l, i) for i in unknowns] for l in eq_rows], rhs)
-        else:
-            try:
-                x = solve(block.take(eq_rows, unknowns), Matrix.from_rows(rhs, backend)).to_rows()
-            except Infeasible:
-                x = None
-        if x is None:
-            error = (
-                DegenerateChannel
-                if len(eq_rows) <= min(group.antennas, len(unknowns))
-                else Infeasible
-            )
-            raise error(f"slot {group.slot}: column {n + 1}", slot=group.slot, column=n + 1)
+        x = _solve_column(group, block, n)
+        if isinstance(x, Exception):
+            raise x
         support, values = [], []
-        for i, (value,) in zip(unknowns, x):
+        for i, value in zip(group.cacher_sets[n], x):
             if value:
                 support.append(i)
                 values.append(value)

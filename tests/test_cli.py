@@ -257,6 +257,67 @@ class TestSimulate:
             assert out == ""
             assert f"line {line}: non-finite entry" in err
 
+    def test_long_integer_token_exit_2_names_the_digit_limit(self, capsys, tmp_path):
+        # int() refuses a 5000-digit token at Python's digit limit, and
+        # float() would read it as inf: the entry is finite but too long.
+        long = "7" * 5000
+        channel = tmp_path / "channel.txt"
+        channel.write_text(f"2 6\n1 1 1 1 1 1\n2 3 {long} 5 6 7\n")
+        rational = tmp_path / "rational.txt"
+        rational.write_text(f"2 6\n1 1 1 1 1 1\n2 3 4 5 6 1/{long}\n")
+        library = tmp_path / "library.txt"
+        library.write_text("6 3\n" + "1 2 3\n" * 4 + f"1 -{long} 3\n" + "1 2 3\n")
+        array = tmp_path / "array.mapda"
+        array.write_text(f"2 6 3 1 3\n* 1 2 * 1 2\n1 * {long} 1 * 3\n2 3 * 2 3 *\n")
+        limit = sys.get_int_max_str_digits()
+        for argv, line in (
+            (("simulate", EXAMPLE1, "-N", "6", "--channel", str(channel)), 3),
+            (("simulate", EXAMPLE1, "-N", "6", "--channel", str(rational)), 3),
+            (("simulate", EXAMPLE1, "-N", "6", "--library", str(library)), 6),
+            (("simulate", str(array), "-N", "6"), 3),
+            (("validate", str(array), "-L", "2"), 3),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: line {line}: integer '"), err
+            assert f"has 5000 digits, past Python's limit of {limit}" in err
+            assert len(err.encode()) < 200, err
+
+    def test_bad_token_is_quoted_in_part(self, capsys, tmp_path):
+        token = "x" * 5000
+        channel = tmp_path / "channel.txt"
+        channel.write_text(f"2 6\n1 1 1 1 1 1\n2 3 {token} 5 6 7\n")
+        array = tmp_path / "array.mapda"
+        array.write_text(f"2 6 3 1 3\n* 1 2 * 1 2\n1 * {token} 1 * 3\n2 3 * 2 3 *\n")
+        for argv, message in (
+            (("simulate", EXAMPLE1, "-N", "6", "--channel", str(channel)), "line 3: bad scalar"),
+            (("validate", str(array), "-L", "2"), "line 3: bad entry"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: {message} {token[:40]!r}...\n"
+
+    def test_wide_two_row_array_refused_at_the_gram_bound(self, capsys, tmp_path):
+        # K = 20000 users in two rows; slot s serves users 2s - 1 and 2s, and
+        # each row holds 10000 stars.  Mapping a slot's cachers walks its two
+        # users, not a row's stars, so the run reaches the Gram bound after
+        # 10000 slots are built.
+        users = 20000
+        array = tmp_path / "array.mapda"
+        array.write_text(
+            f"1 {users} 2 1 {users // 2}\n"
+            + "".join(
+                " ".join(str(k // 2 + 1) if k % 2 == row else "*" for k in range(users)) + "\n"
+                for row in (0, 1)
+            )
+        )
+        code, out, err = run_cli(capsys, "simulate", str(array), "-N", "2")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: the Gram matrix of {users} users needs at least {users} x {users} = "
+            f"{users * users} cells, limit 1000000\n"
+        )
+
     def test_library_fixture(self, capsys, tmp_path):
         lib = tmp_path / "library.txt"
         lib.write_text(

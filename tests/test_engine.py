@@ -48,7 +48,12 @@ from mapda.linalg import (
     matmul,
 )
 
-from oracles import assert_reads_as_flat, synthesize_precoder_per_column, vandermonde_channel
+from oracles import (
+    assert_reads_as_flat,
+    failing_columns,
+    synthesize_precoder_per_column,
+    vandermonde_channel,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -167,6 +172,37 @@ class TestBuildInstance:
                     )
                     for f in group.served_rows
                 )
+
+
+    def test_cacher_sets_on_isomorphs_match_their_definition(self):
+        # Each distinct packet row of a slot is mapped once, walking the
+        # smaller of the row's stars and the slot's users.  Regular arrays
+        # walk stars; the two-row arrays serve two users per slot from rows
+        # holding K/2 stars, and walk users.
+        two_rows = Mapda(
+            tuple(
+                tuple(STAR if k % 2 != row else k // 2 + 1 for k in range(8)) for row in (0, 1)
+            ),
+            antennas=1,
+        )
+        arrays_ = [
+            two_rows,
+            isomorph(two_rows, seed=4),
+            isomorph(replicate(generate_mn_pda(10, 3), 3), seed=41),
+            isomorph(replicate(generate_mn_pda(5, 2), 2), seed=3),
+            isomorph(replicate(generate_cyclic(4, 2), 2), seed=6),
+            isomorph(generate_cyclic(16, 8), seed=7),
+            isomorph(generate_cyclic(9, 5), seed=8),
+        ]
+        walks = {"stars": 0, "users": 0}
+        for m in arrays_:
+            for group in build_instance(m, files=2).groups:
+                users = group.served_users
+                for f, cachers in zip(group.served_rows, group.cacher_sets):
+                    stars = [k for k in range(1, m.cols + 1) if m.grid[f - 1][k - 1] is STAR]
+                    walks["stars" if len(stars) < len(users) else "users"] += 1
+                    assert cachers == tuple(i for i, k in enumerate(users) if k in stars)
+        assert walks["stars"] > 0 and walks["users"] > 0, walks
 
 
 class TestSynthesize:
@@ -612,6 +648,77 @@ class TestFamilies:
         assert failures >= 80, (failures, runs)
         # Most failing runs fail on a system the run has solved.
         assert failed_after_solving >= 100, failed_after_solving
+
+
+class TestFailureOrder:
+    """A slot whose columns have no solution raises for the smallest of
+    them, with the error, slot, column and message of a synthesis that
+    solves one column at a time, however its systems are ordered or shared
+    with a family."""
+
+    ARRAYS = [
+        replicate(generate_mn_pda(3, 2), 3),
+        isomorph(replicate(generate_mn_pda(3, 2), 3), seed=9),
+        replicate(generate_mn_pda(4, 2), 2),
+        isomorph(replicate(generate_mn_pda(4, 1), 3), seed=2),
+        mixed_families(),
+    ]
+
+    @staticmethod
+    def channels(m, rng):
+        """Integer channels that leave column systems rank-deficient: two
+        users sharing a Vandermonde column, a zero column, and entries
+        -1, 0 and 1."""
+        nodes = list(range(2, m.cols + 2))
+        found = []
+        for _ in range(6):
+            a, b = rng.sample(range(m.cols), 2)
+            shared = nodes.copy()
+            shared[b] = shared[a]
+            found.append([[node**l for node in shared] for l in range(m.antennas)])
+            zeroed = [[0 if k == a else node**l for k, node in enumerate(nodes)] for l in range(m.antennas)]
+            found.append(zeroed)
+            found.append([[rng.randint(-1, 1) for _ in nodes] for _ in range(m.antennas)])
+        return found
+
+    def test_failures_match_the_per_column_reference(self):
+        rng = random.Random(21)
+        seen = {"failing slots": 0, "not its system's first column": 0, "earlier system fails later": 0}
+        for m in self.ARRAYS:
+            instance = build_instance(m, files=2)
+            for rows, backend in product(self.channels(m, rng), (EXACT, FLOAT)):
+                channel = ChannelMatrix(Matrix.from_rows(rows, backend))
+                families = {u: (systems, {}) for u, systems in instance.families.items()}
+                for group in instance.groups:
+                    reference = outcome(lambda: synthesize_precoder_per_column(group, channel))
+                    alone = outcome(lambda: synthesize_precoder(group, channel))
+                    family = families.get(group.served_users)
+                    shared = outcome(lambda: synthesize_precoder(group, channel, family))
+                    for got in (alone, shared):
+                        if isinstance(reference, tuple):
+                            assert got == reference
+                        elif backend == EXACT:
+                            # On floats, equal rows of a degenerate channel
+                            # tie for a pivot, and the reference puts the
+                            # column's own row first: its rounding differs.
+                            assert got.matrix == reference.matrix
+                            assert got.combined == reference.combined
+                        else:
+                            assert not isinstance(got, tuple), got
+                    if not isinstance(reference, tuple):
+                        continue
+                    # Where the smallest failing column sits among the systems.
+                    first = {}
+                    for n, cachers in enumerate(group.cacher_sets):
+                        first.setdefault(cachers, n)
+                    first_of = [first[cachers] for cachers in group.cacher_sets]
+                    failing = failing_columns(group, channel)
+                    n = reference[2] - 1
+                    assert failing[0] == n
+                    seen["failing slots"] += 1
+                    seen["not its system's first column"] += first_of[n] != n
+                    seen["earlier system fails later"] += any(first_of[c] < first_of[n] for c in failing)
+        assert all(count >= 5 for count in seen.values()), seen
 
 
 class TestRunSlot:
