@@ -17,17 +17,19 @@ transmission is reported infeasible rather than attempted.
 
 A channel forms H* and its Gram matrix H* H once.  A slot reads its block
 of the Gram matrix, and in place its users' columns of H to forward and
-their rows of H* to decode.  Column n's system depends only on the served
-users and n's cacher set: ``synthesize_precoder``, the one synthesizer,
-hands each distinct system of a slot to ``linalg.solve`` once, with a unit
-right-hand side per column, and places those columns of V and B straight
-from the result.  On the exact backend every matrix from the Gram to the
-decode is integer rows over one denominator.  Slots serving the same users
-form a family: inside ``run_delivery`` they share one store of solves for
-the run, each system solved once with one right-hand side per position
-using it in any slot (on the circulant arrays of scheme 3, K systems
-instead of K(K-t)); a slot alone in its family keeps none.  Every V and B
-is the one the slot gets alone.
+their rows of H* to decode.  Column n's system has n's cacher set for
+unknowns and the positions outside it, ascending, for equation rows, so it
+depends only on the served users and that set.  ``synthesize_precoder``,
+the one synthesizer, hands each distinct system of a slot to
+``linalg.solve`` once, with a unit right-hand side per column, and places
+those columns of V and B straight from the result.  On the exact backend
+every matrix from the Gram to the decode is integer rows over one
+denominator.  Slots serving the same users form a family: inside
+``run_delivery`` they share one store of solves for the run, each system
+solved once with one right-hand side per position using it in any slot (on
+the circulant arrays of scheme 3, K systems instead of K(K-t)); a slot
+alone in its family keeps none.  Every V and B equals in value the one the
+slot gets alone, apart from the sign of a zero.
 
 Scalar work runs on either backend of ``linalg``; exact-rational runs make
 decode checks bit-exact.  Slots share no state but their family's solves,
@@ -378,14 +380,15 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
     Column n is solved from the reduced system over the cacher positions:
     B(n, n) = 1 plus B(l, n) = 0 for every served user l that does not cache
     packet n's row, read from the slot's block of the channel's Gram
-    matrix.  Columns sharing equation rows and unknowns (one cache group of
-    a replicated array) are one system with a unit right-hand side each,
-    which gives each the solution it would get alone.  Free variables are
-    zero, so x is nonzero on at most L pivot rows (the block has rank at
-    most L), and B sums over those alone rather than the t of the cacher
-    set: exact zeros add nothing.  Systems are solved in the order of their
-    first columns, and the smallest column without a solution raises, as
-    it would if the columns were solved one at a time.
+    matrix.  Its equation rows are those positions l and n, ascending, so
+    columns with equal cacher sets (one cache group of a replicated array)
+    are one system with a unit right-hand side each; pivots come from the
+    system alone, so each column gets the solution it would get alone.
+    Free variables are zero, so x is nonzero on at most L pivot rows (the
+    block has rank at most L), and B sums over those alone rather than the
+    t of the cacher set: exact zeros add nothing.  The smallest column
+    without a solution raises, as it would if the columns were solved one
+    at a time.
     Requires the array redundancy gate t >= L; below it the supported
     regime offers no solution and Infeasible is raised.  A rank failure on
     a system a generic channel would solve raises DegenerateChannel instead.
@@ -396,7 +399,8 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
     position using it, at the first slot that needs it; ``solve`` reports
     each right-hand side's consistency on its own, so a slot's columns fail
     as they fail alone.  Without it the slot solves its own systems and
-    keeps nothing.  V and B are the same either way.
+    keeps nothing.  V and B are equal in value either way; a shared solve
+    may be nonzero on more unknowns, whose zeros can flip a zero's sign.
     """
     if group.redundancy < group.antennas:
         raise Infeasible(
@@ -408,9 +412,6 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
     users = _served_columns(channel, group)
     block = channel.gram.take(users, users)
     size, backend = len(users), block.backend
-    # Column n's equations are the positions outside its cacher set (n is
-    # never its own cacher), so columns with equal cacher sets share one
-    # system and differ only in which equation reads 1.
     columns = {}
     for n, cachers in enumerate(group.cacher_sets):
         columns.setdefault(cachers, []).append(n)
@@ -420,14 +421,18 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
         if not unknowns:
             failures.append((members[0], unknowns))
             continue
+        # Equation rows: the positions outside the cacher set, ascending;
+        # member n is one of them (it never caches its own packet).
+        equations = [l for l in range(size) if l not in unknowns]
+        positions = sorted(systems[unknowns])
         if unknowns not in solved:
-            solved[unknowns] = _solve_columns(block, unknowns, sorted(systems[unknowns]))
-        positions, _, flagged, *_, x_den, b_den = solution = solved[unknowns]
+            solved[unknowns] = solve(block, positions, equations, unknowns)
+        flagged, *_, x_den, b_den = solution = solved[unknowns]
         failures += [(n, unknowns) for n in members if positions.index(n) in flagged]
         # V and B are each brought over one denominator, the lcm of their
         # systems' (1 on floats, whose entries are never rescaled).
         x_common, b_common = math.lcm(x_common, x_den), math.lcm(b_common, b_den)
-        solutions.append((members, solution))
+        solutions.append((members, positions, equations, solution))
     if failures:
         n, unknowns = min(failures)
         where, equations = {"slot": group.slot, "column": n + 1}, size - len(unknowns)
@@ -448,7 +453,7 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
     zero = complex(0) if backend == FLOAT else 0
     v_rows = [[zero] * size for _ in range(size)]
     b_cols, residual = [None] * size, 0.0
-    for members, (positions, equations, _, support, x_rows, bs, x_den, b_den) in solutions:
+    for members, positions, equations, (_, support, x_rows, bs, x_den, b_den) in solutions:
         x_factor, b_factor = x_common // x_den, b_common // b_den
         for n in members:
             j = positions.index(n)
@@ -463,17 +468,6 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
         combined=Matrix.from_ints(list(zip(*b_cols)), b_common, backend),
         residual=residual,
     )
-
-
-def _solve_columns(block, unknowns, positions):
-    """``solve`` for the columns at ``positions`` whose cacher set is
-    ``unknowns``, a unit right-hand side each; returns (positions, the
-    equation rows, and ``solve``'s unit-form result)."""
-    first = positions[0]
-    # Position n is outside its own cacher set, so the equation rows are the
-    # positions outside ``unknowns``, the first position's row first.
-    equations = [first, *[l for l in range(block.n_rows) if l != first and l not in unknowns]]
-    return (positions, equations, *solve(block, positions, equations, unknowns))
 
 
 def run_slot(group, channel, demands, library, family=None) -> SlotOutcome:
@@ -560,10 +554,11 @@ def run_delivery(instance, channel, demands, library) -> DeliveryReport:
     once; since a user's packets are its demanded file at those rows, that
     fixes every user's packet set.  Slots of one family share their column
     solves for this run (see ``synthesize_precoder``); every slot's V and B
-    are those the slot gets alone.  Refuses channels without exactly one
-    column per user.  Propagates Infeasible (an array with t < L is refused
-    at its first slot), DegenerateChannel, and DecodeMismatch with the
-    offending slot id (None for a cell mismatch).
+    equal in value, apart from the sign of a zero, those the slot gets
+    alone.  Refuses channels without exactly one column per user.
+    Propagates Infeasible (an array with t < L is refused at its first
+    slot), DegenerateChannel, and DecodeMismatch with the offending slot id
+    (None for a cell mismatch).
     """
     m = instance.mapda
     demands = tuple(demands)

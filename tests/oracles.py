@@ -274,8 +274,8 @@ def _solve_column(group, block, n):
     """Column n's solution over its cacher positions, solved alone, or the
     error that names it when it has none.
 
-    The system is equation rows n (the one reading 1) and every position
-    outside the cacher set, in that order, over the cacher positions.  On
+    The system is the positions outside the cacher set, n among them, in
+    ascending order, over the cacher positions; row n reads 1.  On
     the exact backend it is solved by ``naive_solve_exact``; floats run the
     package's ``solve``.  A column no served user caches is infeasible; a
     system without a solution is a degenerate channel when it has no more
@@ -288,9 +288,9 @@ def _solve_column(group, block, n):
     if not unknowns:
         message = f"slot {group.slot}: no served user caches packet position {n + 1}"
         return Infeasible(message, **where)
-    eq_rows = (n,) + tuple(l for l in range(size) if l != n and l not in unknowns)
+    eq_rows = tuple(l for l in range(size) if l not in unknowns)
     zero = Fraction(0) if backend == EXACT else complex(0)
-    rhs = [[zero + 1]] + [[zero]] * (len(eq_rows) - 1)
+    rhs = [[zero + (l == n)] for l in eq_rows]
     if backend == EXACT:
         x = naive_solve_exact([[block.at(l, i) for i in unknowns] for l in eq_rows], rhs)
     else:

@@ -163,6 +163,16 @@ class TestSimulate:
         assert "t=1" in err
         assert "L=2" in err
 
+    def test_overdetermined_column_infeasible(self, capsys, tmp_path):
+        # Valid and irregular at t = L = 2: slot 1's column 1 (user 1's
+        # packet at row 3, cached by user 3 alone) has one unknown and two
+        # equations, users 1 and 2.
+        path = tmp_path / "overdetermined.mapda"
+        path.write_text("2 3 3 - -\n* * *\n* * 1\n1 1 *\n")
+        code, out, err = run_cli(capsys, "simulate", str(path), "-N", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: slot 1: column 1 has 1 unknowns but 2 equations and no solution\n"
+
     def test_demand_list(self, capsys):
         code, out, _ = run_cli(
             capsys,

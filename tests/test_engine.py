@@ -545,17 +545,17 @@ class TestFamilies:
         # a slot alone in its family: when the next slot starts, the test's
         # own record is the only container holding an earlier slot's solve.
         results, kept = [], []
-        real_solve_columns, real_synthesize = engine._solve_columns, engine.synthesize_precoder
+        real_solve, real_synthesize = engine.solve, engine.synthesize_precoder
 
         def recorded_solve(*args):
-            results.append(real_solve_columns(*args))
+            results.append(real_solve(*args))
             return results[-1]
 
         def checked_synthesize(group, channel, family=None):
             kept.append(sum(gc.get_referrers(result) != [results] for result in results))
             return real_synthesize(group, channel, family)
 
-        monkeypatch.setattr(engine, "_solve_columns", recorded_solve)
+        monkeypatch.setattr(engine, "solve", recorded_solve)
         monkeypatch.setattr(engine, "synthesize_precoder", checked_synthesize)
         lone = replicate(generate_mn_pda(4, 1), 2)
         for m, shares in ((lone, False), (generate_cyclic(6, 3), True)):
@@ -579,16 +579,18 @@ class TestFamilies:
         # must fail where running the slots one at a time fails, with the
         # same error, and deliver where that delivers, and it solves each of
         # the family's systems at most once, for all of its positions, when
-        # it fails too.
+        # it fails too, with the positions outside the cacher set as its
+        # equation rows in ascending order.
         solved = []
-        real_solve_columns = engine._solve_columns
+        real_solve = engine.solve
 
-        def recorded(block, unknowns, members):
-            columns = real_solve_columns(block, unknowns, members)
+        def recorded(block, members, equations, unknowns):
+            outside = [l for l in range(block.n_rows) if l not in unknowns]
+            assert equations == outside, (equations, unknowns)
             solved.append((unknowns, list(members)))
-            return columns
+            return real_solve(block, members, equations, unknowns)
 
-        monkeypatch.setattr(engine, "_solve_columns", recorded)
+        monkeypatch.setattr(engine, "solve", recorded)
         rng = random.Random(5)
         runs = failures = failed_after_solving = 0
         for m in (
@@ -641,7 +643,7 @@ class TestFailureOrder:
     """A slot whose columns have no solution raises for the smallest of
     them, with the error, slot, column and message of a synthesis that
     solves one column at a time, however its systems are ordered or shared
-    with a family."""
+    with a family; any other slot gets that synthesis's V and B in value."""
 
     ARRAYS = [
         replicate(generate_mn_pda(3, 2), 3),
@@ -649,6 +651,13 @@ class TestFailureOrder:
         replicate(generate_mn_pda(4, 2), 2),
         isomorph(replicate(generate_mn_pda(4, 1), 3), seed=2),
         mixed_families(),
+        # One family each: on floats, equal rows of a degenerate channel tie
+        # for a pivot, so a shared system's row order shows in V and B.
+        generate_cyclic(6, 3),
+        isomorph(generate_cyclic(8, 4), seed=3),
+        # Valid and irregular at t = L = 2: column 1 has one unknown (user 3)
+        # and two equations (users 1 and 2), so it has no solution.
+        parse_mapda("2 3 3 - -\n* * *\n* * 1\n1 1 *\n"),
     ]
 
     @staticmethod
@@ -670,7 +679,12 @@ class TestFailureOrder:
 
     def test_failures_match_the_per_column_reference(self):
         rng = random.Random(21)
-        seen = {"failing slots": 0, "not its system's first column": 0, "earlier system fails later": 0}
+        seen = {
+            "failing slots": 0,
+            "not its system's first column": 0,
+            "earlier system fails later": 0,
+            "more equations than unknowns": 0,
+        }
         for m in self.ARRAYS:
             instance = build_instance(m, files=2)
             for rows, backend in product(self.channels(m, rng), (EXACT, FLOAT)):
@@ -684,16 +698,16 @@ class TestFailureOrder:
                     for got in (alone, shared):
                         if isinstance(reference, tuple):
                             assert got == reference
-                        elif backend == EXACT:
-                            # On floats, equal rows of a degenerate channel
-                            # tie for a pivot, and the reference puts the
-                            # column's own row first: its rounding differs.
+                        else:
+                            # Equal in value on both backends: every path
+                            # reads a system's equation rows in ascending
+                            # order, so equal rows tie for a pivot alike.
                             assert got.matrix == reference.matrix
                             assert got.combined == reference.combined
-                        else:
-                            assert not isinstance(got, tuple), got
                     if not isinstance(reference, tuple):
                         continue
+                    overdetermined = "equations and no solution" in reference[3]
+                    seen["more equations than unknowns"] += overdetermined
                     # Where the smallest failing column sits among the systems.
                     first = {}
                     for n, cachers in enumerate(group.cacher_sets):
@@ -804,6 +818,10 @@ class TestRunSlot:
         # The same text as a whole run's demand check.
         with pytest.raises(arrays.DomainError, match=re.escape(message)):
             run_delivery(example1_instance, fixture_channel, demands, library)
+        # A vector too short for the users a slot serves is refused by name.
+        short = "demand vector covers 5 users but slot 2 serves user 6"
+        with pytest.raises(arrays.DomainError, match=re.escape(short)):
+            run_slot(example1_instance.groups[1], fixture_channel, (1, 2, 3, 4, 5), library)
 
 
 class TestRunDelivery:
