@@ -261,11 +261,25 @@ class Mapda:
 _MAX_CELLS = 10**6  # the largest table a generator or random library builds
 
 
+def _number(n):
+    """A nonnegative integer for a message: in full below 10**40, else its
+    first 20 digits and its length, as str() refuses an int longer than
+    Python's digit limit, sys.get_int_max_str_digits()."""
+    if n < 10**40:
+        return str(n)
+    digits = (n.bit_length() - 1) * 3 // 10  # at most log10(n)
+    while 10**digits <= n:
+        digits += 1
+    return f"{n // 10 ** (digits - 20)}... ({digits} digits)"
+
+
 def _check_cells(what, rows, cols):
     """Refuse ``what``, a rows x cols table, before it is allocated."""
-    if rows * cols > _MAX_CELLS:
+    cells = rows * cols
+    if cells > _MAX_CELLS:
         raise DomainError(
-            f"{what} needs at least {rows} x {cols} = {rows * cols} cells, limit {_MAX_CELLS}"
+            f"{what} needs at least {_number(rows)} x {_number(cols)} = {_number(cells)} "
+            f"cells, limit {_MAX_CELLS}"
         )
 
 
@@ -280,7 +294,7 @@ def generate_mn_pda(users, cached):
     if not 1 <= cached < users:
         raise DomainError(f"need 1 <= t < K, got t={cached}, K={users}")
     rows = users if users**2 > _MAX_CELLS else comb(users, cached)  # F >= K; comb is slow there
-    _check_cells(f"mn({users}, {cached})", rows, users)
+    _check_cells(f"mn({_number(users)}, {_number(cached)})", rows, users)
     everyone = range(1, users + 1)
     row_of = {sub: i for i, sub in enumerate(combinations(everyone, cached))}
     grid = [[STAR] * users for _ in row_of]
@@ -300,7 +314,7 @@ def replicate(base, copies):
     """
     if copies < 1:
         raise DomainError(f"copies must be >= 1, got {copies}")
-    _check_cells(f"{copies} copies of the array", base.rows, base.cols * copies)
+    _check_cells(f"{_number(copies)} copies of the array", base.rows, base.cols * copies)
     grid = tuple(row * copies for row in base.grid)
     return Mapda(grid, antennas=base.antennas * copies)
 
@@ -314,7 +328,7 @@ def generate_cyclic(users, cached):
     """
     if not 1 <= cached < users:
         raise DomainError(f"need 1 <= t < K, got t={cached}, K={users}")
-    _check_cells(f"cyclic({users}, {cached})", users, users)
+    _check_cells(f"cyclic({_number(users)}, {_number(cached)})", users, users)
     k_users, t = users, cached
     grid = []
     for f in range(1, k_users + 1):
@@ -345,13 +359,14 @@ def _quote(token):
     return repr(token) if len(token) <= 40 else f"{token[:40]!r}..."
 
 
-def _check_digits(token, line_no):
+def _check_digits(token, where):
     """Refuse a decimal integer token that int() cannot read because it is
-    longer than Python's digit limit, sys.get_int_max_str_digits()."""
+    longer than Python's digit limit, sys.get_int_max_str_digits();
+    ``where`` names the token's place, as in "line 3"."""
     digits, limit = token.lstrip("+-"), sys.get_int_max_str_digits()
     if 0 < limit < len(digits) and digits.isascii() and digits.isdigit():
         raise ParseError(
-            f"line {line_no}: integer {_quote(token)} has {len(digits)} digits, past "
+            f"{where}: integer {_quote(token)} has {len(digits)} digits, past "
             f"Python's limit of {limit} (sys.get_int_max_str_digits())"
         )
 
@@ -362,7 +377,7 @@ def _parse_entry(token, line_no):
     try:
         value = int(token)
     except ValueError:
-        _check_digits(token, line_no)
+        _check_digits(token, f"line {line_no}")
         raise ParseError(f"line {line_no}: bad entry {_quote(token)}") from None
     if value < 1:
         raise ParseError(f"line {line_no}: slot ids start at 1, got {value}")

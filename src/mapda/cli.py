@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import arrays, engine, metrics
-from .arrays import DomainError, ParseError, ValidationFailure
+from .arrays import DomainError, ParseError, ValidationFailure, _check_digits, _quote
 from .linalg import (
     EXACT,
     FLOAT,
@@ -44,7 +44,8 @@ def _effective_seed(args):
         try:
             return int(env)
         except ValueError:
-            raise ParseError(f"MAPDA_SEED must be an integer, got {env!r}") from None
+            _check_digits(env.strip(), "MAPDA_SEED")
+            raise ParseError(f"MAPDA_SEED must be an integer, got {_quote(env)}") from None
     return args.seed
 
 
@@ -105,11 +106,13 @@ def _parse_demands(spec, users, files, rng):
         return engine.default_demands(users, files)
     if spec == "random":
         return tuple(rng.randint(1, files) for _ in range(users))
+    tokens = spec.split(",")
     try:
-        demands = tuple(int(tok) for tok in spec.split(","))
+        return tuple(map(int, tokens))
     except ValueError:
-        raise ParseError(f"bad demand list {spec!r}") from None
-    return demands
+        for token in tokens:
+            _check_digits(token.strip(), "demand list")
+        raise ParseError(f"bad demand list {_quote(spec)}") from None
 
 
 def _on_backend(matrix, backend, what):
@@ -167,22 +170,39 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_ratio(token) -> Fraction:
+    """A memory ratio as Fraction reads it.  Its numerator and denominator
+    have at most the mantissa's digits plus |exponent| digits; past Python's
+    digit limit it is refused before Fraction builds 10**exponent."""
+    mantissa, _, exponent = token.lower().partition("e")
+    digits = max(sum(c.isdigit() for c in part) for part in mantissa.split("/"))
+    try:
+        digits += abs(int(exponent or 0))
+    except ValueError:  # too long, refused here, or malformed, refused by Fraction
+        _check_digits(exponent, f"memory ratio {_quote(token)}")
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < digits:
+        raise ParseError(
+            f"memory ratio {_quote(token)} needs up to {digits} digits, past Python's "
+            f"limit of {limit} (sys.get_int_max_str_digits())"
+        )
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad memory ratio {token!r}") from None
+        raise ParseError(f"bad memory ratio {_quote(token)}") from None
 
 
 def _parse_point(token) -> SystemPoint:
     parts = token.replace(",", " ").split()
     if len(parts) not in (3, 4):
-        raise ParseError(f"point must be 'K ratio L [m]', got {token!r}")
+        raise ParseError(f"point must be 'K ratio L [m]', got {_quote(token)}")
     ratio = _parse_ratio(parts[1])
     try:
         users, antennas = int(parts[0]), int(parts[2])
         m = int(parts[3]) if len(parts) == 4 else None
     except ValueError:
-        raise ParseError(f"point {token!r}: K, L and m must be integers") from None
+        for part in (parts[0], *parts[2:]):
+            _check_digits(part, f"point {_quote(token)}")
+        raise ParseError(f"point {_quote(token)}: K, L and m must be integers") from None
     return SystemPoint(users, antennas, ratio, m)
 
 
@@ -215,9 +235,10 @@ def cmd_sweep(args) -> int:
     metrics.check_counts(users, antennas, args.m)
     t_max = args.t_max if args.t_max is not None else users - antennas
     ts = range(max(args.t_min, 1), min(t_max, users - 1) + 1)
-    if len(ts) > _MAX_SWEEP_ROWS:
+    count = ts.stop - ts.start  # len(ts) fails past sys.maxsize
+    if count > _MAX_SWEEP_ROWS:
         raise DomainError(
-            f"sweep of t = {ts[0]}..{ts[-1]} needs {len(ts)} rows, limit {_MAX_SWEEP_ROWS}"
+            f"sweep of t = {ts[0]}..{ts[-1]} needs {count} rows, limit {_MAX_SWEEP_ROWS}"
         )
     points = [SystemPoint(users, antennas, Fraction(t, users), args.m) for t in ts]
     rows = [metrics.table_row(p) for p in points]

@@ -18,37 +18,38 @@ transmission is reported infeasible rather than attempted.
 A channel forms H* and its Gram matrix H* H once.  A slot reads its block
 of the Gram matrix, and in place its users' columns of H to forward and
 their rows of H* to decode.  Column n's system has n's cacher set for
-unknowns and the positions outside it, ascending, for equation rows, so it
-depends only on the served users and that set.  ``synthesize_precoder``,
-the one synthesizer, hands each distinct system of a slot to
-``linalg.solve`` once, with a unit right-hand side per column, and places
-those columns of V and B straight from the result.  On the exact backend
-every matrix from the Gram to the decode is integer rows over one
-denominator.  Slots serving the same users form a family: inside
-``run_delivery`` they share one store of solves for the run, each system
-solved once with one right-hand side per position using it in any slot (on
-the circulant arrays of scheme 3, K systems instead of K(K-t)); a slot
-alone in its family keeps none.  Every V and B equals in value the one the
-slot gets alone, apart from the sign of a zero.
+unknowns and the positions outside it, ascending, for equation rows, and one
+unit right-hand side per equation row, so it is fully determined by the
+served users and that set.  ``synthesize_precoder``, the one synthesizer,
+hands each distinct system of a slot to ``linalg.solve`` once and places
+its columns of V and B straight from the result, column n from the
+right-hand side at n's equation row.  On the exact backend every matrix
+from the Gram to the decode is integer rows over one denominator.  Inside
+``run_delivery``, slots serving the same users share one store of solves
+for the run, each system solved once (on the circulant arrays of scheme 3,
+K systems instead of K(K-t)); a slot whose served users no other slot
+serves keeps none.  Every V and B equals in value the one the slot gets
+alone, apart from the sign of a zero.
 
 Scalar work runs on either backend of ``linalg``; exact-rational runs make
-decode checks bit-exact.  Slots share no state but their family's solves,
-formed by whichever slot needs them first, so per-slot work can run in
-any order (a delivery run here simply iterates them).
+decode checks bit-exact.  Slots share no state but the solves of their
+served users' store, formed by whichever slot needs them first, so per-slot
+work can run in any order (a delivery run here simply iterates them).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
 from .arrays import STAR, DomainError, Mapda, ParseError, read_table
-from .arrays import _check_cells, _check_digits, _quote
+from .arrays import _check_cells, _check_digits, _number, _quote
 from .linalg import (
     EXACT,
     FLOAT,
@@ -128,17 +129,11 @@ class SlotGroup:
 @dataclass(frozen=True)
 class SchemeInstance:
     """An array bound to a library size, and its slot groups; a user caches
-    every file's packets at the rows where its column holds a star.
-
-    ``families`` maps the served users of each family of two or more slots
-    to its column systems: {cacher set: the positions whose column uses it
-    in some slot of the family}.
-    """
+    every file's packets at the rows where its column holds a star."""
 
     mapda: Mapda
     files: int
     groups: tuple
-    families: dict = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -225,51 +220,26 @@ class DeliveryReport:
 
 
 def build_instance(m: Mapda, files: int) -> SchemeInstance:
-    """Derive the slot groups and families of a validated array for a
-    library of ``files`` files."""
+    """Derive the slot groups of a validated array for a library of
+    ``files`` files."""
     if files < 1:
         raise DomainError(f"library size must be >= 1, got {files}")
     t = m.profile.t
-    # A packet row's cachers are the users holding a star in it.  Each
-    # distinct row of a slot is mapped to the slot's positions once, walking
-    # the smaller of the row's stars and the slot's users.
-    stars = [[k for k, e in enumerate(row, 1) if e is STAR] for row in m.grid]
     groups = []
-    by_users = {}
     for s in range(1, m.slots + 1):
         served_rows, served_users = zip(*m.slot_cells(s))
-        position = dict(zip(served_users, range(len(served_users))))
+        # A row's cachers are the served users holding a star in it, read
+        # at the slot's users once per distinct row.  As a row's stars and
+        # integer cells number K >= |slot|, those |slot| reads are at most
+        # min(stars, |slot|) plus validate's C4 intersection of the row's
+        # integer cells with the slot, min(K - stars, |slot|).
         cachers = {}
         for f in dict.fromkeys(served_rows):
-            row, row_stars = m.grid[f - 1], stars[f - 1]
-            if len(row_stars) < len(served_users):
-                cachers[f] = tuple(position[k] for k in row_stars if k in position)
-            else:
-                cachers[f] = tuple(i for i, k in enumerate(served_users) if row[k - 1] is STAR)
+            row = m.grid[f - 1]
+            cachers[f] = tuple(i for i, k in enumerate(served_users) if row[k - 1] is STAR)
         cacher_sets = tuple(map(cachers.__getitem__, served_rows))
-        group = SlotGroup(
-            slot=s,
-            served_users=served_users,
-            served_rows=served_rows,
-            cacher_sets=cacher_sets,
-            redundancy=t,
-            antennas=m.antennas,
-        )
-        groups.append(group)
-        by_users.setdefault(served_users, []).append(group)
-    families = {}
-    for served_users, family in by_users.items():
-        if len(family) > 1:
-            systems = families[served_users] = {}
-            for group in family:
-                for n, cachers in enumerate(group.cacher_sets):
-                    systems.setdefault(cachers, set()).add(n)
-    return SchemeInstance(
-        mapda=m,
-        files=files,
-        groups=tuple(groups),
-        families=families,
-    )
+        groups.append(SlotGroup(s, served_users, served_rows, cacher_sets, t, m.antennas))
+    return SchemeInstance(mapda=m, files=files, groups=tuple(groups))
 
 
 def default_demands(users, files):
@@ -287,7 +257,7 @@ def make_channel(antennas, users, seed=0) -> ChannelMatrix:
     """Draw an L x K float channel with i.i.d. standard-normal real and
     imaginary parts from a deterministic PRNG (same seed, same matrix);
     an L x K past the cell limit is refused before any is drawn."""
-    _check_cells(f"a channel of {antennas} antennas", antennas, users)
+    _check_cells(f"a channel of {_number(antennas)} antennas", antennas, users)
     rng = random.Random(seed)
     rows = [
         [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(users)]
@@ -305,13 +275,13 @@ def _parse_scalar(token, line_no):
         try:
             return Fraction(int(num), int(den))
         except (ValueError, ZeroDivisionError):
-            _check_digits(num, line_no)
-            _check_digits(den, line_no)
+            _check_digits(num, f"line {line_no}")
+            _check_digits(den, f"line {line_no}")
             raise ParseError(f"line {line_no}: bad rational {_quote(token)}") from None
     try:
         return int(token)
     except ValueError:
-        _check_digits(token, line_no)
+        _check_digits(token, f"line {line_no}")
     try:
         value = complex(token.replace("i", "j")) if "i" in token or "j" in token else float(token)
     except ValueError:
@@ -343,7 +313,7 @@ def read_library_fixture(path) -> Matrix:
 
 def random_library(files, parts, seed=0, backend=EXACT) -> Matrix:
     """Deterministic random packet values, one scalar per (file, part)."""
-    _check_cells(f"a library of {files} files", files, parts)
+    _check_cells(f"a library of {_number(files)} files", files, parts)
     rng = random.Random(seed)
     if backend == EXACT:
         rows = [
@@ -380,10 +350,11 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
     Column n is solved from the reduced system over the cacher positions:
     B(n, n) = 1 plus B(l, n) = 0 for every served user l that does not cache
     packet n's row, read from the slot's block of the channel's Gram
-    matrix.  Its equation rows are those positions l and n, ascending, so
-    columns with equal cacher sets (one cache group of a replicated array)
-    are one system with a unit right-hand side each; pivots come from the
-    system alone, so each column gets the solution it would get alone.
+    matrix.  Its equation rows are those positions l and n, ascending, each
+    with a unit right-hand side, so columns with equal cacher sets (one
+    cache group of a replicated array) are one system, column n reading the
+    right-hand side at its own row; pivots come from the system alone, so
+    each column gets the solution it would get alone.
     Free variables are zero, so x is nonzero on at most L pivot rows (the
     block has rank at most L), and B sums over those alone rather than the
     t of the cacher set: exact zeros add nothing.  The smallest column
@@ -393,14 +364,16 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
     regime offers no solution and Infeasible is raised.  A rank failure on
     a system a generic channel would solve raises DegenerateChannel instead.
 
-    ``run_delivery`` gives each slot of a family of two or more its
-    ``family``: (its systems, as in ``SchemeInstance.families``, and the
-    run's solves of them).  Each system is then solved once for every
-    position using it, at the first slot that needs it; ``solve`` reports
+    Each system is solved for all of its equation rows; ``solve`` reports
     each right-hand side's consistency on its own, so a slot's columns fail
-    as they fail alone.  Without it the slot solves its own systems and
-    keeps nothing.  V and B are equal in value either way; a shared solve
-    may be nonzero on more unknowns, whose zeros can flip a zero's sign.
+    as they fail alone.  On the generators' arrays every equation row is
+    some slot's column; on an irregular array a slot may solve right-hand
+    sides that no column reads, which costs operations but moves no pivot,
+    V, B or error.  ``family`` is the run's store of solves {cacher set:
+    solve} for the slot's served users, shared by every slot serving them;
+    without it the slot keeps nothing.  V and B are equal in value either
+    way; a solve shared with another slot may be nonzero on more unknowns,
+    whose zeros can flip a zero's sign.
     """
     if group.redundancy < group.antennas:
         raise Infeasible(
@@ -415,24 +388,24 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
     columns = {}
     for n, cachers in enumerate(group.cacher_sets):
         columns.setdefault(cachers, []).append(n)
-    systems, solved = family or (columns, {})
+    solved = {} if family is None else family
     failures, solutions, x_common, b_common = [], [], 1, 1
     for unknowns, members in columns.items():
         if not unknowns:
             failures.append((members[0], unknowns))
             continue
         # Equation rows: the positions outside the cacher set, ascending;
-        # member n is one of them (it never caches its own packet).
+        # member n is one of them (it never caches its own packet), and its
+        # unit right-hand side is the one at n's index among them.
         equations = [l for l in range(size) if l not in unknowns]
-        positions = sorted(systems[unknowns])
         if unknowns not in solved:
-            solved[unknowns] = solve(block, positions, equations, unknowns)
+            solved[unknowns] = solve(block, equations, equations, unknowns)
         flagged, *_, x_den, b_den = solution = solved[unknowns]
-        failures += [(n, unknowns) for n in members if positions.index(n) in flagged]
+        failures += [(n, unknowns) for n in members if equations.index(n) in flagged]
         # V and B are each brought over one denominator, the lcm of their
         # systems' (1 on floats, whose entries are never rescaled).
         x_common, b_common = math.lcm(x_common, x_den), math.lcm(b_common, b_den)
-        solutions.append((members, positions, equations, solution))
+        solutions.append((members, equations, solution))
     if failures:
         n, unknowns = min(failures)
         where, equations = {"slot": group.slot, "column": n + 1}, size - len(unknowns)
@@ -453,10 +426,10 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
     zero = complex(0) if backend == FLOAT else 0
     v_rows = [[zero] * size for _ in range(size)]
     b_cols, residual = [None] * size, 0.0
-    for members, positions, equations, (_, support, x_rows, bs, x_den, b_den) in solutions:
+    for members, equations, (_, support, x_rows, bs, x_den, b_den) in solutions:
         x_factor, b_factor = x_common // x_den, b_common // b_den
         for n in members:
-            j = positions.index(n)
+            j = equations.index(n)
             for i, row in zip(support, x_rows):
                 v_rows[i][n] = row[j] if x_factor == 1 else row[j] * x_factor
             b = b_cols[n] = bs[j] if b_factor == 1 else [v * b_factor for v in bs[j]]
@@ -479,8 +452,9 @@ def run_slot(group, channel, demands, library, family=None) -> SlotOutcome:
     subtracts its cached contributions using the precoder's two-hop matrix
     B and recovers its packet from the unit diagonal.  Only the served
     users' demands are checked; ``run_delivery`` checks the whole vector.
-    ``family`` is as in ``synthesize_precoder``.  Raises DecodeMismatch if
-    a recovered value strays from the library.
+    ``family`` is the run's store of solves for the slot's served users, as
+    in ``synthesize_precoder``.  Raises DecodeMismatch if a recovered value
+    strays from the library.
     """
     demands = tuple(demands)
     if len(demands) < max(group.served_users):
@@ -531,7 +505,7 @@ def _ops_model(instance: SchemeInstance) -> Fraction:
     For regular arrays (every slot of size t+L) this is the analytical
     complexity ((t+L)^3 + (t+L)^2 + t(t+L)) * S.  ``ops_measured`` is what
     the run actually multiplied and added, phase by phase: the column
-    systems (one per distinct system of a slot, or of a family of slots
+    systems (one per distinct system of a slot, or of all the slots
     serving the same users), B summed over each column's at most L
     nonzeros (on the exact backend over its cacher rows alone), the Gram
     matrix once per channel, encoding, forwarding and decoding.  Its total
@@ -552,10 +526,11 @@ def run_delivery(instance, channel, demands, library) -> DeliveryReport:
     against the library.  This function checks that the recovered
     (user, row) cells are the integer cells of the grid, each delivered
     once; since a user's packets are its demanded file at those rows, that
-    fixes every user's packet set.  Slots of one family share their column
-    solves for this run (see ``synthesize_precoder``); every slot's V and B
-    equal in value, apart from the sign of a zero, those the slot gets
-    alone.  Refuses channels without exactly one column per user.
+    fixes every user's packet set.  Slots serving the same users share one
+    store of column solves for this run (see ``synthesize_precoder``); a
+    slot whose served users no other slot serves gets none.  Every slot's V
+    and B equal in value, apart from the sign of a zero, those the slot
+    gets alone.  Refuses channels without exactly one column per user.
     Propagates Infeasible (an array with t < L is refused at its first
     slot), DegenerateChannel, and DecodeMismatch with the offending slot id
     (None for a cell mismatch).
@@ -580,9 +555,11 @@ def run_delivery(instance, channel, demands, library) -> DeliveryReport:
     ops_total: dict[str, dict[str, int]] = {}
     recovered: dict[int, set] = {k: set() for k in range(1, m.cols + 1)}
     recovered_cells = []
-    families = {users: (systems, {}) for users, systems in instance.families.items()}
+    # One store of solves per served users that two or more slots share.
+    shared = Counter(group.served_users for group in instance.groups)
+    stores = {users: {} for users, slots in shared.items() if slots > 1}
     for group in instance.groups:
-        outcome = run_slot(group, channel, demands, library, families.get(group.served_users))
+        outcome = run_slot(group, channel, demands, library, stores.get(group.served_users))
         for phase, tally in outcome.ops.items():
             agg = ops_total.setdefault(phase, {"mul": 0, "add": 0})
             agg["mul"] += tally["mul"]

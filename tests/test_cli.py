@@ -455,6 +455,17 @@ class TestCompare:
         assert err.startswith("error: ") and "m must be >= 1" in err
         assert "Traceback" not in err
 
+    def test_over_long_point_token_exit_2_names_the_digit_limit(self, capsys):
+        # A 5000-digit L is not "not an integer" but past int()'s digit
+        # limit, and the message quotes the token in part.
+        token = "6,1/3," + "7" * 5000
+        code, out, err = run_cli(capsys, "compare", "--point", token)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: point {token[:40]!r}...: integer '777"), err
+        limit = sys.get_int_max_str_digits()
+        assert f"has 5000 digits, past Python's limit of {limit}" in err
+        assert len(err.encode()) < 250, err
+
     def test_empty_input_header_only(self, capsys, tmp_path):
         empty = tmp_path / "points.txt"
         empty.write_text("# nothing\n")
@@ -579,9 +590,12 @@ class TestSweep:
 class TestAllocationBound:
     # Each request asks for hundreds of millions of cells or table rows, or
     # for a table row whose figures pass the float range of its scientific
-    # cells.  The child runs under a 400 MB address-space limit, so a
-    # missing size check ends there in a MemoryError traceback instead of
-    # exhausting the host.
+    # cells, or for a number past Python's int/str digit limit.  The child
+    # runs under a 400 MB address-space limit, so a missing size check ends
+    # there in a MemoryError traceback instead of exhausting the host.
+    NINES = "9" * 4299
+    SHORT = "99999999999999999999... (4299 digits)"  # how a message cuts NINES
+    LIMIT = sys.get_int_max_str_digits()
     CASES = {
         "mn_k26_t13": (
             ["gen", "mn", "--users", "26", "--t", "13"],
@@ -641,7 +655,49 @@ class TestAllocationBound:
             "a channel of 100000000 antennas needs at least 100000000 x 2 = 200000000 cells, "
             "limit 1000000",
         ),
+        # The cell counts below have more digits than str() prints.
+        "mn_k_4299_digits": (
+            ["gen", "mn", "-K", NINES, "--t", "2"],
+            f"mn({SHORT}, 2) needs at least {SHORT} x {SHORT} = "
+            "99999999999999999999... (8598 digits) cells, limit 1000000",
+        ),
+        "cyclic_k_4299_digits": (
+            ["gen", "cyclic", "-K", NINES, "--t", "2"],
+            f"cyclic({SHORT}, 2) needs at least {SHORT} x {SHORT} = "
+            "99999999999999999999... (8598 digits) cells, limit 1000000",
+        ),
+        "replicate_4299_digit_copies": (
+            ["gen", "replicate", "-i", EXAMPLE1, "--copies", NINES],
+            f"{SHORT} copies of the array needs at least 3 x "
+            "59999999999999999999... (4300 digits) = 17999999999999999999... (4301 digits) "
+            "cells, limit 1000000",
+        ),
+        "library_4300_digit_files": (
+            ["simulate", EXAMPLE1, "-N", "9" * 4300],
+            "a library of 99999999999999999999... (4300 digits) files needs at least "
+            "99999999999999999999... (4300 digits) x 3 = 29999999999999999999... "
+            "(4301 digits) cells, limit 1000000",
+        ),
+        # The t range is longer than len(range) can count.
+        "sweep_k_1e20": (
+            ["sweep", "-K", "100000000000000000000", "-L", "2"],
+            "sweep of t = 1..99999999999999999998 needs 99999999999999999998 rows, limit 1000",
+        ),
+        # Fraction would build 10**100000 (or 10**1000000000), and the
+        # str() of 1/10**100000 in a message fails.
+        "compare_ratio_1e-100000": (
+            ["compare", "--point", "6,1e-100000,2"],
+            f"memory ratio '1e-100000' needs up to 100001 digits, past Python's limit of "
+            f"{LIMIT} (sys.get_int_max_str_digits())",
+        ),
+        "compare_ratio_1e-1000000000": (
+            ["compare", "--point", "6,1e-1000000000,2"],
+            f"memory ratio '1e-1000000000' needs up to 1000000001 digits, past Python's "
+            f"limit of {LIMIT} (sys.get_int_max_str_digits())",
+        ),
     }
+    # A parse error exits 2; every other case exits 1.
+    EXIT_CODES = {"compare_ratio_1e-100000": 2, "compare_ratio_1e-1000000000": 2}
     # The array file each case reads in place of ARRAY; each passes validation.
     ARRAYS = {
         "simulate_gram_k4000": "1 4000 2 1 2000\n"
@@ -674,7 +730,7 @@ class TestAllocationBound:
             preexec_fn=self.limit_address_space,
             timeout=60,
         )
-        assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+        assert (proc.returncode, proc.stdout) == (self.EXIT_CODES.get(name, 1), ""), proc.stderr
         assert proc.stderr == f"error: {message}\n"
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -107,6 +108,13 @@ def mixed_families():
         tuple(e if e is STAR else e + 2 for e in row) for row in generate_mn_pda(4, 2).grid
     )
     return Mapda(top + bottom, antennas=2)
+
+
+def shared_users(instance):
+    """The served users of two or more slots, in slot order: a run keeps one
+    store of solves for each."""
+    counts = Counter(group.served_users for group in instance.groups)
+    return [users for users, slots in counts.items() if slots > 1]
 
 
 def outcome(run):
@@ -403,16 +411,21 @@ class TestFamilies:
         instance = build_instance(generate_cyclic(6, 3), files=2)
         users = (1, 2, 3, 4, 5, 6)
         assert [g.served_users for g in instance.groups] == [users] * 3
-        assert list(instance.families) == [users]
-        systems = instance.families[users]
-        assert systems.keys() == {c for g in instance.groups for c in g.cacher_sets}
-        # Every position outside a row's cachers reads that row in some slot.
+        assert shared_users(instance) == [users]
+        systems = {}
+        for g in instance.groups:
+            for n, cachers in enumerate(g.cacher_sets):
+                systems.setdefault(cachers, set()).add(n)
+        # One system per row: each row's stars are a distinct cacher set.
+        assert len(systems) == 6
+        # Every position outside a row's cachers reads that row in some slot,
+        # so solving a system for its equation rows solves nothing unused.
         for cachers, positions in systems.items():
             assert positions == {p for p in range(6) if p not in cachers}
         mixed = build_instance(mixed_families(), files=2)
         assert len(mixed.groups) == 6
-        assert list(mixed.families) == [(1, 2, 3, 4)]
-        assert build_instance(replicate(generate_mn_pda(10, 3), 3), files=2).families == {}
+        assert shared_users(mixed) == [(1, 2, 3, 4)]
+        assert shared_users(build_instance(replicate(generate_mn_pda(10, 3), 3), files=2)) == []
 
     @staticmethod
     def record_precoders(monkeypatch):
@@ -433,7 +446,7 @@ class TestFamilies:
         for m in self.ARRAYS:
             assert m.profile.t >= m.antennas
             instance = build_instance(m, files=2)
-            assert bool(instance.families) == (m.slots > 1)
+            assert bool(shared_users(instance)) == (m.slots > 1)
             channels = [ChannelMatrix(vandermonde_channel(m.antennas, m.cols))]
             channels += [make_channel(m.antennas, m.cols, seed=seed) for seed in (1, 2, 3)]
             for channel in channels:
@@ -457,7 +470,7 @@ class TestFamilies:
         seen = self.record_precoders(monkeypatch)
         for m in (isomorph(generate_cyclic(8, 5), seed=11), mixed_families()):
             instance = build_instance(m, files=2)
-            assert instance.families
+            assert shared_users(instance)
             h = vandermonde_channel(m.antennas, m.cols)
             scaled = Matrix.from_rows(
                 [[e / (k + 1) for k, e in enumerate(row)] for row in h.to_rows()]
@@ -560,7 +573,7 @@ class TestFamilies:
         lone = replicate(generate_mn_pda(4, 1), 2)
         for m, shares in ((lone, False), (generate_cyclic(6, 3), True)):
             instance = build_instance(m, files=2)
-            assert bool(instance.families) == shares
+            assert bool(shared_users(instance)) == shares
             for channel in (
                 ChannelMatrix(vandermonde_channel(m.antennas, m.cols)),
                 make_channel(m.antennas, m.cols, seed=1),
@@ -578,16 +591,16 @@ class TestFamilies:
         # entries -1, 0 and 1, leave column systems rank-deficient.  A run
         # must fail where running the slots one at a time fails, with the
         # same error, and deliver where that delivers, and it solves each of
-        # the family's systems at most once, for all of its positions, when
-        # it fails too, with the positions outside the cacher set as its
-        # equation rows in ascending order.
+        # the family's systems at most once, when it fails too, with the
+        # positions outside the cacher set as its equation rows in ascending
+        # order and one unit right-hand side for each of them.
         solved = []
         real_solve = engine.solve
 
         def recorded(block, members, equations, unknowns):
             outside = [l for l in range(block.n_rows) if l not in unknowns]
-            assert equations == outside, (equations, unknowns)
-            solved.append((unknowns, list(members)))
+            assert members == equations == outside, (members, equations, unknowns)
+            solved.append(unknowns)
             return real_solve(block, members, equations, unknowns)
 
         monkeypatch.setattr(engine, "solve", recorded)
@@ -601,7 +614,7 @@ class TestFamilies:
             isomorph(generate_cyclic(9, 5), seed=4),
         ):
             instance = build_instance(m, files=2)
-            assert len(instance.families) == 1
+            assert len(shared_users(instance)) == 1
             demands = default_demands(m.cols, 2)
             library = random_library(2, m.rows, seed=1)
             channels = []
@@ -623,10 +636,7 @@ class TestFamilies:
                 )
                 solved.clear()
                 together = outcome(lambda: run_delivery(instance, channel, demands, library))
-                (family,) = instance.families.values()
-                systems = [c for c, _ in solved]
-                assert len(systems) == len(set(systems)), solved
-                assert all(members == sorted(family[c]) for c, members in solved)
+                assert len(solved) == len(set(solved)), solved
                 runs += 1
                 if isinstance(alone, list):
                     assert isinstance(together, engine.DeliveryReport)
@@ -658,6 +668,10 @@ class TestFailureOrder:
         # Valid and irregular at t = L = 2: column 1 has one unknown (user 3)
         # and two equations (users 1 and 2), so it has no solution.
         parse_mapda("2 3 3 - -\n* * *\n* * 1\n1 1 *\n"),
+        # Valid and irregular at t = L = 3: in slot 3, the system of cacher
+        # positions {2, 3} has equation rows {0, 1}, but only position 0 uses
+        # it, so the slot solves a right-hand side that no column reads.
+        parse_mapda("3 5 5 3 4\n* 3 3 * *\n* * * 2 2\n* * * 3 *\n2 * 1 * 1\n3 4 * * *\n"),
     ]
 
     @staticmethod
@@ -689,11 +703,11 @@ class TestFailureOrder:
             instance = build_instance(m, files=2)
             for rows, backend in product(self.channels(m, rng), (EXACT, FLOAT)):
                 channel = ChannelMatrix(Matrix.from_rows(rows, backend))
-                families = {u: (systems, {}) for u, systems in instance.families.items()}
+                stores = {users: {} for users in shared_users(instance)}
                 for group in instance.groups:
                     reference = outcome(lambda: synthesize_precoder_per_column(group, channel))
                     alone = outcome(lambda: synthesize_precoder(group, channel))
-                    family = families.get(group.served_users)
+                    family = stores.get(group.served_users)
                     shared = outcome(lambda: synthesize_precoder(group, channel, family))
                     for got in (alone, shared):
                         if isinstance(reference, tuple):
