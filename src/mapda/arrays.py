@@ -262,9 +262,11 @@ _MAX_CELLS = 10**6  # the largest table a generator or random library builds
 
 
 def _number(n):
-    """A nonnegative integer for a message: in full below 10**40, else its
-    first 20 digits and its length, as str() refuses an int longer than
+    """An integer for a message: in full when |n| < 10**40, else its sign,
+    its first 20 digits and its length, as str() refuses an int longer than
     Python's digit limit, sys.get_int_max_str_digits()."""
+    if n < 0:
+        return f"-{_number(-n)}"
     if n < 10**40:
         return str(n)
     digits = (n.bit_length() - 1) * 3 // 10  # at most log10(n)

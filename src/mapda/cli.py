@@ -49,6 +49,21 @@ def _effective_seed(args):
     return args.seed
 
 
+def _integer(token):
+    """``int`` for an integer option.  argparse refuses a bad token with
+    exit 2, quoted as every parse error quotes it, and names Python's digit
+    limit for one past it."""
+    try:
+        return int(token)
+    except ValueError:
+        where = "invalid int value"
+        try:
+            _check_digits(token.strip(), where)
+        except ParseError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        raise argparse.ArgumentTypeError(f"{where}: {_quote(token)}") from None
+
+
 def _read_text(path):
     if path == "-":
         return sys.stdin.read()
@@ -266,32 +281,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="check a grid file against C1-C4")
     p_val.add_argument("file", help="array file ('-' for stdin)")
-    p_val.add_argument("--antennas", "-L", type=int, required=True)
+    p_val.add_argument("--antennas", "-L", type=_integer, required=True)
     p_val.set_defaults(func=cmd_validate)
 
     p_gen = sub.add_parser("gen", help="generate an array")
     gen_sub = p_gen.add_subparsers(dest="generator", required=True)
     g_mn = gen_sub.add_parser("mn", help="t-subset star pattern (single antenna)")
-    g_mn.add_argument("--users", "-K", type=int, required=True)
-    g_mn.add_argument("--t", type=int, required=True)
+    g_mn.add_argument("--users", "-K", type=_integer, required=True)
+    g_mn.add_argument("--t", type=_integer, required=True)
     g_cy = gen_sub.add_parser("cyclic", help="circulant array on K-t antennas")
-    g_cy.add_argument("--users", "-K", type=int, required=True)
-    g_cy.add_argument("--t", type=int, required=True)
+    g_cy.add_argument("--users", "-K", type=_integer, required=True)
+    g_cy.add_argument("--t", type=_integer, required=True)
     g_rep = gen_sub.add_parser("replicate", help="concatenate copies of a base array")
     g_rep.add_argument("--input", "-i", default="-", help="base array file (default stdin)")
-    g_rep.add_argument("--copies", "-g", type=int, required=True)
+    g_rep.add_argument("--copies", "-g", type=_integer, required=True)
     for g in (g_mn, g_cy, g_rep):
         g.add_argument("--out", "-o", default=None, help="output file (default stdout)")
         g.set_defaults(func=cmd_gen)
 
     p_sim = sub.add_parser("simulate", help="run the delivery protocol end to end")
     p_sim.add_argument("file", help="array file ('-' for stdin)")
-    p_sim.add_argument("--files", "-N", type=int, required=True)
+    p_sim.add_argument("--files", "-N", type=_integer, required=True)
     p_sim.add_argument("--demands", default=None, help="'random' or comma list (default ((k-1) mod N)+1)")
     p_sim.add_argument("--channel", default=None, help="channel fixture file (default seeded random)")
     p_sim.add_argument("--library", default=None, help="library fixture file (default seeded random)")
     p_sim.add_argument("--scalar", choices=("auto", EXACT, FLOAT), default="auto")
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_integer, default=0)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="CSV metric comparison at given points")
@@ -301,11 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_swp = sub.add_parser("sweep", help="sweep memory ratios at fixed K and L")
-    p_swp.add_argument("--users", "-K", type=int, required=True)
-    p_swp.add_argument("--antennas", "-L", type=int, required=True)
-    p_swp.add_argument("--m", type=int, default=None)
-    p_swp.add_argument("--t-min", type=int, default=1, dest="t_min")
-    p_swp.add_argument("--t-max", type=int, default=None, dest="t_max")
+    p_swp.add_argument("--users", "-K", type=_integer, required=True)
+    p_swp.add_argument("--antennas", "-L", type=_integer, required=True)
+    p_swp.add_argument("--m", type=_integer, default=None)
+    p_swp.add_argument("--t-min", type=_integer, default=1, dest="t_min")
+    p_swp.add_argument("--t-max", type=_integer, default=None, dest="t_max")
     p_swp.add_argument("--out", "-o", default=None)
     p_swp.add_argument("--plot-out", default=None, help="also write log10-F plot data CSV")
     p_swp.set_defaults(func=cmd_sweep)

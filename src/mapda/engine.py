@@ -236,7 +236,7 @@ def build_instance(m: Mapda, files: int) -> SchemeInstance:
         cachers = {}
         for f in dict.fromkeys(served_rows):
             row = m.grid[f - 1]
-            cachers[f] = tuple(i for i, k in enumerate(served_users) if row[k - 1] is STAR)
+            cachers[f] = tuple([i for i, k in enumerate(served_users) if row[k - 1] is STAR])
         cacher_sets = tuple(map(cachers.__getitem__, served_rows))
         groups.append(SlotGroup(s, served_users, served_rows, cacher_sets, t, m.antennas))
     return SchemeInstance(mapda=m, files=files, groups=tuple(groups))
@@ -374,6 +374,10 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
     without it the slot keeps nothing.  V and B are equal in value either
     way; a solve shared with another slot may be nonzero on more unknowns,
     whose zeros can flip a zero's sign.
+
+    On floats the residual, the largest |B(n, n) - 1| and |B(l, n)| over the
+    forced zeros, is measured once per column system, in one pass over the
+    B columns it places at the system's equation rows.
     """
     if group.redundancy < group.antennas:
         raise Infeasible(
@@ -401,11 +405,13 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
         if unknowns not in solved:
             solved[unknowns] = solve(block, equations, equations, unknowns)
         flagged, *_, x_den, b_den = solution = solved[unknowns]
-        failures += [(n, unknowns) for n in members if equations.index(n) in flagged]
+        placed = [(n, equations.index(n)) for n in members]
+        if flagged:
+            failures += [(n, unknowns) for n, j in placed if j in flagged]
         # V and B are each brought over one denominator, the lcm of their
         # systems' (1 on floats, whose entries are never rescaled).
         x_common, b_common = math.lcm(x_common, x_den), math.lcm(b_common, b_den)
-        solutions.append((members, equations, solution))
+        solutions.append((placed, equations, solution))
     if failures:
         n, unknowns = min(failures)
         where, equations = {"slot": group.slot, "column": n + 1}, size - len(unknowns)
@@ -426,16 +432,23 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
     zero = complex(0) if backend == FLOAT else 0
     v_rows = [[zero] * size for _ in range(size)]
     b_cols, residual = [None] * size, 0.0
-    for members, equations, (_, support, x_rows, bs, x_den, b_den) in solutions:
+    for placed, equations, (_, support, x_rows, bs, x_den, b_den) in solutions:
         x_factor, b_factor = x_common // x_den, b_common // b_den
-        for n in members:
-            j = equations.index(n)
+        for n, j in placed:
             for i, row in zip(support, x_rows):
                 v_rows[i][n] = row[j] if x_factor == 1 else row[j] * x_factor
-            b = b_cols[n] = bs[j] if b_factor == 1 else [v * b_factor for v in bs[j]]
-            if backend == FLOAT:
-                # Column n's unit entry and forced zeros are its equation rows.
-                residual = max(residual, abs(b[n] - 1), *[abs(b[l]) for l in equations if l != n])
+            b_cols[n] = bs[j] if b_factor == 1 else [v * b_factor for v in bs[j]]
+        if backend == FLOAT:
+            # Each member's unit entry and forced zeros are its column's
+            # equation rows, measured in one pass over the system.
+            residual = max(
+                residual,
+                *[
+                    abs(bs[j][l] - 1) if l == n else abs(bs[j][l])
+                    for n, j in placed
+                    for l in equations
+                ],
+            )
     return PrecodingMatrix(
         matrix=Matrix.from_ints(v_rows, x_common, backend),
         combined=Matrix.from_ints(list(zip(*b_cols)), b_common, backend),
@@ -468,8 +481,12 @@ def run_slot(group, channel, demands, library, family=None) -> SlotOutcome:
     with count_ops() as synthesis:
         precoder = synthesize_precoder(group, channel, family)
     backend, users = library.backend, [k - 1 for k in group.served_users]
-    packets = [library.at(d - 1, f - 1) for d, f in zip(wanted, group.served_rows)]
-    w = Matrix(len(users), 1, packets, backend)
+    data, width = library.data, library.n_cols
+    packets = [data[(d - 1) * width + f - 1] for d, f in zip(wanted, group.served_rows)]
+    if backend == FLOAT:  # the packets are w's rows over 1 as they stand
+        w = Matrix.from_ints([[p] for p in packets], 1, backend)
+    else:
+        w = Matrix(len(users), 1, packets, backend)
     with count_ops() as encode:
         x = matmul(precoder.matrix, w)
     with count_ops() as forward:

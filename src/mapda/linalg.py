@@ -28,9 +28,13 @@ consistent, and the inconsistent ones are reported.  The Matrix form of
 ``solve`` returns integer rows over the determinant times b's denominator;
 the unit form returns the integers themselves, reading a x's equation rows
 from the right-hand side, which its solve satisfies.  The float backend
-runs plain Gaussian elimination with partial pivoting.  On both backends
-back-substitution sums over pivot columns only, since free variables are
-zero.
+runs plain Gaussian elimination with partial pivoting, on the first row of
+largest magnitude.  On both backends a solve is one pass: it eliminates,
+then back-substitutes over the pivot columns only, since free variables
+are zero, and returns x at the pivot columns alone; the Matrix form fills
+the free variables with zeros, and the unit form's support is the pivot
+columns where x is nonzero.  A float solve tallies its elimination and
+back-substitution at once.
 
 Scalar multiply/add counts can be observed through ``count_ops``, whose
 blocks nest, the innermost open one counting.  They count the
@@ -48,9 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
 from math import lcm
-from operator import add, mul, sub, truediv
+from operator import add, mul, sub
 
 EXACT = "exact"
 FLOAT = "float"
@@ -293,11 +296,13 @@ def conj_transpose(a: Matrix) -> Matrix:
 
 def _eliminate(rows, n_sys_cols, tol):
     """In-place forward elimination on complex rows with partial pivoting;
-    returns pivot (row, col) pairs.
+    returns the pivot (row, col) pairs and the multiplications and
+    additions of the row updates, which the caller tallies.
 
     Only the first ``n_sys_cols`` columns are eligible as pivots; trailing
-    columns ride along as right-hand sides.  Pivots of magnitude at most
-    ``tol`` count as zero.
+    columns ride along as right-hand sides.  The pivot is the first row of
+    largest magnitude at or below the pivot row; pivots of magnitude at
+    most ``tol`` count as zero.
     """
     pivots = []
     pivot_row = 0
@@ -307,29 +312,29 @@ def _eliminate(rows, n_sys_cols, tol):
     for col in range(n_sys_cols):
         if pivot_row >= n_rows:
             break
-        magnitudes = [abs(row[col]) for row in rows[pivot_row:]]
-        peak = max(magnitudes)
+        best, peak = pivot_row, abs(rows[pivot_row][col])
+        for r in range(pivot_row + 1, n_rows):
+            magnitude = abs(rows[r][col])
+            if magnitude > peak:
+                best, peak = r, magnitude
         if peak <= tol:
             continue
-        best = pivot_row + magnitudes.index(peak)
         if best != pivot_row:
             rows[best], rows[pivot_row] = rows[pivot_row], rows[best]
         top = rows[pivot_row]
         pivot = top[col]
         tail = top[col + 1 :]
-        for r in range(pivot_row + 1, n_rows):
-            row = rows[r]
+        for row in rows[pivot_row + 1 :]:
             factor = row[col] / pivot
             if factor == 0:
                 continue
             update_mul += width - col + 1
             update_add += width - col
-            row[col] = complex(0)
+            row[col] = 0j
             row[col + 1 :] = [x - factor * y for x, y in zip(row[col + 1 :], tail)]
         pivots.append((pivot_row, col))
         pivot_row += 1
-    _tally(mul=update_mul, add=update_add)
-    return pivots
+    return pivots, update_mul, update_add
 
 
 def _eliminate_exact(rows, n_sys_cols):
@@ -382,52 +387,47 @@ def _eliminate_exact(rows, n_sys_cols):
     return pivots, previous
 
 
-def _back_substitute(rows, pivots, n, divide, zero):
-    """Back-substitution over eliminated rows whose first ``n`` columns are
-    the system's; returns the solution's rows, one list per unknown, free
-    variables ``zero``.
-
-    Free variables are zero, so only later pivot columns enter a sum, in
-    increasing order.  Each pivot entry is divide(rhs - sum, pivot), a
-    division counting as a multiplication.
-    """
-    n_rhs = len(rows[0]) - n if rows else 0
-    terms = len(pivots) * (len(pivots) - 1) // 2
-    _tally(mul=n_rhs * (len(pivots) + terms), add=n_rhs * terms)
-    x = [[zero] * n_rhs] * n  # pivot rows are replaced, never mutated
-    later = []
-    for r, c in reversed(pivots):
-        row = rows[r]
-        acc = row[n:]
-        for c2 in later:
-            coef = row[c2]
-            acc = [e - coef * v for e, v in zip(acc, x[c2])]
-        pivot = row[c]
-        x[c] = [divide(e, pivot) for e in acc]
-        later.insert(0, c)
-    return x
-
-
 def _solve_rows(rows, n, backend):
-    """Solve augmented rows in place, the first ``n`` columns the system's;
-    returns (the 0-based indices of the inconsistent right-hand sides, whose
-    values solve the pivot rows alone, the solution's rows, one list per
-    unknown, their denominator: 1 on floats, the last Bareiss pivot)."""
-    if backend == EXACT:
-        (pivots, det), nonzero = _eliminate_exact(rows, n), bool
+    """Solve augmented rows in place, the first ``n`` columns the system's,
+    in one pass: eliminate, then back-substitute over the pivot columns.
+
+    Returns (the 0-based indices of the inconsistent right-hand sides, whose
+    values solve the pivot rows alone, the pivot columns, ascending, x's
+    rows at them, one list per pivot column, x's denominator: 1 on floats,
+    the last Bareiss pivot on the exact backend).  Free variables are zero,
+    so they are not returned and only later pivot columns enter a sum, in
+    increasing order; each pivot entry is (rhs - sum) / pivot, a division
+    counting as a multiplication.  The float elimination's updates and the
+    back-substitution are tallied at once; the exact elimination tallies
+    its own.
+    """
+    n_rhs, exact = len(rows[0]) - n, backend == EXACT
+    if exact:
+        pivots, det = _eliminate_exact(rows, n)
+        # det times each pivot row's right-hand sides, below.
+        update_mul, update_add, nonzero = n_rhs * len(pivots), 0, bool
     else:
-        tol = PIVOT_RTOL * max(map(abs, chain.from_iterable(rows)), default=0.0)
-        pivots, det, nonzero = _eliminate(rows, n, tol), 1, lambda e: not abs(e) <= tol
-    n_rhs, below = len(rows[0]) - n, rows[len(pivots) :]
+        tol = PIVOT_RTOL * max([max(map(abs, row)) for row in rows])
+        (pivots, update_mul, update_add), det = _eliminate(rows, n, tol), 1
+        nonzero = lambda e: not abs(e) <= tol
+    rank = len(pivots)
+    below = rows[rank:]
     flagged = [j for j in range(n_rhs) if any(nonzero(row[n + j]) for row in below)] if below else []
-    if backend == FLOAT:
-        return flagged, _back_substitute(rows, pivots, n, truediv, complex(0)), det
-    # By Cramer's rule det * x is integral on the pivot columns; solve for it
-    # on integers and divide once per entry.
-    for r, _ in pivots:
-        rows[r][n:] = [det * v for v in rows[r][n:]]
-    _tally(mul=n_rhs * len(pivots))
-    return flagged, _back_substitute(rows, pivots, n, _exact_div, 0), det
+    terms = rank * (rank - 1) // 2
+    _tally(mul=update_mul + n_rhs * (rank + terms), add=update_add + n_rhs * terms)
+    x = []
+    for k in range(rank - 1, -1, -1):
+        r, c = pivots[k]
+        row = rows[r]
+        # By Cramer's rule det * x is integral on the pivot columns: the
+        # exact backend solves for it on integers, dividing once per entry.
+        acc = [det * v for v in row[n:]] if exact else row[n:]
+        for (_, later), values in zip(pivots[k + 1 :], x):
+            coef = row[later]
+            acc = [e - coef * v for e, v in zip(acc, values)]
+        pivot = row[c]
+        x.insert(0, [_exact_div(e, pivot) for e in acc] if exact else [e / pivot for e in acc])
+    return flagged, [c for _, c in pivots], x, det
 
 
 def solve(a: Matrix, b, rows=None, cols=None):
@@ -442,18 +442,23 @@ def solve(a: Matrix, b, rows=None, cols=None):
     entry of each column, so results are exact; on floats it is Gaussian
     elimination with partial pivoting.
 
+    Either form eliminates and back-substitutes in one pass, which returns
+    x at the pivot columns only; the Matrix form sets the free variables
+    to zero around them.
+
     Given ``rows`` and ``cols``, the system is a's rows ``rows`` over its
     columns ``cols``, read in place, and b lists unit right-hand sides, the
     j-th reading 1 in a's row b[j].  Nothing is raised for an inconsistent
     one: returns (the 0-based indices j of the inconsistent right-hand
-    sides, the unknowns where x is nonzero, x's rows there, the columns of
-    a x, x's denominator, a x's denominator), where x and a x solve nothing
-    in a column j that is listed.  On floats x and a x are as ``matmul``
-    would form them, equation rows keeping their rounding residue, and both
-    denominators are 1.  On the exact backend every part is an integer: x's
-    rows are over d, the Bareiss determinant, and a x is over a's
-    denominator times d.  Its equation rows are read from the right-hand
-    side the solve satisfied; only the other rows are summed.
+    sides, the unknowns where x is nonzero, which are pivot columns, x's
+    rows there, the columns of a x, x's denominator, a x's denominator),
+    where x and a x solve nothing in a column j that is listed.  On floats
+    x and a x are as ``matmul`` would form them, equation rows keeping their
+    rounding residue, and both denominators are 1.  On the exact backend
+    every part is an integer: x's rows are over d, the Bareiss determinant,
+    and a x is over a's denominator times d.  Its equation rows are read
+    from the right-hand side the solve satisfied; only the other rows are
+    summed.
     """
     if rows is not None:
         return _solve_units(a, rows, cols, b)
@@ -464,11 +469,15 @@ def solve(a: Matrix, b, rows=None, cols=None):
     if p != 1:  # a float entry times an int 1 can lose the sign of a zero
         b_rows = [[p * v for v in b_row] for b_row in b_rows]
     rows = [[*row, *b_row] for row, b_row in zip(a_rows, b_rows)]
-    flagged, x, det = _solve_rows(rows, a.n_cols, a.backend)
+    flagged, pivot_cols, x_pivots, det = _solve_rows(rows, a.n_cols, a.backend)
     if flagged:
         j = flagged[0] + 1
         message = f"system is inconsistent in right-hand side {j}: rank(A) < rank(A|b)"
         raise Infeasible(message, column=j)
+    zero = 0 if a.backend == EXACT else complex(0)
+    x = [[zero] * b.n_cols] * a.n_cols  # free variables; pivot rows are replaced
+    for c, values in zip(pivot_cols, x_pivots):
+        x[c] = values
     return Matrix.from_ints(x, q * det, a.backend)
 
 
@@ -483,11 +492,15 @@ def _solve_units(a, equations, unknowns, units):
     for l in equations:
         row = a_rows[l]
         rows.append([row[i] for i in unknowns] + [unit if l == u else zero for u in units])
-    flagged, x, det = _solve_rows(rows, len(unknowns), a.backend)
-    # A consistent unit reads 1 in some equation, so its column of x is not
-    # zero; when none is consistent, x can be zero and the support empty.
-    support = [i for i, values in zip(unknowns, x) if any(values)]
-    x_rows = [values for values in x if any(values)]
+    flagged, pivot_cols, x, det = _solve_rows(rows, len(unknowns), a.backend)
+    # The support is the pivot columns where x is not zero.  A consistent
+    # unit reads 1 in some equation, so its column of x is not zero; when
+    # none is consistent, x can be zero and the support empty.
+    support, x_rows = [], []
+    for c, values in zip(pivot_cols, x):
+        if any(values):
+            support.append(unknowns[c])
+            x_rows.append(values)
     summed = sorted(set(range(size)).difference(equations)) if exact else range(size)
     terms = len(summed) * n_rhs
     _tally(mul=terms * len(support), add=terms * max(len(support) - 1, 0))

@@ -36,19 +36,26 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arrays import DomainError
+from .arrays import DomainError, _number
 
 
 class ConstraintViolation(ValueError):
     """A scheme's parameter limitation fails at the given point."""
 
 
+def _fraction(q):
+    """A Fraction for a message as str() writes it, each part through
+    ``_number``."""
+    text = _number(q.numerator)
+    return text if q.denominator == 1 else f"{text}/{_number(q.denominator)}"
+
+
 def check_counts(users, antennas, m=None):
     """Raise DomainError unless K, L and m (when given) are all >= 1."""
     if users < 1 or antennas < 1:
-        raise DomainError(f"K and L must be >= 1, got K={users}, L={antennas}")
+        raise DomainError(f"K and L must be >= 1, got K={_number(users)}, L={_number(antennas)}")
     if m is not None and m < 1:
-        raise DomainError(f"grouping size m must be >= 1, got {m}")
+        raise DomainError(f"grouping size m must be >= 1, got {_number(m)}")
 
 
 @dataclass(frozen=True)
@@ -71,10 +78,10 @@ class SystemPoint:
         object.__setattr__(self, "memory_ratio", Fraction(self.memory_ratio))
         check_counts(self.users, self.antennas, self.m)
         if not 0 < self.memory_ratio < 1:
-            raise DomainError(f"memory ratio must lie in (0,1), got {self.memory_ratio}")
+            raise DomainError(f"memory ratio must lie in (0,1), got {_fraction(self.memory_ratio)}")
         t = self.users * self.memory_ratio
         if t.denominator != 1:
-            raise DomainError(f"t = K*M/N = {t} is not an integer")
+            raise DomainError(f"t = K*M/N = {_fraction(t)} is not an integer")
         object.__setattr__(self, "t", int(t))
 
     @property
@@ -112,7 +119,9 @@ def asmst_metrics(p: SystemPoint) -> SchemeMetrics:
     """Baseline scheme figures, using the exact bracketed cost sum."""
     t, big_l, big_k = p.t, p.antennas, p.users
     if t + big_l > big_k:
-        raise DomainError(f"need t+L <= K, got t={t}, L={big_l}, K={big_k}")
+        raise DomainError(
+            f"need t+L <= K, got t={_number(t)}, L={_number(big_l)}, K={_number(big_k)}"
+        )
     f = math.comb(big_k, t) * math.comb(big_k - t - 1, big_l - 1)
     z = math.comb(big_k - 1, t - 1) * math.comb(big_k - t - 1, big_l - 1)
     s = math.comb(big_k, t + big_l) * math.comb(t + big_l - 1, t)
@@ -151,7 +160,9 @@ def _scheme1(p: SystemPoint, m) -> tuple:
     """
     t, big_l, big_k = p.t, p.antennas, p.users
     if t + big_l >= big_k:
-        raise ConstraintViolation(f"scheme 1 needs t+L < K, got t={t}, L={big_l}, K={big_k}")
+        raise ConstraintViolation(
+            f"scheme 1 needs t+L < K, got t={_number(t)}, L={_number(big_l)}, K={_number(big_k)}"
+        )
     if m is not None:
         return m, _scheme1_at(p, m)
     # m = 1 is always admissible; min keeps the first, smallest, m on ties.
@@ -163,9 +174,9 @@ def _scheme1_at(p: SystemPoint, m) -> SchemeMetrics:
     """Scheme 1 at grouping size m, once ``_scheme1`` has checked t+L < K."""
     t, big_l, big_k = p.t, p.antennas, p.users
     if m > big_l:
-        raise ConstraintViolation(f"scheme 1 needs m <= L, got m={m}, L={big_l}")
+        raise ConstraintViolation(f"scheme 1 needs m <= L, got m={_number(m)}, L={_number(big_l)}")
     if big_k % m or t % m:
-        raise ConstraintViolation(f"scheme 1 needs m | K and m | t, got m={m}")
+        raise ConstraintViolation(f"scheme 1 needs m | K and m | t, got m={_number(m)}")
     sgn = 1 if m == big_l else t // m + 1  # sgn(t/m+1, m/L)
     l_rep = m // math.gcd(m, big_l - m)
     beta = (sgn * m + big_l - m) * l_rep // m
@@ -179,7 +190,9 @@ def _scheme1_at(p: SystemPoint, m) -> SchemeMetrics:
 def _scheme2(p: SystemPoint) -> SchemeMetrics:
     t, big_l, big_k = p.t, p.antennas, p.users
     if t + big_l > big_k:
-        raise ConstraintViolation(f"scheme 2 needs t+L <= K, got t={t}, L={big_l}, K={big_k}")
+        raise ConstraintViolation(
+            f"scheme 2 needs t+L <= K, got t={_number(t)}, L={_number(big_l)}, K={_number(big_k)}"
+        )
     a = p.alpha
     base = math.comb(big_k // a, (t + big_l) // a)
     f = (t + big_l) // a * base
@@ -191,7 +204,9 @@ def _scheme2(p: SystemPoint) -> SchemeMetrics:
 def _scheme3(p: SystemPoint) -> SchemeMetrics:
     t, big_l, big_k = p.t, p.antennas, p.users
     if big_l != big_k - t:
-        raise ConstraintViolation(f"scheme 3 needs L = K-t, got L={big_l}, K-t={big_k - t}")
+        raise ConstraintViolation(
+            f"scheme 3 needs L = K-t, got L={_number(big_l)}, K-t={_number(big_k - t)}"
+        )
     return _finish("scheme3", p, big_k, t, big_k - t)
 
 
@@ -228,7 +243,7 @@ def silence_antennas(p: SystemPoint) -> SystemPoint:
     as a t-antenna point when t < L.  Downstream figures then give sum-DoF
     2t and delivery time (K-t)/(2t)."""
     if p.t >= p.antennas:
-        raise DomainError(f"nothing to silence: t={p.t} >= L={p.antennas}")
+        raise DomainError(f"nothing to silence: t={_number(p.t)} >= L={_number(p.antennas)}")
     return SystemPoint(p.users, p.t, p.memory_ratio, p.m)
 
 
@@ -309,7 +324,8 @@ def table_row(p: SystemPoint) -> dict:
             return _table_row(p)
     except OverflowError:
         pass
-    message = f"point K={big_k}, ratio {p.memory_ratio}, L={big_l} has a figure of 2**1024 or more"
+    point = f"K={_number(big_k)}, ratio {_fraction(p.memory_ratio)}, L={_number(big_l)}"
+    message = f"point {point} has a figure of 2**1024 or more"
     raise DomainError(f"{message}, past the float range of the table's scientific cells")
 
 

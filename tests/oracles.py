@@ -257,7 +257,7 @@ def rank(a: Matrix) -> int:
     if a.backend == EXACT:
         return len(_eliminate_exact([list(row) for row in a._rows[0]], a.n_cols)[0])
     tol = PIVOT_RTOL * max(map(abs, a.data), default=0.0)
-    return len(_eliminate(a.to_rows(), a.n_cols, tol))
+    return len(_eliminate(a.to_rows(), a.n_cols, tol)[0])
 
 
 def vandermonde_channel(antennas, users, first_node=2) -> Matrix:

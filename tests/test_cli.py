@@ -106,6 +106,20 @@ class TestGen:
         assert code == 1
         assert "error" in err
 
+    def test_over_long_integer_option_exit_2_names_the_digit_limit(self, capsys):
+        # argparse quotes a bad option token whole; a 5000-digit K is quoted
+        # in part and named past int()'s digit limit.
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "mn", "-K", "9" * 5000, "--t", "2"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err == (
+            "usage: mapda gen mn [-h] --users USERS --t T [--out OUT]\n"
+            "mapda gen mn: error: argument --users/-K: invalid int value: integer "
+            f"{'9' * 40!r}... has 5000 digits, past Python's limit of "
+            f"{sys.get_int_max_str_digits()} (sys.get_int_max_str_digits())\n"
+        )
+
     def test_replicate_from_file(self, capsys, tmp_path):
         base = tmp_path / "base.mapda"
         run_cli(capsys, "gen", "mn", "--users", "2", "--t", "1", "--out", str(base))
@@ -466,6 +480,13 @@ class TestCompare:
         assert f"has 5000 digits, past Python's limit of {limit}" in err
         assert len(err.encode()) < 250, err
 
+    def test_long_ratio_denominator_cut_in_message(self, capsys):
+        # t = 6 * 10**-4000 = 3 / (5 * 10**3999), a 4000-digit denominator.
+        code, out, err = run_cli(capsys, "compare", "--point", "6,1e-4000,2")
+        assert (code, out) == (1, "")
+        denominator = "50000000000000000000... (4000 digits)"
+        assert err == f"error: t = K*M/N = 3/{denominator} is not an integer\n"
+
     def test_empty_input_header_only(self, capsys, tmp_path):
         empty = tmp_path / "points.txt"
         empty.write_text("# nothing\n")
@@ -573,6 +594,18 @@ class TestSweep:
             assert code == 1
             assert out == ""
             assert err == f"error: K and L must be >= 1, got K={users}, L={antennas}\n"
+
+    def test_long_user_count_cut_in_message(self, capsys):
+        # K = 10**4300 - 1, and t = 5 gives the ratio 5/K.
+        nines = "99999999999999999999... (4300 digits)"
+        code, out, err = run_cli(
+            capsys, "sweep", "-K", "9" * 4300, "--t-min", "5", "--t-max", "5", "-L", "2"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: point K={nines}, ratio 5/{nines}, L=2 has a figure of 2**1024 or more, "
+            "past the float range of the table's scientific cells\n"
+        )
 
     def test_t_range_clamped_to_valid_ratios(self, capsys):
         code, wide, _ = run_cli(

@@ -550,6 +550,68 @@ class TestSolve:
         # Every kind of system the loop is meant to cover occurred.
         assert min(kinds.values()) >= 20, kinds
 
+    def test_pivot_ties_take_the_first_row(self):
+        # Column 0 holds x above ix, then x above -x: equal magnitudes, other
+        # values.  Both forms of solve pivot on the first of them.  Pivoting
+        # on the second gives other bits: -0.0 for the imaginary part of
+        # x[0][0] in the first system, other last digits in the second.
+        def from_hex(*parts):
+            return complex(float.fromhex(parts[0]), float.fromhex(parts[1]))
+
+        cases = [
+            (
+                [[1 + 1j, 2 - 1j], [-1 + 1j, 3]],
+                [[0.75 + 0j, -0.5 + 0.25j], [0.25 - 0.25j, 0.25 + 0.25j]],
+            ),
+            (
+                [[1 + 1j, 2 - 1j], [-1 - 1j, 3]],
+                [
+                    [
+                        from_hex("0x1.6276276276276p-2", "-0x1.d89d89d89d89fp-3"),
+                        from_hex("-0x1.3b13b13b13b13p-3", "0x1.13b13b13b13b0p-2"),
+                    ],
+                    [
+                        from_hex("0x1.89d89d89d89d8p-3", "0x1.3b13b13b13b14p-5"),
+                        from_hex("0x1.89d89d89d89d8p-3", "0x1.3b13b13b13b14p-5"),
+                    ],
+                ],
+            ),
+        ]
+        for a, want in cases:
+            want_bits = [[bits(z) for z in row] for row in want]
+            x = solve(float_rows(a), float_rows([[1 + 0j, 0j], [0j, 1 + 0j]]))
+            assert [[bits(z) for z in x.row(i)] for i in range(2)] == want_bits
+            flagged, support, x_rows, *_ = solve(float_rows(a), [0, 1], [0, 1], [0, 1])
+            assert (flagged, support) == ([], [0, 1])
+            assert [[bits(z) for z in row] for row in x_rows] == want_bits
+
+    def test_support_leaves_out_a_pivot_where_x_is_zero(self):
+        # Unknowns 3 and 1 of the block are both pivot columns of the system
+        # [[1, 1], [0, 1]], but the one right-hand side, 1 in row 2, solves
+        # to x = (1, 0): the support is unknown 3 alone, and the Matrix form
+        # holds an exact zero at unknown 1.
+        block_rows = [[5, 6, 7, 8], [9, 0, 2, 4], [3, 1, 6, 1], [2, 1, 3, 0]]
+        for backend in (EXACT, FLOAT):
+            block = Matrix.from_rows(block_rows, backend)
+            flagged, support, x_rows, b_cols, x_den, b_den = solve(block, [2], [2, 3], [3, 1])
+            assert (flagged, support) == ([], [3])
+            assert [[v / x_den for v in row] for row in x_rows] == [[1]]
+            assert [[v / b_den for v in col] for col in b_cols] == [[8, 4, 1, 0]]
+            x = solve(block.take([2, 3], [3, 1]), Matrix.from_rows([[1], [0]], backend))
+            assert x.to_rows() == [[1], [0]]
+            if backend == FLOAT:
+                assert bits(x.at(1, 0)) == bits(0j)
+
+    def test_free_variables_between_pivots_are_zero(self):
+        # Column 1 is twice column 0 and column 3 is zero, so x1 and x3 are
+        # free between and after the pivot columns 0 and 2, and are zero.
+        a_rows, b_rows = [[1, 2, 3, 0], [2, 4, 7, 0]], [[5], [12]]
+        for backend in (EXACT, FLOAT):
+            x = solve(Matrix.from_rows(a_rows, backend), Matrix.from_rows(b_rows, backend))
+            assert x.to_rows() == [[-1], [0], [2], [0]]
+            if backend == FLOAT:
+                assert [bits(x.at(i, 0)) for i in (1, 3)] == [bits(0j)] * 2
+
     def test_inexact_integer_division_raises(self):
         assert _exact_div(-12, 4) == -3
         with pytest.raises(ArithmeticError):
