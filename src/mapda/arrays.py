@@ -15,7 +15,11 @@ when
 This module provides validation, three generators (the classic t-subset
 star pattern, horizontal replication, and a circulant construction),
 and a plain-text file format whose table reader also serves the engine's
-channel and library fixtures.
+channel and library fixtures.  Every integer token read from outside the
+program, in these files or on the command line, goes through one reader,
+``_read_int``: a refusal names the token's place, quotes at most 40
+characters of it and, for a decimal integer too long for int(), names
+Python's digit limit.
 
 All objects are immutable after construction; every function is pure.
 """
@@ -119,7 +123,7 @@ def validate(grid, claimed_antennas):
     """
     rows = _normalize_grid(grid)
     if claimed_antennas < 1:
-        raise DomainError(f"antenna count must be >= 1, got {claimed_antennas}")
+        raise DomainError(f"antenna count must be >= 1, got {_number(claimed_antennas)}")
     n_rows = len(rows)
     n_cols = len(rows[0])
     failures = []
@@ -262,9 +266,13 @@ _MAX_CELLS = 10**6  # the largest table a generator or random library builds
 
 
 def _number(n):
-    """An integer for a message: in full when |n| < 10**40, else its sign,
-    its first 20 digits and its length, as str() refuses an int longer than
-    Python's digit limit, sys.get_int_max_str_digits()."""
+    """An int or Fraction for a message, as str() writes it, but with each
+    integer part of 40 digits or more cut to its sign, its first 20 digits
+    and its length, as str() refuses an int longer than Python's digit
+    limit, sys.get_int_max_str_digits()."""
+    if n.denominator != 1:
+        return f"{_number(n.numerator)}/{_number(n.denominator)}"
+    n = n.numerator
     if n < 0:
         return f"-{_number(-n)}"
     if n < 10**40:
@@ -285,6 +293,11 @@ def _check_cells(what, rows, cols):
         )
 
 
+def _check_t(users, cached):
+    if not 1 <= cached < users:
+        raise DomainError(f"need 1 <= t < K, got t={_number(cached)}, K={_number(users)}")
+
+
 def generate_mn_pda(users, cached):
     """Build the classic t-subset star pattern as a single-antenna array.
 
@@ -293,8 +306,7 @@ def generate_mn_pda(users, cached):
     rank of the (t+1)-subset T + {k}.  The result is a
     (1, K, C(K,t), C(K-1,t-1), C(K,t+1)) array.
     """
-    if not 1 <= cached < users:
-        raise DomainError(f"need 1 <= t < K, got t={cached}, K={users}")
+    _check_t(users, cached)
     rows = users if users**2 > _MAX_CELLS else comb(users, cached)  # F >= K; comb is slow there
     _check_cells(f"mn({_number(users)}, {_number(cached)})", rows, users)
     everyone = range(1, users + 1)
@@ -315,7 +327,7 @@ def replicate(base, copies):
     count, ValidationFailure propagates and nothing is returned.
     """
     if copies < 1:
-        raise DomainError(f"copies must be >= 1, got {copies}")
+        raise DomainError(f"copies must be >= 1, got {_number(copies)}")
     _check_cells(f"{_number(copies)} copies of the array", base.rows, base.cols * copies)
     grid = tuple(row * copies for row in base.grid)
     return Mapda(grid, antennas=base.antennas * copies)
@@ -328,8 +340,7 @@ def generate_cyclic(users, cached):
     remaining cells cycle through the slot ids.  The constructor validates
     C1-C4; the result is a regular (K-t, K, K, t, K-t) array with sum-DoF K.
     """
-    if not 1 <= cached < users:
-        raise DomainError(f"need 1 <= t < K, got t={cached}, K={users}")
+    _check_t(users, cached)
     _check_cells(f"cyclic({_number(users)}, {_number(cached)})", users, users)
     k_users, t = users, cached
     grid = []
@@ -361,28 +372,32 @@ def _quote(token):
     return repr(token) if len(token) <= 40 else f"{token[:40]!r}..."
 
 
-def _check_digits(token, where):
-    """Refuse a decimal integer token that int() cannot read because it is
-    longer than Python's digit limit, sys.get_int_max_str_digits();
-    ``where`` names the token's place, as in "line 3"."""
-    digits, limit = token.lstrip("+-"), sys.get_int_max_str_digits()
+def _read_int(token, where, what):
+    """The one reader of an integer token from outside the program: int(token),
+    or a ParseError that names ``where``, the token's place, as in "line 3".
+    A decimal integer longer than Python's digit limit,
+    sys.get_int_max_str_digits(), is refused by that name; any other token
+    as ``what`` and the token, quoted."""
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    stripped, limit = token.strip(), sys.get_int_max_str_digits()
+    digits = stripped[1:] if stripped[:1] in ("+", "-") else stripped
     if 0 < limit < len(digits) and digits.isascii() and digits.isdigit():
         raise ParseError(
-            f"{where}: integer {_quote(token)} has {len(digits)} digits, past "
+            f"{where}: integer {_quote(stripped)} has {len(digits)} digits, past "
             f"Python's limit of {limit} (sys.get_int_max_str_digits())"
         )
+    raise ParseError(f"{where}: {what} {_quote(token)}" if what else f"{where}: {_quote(token)}")
 
 
-def _parse_entry(token, line_no):
+def _parse_entry(token, where):
     if token == "*":
         return STAR
-    try:
-        value = int(token)
-    except ValueError:
-        _check_digits(token, f"line {line_no}")
-        raise ParseError(f"line {line_no}: bad entry {_quote(token)}") from None
+    value = _read_int(token, where, "bad entry")
     if value < 1:
-        raise ParseError(f"line {line_no}: slot ids start at 1, got {value}")
+        raise ParseError(f"{where}: slot ids start at 1, got {_number(value)}")
     return value
 
 
@@ -391,9 +406,10 @@ def read_table(text, form, shape, parse_entry, derivable=()):
 
     After "#" comments and blank lines are dropped, the header holds one
     integer per name in ``form`` ("-", read as None, for names in
-    ``derivable``); the names in ``shape`` count the body's rows and
-    columns.  Returns the header line number, the header fields by name
-    and the rows, each token read by ``parse_entry(token, line_no)``.
+    ``derivable``), each read by ``_read_int``; the names in ``shape``
+    count the body's rows and columns, each at least 1.  Returns the
+    header line number, the header fields by name and the rows, each token
+    read by ``parse_entry(token, where)``, where is "line N".
     """
     lines = [
         (i + 1, line.strip())
@@ -403,26 +419,30 @@ def read_table(text, form, shape, parse_entry, derivable=()):
     if not lines:
         raise ParseError("empty input")
     header_no, header = lines[0]
+    where = f"line {header_no}"
     names, fields = form.split(), header.split()
     if len(fields) != len(names):
-        raise ParseError(f"line {header_no}: header must be {form!r}, got {header!r}")
-    try:
-        values = {
-            name: None if value == "-" and name in derivable else int(value)
-            for name, value in zip(names, fields)
-        }
-    except ValueError:
-        raise ParseError(f"line {header_no}: non-integer header field in {header!r}") from None
+        raise ParseError(f"{where}: header must be {form!r}, got {_quote(header)}")
+    values = {
+        name: None if value == "-" and name in derivable
+        else _read_int(value, where, "non-integer header field")
+        for name, value in zip(names, fields)
+    }
     n_rows, n_cols = values[shape[0]], values[shape[1]]
+    if n_rows < 1 or n_cols < 1:
+        raise ParseError(
+            f"{where}: {shape[0]} and {shape[1]} must be >= 1, "
+            f"got {shape[0]}={_number(n_rows)}, {shape[1]}={_number(n_cols)}"
+        )
     body = lines[1:]
     if len(body) != n_rows:
-        raise ParseError(f"line {header_no}: header declares {n_rows} rows, found {len(body)}")
+        raise ParseError(f"{where}: header declares {_number(n_rows)} rows, found {len(body)}")
     rows = []
     for line_no, line in body:
-        tokens = line.split()
+        tokens, where = line.split(), f"line {line_no}"
         if len(tokens) != n_cols:
-            raise ParseError(f"line {line_no}: expected {n_cols} entries, found {len(tokens)}")
-        rows.append(tuple(parse_entry(tok, line_no) for tok in tokens))
+            raise ParseError(f"{where}: expected {_number(n_cols)} entries, found {len(tokens)}")
+        rows.append(tuple([parse_entry(tok, where) for tok in tokens]))
     return header_no, values, tuple(rows)
 
 
@@ -440,10 +460,11 @@ def header_mismatches(header, report: ValidationReport) -> list:
     may be validated at another antenna count on purpose.
     """
     found = []
-    if header["Z"] is not None and report.c1 and header["Z"] != report.stars_per_col:
-        found.append(f"header declares Z={header['Z']} but grid has Z={report.stars_per_col}")
-    if header["S"] is not None and header["S"] != report.slots:
-        found.append(f"header declares S={header['S']} but grid has S={report.slots}")
+    z, s = header["Z"], header["S"]
+    if z is not None and report.c1 and z != report.stars_per_col:
+        found.append(f"header declares Z={_number(z)} but grid has Z={report.stars_per_col}")
+    if s is not None and s != report.slots:
+        found.append(f"header declares S={_number(s)} but grid has S={report.slots}")
     return found
 
 
@@ -452,8 +473,6 @@ def parse_mapda(text: str):
     header_line, header, grid = parse_raw(text)
     try:
         m = Mapda(grid, antennas=header["L"])
-    except (RaggedGrid, NonPositiveSlotId) as exc:
-        raise ParseError(str(exc)) from exc
     except DomainError as exc:
         raise ParseError(f"line {header_line}: {exc}") from exc
     mismatches = header_mismatches(header, m.report)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import arrays, engine, metrics
-from .arrays import DomainError, ParseError, ValidationFailure, _check_digits, _quote
+from .arrays import DomainError, ParseError, ValidationFailure, _number, _quote, _read_int
 from .linalg import (
     EXACT,
     FLOAT,
@@ -41,27 +41,17 @@ _MAX_SWEEP_ROWS = 1000  # the longest t range ``sweep`` tabulates
 def _effective_seed(args):
     env = os.environ.get("MAPDA_SEED")
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            _check_digits(env.strip(), "MAPDA_SEED")
-            raise ParseError(f"MAPDA_SEED must be an integer, got {_quote(env)}") from None
+        return _read_int(env, "MAPDA_SEED", "must be an integer, got")
     return args.seed
 
 
 def _integer(token):
-    """``int`` for an integer option.  argparse refuses a bad token with
-    exit 2, quoted as every parse error quotes it, and names Python's digit
-    limit for one past it."""
+    """``int`` for an integer option, read by ``_read_int``: argparse refuses
+    a bad token with exit 2, in the reader's words."""
     try:
-        return int(token)
-    except ValueError:
-        where = "invalid int value"
-        try:
-            _check_digits(token.strip(), where)
-        except ParseError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        raise argparse.ArgumentTypeError(f"{where}: {_quote(token)}") from None
+        return _read_int(token, "invalid int value", "")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_text(path):
@@ -121,13 +111,7 @@ def _parse_demands(spec, users, files, rng):
         return engine.default_demands(users, files)
     if spec == "random":
         return tuple(rng.randint(1, files) for _ in range(users))
-    tokens = spec.split(",")
-    try:
-        return tuple(map(int, tokens))
-    except ValueError:
-        for token in tokens:
-            _check_digits(token.strip(), "demand list")
-        raise ParseError(f"bad demand list {_quote(spec)}") from None
+    return tuple(_read_int(token, "demand list", "bad demand") for token in spec.split(","))
 
 
 def _on_backend(matrix, backend, what):
@@ -190,10 +174,7 @@ def _parse_ratio(token) -> Fraction:
     digit limit it is refused before Fraction builds 10**exponent."""
     mantissa, _, exponent = token.lower().partition("e")
     digits = max(sum(c.isdigit() for c in part) for part in mantissa.split("/"))
-    try:
-        digits += abs(int(exponent or 0))
-    except ValueError:  # too long, refused here, or malformed, refused by Fraction
-        _check_digits(exponent, f"memory ratio {_quote(token)}")
+    digits += abs(_read_int(exponent or "0", f"memory ratio {_quote(token)}", "bad exponent"))
     limit = sys.get_int_max_str_digits()
     if 0 < limit < digits:
         raise ParseError(
@@ -211,14 +192,9 @@ def _parse_point(token) -> SystemPoint:
     if len(parts) not in (3, 4):
         raise ParseError(f"point must be 'K ratio L [m]', got {_quote(token)}")
     ratio = _parse_ratio(parts[1])
-    try:
-        users, antennas = int(parts[0]), int(parts[2])
-        m = int(parts[3]) if len(parts) == 4 else None
-    except ValueError:
-        for part in (parts[0], *parts[2:]):
-            _check_digits(part, f"point {_quote(token)}")
-        raise ParseError(f"point {_quote(token)}: K, L and m must be integers") from None
-    return SystemPoint(users, antennas, ratio, m)
+    where, what = f"point {_quote(token)}", "K, L and m must be integers, got"
+    users, antennas, *m = (_read_int(part, where, what) for part in (parts[0], *parts[2:]))
+    return SystemPoint(users, antennas, ratio, *m)
 
 
 def _points_from_file(path):
@@ -253,7 +229,8 @@ def cmd_sweep(args) -> int:
     count = ts.stop - ts.start  # len(ts) fails past sys.maxsize
     if count > _MAX_SWEEP_ROWS:
         raise DomainError(
-            f"sweep of t = {ts[0]}..{ts[-1]} needs {count} rows, limit {_MAX_SWEEP_ROWS}"
+            f"sweep of t = {_number(ts[0])}..{_number(ts[-1])} needs {_number(count)} rows, "
+            f"limit {_MAX_SWEEP_ROWS}"
         )
     points = [SystemPoint(users, antennas, Fraction(t, users), args.m) for t in ts]
     rows = [metrics.table_row(p) for p in points]
@@ -337,7 +314,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, arrays.RaggedGrid, arrays.NonPositiveSlotId, OSError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (

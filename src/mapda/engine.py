@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .arrays import STAR, DomainError, Mapda, ParseError, read_table
-from .arrays import _check_cells, _check_digits, _number, _quote
+from .arrays import _check_cells, _number, _quote, _read_int
 from .linalg import (
     EXACT,
     FLOAT,
@@ -223,7 +223,7 @@ def build_instance(m: Mapda, files: int) -> SchemeInstance:
     """Derive the slot groups of a validated array for a library of
     ``files`` files."""
     if files < 1:
-        raise DomainError(f"library size must be >= 1, got {files}")
+        raise DomainError(f"library size must be >= 1, got {_number(files)}")
     t = m.profile.t
     groups = []
     for s in range(1, m.slots + 1):
@@ -250,7 +250,7 @@ def default_demands(users, files):
 def _check_demands(demands, files):
     for d in demands:
         if not 1 <= d <= files:
-            raise DomainError(f"demand {d} outside library [1..{files}]")
+            raise DomainError(f"demand {_number(d)} outside library [1..{_number(files)}]")
 
 
 def make_channel(antennas, users, seed=0) -> ChannelMatrix:
@@ -266,28 +266,27 @@ def make_channel(antennas, users, seed=0) -> ChannelMatrix:
     return ChannelMatrix(Matrix.from_rows(rows, FLOAT))
 
 
-def _parse_scalar(token, line_no):
+def _parse_scalar(token, where):
     """One finite fixture entry: rational 'p/q', integer, decimal, or 'a+bi'.
-    An integer past Python's digit limit for int() is refused by that name,
-    not read as an infinite float."""
+    The parts of a rational are read by ``_read_int``, and so is a token
+    that is neither a number nor finite, to be refused: an integer past
+    Python's digit limit for int() by that name, not as an infinite float."""
     if "/" in token:
-        num, _, den = token.partition("/")
-        try:
-            return Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError):
-            _check_digits(num, f"line {line_no}")
-            _check_digits(den, f"line {line_no}")
-            raise ParseError(f"line {line_no}: bad rational {_quote(token)}") from None
+        num, den = (_read_int(part, where, "bad rational part") for part in token.split("/", 1))
+        if den == 0:
+            raise ParseError(f"{where}: bad rational {_quote(token)}")
+        return Fraction(num, den)
     try:
         return int(token)
     except ValueError:
-        _check_digits(token, f"line {line_no}")
+        pass
+    # int() refused the token, so each _read_int below raises.
     try:
         value = complex(token.replace("i", "j")) if "i" in token or "j" in token else float(token)
     except ValueError:
-        raise ParseError(f"line {line_no}: bad scalar {_quote(token)}") from None
+        _read_int(token, where, "bad scalar")
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ParseError(f"line {line_no}: non-finite entry {_quote(token)}")
+        _read_int(token, where, "non-finite entry")
     return value
 
 

@@ -43,13 +43,6 @@ class ConstraintViolation(ValueError):
     """A scheme's parameter limitation fails at the given point."""
 
 
-def _fraction(q):
-    """A Fraction for a message as str() writes it, each part through
-    ``_number``."""
-    text = _number(q.numerator)
-    return text if q.denominator == 1 else f"{text}/{_number(q.denominator)}"
-
-
 def check_counts(users, antennas, m=None):
     """Raise DomainError unless K, L and m (when given) are all >= 1."""
     if users < 1 or antennas < 1:
@@ -78,10 +71,10 @@ class SystemPoint:
         object.__setattr__(self, "memory_ratio", Fraction(self.memory_ratio))
         check_counts(self.users, self.antennas, self.m)
         if not 0 < self.memory_ratio < 1:
-            raise DomainError(f"memory ratio must lie in (0,1), got {_fraction(self.memory_ratio)}")
+            raise DomainError(f"memory ratio must lie in (0,1), got {_number(self.memory_ratio)}")
         t = self.users * self.memory_ratio
         if t.denominator != 1:
-            raise DomainError(f"t = K*M/N = {_fraction(t)} is not an integer")
+            raise DomainError(f"t = K*M/N = {_number(t)} is not an integer")
         object.__setattr__(self, "t", int(t))
 
     @property
@@ -324,7 +317,7 @@ def table_row(p: SystemPoint) -> dict:
             return _table_row(p)
     except OverflowError:
         pass
-    point = f"K={_number(big_k)}, ratio {_fraction(p.memory_ratio)}, L={_number(big_l)}"
+    point = f"K={_number(big_k)}, ratio {_number(p.memory_ratio)}, L={_number(big_l)}"
     message = f"point {point} has a figure of 2**1024 or more"
     raise DomainError(f"{message}, past the float range of the table's scientific cells")
 

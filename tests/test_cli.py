@@ -623,12 +623,16 @@ class TestSweep:
 class TestAllocationBound:
     # Each request asks for hundreds of millions of cells or table rows, or
     # for a table row whose figures pass the float range of its scientific
-    # cells, or for a number past Python's int/str digit limit.  The child
+    # cells, or for a number past Python's int/str digit limit, or gives a
+    # header or number that its one-line message must cut.  The child
     # runs under a 400 MB address-space limit, so a missing size check ends
     # there in a MemoryError traceback instead of exhausting the host.
     NINES = "9" * 4299
     SHORT = "99999999999999999999... (4299 digits)"  # how a message cuts NINES
+    LONG = "9" * 4300  # the longest integer int() reads
+    CUT = "99999999999999999999... (4300 digits)"  # how a message cuts LONG
     LIMIT = sys.get_int_max_str_digits()
+    ROWS = "* 1 2 * 1 2\n1 * 3 1 * 3\n2 3 * 2 3 *\n"  # the body of EXAMPLE1
     CASES = {
         "mn_k26_t13": (
             ["gen", "mn", "--users", "26", "--t", "13"],
@@ -728,10 +732,92 @@ class TestAllocationBound:
             f"memory ratio '1e-1000000000' needs up to 1000000001 digits, past Python's "
             f"limit of {LIMIT} (sys.get_int_max_str_digits())",
         ),
+        # Each number below is 4300 digits long, or negative and as long.
+        "mn_t_minus_4300_digits": (
+            ["gen", "mn", "-K", "5", "--t", f"-{LONG}"],
+            f"need 1 <= t < K, got t=-{CUT}, K=5",
+        ),
+        "cyclic_k_t_4300_digits": (
+            ["gen", "cyclic", "-K", LONG, "--t", LONG],
+            f"need 1 <= t < K, got t={CUT}, K={CUT}",
+        ),
+        "replicate_minus_4300_digit_copies": (
+            ["gen", "replicate", "-i", EXAMPLE1, "--copies", f"-{LONG}"],
+            f"copies must be >= 1, got -{CUT}",
+        ),
+        "validate_minus_4300_digit_antennas": (
+            ["validate", EXAMPLE1, "-L", f"-{LONG}"],
+            f"antenna count must be >= 1, got -{CUT}",
+        ),
+        "array_entry_minus_4300_digits": (
+            ["validate", "ARRAY", "-L", "2"],
+            f"line 3: slot ids start at 1, got -{CUT}",
+        ),
+        "array_rows_4300_digits": (
+            ["validate", "ARRAY", "-L", "2"],
+            f"line 1: header declares {CUT} rows, found 3",
+        ),
+        "array_cols_4300_digits": (
+            ["validate", "ARRAY", "-L", "2"],
+            f"line 2: expected {CUT} entries, found 6",
+        ),
+        "array_z_s_4300_digits": (
+            ["simulate", "ARRAY", "-N", "2"],
+            f"header declares Z={CUT} but grid has Z=1; header declares S={CUT} but grid has S=3",
+        ),
+        "simulate_minus_4300_digit_files": (
+            ["simulate", EXAMPLE1, "-N", f"-{LONG}"],
+            f"library size must be >= 1, got -{CUT}",
+        ),
+        "simulate_4300_digit_demand": (
+            ["simulate", EXAMPLE1, "-N", "2", "--demands", f"1,1,1,1,1,{LONG}"],
+            f"demand {CUT} outside library [1..2]",
+        ),
+        "sweep_k_4300_digits": (
+            ["sweep", "-K", LONG, "-L", "1"],
+            f"sweep of t = 1..{CUT} needs {CUT} rows, limit 1000",
+        ),
+        "array_header_field_5000_digits": (
+            ["validate", "ARRAY", "-L", "2"],
+            f"line 1: integer {'9' * 40!r}... has 5000 digits, past Python's limit of {LIMIT} "
+            "(sys.get_int_max_str_digits())",
+        ),
+        "array_header_100000_fields": (
+            ["validate", "ARRAY", "-L", "2"],
+            f"line 1: header must be 'L K F Z S', got {'1 ' * 20!r}...",
+        ),
+        # A shape count below 1 is refused at the header line.
+        "channel_no_rows": (
+            ["simulate", EXAMPLE1, "-N", "2", "--channel", "ARRAY"],
+            "line 1: L and K must be >= 1, got L=0, K=2",
+        ),
+        "array_no_rows_or_columns": (
+            ["validate", "ARRAY", "-L", "1"],
+            "line 1: F and K must be >= 1, got F=0, K=0",
+        ),
+        "array_negative_columns": (
+            ["validate", "ARRAY", "-L", "1"],
+            "line 1: F and K must be >= 1, got F=1, K=-2",
+        ),
     }
     # A parse error exits 2; every other case exits 1.
-    EXIT_CODES = {"compare_ratio_1e-100000": 2, "compare_ratio_1e-1000000000": 2}
-    # The array file each case reads in place of ARRAY; each passes validation.
+    EXIT_CODES = {
+        name: 2
+        for name in (
+            "compare_ratio_1e-100000",
+            "compare_ratio_1e-1000000000",
+            "array_entry_minus_4300_digits",
+            "array_rows_4300_digits",
+            "array_cols_4300_digits",
+            "array_header_field_5000_digits",
+            "array_header_100000_fields",
+            "channel_no_rows",
+            "array_no_rows_or_columns",
+            "array_negative_columns",
+        )
+    }
+    # The file each case reads in place of ARRAY: an array file, or the
+    # channel fixture of "channel_no_rows".
     ARRAYS = {
         "simulate_gram_k4000": "1 4000 2 1 2000\n"
         + "".join(
@@ -739,6 +825,17 @@ class TestAllocationBound:
             for row in (0, 1)
         ),
         "simulate_channel_l1e8": "100000000 2 2 1 1\n* 1\n1 *\n",
+        "array_entry_minus_4300_digits": (
+            f"2 6 3 1 3\n* 1 2 * 1 2\n1 * -{LONG} 1 * 3\n2 3 * 2 3 *\n"
+        ),
+        "array_rows_4300_digits": f"2 6 {LONG} 1 3\n{ROWS}",
+        "array_cols_4300_digits": f"2 {LONG} 3 1 3\n{ROWS}",
+        "array_z_s_4300_digits": f"2 6 3 {LONG} {LONG}\n{ROWS}",
+        "array_header_field_5000_digits": f"2 6 {'9' * 5000} 1 3\n{ROWS}",
+        "array_header_100000_fields": "1 " * 100000 + f"\n{ROWS}",
+        "channel_no_rows": "0 2\n",
+        "array_no_rows_or_columns": "1 0 0 - -\n",
+        "array_negative_columns": "1 -2 1 - -\n* *\n",
     }
 
     @staticmethod
