@@ -117,6 +117,12 @@ def validate(grid, claimed_antennas):
     index.  The report passes overall iff C1-C4 all hold with
     L = claimed_antennas.
 
+    One column-major scan of the grid yields C1-C3, the slot index and two
+    bit masks over columns: each row's integer cells and each slot's
+    columns.  C4 then costs the integer cells plus one popcount per row
+    and distinct slot id in it: a row of slot s holds
+    ``(row_mask & slot_mask).bit_count()`` integer entries of s's subgrid.
+
     Raises RaggedGrid or NonPositiveSlotId for structurally malformed input
     and DomainError for a non-positive antenna count; condition failures are
     reported, not raised.
@@ -128,25 +134,31 @@ def validate(grid, claimed_antennas):
     n_cols = len(rows[0])
     failures = []
 
-    # One column-major pass: star counts (C1), repeats within a column (C3)
-    # and the slot index.  Cells are appended column by column, so a slot
-    # repeats in column k exactly when its last cell so far is in column k.
+    # The column-major pass.  Cells are appended column by column, so a
+    # slot repeats in column k exactly when its last cell so far is in
+    # column k.  Bit k of a mask stands for column k.
     star_counts = []
     repeats = []
     cells: dict[int, list] = {}
+    row_masks = [0] * n_rows
+    slot_masks = {}
     for k, column in enumerate(zip(*rows), 1):
         star_counts.append(column.count(STAR))
+        bit = 1 << k
         repeat = None
         for f, e in enumerate(column, 1):
             if e is STAR:
                 continue
+            row_masks[f - 1] |= bit
             found = cells.get(e)
             if found is None:
                 cells[e] = [(f, k)]
+                slot_masks[e] = bit
                 continue
             if repeat is None and found[-1][1] == k:
                 repeat = e
             found.append((f, k))
+            slot_masks[e] |= bit
         if repeat is not None:
             repeats.append(f"C3 violated in column {k}: slot {repeat} repeated")
     index = {s: tuple(cells[s]) for s in sorted(cells)}
@@ -168,19 +180,21 @@ def validate(grid, claimed_antennas):
     c3 = not repeats
     failures.extend(repeats)
 
-    # C4: within each slot's subgrid, count integer entries per row, as
-    # the size of the row's integer columns intersected with the slot's.
-    int_cols = [{k for k, e in enumerate(row, 1) if e is not STAR} for row in rows]
-    min_antennas = 0
-    c4 = True
-    for s, members in index.items():
-        slot_cols = {k for _, k in members}
-        worst = max(len(int_cols[f - 1] & slot_cols) for f in {f for f, _ in members})
-        if worst > min_antennas:
-            min_antennas = worst
-        if worst > claimed_antennas and c4:
-            c4 = False
-            failures.append(f"C4 violated at s={s}")
+    # C4, one popcount per row and distinct slot id in it; STAR's mask is
+    # empty.  Only a failing grid looks for its first failing slot.
+    slot_masks[STAR] = 0
+    min_antennas = max(
+        [(mask & slot_masks[s]).bit_count() for mask, row in zip(row_masks, rows) for s in set(row)]
+    )
+    c4 = min_antennas <= claimed_antennas
+    if not c4:
+        first = next(
+            s
+            for s, members in index.items()
+            if max((row_masks[f - 1] & slot_masks[s]).bit_count() for f, _ in members)
+            > claimed_antennas
+        )
+        failures.append(f"C4 violated at s={first}")
 
     t = sum_dof = None
     regular = False
@@ -312,10 +326,12 @@ def generate_mn_pda(users, cached):
     everyone = range(1, users + 1)
     row_of = {sub: i for i, sub in enumerate(combinations(everyone, cached))}
     grid = [[STAR] * users for _ in row_of]
-    # The s-th (t+1)-subset U fills cell (U - {k}, k) for each k in U.
+    # The s-th (t+1)-subset U fills cell (U - {k}, k) for each k in U; the
+    # t-subsets of U come in lexicographic order, so each omits the k of
+    # reversed(U) beside it.
     for s, sub in enumerate(combinations(everyone, cached + 1), 1):
-        for i, k in enumerate(sub):
-            grid[row_of[sub[:i] + sub[i + 1 :]]][k - 1] = s
+        for k, rest in zip(reversed(sub), combinations(sub, cached)):
+            grid[row_of[rest]][k - 1] = s
     return Mapda(tuple(map(tuple, grid)), antennas=1)
 
 
@@ -363,7 +379,7 @@ def generate_cyclic(users, cached):
 def format_mapda(m) -> str:
     lines = [f"{m.antennas} {m.cols} {m.rows} {m.stars_per_col} {m.slots}"]
     for row in m.grid:
-        lines.append(" ".join("*" if e is STAR else str(e) for e in row))
+        lines.append(" ".join(["*" if e is STAR else str(e) for e in row]))
     return "\n".join(lines) + "\n"
 
 

@@ -229,10 +229,9 @@ def build_instance(m: Mapda, files: int) -> SchemeInstance:
     for s in range(1, m.slots + 1):
         served_rows, served_users = zip(*m.slot_cells(s))
         # A row's cachers are the served users holding a star in it, read
-        # at the slot's users once per distinct row.  As a row's stars and
-        # integer cells number K >= |slot|, those |slot| reads are at most
-        # min(stars, |slot|) plus validate's C4 intersection of the row's
-        # integer cells with the slot, min(K - stars, |slot|).
+        # at the slot's users once per distinct row: |slot| reads, where
+        # validate's C4 spends one popcount of the row's integer-cell mask
+        # against the slot's column mask.
         cachers = {}
         for f in dict.fromkeys(served_rows):
             row = m.grid[f - 1]
@@ -280,9 +279,13 @@ def _parse_scalar(token, where):
         return int(token)
     except ValueError:
         pass
-    # int() refused the token, so each _read_int below raises.
+    # int() refused the token, so each _read_int below raises.  The "i" of
+    # "inf" and "infinity", which float() reads in any case, is no
+    # imaginary unit.
+    infinite = token.lower().lstrip("+-") in ("inf", "infinity")
+    real = infinite or "i" not in token and "j" not in token
     try:
-        value = complex(token.replace("i", "j")) if "i" in token or "j" in token else float(token)
+        value = float(token) if real else complex(token.replace("i", "j"))
     except ValueError:
         _read_int(token, where, "bad scalar")
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):

@@ -68,14 +68,16 @@ class SystemPoint:
     t: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "memory_ratio", Fraction(self.memory_ratio))
+        ratio = Fraction(self.memory_ratio)
+        object.__setattr__(self, "memory_ratio", ratio)
         check_counts(self.users, self.antennas, self.m)
-        if not 0 < self.memory_ratio < 1:
-            raise DomainError(f"memory ratio must lie in (0,1), got {_number(self.memory_ratio)}")
-        t = self.users * self.memory_ratio
-        if t.denominator != 1:
-            raise DomainError(f"t = K*M/N = {_number(t)} is not an integer")
-        object.__setattr__(self, "t", int(t))
+        num, den = ratio.numerator, ratio.denominator  # den >= 1, lowest terms
+        if not 0 < num < den:
+            raise DomainError(f"memory ratio must lie in (0,1), got {_number(ratio)}")
+        t, rest = divmod(self.users * num, den)
+        if rest:
+            raise DomainError(f"t = K*M/N = {_number(self.users * ratio)} is not an integer")
+        object.__setattr__(self, "t", t)
 
     @property
     def alpha(self) -> int:
@@ -291,8 +293,10 @@ def sci(value) -> str:
     return f"{int(value):.1E}"
 
 
-def _reference_mismatch(key, column, computed):
-    ref = _REFERENCE_CELLS.get(key, {}).get(column)
+def _reference_mismatch(cells, column, computed):
+    """The flag for ``computed`` against published cell ``column`` of a
+    point's ``cells``, or None when it agrees or nothing is published."""
+    ref = cells.get(column)
     if ref is None:
         return None
     shown = sci(computed) if isinstance(ref, str) else computed
@@ -329,7 +333,7 @@ def _table_row(p: SystemPoint) -> dict:
     row["ratio"] = str(p.memory_ratio)
     row["L"] = str(p.antennas)
     row["ndt"] = str(Fraction(p.users - p.t, p.t + p.antennas))
-    key = (p.users, p.memory_ratio, p.antennas)
+    published = _REFERENCE_CELLS.get((p.users, p.memory_ratio, p.antennas), {})
 
     def fill(column, metric_or_reason, complexity_col):
         if isinstance(metric_or_reason, SchemeMetrics):
@@ -338,7 +342,7 @@ def _table_row(p: SystemPoint) -> dict:
             row[column + "_sci"] = sci(f)
             row[complexity_col] = str(metric_or_reason.complexity)
             row[complexity_col + "_sci"] = sci(metric_or_reason.complexity)
-            mismatch = _reference_mismatch(key, column, f)
+            mismatch = _reference_mismatch(published, column, f)
             if mismatch:
                 flags.append(mismatch)
         else:
@@ -370,7 +374,7 @@ def _table_row(p: SystemPoint) -> dict:
         row["F_s3_sci"] = sci(p.users)
         row["lambda_s3"] = "n/a(constraint-unmet)"
         flags.append(f"F_s3:constraint-unmet(L={p.antennas}!=K-t={p.users - p.t})")
-        mismatch = _reference_mismatch(key, "F_s3", p.users)
+        mismatch = _reference_mismatch(published, "F_s3", p.users)
         if mismatch:
             flags.append(mismatch)
 

@@ -163,16 +163,24 @@ class TestValidate:
             ("replicate(mn(10,3),3)", 2, 3),
             ("cyclic(16,8)", 8, 8),
             ("cyclic(16,8)", 7, 8),
+            ("cyclic(70,35)", 35, 35),
+            ("cyclic(70,35)", 34, 35),
+            ("replicate(mn(6,2),11)", 11, 11),
+            ("replicate(mn(6,2),11)", 10, 11),
         ],
     )
     def test_benchmark_shapes_agree_with_naive_recheck(self, shape, antennas, min_antennas):
         # The benchmark's arrays, far larger than the random samples above,
-        # accepted and C4-rejected, as built and under a seeded row and
-        # column permutation.
+        # and two arrays of more than 64 columns, so C4's column masks span
+        # more than one machine word: each cyclic(70, 35) slot covers every
+        # column, each replicate(mn(6, 2), 11) slot 33 of 66.  Accepted and
+        # C4-rejected, as built and under a seeded row and column permutation.
         grid = {
             "mn(12,4)": lambda: generate_mn_pda(12, 4),
             "replicate(mn(10,3),3)": lambda: replicate(generate_mn_pda(10, 3), 3),
             "cyclic(16,8)": lambda: generate_cyclic(16, 8),
+            "cyclic(70,35)": lambda: generate_cyclic(70, 35),
+            "replicate(mn(6,2),11)": lambda: replicate(generate_mn_pda(6, 2), 11),
         }[shape]().grid
         rng = random.Random(f"{shape}:{antennas}")
         rows = rng.sample(range(len(grid)), len(grid))
@@ -189,6 +197,9 @@ class TestValidate:
             ) == naive_report(g, antennas)
             assert report.min_antennas == min_antennas
             assert report.c4 == (antennas >= min_antennas)
+            assert list(report.slot_index.items()) == [
+                (s, naive_slot_cells(g, s)) for s in range(1, report.slots + 1)
+            ]
 
 
 class TestGenerators:

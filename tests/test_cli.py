@@ -273,7 +273,11 @@ class TestSimulate:
         channel.write_text("2 6\n1 1 1 1 1 1\n2 3 nan 5 6 7\n")
         library = tmp_path / "library.txt"
         library.write_text("6 3\n" + "1 2 3\n" * 5 + "1 1e999 3\n")
-        for option, path, line in (("--channel", channel, 3), ("--library", library, 7)):
+        infinite = tmp_path / "infinite.txt"
+        infinite.write_text("2 6\n1 1 1 1 1 1\n2 3 -inf 5 6 7\n")
+        for option, path, line in (
+            ("--channel", channel, 3), ("--library", library, 7), ("--channel", infinite, 3)
+        ):
             code, out, err = run_cli(
                 capsys, "simulate", EXAMPLE1, "--files", "6", option, str(path)
             )

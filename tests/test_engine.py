@@ -1087,7 +1087,10 @@ class TestChannels:
         with pytest.raises(ParseError, match="^line 1: header declares 3 rows, found 2"):
             parse_library_fixture("3 1\n1\n2\n")
 
-    @pytest.mark.parametrize("entry", ["nan", "1e999", "-1e999", "nan+1i", "1e999i"])
+    @pytest.mark.parametrize(
+        "entry",
+        ["nan", "1e999", "-1e999", "nan+1i", "1e999i", "inf", "-inf", "infinity", "+Infinity"],
+    )
     def test_non_finite_entries_rejected(self, entry):
         message = re.escape(f"non-finite entry {entry!r}")
         with pytest.raises(ParseError, match=f"^line 3: {message}"):

@@ -46,6 +46,9 @@ CASES = {
     "validate_mn_6_2_L1": ["validate", "golden/gen_mn_6_2.out", "-L", "1"],
     # The table, then the plot CSV, both on stdout.
     "sweep_20_4": ["sweep", "-K", "20", "-L", "4", "--plot-out", "-"],
+    # The benchmark catalog's sweep: 140 rows, one of them (ratio 3/50) a
+    # published point whose cells are flagged.
+    "sweep_150_10": ["sweep", "-K", "150", "-L", "10"],
     # Failing deliveries: the error names the slot and column.
     "simulate_no_cacher": [
         "simulate", "no_cacher.mapda", "-N", "1", "--channel", "channel_1x2.txt",
