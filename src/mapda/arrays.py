@@ -27,9 +27,11 @@ All objects are immutable after construction; every function is pure.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice
+from functools import cached_property
+from itertools import chain, combinations, islice
 from math import comb
 from pathlib import Path
 
@@ -70,8 +72,6 @@ class ValidationReport:
     is the smallest antenna count at which C4 would hold.  ``regular`` means
     every slot id occurs exactly t+L times, the shape the delivery proof
     relies on; it depends on the declared antenna count.
-    ``slot_index`` maps each slot id present to its cells (f, k), 1-based,
-    in column-major order.
     """
 
     ok: bool
@@ -89,7 +89,23 @@ class ValidationReport:
     min_antennas: int
     regular: bool  # every slot id occurs exactly t+L times
     failures: tuple[str, ...]
-    slot_index: dict = field(repr=False, compare=False)
+    _grid: tuple = field(repr=False, compare=False)  # the normalized grid
+
+    @cached_property
+    def slot_index(self) -> dict:
+        """Each slot id present, ascending, to its cells (f, k), 1-based, in
+        column-major order; built from the grid on first read, once."""
+        cells: dict[int, list] = {}
+        for k, column in enumerate(zip(*self._grid), 1):
+            for f, e in enumerate(column, 1):
+                if e is STAR:
+                    continue
+                found = cells.get(e)
+                if found is None:
+                    cells[e] = [(f, k)]
+                else:
+                    found.append((f, k))
+        return {s: tuple(cells[s]) for s in sorted(cells)}
 
 
 def _normalize_grid(grid):
@@ -112,16 +128,16 @@ def _normalize_grid(grid):
 def validate(grid, claimed_antennas):
     """Check conditions C1-C4 of an F x K grid at a declared antenna count.
 
-    Returns a ValidationReport with one flag per condition, the derived
-    parameters (Z, S, t, sum-DoF, min_antennas, regularity) and the slot
-    index.  The report passes overall iff C1-C4 all hold with
-    L = claimed_antennas.
+    Returns a ValidationReport with one flag per condition and the derived
+    parameters (Z, S, t, sum-DoF, min_antennas, regularity).  The report
+    passes overall iff C1-C4 all hold with L = claimed_antennas.
 
-    One column-major scan of the grid yields C1-C3, the slot index and two
-    bit masks over columns: each row's integer cells and each slot's
-    columns.  C4 then costs the integer cells plus one popcount per row
-    and distinct slot id in it: a row of slot s holds
-    ``(row_mask & slot_mask).bit_count()`` integer entries of s's subgrid.
+    One column-major scan of the grid yields the star counts and two bit
+    masks over columns: each row's integer cells and each slot's columns.
+    C1-C4 and regularity read these alone.  C4 costs the integer cells
+    plus one popcount per row and distinct slot id in it: a row of slot s
+    holds ``(row_mask & slot_mask).bit_count()`` integer entries of s's
+    subgrid.  The report's slot index is built on first read, once.
 
     Raises RaggedGrid or NonPositiveSlotId for structurally malformed input
     and DomainError for a non-positive antenna count; condition failures are
@@ -134,34 +150,26 @@ def validate(grid, claimed_antennas):
     n_cols = len(rows[0])
     failures = []
 
-    # The column-major pass.  Cells are appended column by column, so a
-    # slot repeats in column k exactly when its last cell so far is in
-    # column k.  Bit k of a mask stands for column k.
+    # The column-major pass.  Bit k of a mask stands for column k, so a
+    # slot repeats in column k exactly when its mask already has bit k.
     star_counts = []
     repeats = []
-    cells: dict[int, list] = {}
     row_masks = [0] * n_rows
     slot_masks = {}
     for k, column in enumerate(zip(*rows), 1):
         star_counts.append(column.count(STAR))
         bit = 1 << k
         repeat = None
-        for f, e in enumerate(column, 1):
+        for f, e in enumerate(column):
             if e is STAR:
                 continue
-            row_masks[f - 1] |= bit
-            found = cells.get(e)
-            if found is None:
-                cells[e] = [(f, k)]
-                slot_masks[e] = bit
-                continue
-            if repeat is None and found[-1][1] == k:
+            row_masks[f] |= bit
+            mask = slot_masks.get(e, 0)
+            if mask & bit and repeat is None:
                 repeat = e
-            found.append((f, k))
-            slot_masks[e] |= bit
+            slot_masks[e] = mask | bit
         if repeat is not None:
             repeats.append(f"C3 violated in column {k}: slot {repeat} repeated")
-    index = {s: tuple(cells[s]) for s in sorted(cells)}
 
     c1 = len(set(star_counts)) == 1
     stars_per_col = star_counts[0] if c1 else None
@@ -169,40 +177,48 @@ def validate(grid, claimed_antennas):
         failures.append(f"C1 violated: star counts per column are {star_counts}")
 
     # C2 by counting; naming stops at 10 ids, so a huge slot id stays cheap.
-    slots = max(index, default=0)
-    c2 = len(index) == slots
+    slots = max(slot_masks, default=0)
+    c2 = len(slot_masks) == slots
     if not c2:
-        missing = list(islice((s for s in range(1, slots + 1) if s not in index), 10))
-        count = slots - len(index)
+        missing = list(islice((s for s in range(1, slots + 1) if s not in slot_masks), 10))
+        count = slots - len(slot_masks)
         more = f" and {count - 10} more" if count > 10 else ""
         failures.append(f"C2 violated: missing slot id(s) {missing}{more}")
 
     c3 = not repeats
     failures.extend(repeats)
 
-    # C4, one popcount per row and distinct slot id in it; STAR's mask is
-    # empty.  Only a failing grid looks for its first failing slot.
-    slot_masks[STAR] = 0
-    min_antennas = max(
-        [(mask & slot_masks[s]).bit_count() for mask, row in zip(row_masks, rows) for s in set(row)]
-    )
-    c4 = min_antennas <= claimed_antennas
-    if not c4:
-        first = next(
-            s
-            for s, members in index.items()
-            if max((row_masks[f - 1] & slot_masks[s]).bit_count() for f, _ in members)
-            > claimed_antennas
-        )
-        failures.append(f"C4 violated at s={first}")
-
+    # A slot's cell count is its mask's popcount, unless C3 fails: then a
+    # column may hold the slot twice.
     t = sum_dof = None
     regular = False
     if c1:
         t = Fraction(n_cols * stars_per_col, n_rows)
         sum_dof = Fraction(n_cols * (n_rows - stars_per_col), slots) if slots else Fraction(0)
         size = t + claimed_antennas
-        regular = all(len(c) == size for c in index.values())
+        if c3:
+            regular = all(mask.bit_count() == size for mask in slot_masks.values())
+        else:
+            counts = Counter(chain.from_iterable(rows))
+            regular = all(counts[s] == size for s in slot_masks)
+
+    # C4, one popcount per row and distinct slot id in it; STAR's mask is
+    # empty.  Only a failing grid looks for its first failing slot, the
+    # smallest id with a row of more than L entries in its subgrid.
+    slot_masks[STAR] = 0
+    min_antennas = max(
+        [(mask & slot_masks[s]).bit_count() for mask, row in zip(row_masks, rows) for s in set(row)]
+    )
+    c4 = min_antennas <= claimed_antennas
+    if not c4:
+        first = min(
+            s
+            for mask, row in zip(row_masks, rows)
+            for s in set(row)
+            if (mask & slot_masks[s]).bit_count() > claimed_antennas
+        )
+        failures.append(f"C4 violated at s={first}")
+
     ok = c1 and c2 and c3 and c4
     return ValidationReport(
         ok=ok,
@@ -220,7 +236,7 @@ def validate(grid, claimed_antennas):
         min_antennas=min_antennas,
         regular=regular,
         failures=tuple(failures),
-        slot_index=index,
+        _grid=rows,
     )
 
 
@@ -230,8 +246,8 @@ class Mapda:
 
     Construction validates C1-C4 once and raises ValidationFailure
     otherwise, so every Mapda instance in the program satisfies the
-    conditions.  The validation report, with its slot index, is kept as
-    ``report``; no accessor scans the grid again.
+    conditions.  The validation report is kept as ``report``; its slot
+    index, which ``slot_cells`` reads, is built on first read, once.
     """
 
     grid: tuple

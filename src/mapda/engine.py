@@ -279,13 +279,11 @@ def _parse_scalar(token, where):
         return int(token)
     except ValueError:
         pass
-    # int() refused the token, so each _read_int below raises.  The "i" of
-    # "inf" and "infinity", which float() reads in any case, is no
-    # imaginary unit.
-    infinite = token.lower().lstrip("+-") in ("inf", "infinity")
-    real = infinite or "i" not in token and "j" not in token
+    # int() refused the token, so each _read_int below raises.  Only a last
+    # "i" is the imaginary unit, not the "i" of "inf" or "infinity".
+    text = token[:-1] + "j" if token.endswith("i") else token
     try:
-        value = float(token) if real else complex(token.replace("i", "j"))
+        value = complex(text) if "j" in text else float(text)
     except ValueError:
         _read_int(token, where, "bad scalar")
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):

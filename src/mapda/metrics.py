@@ -366,9 +366,9 @@ def _table_row(p: SystemPoint) -> dict:
     except ConstraintViolation as exc:
         fill("F_s2", str(exc), "lambda_s2")
 
-    try:
+    if p.antennas == p.users - p.t:
         fill("F_s3", scheme_metrics(p, 3), "lambda_s3")
-    except ConstraintViolation:
+    else:
         # Published tables list K here regardless; reproduce it but flagged.
         row["F_s3"] = str(p.users)
         row["F_s3_sci"] = sci(p.users)

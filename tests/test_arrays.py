@@ -156,6 +156,33 @@ class TestValidate:
                 assert m.slot_cells(s) == naive_slot_cells(m.grid, s)
 
     @pytest.mark.parametrize(
+        "grid, antennas, failure",
+        [
+            (((STAR, 1, 3), (1, STAR, 4), (3, 4, STAR)), 1, "C2 violated: missing slot id(s) [2]"),
+            (((STAR, 1, 2), (1, STAR, 2), (2, 1, STAR)), 2, "C3 violated in column 2: slot 1 repeated"),
+            (EXAMPLE1, 1, "C4 violated at s=1"),
+        ],
+    )
+    def test_failing_reports_serve_the_slot_index(self, grid, antennas, failure):
+        report = validate(grid, antennas)
+        assert not report.ok and failure in report.failures
+        present = sorted({e for row in grid for e in row if e is not STAR})
+        assert list(report.slot_index.items()) == [(s, naive_slot_cells(grid, s)) for s in present]
+
+    def test_slot_index_is_built_on_first_read_once(self):
+        report = validate(EXAMPLE1, 2)
+        assert "slot_index" not in vars(report)
+        index = report.slot_index
+        assert vars(report)["slot_index"] is index
+        assert report.slot_index is index
+        assert report == validate(EXAMPLE1, 2)  # equality ignores the built index
+        m = Mapda(EXAMPLE1, antennas=2)
+        assert "slot_index" not in vars(m.report)
+        assert m.slot_cells(2) == ((3, 1), (1, 3), (3, 4), (1, 6))
+        assert m.slot_cells(4) == ()
+        assert "slot_index" in vars(m.report)
+
+    @pytest.mark.parametrize(
         "shape, antennas, min_antennas",
         [
             ("mn(12,4)", 1, 1),

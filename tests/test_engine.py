@@ -1089,7 +1089,10 @@ class TestChannels:
 
     @pytest.mark.parametrize(
         "entry",
-        ["nan", "1e999", "-1e999", "nan+1i", "1e999i", "inf", "-inf", "infinity", "+Infinity"],
+        [
+            "nan", "1e999", "-1e999", "nan+1i", "1e999i", "inf", "-inf", "infinity", "+Infinity",
+            "inf+1i", "1+infi", "-infi", "infinityi",
+        ],
     )
     def test_non_finite_entries_rejected(self, entry):
         message = re.escape(f"non-finite entry {entry!r}")
@@ -1097,6 +1100,14 @@ class TestChannels:
             parse_channel_fixture(f"2 2\n1 2\n3 {entry}\n")
         with pytest.raises(ParseError, match=f"^line 2: {message}"):
             parse_library_fixture(f"1 2\n{entry} 1\n")
+
+    def test_only_the_last_i_is_the_imaginary_unit(self):
+        # As Python's complex() reads a lone "j", a lone "i" is the unit.
+        lib = parse_library_fixture("1 4\n2+3i i -i 1.5\n")
+        assert [lib.at(0, k) for k in range(4)] == [2 + 3j, 1j, -1j, 1.5]
+        for entry in ("1i+2", "ii", "2+3I"):
+            with pytest.raises(ParseError, match=re.escape(f"line 2: bad scalar {entry!r}")):
+                parse_library_fixture(f"1 1\n{entry}\n")
 
     def test_library_fixture(self):
         lib = parse_library_fixture("2 3\n1 2 3\n4 5 6\n")

@@ -44,6 +44,14 @@ CASES = {
     ],
     "compare_table_points": ["compare", "--points", "table_points.txt"],
     "validate_mn_6_2_L1": ["validate", "golden/gen_mn_6_2.out", "-L", "1"],
+    # Failing validations.  The benchmark catalog's C4 reject: the doubled
+    # mn(6, 2) at one antenna.
+    "validate_replicate_mn_6_2_x2_L1": [
+        "validate", "golden/gen_replicate_mn_6_2_x2.out", "-L", "1",
+    ],
+    # C3 fails twice, yet every slot fills t + L = 3 cells: regular, though
+    # each slot's column mask has only two bits.
+    "validate_c3_repeat_regular_L2": ["validate", "c3_repeat_regular.mapda", "-L", "2"],
     # The table, then the plot CSV, both on stdout.
     "sweep_20_4": ["sweep", "-K", "20", "-L", "4", "--plot-out", "-"],
     # The benchmark catalog's sweep: 140 rows, one of them (ratio 3/50) a
@@ -85,6 +93,8 @@ CASES = {
 }
 
 EXIT_CODES = {
+    "validate_replicate_mn_6_2_x2_L1": 1,
+    "validate_c3_repeat_regular_L2": 1,
     "simulate_no_cacher": 1,
     "simulate_mn_4_1_L2": 1,
     "simulate_cyclic_4_2_equal_users_exact": 1,

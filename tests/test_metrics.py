@@ -144,7 +144,8 @@ class TestSchemes:
         assert m.ndt == Fraction(2, 3)
 
     def test_scheme3_constraint(self):
-        with pytest.raises(ConstraintViolation):
+        # The table decides scheme 3 from L = K-t; a direct call names it.
+        with pytest.raises(ConstraintViolation, match=r"^scheme 3 needs L = K-t, got L=2, K-t=4$"):
             scheme_metrics(point(6, "1/3", 2), 3)
 
     def test_worked_complexity(self):
