@@ -16,10 +16,12 @@ This module provides validation, three generators (the classic t-subset
 star pattern, horizontal replication, and a circulant construction),
 and a plain-text file format whose table reader also serves the engine's
 channel and library fixtures.  Every integer token read from outside the
-program, in these files or on the command line, goes through one reader,
-``_read_int``: a refusal names the token's place, quotes at most 40
-characters of it and, for a decimal integer too long for int(), names
-Python's digit limit.
+program, in these files or on the command line, is read by int(), and
+every refusal comes from one reader, ``_read_int``: it names the token's
+place, quotes at most 40 characters of it and, for a decimal integer too
+long for int(), names Python's digit limit.  An array file's body is
+converted a line at a time, each distinct token read by int() once, and
+only a line with a fault is re-read token by token, by that reader.
 
 All objects are immutable after construction; every function is pure.
 """
@@ -433,20 +435,46 @@ def _parse_entry(token, where):
     return value
 
 
-def read_table(text, form, shape, parse_entry, derivable=()):
+class _Entries(dict):
+    """The entries of one array table by token, each distinct token read by
+    int() once: STAR for "*", else a slot id of at least 1."""
+
+    def __init__(self):
+        super().__init__({"*": STAR})
+
+    def __missing__(self, token):
+        value = int(token)
+        if value < 1:
+            raise ValueError(token)
+        self[token] = value
+        return value
+
+    def line(self, tokens, where):
+        """One body line, converted by one pass of lookups; a line with a
+        token int() refuses or an id below 1 is re-read by ``_parse_entry``,
+        which names its first fault."""
+        try:
+            return tuple([self[tok] for tok in tokens])
+        except ValueError:
+            return tuple([_parse_entry(tok, where) for tok in tokens])
+
+
+def read_table(text, form, shape, parse_line, derivable=()):
     """Read the layout of array files and both fixtures; errors name a line.
 
-    After "#" comments and blank lines are dropped, the header holds one
-    integer per name in ``form`` ("-", read as None, for names in
-    ``derivable``), each read by ``_read_int``; the names in ``shape``
-    count the body's rows and columns, each at least 1.  Returns the
-    header line number, the header fields by name and the rows, each token
-    read by ``parse_entry(token, where)``, where is "line N".
+    One leading byte-order mark (U+FEFF) is dropped.  After "#" comments
+    and blank lines are dropped, the header holds one integer per name in
+    ``form`` ("-", read as None, for names in ``derivable``), each read by
+    ``_read_int``; the names in ``shape`` count the body's rows and
+    columns, each at least 1.  Returns the header line number, the header
+    fields by name and the rows.  The body is read a line at a time, in
+    order: a line's token count is checked, then ``parse_line(tokens,
+    where)``, where is "line N", converts the line to its row.
     """
     lines = [
-        (i + 1, line.strip())
-        for i, line in enumerate(text.splitlines())
-        if line.strip() and not line.lstrip().startswith("#")
+        (i, line)
+        for i, line in enumerate(map(str.strip, text.removeprefix("\ufeff").splitlines()), 1)
+        if line and line[0] != "#"
     ]
     if not lines:
         raise ParseError("empty input")
@@ -474,15 +502,17 @@ def read_table(text, form, shape, parse_entry, derivable=()):
         tokens, where = line.split(), f"line {line_no}"
         if len(tokens) != n_cols:
             raise ParseError(f"{where}: expected {_number(n_cols)} entries, found {len(tokens)}")
-        rows.append(tuple([parse_entry(tok, where) for tok in tokens]))
+        rows.append(parse_line(tokens, where))
     return header_no, values, tuple(rows)
 
 
 def parse_raw(text: str):
     """Parse the text form of an array without checking C1-C4: the header
     line number, the header fields by name (Z and S None where "-") and
-    the grid."""
-    return read_table(text, "L K F Z S", ("F", "K"), _parse_entry, derivable=("Z", "S"))
+    the grid.  Each distinct token is read by int() once, so a token int()
+    takes is an entry ("+3", "1_0" and non-ASCII digits included); a line
+    with a fault is re-read token by token, naming the first."""
+    return read_table(text, "L K F Z S", ("F", "K"), _Entries().line, derivable=("Z", "S"))
 
 
 def header_mismatches(header, report: ValidationReport) -> list:

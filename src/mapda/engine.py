@@ -291,9 +291,13 @@ def _parse_scalar(token, where):
     return value
 
 
+def _parse_scalars(tokens, where):
+    return tuple([_parse_scalar(token, where) for token in tokens])
+
+
 def parse_channel_fixture(text) -> ChannelMatrix:
     """Channel fixture: header 'L K' then L lines of K scalar entries."""
-    _, _, rows = read_table(text, "L K", ("L", "K"), _parse_scalar)
+    _, _, rows = read_table(text, "L K", ("L", "K"), _parse_scalars)
     return ChannelMatrix(Matrix.from_rows(rows))
 
 
@@ -303,7 +307,7 @@ def read_channel_fixture(path) -> ChannelMatrix:
 
 def parse_library_fixture(text) -> Matrix:
     """Library fixture: header 'N F' then N lines of F packet values."""
-    _, _, rows = read_table(text, "N F", ("N", "F"), _parse_scalar)
+    _, _, rows = read_table(text, "N F", ("N", "F"), _parse_scalars)
     return Matrix.from_rows(rows)
 
 

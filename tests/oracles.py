@@ -3,7 +3,8 @@
 Everything here but ``rank`` is written from the definitions, separately
 from the package code paths it checks: a naive condition checker, a
 brute-force per-slot rescan of the grid for the derived validation fields
-and slot cells, Gaussian elimination over Fractions, loop-form float
+and slot cells, an array-file reader that reads each token on its own,
+Gaussian elimination over Fractions, loop-form float
 kernels (a running-sum product and a solver with back-substitution over
 every column), an exact channel whose submatrices are provably
 nonsingular, a per-column precoder synthesis that also names every
@@ -24,6 +25,7 @@ from operator import mul
 
 import numpy as np
 
+from mapda.arrays import ParseError, _parse_entry
 from mapda.engine import DegenerateChannel, PrecodingMatrix, _served_columns
 from mapda.linalg import (
     EXACT,
@@ -44,32 +46,26 @@ def naive_conditions(grid, antennas):
     Returns (c1, c2, c3, c4).  Grid entries are None for stars, ints for
     slot ids; structural validity is assumed.
     """
-    n_rows = len(grid)
-    n_cols = len(grid[0])
-    counts = []
-    for k in range(n_cols):
-        counts.append(sum(1 for f in range(n_rows) if grid[f][k] is None))
+    columns = list(zip(*grid))
+    counts = [column.count(None) for column in columns]
     c1 = all(c == counts[0] for c in counts)
 
-    ids = sorted({grid[f][k] for f in range(n_rows) for k in range(n_cols) if grid[f][k] is not None})
-    top = max(ids) if ids else 0
+    ids = sorted({e for row in grid for e in row if e is not None})
+    top = ids[-1] if ids else 0
     c2 = ids == list(range(1, top + 1))
 
     c3 = True
-    for k in range(n_cols):
-        seen = [grid[f][k] for f in range(n_rows) if grid[f][k] is not None]
+    for column in columns:
+        seen = [e for e in column if e is not None]
         if len(seen) != len(set(seen)):
             c3 = False
 
     c4 = True
-    for s in range(1, top + 1):
-        cells = [(f, k) for f in range(n_rows) for k in range(n_cols) if grid[f][k] == s]
-        if not cells:
-            continue
-        sub_rows = sorted({f for f, _ in cells})
-        sub_cols = sorted({k for _, k in cells})
-        for f in sub_rows:
-            fanin = sum(1 for k in sub_cols if grid[f][k] is not None)
+    for s in ids:
+        sub_rows = [row for row in grid if s in row]
+        sub_cols = [k for k, column in enumerate(columns) if s in column]
+        for row in sub_rows:
+            fanin = len([k for k in sub_cols if row[k] is not None])
             if fanin > antennas:
                 c4 = False
     return c1, c2, c3, c4
@@ -84,8 +80,9 @@ def naive_report(grid, antennas):
     """
     n_rows = len(grid)
     n_cols = len(grid[0])
+    columns = list(zip(*grid))
     failures = []
-    star_counts = [sum(1 for f in range(n_rows) if grid[f][k] is None) for k in range(n_cols)]
+    star_counts = [column.count(None) for column in columns]
     c1 = len(set(star_counts)) == 1
     if not c1:
         failures.append(f"C1 violated: star counts per column are {star_counts}")
@@ -100,30 +97,32 @@ def naive_report(grid, antennas):
     if missing:
         failures.append(f"C2 violated: missing slot id(s) {missing}")
 
-    for k in range(n_cols):
+    for k, column in enumerate(columns, 1):
         seen = set()
-        for f in range(n_rows):
-            e = grid[f][k]
+        for e in column:
             if e is None:
                 continue
             if e in seen:
-                failures.append(f"C3 violated in column {k + 1}: slot {e} repeated")
+                failures.append(f"C3 violated in column {k}: slot {e} repeated")
                 break
             seen.add(e)
 
     min_antennas = 0
     c4 = True
     for s in sorted(occurrences):
-        slot_rows = [f for f in range(n_rows) if s in grid[f]]
-        slot_cols = [k for k in range(n_cols) if any(grid[f][k] == s for f in range(n_rows))]
-        worst = max(sum(1 for k in slot_cols if grid[f][k] is not None) for f in slot_rows)
+        slot_rows = [row for row in grid if s in row]
+        slot_cols = [k for k, column in enumerate(columns) if s in column]
+        worst = max([len([k for k in slot_cols if row[k] is not None]) for row in slot_rows])
         min_antennas = max(min_antennas, worst)
         if worst > antennas and c4:
             c4 = False
             failures.append(f"C4 violated at s={s}")
 
-    t = Fraction(n_cols * star_counts[0], n_rows) if c1 else None
-    regular = c1 and all(count == t + antennas for count in occurrences.values())
+    # Each slot occurs t + L times, t = K Z / F: count * F == K Z + L F.
+    regular = c1 and all(
+        count * n_rows == n_cols * star_counts[0] + antennas * n_rows
+        for count in occurrences.values()
+    )
     return min_antennas, slots, regular, tuple(failures)
 
 
@@ -135,6 +134,30 @@ def naive_slot_cells(grid, s):
         for f in range(len(grid))
         if grid[f][k] == s
     )
+
+
+def token_parse_raw(text):
+    """``parse_raw`` of an array text whose header is well formed, with
+    every body token read by ``arrays._parse_entry``: lines in file order,
+    each line's token count checked before its first token is read.
+    Returns (header line, header fields, grid) or raises ParseError."""
+    lines = [
+        (line_no, line.strip())
+        for line_no, line in enumerate(text.removeprefix("\ufeff").splitlines(), 1)
+        if line.strip() and not line.strip().startswith("#")
+    ]
+    (header_no, header), body = lines[0], lines[1:]
+    fields = dict(zip("LKFZS", header.split()))
+    values = {name: None if name in "ZS" and v == "-" else int(v) for name, v in fields.items()}
+    if len(body) != values["F"]:
+        raise ParseError(f"line {header_no}: header declares {values['F']} rows, found {len(body)}")
+    grid = []
+    for line_no, line in body:
+        tokens = line.split()
+        if len(tokens) != values["K"]:
+            raise ParseError(f"line {line_no}: expected {values['K']} entries, found {len(tokens)}")
+        grid.append(tuple(_parse_entry(token, f"line {line_no}") for token in tokens))
+    return header_no, values, tuple(grid)
 
 
 def naive_solve_exact(a_rows, b_rows):

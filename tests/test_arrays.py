@@ -1,5 +1,6 @@
 """Array construction, validation, generators, and file round trips."""
 
+import itertools
 import math
 import random
 import time
@@ -29,7 +30,7 @@ from mapda.arrays import (
     write_mapda,
 )
 
-from oracles import naive_conditions, naive_report, naive_slot_cells
+from oracles import naive_conditions, naive_report, naive_slot_cells, token_parse_raw
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -110,29 +111,29 @@ class TestValidate:
     def test_agrees_with_naive_recheck_on_random_samples(self):
         # Soundness sweep: >= 1e5 random grids up to 5x6 over {*, 1..4},
         # mixing fully random entries with column-star-balanced draws so a
-        # meaningful share reaches the later conditions.
+        # meaningful share reaches the later conditions.  Each draw is a few
+        # C-level calls: a shape, then a grid's entries, or a column's slot
+        # ids and star rows.
         rng = random.Random(12345)
+        shapes = [(f, k, a) for f in range(1, 6) for k in range(1, 7) for a in range(1, 4)]
+        star_rows = {
+            (f, z): list(itertools.combinations(range(f), z))
+            for f in range(1, 6)
+            for z in range(f + 1)
+        }
         checked = 0
         while checked < 100_000:
-            n_rows = rng.randint(1, 5)
-            n_cols = rng.randint(1, 6)
-            antennas = rng.randint(1, 3)
+            n_rows, n_cols, antennas = rng.choice(shapes)
             if rng.random() < 0.5:
-                grid = tuple(
-                    tuple(rng.choice((STAR, 1, 2, 3, 4)) for _ in range(n_cols))
-                    for _ in range(n_rows)
-                )
+                entries = iter(rng.choices((STAR, 1, 2, 3, 4), k=n_rows * n_cols))
+                grid = tuple(zip(*[entries] * n_cols))
             else:
                 stars = rng.randint(0, n_rows)
-                cols = []
-                for _ in range(n_cols):
-                    star_rows = set(rng.sample(range(n_rows), stars))
-                    cols.append(
-                        [
-                            STAR if f in star_rows else rng.randint(1, 4)
-                            for f in range(n_rows)
-                        ]
-                    )
+                entries = iter(rng.choices((1, 2, 3, 4), k=n_rows * n_cols))
+                cols = [list(column) for column in zip(*[entries] * n_rows)]
+                for column, rows in zip(cols, rng.choices(star_rows[n_rows, stars], k=n_cols)):
+                    for f in rows:
+                        column[f] = STAR
                 grid = tuple(zip(*cols))
             report = validate(grid, antennas)
             assert (report.c1, report.c2, report.c3, report.c4) == naive_conditions(
@@ -385,6 +386,41 @@ class TestFileFormat:
     def test_writer_emits_explicit_parameters(self):
         text = format_mapda(generate_cyclic(4, 2))
         assert text.splitlines()[0] == "2 4 4 2 2"
+
+    def test_line_reader_fails_as_the_token_reader(self):
+        # Seeded well-formed array texts and corrupted copies: a bad token,
+        # a short line, or both on different lines in either order.  The
+        # reader converts a line at a time; the oracle reads every token
+        # through _parse_entry.  Both give the same grid or the same first
+        # error, so a reader that checked every line's length before
+        # converting any would fail the two-fault cases.
+        rng = random.Random(2028)
+        entries = ("*", "*", "1", "2", "7", "30", "+3", "1_0", "\u0663", "007")
+        bad = ("x", "1.5", "**", "2*", "0", "-0", "-3", "9" * 5000)
+        seen = {"rows": 0, "bad entry": 0, "slot ids start at 1": 0, "digits": 0, "expected": 0}
+        for _ in range(3000):
+            n_rows, n_cols = rng.randint(1, 6), rng.randint(2, 6)
+            body = [[rng.choice(entries) for _ in range(n_cols)] for _ in range(n_rows)]
+            faults = rng.choice(((), ("token",), ("short",), ("token", "short")))
+            for fault, row in zip(faults, rng.sample(range(n_rows), min(len(faults), n_rows))):
+                if fault == "token":
+                    body[row][rng.randrange(n_cols)] = rng.choice(bad)
+                else:
+                    del body[row][rng.randrange(n_cols)]
+            lines = [rng.choice((" ", "\t", "  ")).join(row) + "\n" * rng.randint(1, 2) for row in body]
+            header = f"2 {n_cols} {n_rows} {rng.choice(('-', '1'))} {rng.choice(('-', '4'))}\n"
+            text = "# array\n" * rng.randint(0, 1) + header + "".join(lines)
+            try:
+                expected = token_parse_raw(text)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as info:
+                    parse_raw(text)
+                assert str(info.value) == str(exc)
+                seen[next(key for key in seen if key in str(exc))] += 1
+            else:
+                assert parse_raw(text) == expected
+                seen["rows"] += 1
+        assert min(seen.values()) >= 100, seen
 
 
 @st.composite

@@ -80,6 +80,26 @@ class TestValidate:
         code, _, _ = run_cli(capsys, "validate", "/no/such/file", "--antennas", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("source", ["array file", "channel fixture", "stdin"])
+    def test_byte_order_mark_ignored(self, capsys, monkeypatch, tmp_path, source):
+        # Some editors begin a UTF-8 file with U+FEFF; each reader drops one.
+        fixture = CHANNEL if source == "channel fixture" else EXAMPLE1
+        path = tmp_path / "input.txt"
+        results = []
+        for mark in ("", "\ufeff"):
+            text = mark + Path(fixture).read_text(encoding="utf-8")
+            path.write_text(text, encoding="utf-8")
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            argv = {
+                "array file": ("validate", str(path), "-L", "2"),
+                "channel fixture": ("simulate", EXAMPLE1, "-N", "6", "--channel", str(path)),
+                "stdin": ("validate", "-", "-L", "2"),
+            }[source]
+            results.append(run_cli(capsys, *argv))
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert results[0][0] == 0
+        assert results[1] == results[0]
+
 
 class TestGen:
     def test_pipe_composition(self, capsys, monkeypatch):

@@ -393,6 +393,42 @@ class TestTable:
         assert "F_s1:formula=130!=published=10" in row["flags"]
         assert "F_s2:formula=1007760!=published=30" in row["flags"]
 
+    def test_flagged_rows_are_parameter_typos(self):
+        # Every (t, L) with t + L <= K at K = 20 and K = 150, 11,365 points:
+        # one point alone gives all three published F cells of each flagged
+        # row, at best_m = L.  The published keys, cells and flags stay.
+        flagged = {
+            (20, Fraction(2, 5), 5): (20, Fraction(2, 5), 4),  # L printed as 5
+            (150, Fraction(3, 50), 10): (150, Fraction(1, 15), 10),  # ratio printed as 3/50
+        }
+        scanned, matches = 0, {key: [] for key in flagged}
+        for users in (20, 150):
+            for t in range(1, users):
+                for antennas in range(1, users - t + 1):
+                    scanned += 1
+                    p = SystemPoint(users, antennas, Fraction(t, users))
+                    for key, found in matches.items():
+                        cells = metrics._REFERENCE_CELLS[key]
+                        if key[0] != users:
+                            continue
+                        if scheme_metrics(p, 2).subpacketization != cells["F_s2"]:
+                            continue
+                        try:
+                            figures = {"F_s1": scheme_metrics(p, 1), "F_asmst": asmst_metrics(p)}
+                        except ConstraintViolation:
+                            continue
+                        if not any(
+                            metrics._reference_mismatch(cells, column, m.subpacketization)
+                            for column, m in figures.items()
+                        ):
+                            found.append(p)
+        assert scanned == 11_365
+        for key, intended in flagged.items():
+            assert [(p.users, p.memory_ratio, p.antennas) for p in matches[key]] == [intended]
+            assert best_m(matches[key][0]) == intended[2]
+            assert "formula=" in table_row(point(*key))["flags"]
+            assert "formula=" not in table_row(matches[key][0])["flags"]
+
     def test_scheme3_cell_policy(self):
         row = table_row(point(50, "1/5", 5))
         assert row["F_s3"] == "50"
