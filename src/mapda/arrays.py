@@ -406,16 +406,24 @@ def _quote(token):
     return repr(token) if len(token) <= 40 else f"{token[:40]!r}..."
 
 
+def _plain(token):
+    """Whether a number token is ASCII without "_": int(), float(), complex()
+    and Fraction() also read "1_0" as 10 and non-ASCII digits such as "\u0663",
+    which every reader of a number from outside refuses."""
+    return token.isascii() and "_" not in token
+
+
 def _read_int(token, where, what):
     """The one reader of an integer token from outside the program: int(token),
     or a ParseError that names ``where``, the token's place, as in "line 3".
-    A decimal integer longer than Python's digit limit,
-    sys.get_int_max_str_digits(), is refused by that name; any other token
-    as ``what`` and the token, quoted."""
-    try:
-        return int(token)
-    except ValueError:
-        pass
+    A token that is not ``_plain`` is refused.  A decimal integer longer
+    than Python's digit limit, sys.get_int_max_str_digits(), is refused by
+    that name; any other token as ``what`` and the token, quoted."""
+    if _plain(token):
+        try:
+            return int(token)
+        except ValueError:
+            pass
     stripped, limit = token.strip(), sys.get_int_max_str_digits()
     digits = stripped[1:] if stripped[:1] in ("+", "-") else stripped
     if 0 < limit < len(digits) and digits.isascii() and digits.isdigit():
@@ -437,13 +445,13 @@ def _parse_entry(token, where):
 
 class _Entries(dict):
     """The entries of one array table by token, each distinct token read by
-    int() once: STAR for "*", else a slot id of at least 1."""
+    int() once: STAR for "*", else a ``_plain`` slot id of at least 1."""
 
     def __init__(self):
         super().__init__({"*": STAR})
 
     def __missing__(self, token):
-        value = int(token)
+        value = int(token) if _plain(token) else 0
         if value < 1:
             raise ValueError(token)
         self[token] = value
@@ -459,11 +467,22 @@ class _Entries(dict):
             return tuple([_parse_entry(tok, where) for tok in tokens])
 
 
+def content_lines(text):
+    """(line number, line) of each line of ``text`` that is neither blank
+    nor a "#" comment, stripped, numbered from 1.  One leading byte-order
+    mark (U+FEFF) is dropped."""
+    return [
+        (i, line)
+        for i, line in enumerate(map(str.strip, text.removeprefix("\ufeff").splitlines()), 1)
+        if line and line[0] != "#"
+    ]
+
+
 def read_table(text, form, shape, parse_line, derivable=()):
     """Read the layout of array files and both fixtures; errors name a line.
 
-    One leading byte-order mark (U+FEFF) is dropped.  After "#" comments
-    and blank lines are dropped, the header holds one integer per name in
+    After ``content_lines`` drops one leading byte-order mark, "#" comments
+    and blank lines, the header holds one integer per name in
     ``form`` ("-", read as None, for names in ``derivable``), each read by
     ``_read_int``; the names in ``shape`` count the body's rows and
     columns, each at least 1.  Returns the header line number, the header
@@ -471,11 +490,7 @@ def read_table(text, form, shape, parse_line, derivable=()):
     order: a line's token count is checked, then ``parse_line(tokens,
     where)``, where is "line N", converts the line to its row.
     """
-    lines = [
-        (i, line)
-        for i, line in enumerate(map(str.strip, text.removeprefix("\ufeff").splitlines()), 1)
-        if line and line[0] != "#"
-    ]
+    lines = content_lines(text)
     if not lines:
         raise ParseError("empty input")
     header_no, header = lines[0]
@@ -509,9 +524,10 @@ def read_table(text, form, shape, parse_line, derivable=()):
 def parse_raw(text: str):
     """Parse the text form of an array without checking C1-C4: the header
     line number, the header fields by name (Z and S None where "-") and
-    the grid.  Each distinct token is read by int() once, so a token int()
-    takes is an entry ("+3", "1_0" and non-ASCII digits included); a line
-    with a fault is re-read token by token, naming the first."""
+    the grid.  Each distinct token is read by int() once, so a ``_plain``
+    token int() takes is an entry ("+3" included, "1_0" and non-ASCII
+    digits not); a line with a fault is re-read token by token, naming the
+    first."""
     return read_table(text, "L K F Z S", ("F", "K"), _Entries().line, derivable=("Z", "S"))
 
 

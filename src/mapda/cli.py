@@ -14,14 +14,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import arrays, engine, metrics
-from .arrays import DomainError, ParseError, ValidationFailure, _number, _quote, _read_int
+from .arrays import DomainError, ParseError, ValidationFailure, _number, _plain, _quote, _read_int
 from .linalg import (
     EXACT,
     FLOAT,
@@ -30,7 +29,7 @@ from .linalg import (
     Infeasible,
     Matrix,
 )
-from .metrics import ConstraintViolation, SystemPoint
+from .metrics import SystemPoint
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -169,9 +168,10 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_ratio(token) -> Fraction:
-    """A memory ratio as Fraction reads it.  Its numerator and denominator
-    have at most the mantissa's digits plus |exponent| digits; past Python's
-    digit limit it is refused before Fraction builds 10**exponent."""
+    """A ``_plain`` memory ratio as Fraction reads it.  Its numerator and
+    denominator have at most the mantissa's digits plus |exponent| digits;
+    past Python's digit limit it is refused before Fraction builds
+    10**exponent."""
     mantissa, _, exponent = token.lower().partition("e")
     digits = max(sum(c.isdigit() for c in part) for part in mantissa.split("/"))
     digits += abs(_read_int(exponent or "0", f"memory ratio {_quote(token)}", "bad exponent"))
@@ -182,9 +182,11 @@ def _parse_ratio(token) -> Fraction:
             f"limit of {limit} (sys.get_int_max_str_digits())"
         )
     try:
-        return Fraction(token)
+        if _plain(token):
+            return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad memory ratio {_quote(token)}") from None
+        pass
+    raise ParseError(f"bad memory ratio {_quote(token)}")
 
 
 def _parse_point(token) -> SystemPoint:
@@ -199,10 +201,7 @@ def _parse_point(token) -> SystemPoint:
 
 def _points_from_file(path):
     points = []
-    for line_no, raw in enumerate(_read_text(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in arrays.content_lines(_read_text(path)):
         try:
             points.append(_parse_point(line))
         except ParseError as exc:
@@ -236,16 +235,7 @@ def cmd_sweep(args) -> int:
     rows = [metrics.table_row(p) for p in points]
     _write_text(args.out, metrics.format_table(rows))
     if args.plot_out is not None:
-        lines = ["ratio,log10_F_asmst,log10_F_s1,log10_F_s2,log10_F_s3"]
-        for row in rows:
-            cells = [row["ratio"]]
-            for scheme in ("asmst", "s1", "s2", "s3"):
-                # Blank where the scheme's constraint is unmet: lambda says
-                # n/a there, even where the table still prints K as F_s3.
-                met = not row[f"lambda_{scheme}"].startswith("n/a")
-                cells.append(f"{math.log10(int(row[f'F_{scheme}'])):.6f}" if met else "")
-            lines.append(",".join(cells))
-        _write_text(args.plot_out, "\n".join(lines) + "\n")
+        _write_text(args.plot_out, metrics.format_plot(rows))
     return EXIT_OK
 
 
@@ -320,7 +310,6 @@ def main(argv=None) -> int:
     except (
         DomainError,
         ValidationFailure,
-        ConstraintViolation,
         Infeasible,
         DimensionMismatch,
         BackendMismatch,

@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .arrays import STAR, DomainError, Mapda, ParseError, read_table
-from .arrays import _check_cells, _number, _quote, _read_int
+from .arrays import _check_cells, _number, _plain, _quote, _read_int
 from .linalg import (
     EXACT,
     FLOAT,
@@ -268,8 +268,11 @@ def make_channel(antennas, users, seed=0) -> ChannelMatrix:
 def _parse_scalar(token, where):
     """One finite fixture entry: rational 'p/q', integer, decimal, or 'a+bi'.
     The parts of a rational are read by ``_read_int``, and so is a token
-    that is neither a number nor finite, to be refused: an integer past
-    Python's digit limit for int() by that name, not as an infinite float."""
+    that is neither a ``_plain`` number nor finite, to be refused: an
+    integer past Python's digit limit for int() by that name, not as an
+    infinite float."""
+    if not _plain(token):
+        _read_int(token, where, "bad scalar")
     if "/" in token:
         num, den = (_read_int(part, where, "bad rational part") for part in token.split("/", 1))
         if den == 0:

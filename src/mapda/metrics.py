@@ -6,7 +6,9 @@ baseline retrieval scheme (tagged "asmst") at a system point (K users,
 L antennas, memory ratio M/N).  All arithmetic is exact: rationals via
 fractions.Fraction, binomials via math.comb.  Nothing here simulates a
 delivery; these are the analytical counterparts the engine is checked
-against.
+against.  ``TABLE_SCHEMES`` maps each tabulated scheme's tag to its
+calculator, in column order; the comparison table's columns and rows and
+the sweep's plot CSV are all derived from it.
 
 Scheme parameter formulas:
 
@@ -39,7 +41,7 @@ from fractions import Fraction
 from .arrays import DomainError, _number
 
 
-class ConstraintViolation(ValueError):
+class ConstraintViolation(DomainError):
     """A scheme's parameter limitation fails at the given point."""
 
 
@@ -88,7 +90,8 @@ class SystemPoint:
 class SchemeMetrics:
     """The (F, Z, S) triple of one scheme plus its derived figures; ``ndt``
     and ``sum_dof`` are derived when read (the comparison table reads
-    neither), the latter from K."""
+    neither), the latter from K.  ``m`` is the grouping size scheme 1 ran
+    at, None for the other schemes."""
 
     scheme: str
     subpacketization: int
@@ -96,6 +99,7 @@ class SchemeMetrics:
     slots: int
     complexity: int
     _users: int
+    m: int | None = None
 
     @property
     def parameters(self):
@@ -142,13 +146,13 @@ def admissible_m_values(p: SystemPoint):
 def best_m(p: SystemPoint):
     """The admissible m with the smallest scheme-1 subpacketization, or None."""
     try:
-        return _scheme1(p, None)[0]
+        return _scheme1(p, None).m
     except ConstraintViolation:
         return None
 
 
-def _scheme1(p: SystemPoint, m) -> tuple:
-    """Scheme 1 at p as (m, metrics), at grouping size m when given.
+def _scheme1(p: SystemPoint, m) -> SchemeMetrics:
+    """Scheme 1 at p, at grouping size m when given.
 
     With m None, scheme 1 is evaluated once per admissible m and the m with
     the smallest subpacketization wins, the smallest such m on ties.
@@ -159,10 +163,10 @@ def _scheme1(p: SystemPoint, m) -> tuple:
             f"scheme 1 needs t+L < K, got t={_number(t)}, L={_number(big_l)}, K={_number(big_k)}"
         )
     if m is not None:
-        return m, _scheme1_at(p, m)
+        return _scheme1_at(p, m)
     # m = 1 is always admissible; min keeps the first, smallest, m on ties.
-    candidates = [(candidate, _scheme1_at(p, candidate)) for candidate in admissible_m_values(p)]
-    return min(candidates, key=lambda c: c[1].subpacketization)
+    candidates = [_scheme1_at(p, candidate) for candidate in admissible_m_values(p)]
+    return min(candidates, key=lambda c: c.subpacketization)
 
 
 def _scheme1_at(p: SystemPoint, m) -> SchemeMetrics:
@@ -179,7 +183,7 @@ def _scheme1_at(p: SystemPoint, m) -> SchemeMetrics:
     f = beta * base
     s = sgn * l_rep * (big_k - t) * base // (t + m)
     z = f * t // big_k
-    return _finish("scheme1", p, f, z, s)
+    return _finish("scheme1", p, f, z, s, m=m)
 
 
 def _scheme2(p: SystemPoint) -> SchemeMetrics:
@@ -205,7 +209,7 @@ def _scheme3(p: SystemPoint) -> SchemeMetrics:
     return _finish("scheme3", p, big_k, t, big_k - t)
 
 
-def _finish(tag, p, f, z, s, complexity=None) -> SchemeMetrics:
+def _finish(tag, p, f, z, s, complexity=None, m=None) -> SchemeMetrics:
     """The metrics record of (F, Z, S); ``complexity`` defaults to the new
     schemes' cost model (g^3 + g^2 + t g) S with g = t+L."""
     if complexity is None:
@@ -218,6 +222,7 @@ def _finish(tag, p, f, z, s, complexity=None) -> SchemeMetrics:
         slots=s,
         complexity=complexity,
         _users=p.users,
+        m=m,
     )
 
 
@@ -225,7 +230,7 @@ def scheme_metrics(p: SystemPoint, which: int) -> SchemeMetrics:
     """Figures for scheme 1, 2, or 3 at a point; ConstraintViolation names
     the violated limitation when the point is outside the scheme's range."""
     if which == 1:
-        return _scheme1(p, p.m)[1]
+        return _scheme1(p, p.m)
     if which == 2:
         return _scheme2(p)
     if which == 3:
@@ -262,30 +267,39 @@ _REFERENCE_CELLS = {
     (150, Fraction(1, 5), 15): {"F_asmst": "1.9E+49", "F_s1": 45, "F_s2": 360, "F_s3": 150},
 }
 
+
+def _scheme3_listed(p: SystemPoint):
+    """Scheme 3 as published tables list it: where L != K-t they still give
+    F = K, so that bare F comes back, for the row to flag.  L = K-t is
+    tested first, so no ConstraintViolation is built there."""
+    if p.antennas == p.users - p.t:
+        return _scheme3(p)
+    return p.users
+
+
+# Each tabulated scheme's tag and calculator, in column order.  A calculator
+# returns the SchemeMetrics, or a bare F that published tables list outside
+# the scheme's limits; it raises DomainError (ConstraintViolation included)
+# where the limits fail, and the row says n/a.
+TABLE_SCHEMES = {
+    "asmst": asmst_metrics,
+    "s1": lambda p: _scheme1(p, p.m),
+    "s2": _scheme2,
+    "s3": _scheme3_listed,
+}
+# The F, F_sci, lambda and lambda_sci columns of each scheme, by tag.
+_CELLS = {
+    tag: (f"F_{tag}", f"F_{tag}_sci", f"lambda_{tag}", f"lambda_{tag}_sci")
+    for tag in TABLE_SCHEMES
+}
 TABLE_COLUMNS = (
-    "K",
-    "ratio",
-    "L",
-    "m",
-    "F_asmst",
-    "F_asmst_sci",
-    "F_s1",
-    "F_s1_sci",
-    "F_s2",
-    "F_s2_sci",
-    "F_s3",
-    "F_s3_sci",
+    "K", "ratio", "L", "m",
+    *(column for cells in _CELLS.values() for column in cells[:2]),
     "ndt",
-    "lambda_asmst",
-    "lambda_asmst_sci",
-    "lambda_s1",
-    "lambda_s1_sci",
-    "lambda_s2",
-    "lambda_s2_sci",
-    "lambda_s3",
-    "lambda_s3_sci",
+    *(column for cells in _CELLS.values() for column in cells[2:]),
     "flags",
 )
+_PLOT_HEADER = ",".join(["ratio", *(f"log10_{cells[0]}" for cells in _CELLS.values())])
 
 
 def sci(value) -> str:
@@ -327,59 +341,36 @@ def table_row(p: SystemPoint) -> dict:
 
 
 def _table_row(p: SystemPoint) -> dict:
-    row = {c: "" for c in TABLE_COLUMNS}
+    users, t, antennas = p.users, p.t, p.antennas
+    row = dict.fromkeys(TABLE_COLUMNS, "")
+    row["K"], row["ratio"], row["L"] = str(users), str(p.memory_ratio), str(antennas)
+    row["m"] = "-" if p.m is None else str(p.m)
+    row["ndt"] = str(Fraction(users - t, t + antennas))
+    published = _REFERENCE_CELLS.get((users, p.memory_ratio, antennas))
     flags = []
-    row["K"] = str(p.users)
-    row["ratio"] = str(p.memory_ratio)
-    row["L"] = str(p.antennas)
-    row["ndt"] = str(Fraction(p.users - p.t, p.t + p.antennas))
-    published = _REFERENCE_CELLS.get((p.users, p.memory_ratio, p.antennas), {})
-
-    def fill(column, metric_or_reason, complexity_col):
-        if isinstance(metric_or_reason, SchemeMetrics):
-            f = metric_or_reason.subpacketization
-            row[column] = str(f)
-            row[column + "_sci"] = sci(f)
-            row[complexity_col] = str(metric_or_reason.complexity)
-            row[complexity_col + "_sci"] = sci(metric_or_reason.complexity)
-            mismatch = _reference_mismatch(published, column, f)
-            if mismatch:
-                flags.append(mismatch)
+    for tag, calculate in TABLE_SCHEMES.items():
+        f_col, f_sci, lambda_col, lambda_sci = _CELLS[tag]
+        try:
+            metric = calculate(p)
+        except DomainError as exc:
+            row[f_col] = row[lambda_col] = f"n/a({exc})"
+            continue
+        if isinstance(metric, int):
+            f = metric
+            row[lambda_col] = "n/a(constraint-unmet)"
+            flags.append(f"{f_col}:constraint-unmet(L={antennas}!=K-t={users - t})")
         else:
-            row[column] = f"n/a({metric_or_reason})"
-            row[complexity_col] = f"n/a({metric_or_reason})"
-
-    try:
-        fill("F_asmst", asmst_metrics(p), "lambda_asmst")
-    except DomainError as exc:
-        fill("F_asmst", str(exc), "lambda_asmst")
-
-    try:
-        m, s1 = _scheme1(p, p.m)
-    except ConstraintViolation as exc:
-        m, s1 = p.m, str(exc)
-    row["m"] = str(m) if m is not None else "-"
-    fill("F_s1", s1, "lambda_s1")
-
-    try:
-        fill("F_s2", scheme_metrics(p, 2), "lambda_s2")
-    except ConstraintViolation as exc:
-        fill("F_s2", str(exc), "lambda_s2")
-
-    if p.antennas == p.users - p.t:
-        fill("F_s3", scheme_metrics(p, 3), "lambda_s3")
-    else:
-        # Published tables list K here regardless; reproduce it but flagged.
-        row["F_s3"] = str(p.users)
-        row["F_s3_sci"] = sci(p.users)
-        row["lambda_s3"] = "n/a(constraint-unmet)"
-        flags.append(f"F_s3:constraint-unmet(L={p.antennas}!=K-t={p.users - p.t})")
-        mismatch = _reference_mismatch(published, "F_s3", p.users)
+            f, complexity = metric.subpacketization, metric.complexity
+            row[lambda_col], row[lambda_sci] = str(complexity), sci(complexity)
+            if metric.m is not None:
+                row["m"] = str(metric.m)
+        row[f_col], row[f_sci] = str(f), sci(f)
+        mismatch = published and _reference_mismatch(published, f_col, f)
         if mismatch:
             flags.append(mismatch)
 
-    if p.t < p.antennas:
-        flags.append(f"engine-gate:t={p.t}<L={p.antennas}(silence {p.antennas - p.t} antennas)")
+    if t < antennas:
+        flags.append(f"engine-gate:t={t}<L={antennas}(silence {antennas - t} antennas)")
     row["flags"] = ";".join(flags)
     return row
 
@@ -388,6 +379,20 @@ def format_table(rows) -> str:
     """CSV text of ``table_row`` rows, in the order given."""
     lines = [",".join(TABLE_COLUMNS)]
     lines.extend(",".join(row[c] for c in TABLE_COLUMNS) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def format_plot(rows) -> str:
+    """Plot CSV of ``table_row`` rows: the ratio, then log10 F of each
+    scheme to six decimals, blank where the scheme's limits fail (its lambda
+    says n/a), even where the table still lists K as scheme 3's F."""
+    lines = [_PLOT_HEADER]
+    for row in rows:
+        cells = [row["ratio"]]
+        for f_col, _, lambda_col, _ in _CELLS.values():
+            unmet = row[lambda_col].startswith("n/a")
+            cells.append("" if unmet else f"{math.log10(int(row[f_col])):.6f}")
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 

@@ -121,6 +121,17 @@ class TestGen:
         code, out, _ = run_cli(capsys, "validate", str(out_path), "--antennas", "3")
         assert code == 0
 
+    def test_underscore_integer_option_exit_2(self, capsys):
+        # int() reads "1_0" as 10; an option refuses it, and "+3" stays an
+        # integer.
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "mn", "-K", "1_0", "--t", "+3"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.endswith("argument --users/-K: invalid int value: '1_0'\n")
+        code, out, _ = run_cli(capsys, "gen", "mn", "-K", "5", "--t", "+3")
+        assert code == 0 and out.startswith("1 5 10 6 5\n")
+
     def test_domain_error_exit(self, capsys):
         code, _, err = run_cli(capsys, "gen", "mn", "--users", "2", "--t", "2")
         assert code == 1
@@ -486,6 +497,26 @@ class TestCompare:
         assert out == ""
         assert err.startswith("error: line 4: ")
 
+    def test_points_file_with_byte_order_mark(self, capsys, tmp_path):
+        # Points lines are read as table lines are: one leading U+FEFF, as
+        # some editors write, is dropped.
+        text = (FIXTURES / "table_points.txt").read_text(encoding="utf-8")
+        tables = []
+        for prefix in ("", "\ufeff"):
+            points = tmp_path / "points.txt"
+            points.write_text(prefix + text, encoding="utf-8")
+            tables.append(run_cli(capsys, "compare", "--points", str(points)))
+        assert tables[1] == tables[0]
+        assert tables[0][0] == 0 and len(tables[0][1].splitlines()) == 10
+
+    def test_underscore_or_non_ascii_number_exit_2(self, capsys):
+        # int() and Fraction() read "1_0" as 10 and "\u0663" as 3; a point
+        # refuses both, in K and in the ratio.
+        for token in ("1_0,1/5,4", "\u0663,1/3,2", "20,1_0/50,4", "6,1/\u0663,2", "6,1e0_0,2"):
+            code, out, err = run_cli(capsys, "compare", "--point", token)
+            assert (code, out) == (2, ""), token
+            assert err.startswith("error: ") and "Traceback" not in err
+
     def test_grouping_size_below_one_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "compare", "--point", "6,1/3,2,0")
         assert code == 1
@@ -571,27 +602,27 @@ class TestSweep:
         )
 
     def test_plot_data_evaluates_each_scheme_once(self, capsys, tmp_path, monkeypatch):
-        calls = {"asmst": 0, "scheme": 0}
-        asmst_metrics, scheme_metrics = metrics.asmst_metrics, metrics.scheme_metrics
+        # The hook sits on the table's calculators, which the rows call.
+        calls = dict.fromkeys(metrics.TABLE_SCHEMES, 0)
 
-        def counting_asmst(p):
-            calls["asmst"] += 1
-            return asmst_metrics(p)
+        def counting(tag, calculate):
+            def count(p):
+                calls[tag] += 1
+                return calculate(p)
+            return count
 
-        def counting_scheme(p, which):
-            calls["scheme"] += 1
-            return scheme_metrics(p, which)
-
-        monkeypatch.setattr(metrics, "asmst_metrics", counting_asmst)
-        monkeypatch.setattr(metrics, "scheme_metrics", counting_scheme)
+        for tag, calculate in list(metrics.TABLE_SCHEMES.items()):
+            monkeypatch.setitem(metrics.TABLE_SCHEMES, tag, counting(tag, calculate))
         counts = []
         for extra in ((), ("--plot-out", str(tmp_path / "plot.csv"))):
-            calls.update(asmst=0, scheme=0)
+            calls.update(dict.fromkeys(calls, 0))
             code, _, _ = run_cli(capsys, "sweep", "-K", "150", "-L", "10", *extra)
             assert code == 0
             counts.append(dict(calls))
-        # t = 1..140: one baseline evaluation per point, with or without plot data.
+        # t = 1..140: one evaluation of each scheme per point, baseline
+        # included, with or without plot data.
         assert counts[0]["asmst"] == 140
+        assert set(counts[0].values()) == {140}
         assert counts[1] == counts[0]
 
     def test_grouping_size_below_one_exit_1(self, capsys):
@@ -823,6 +854,24 @@ class TestAllocationBound:
             ["validate", "ARRAY", "-L", "1"],
             "line 1: F and K must be >= 1, got F=1, K=-2",
         ),
+        # int(), float() and Fraction() read "1_0" as 10; each reader of a
+        # number from outside refuses it, by its own message.
+        "array_header_underscore": (
+            ["validate", "ARRAY", "-L", "2"],
+            "line 1: non-integer header field '1_0'",
+        ),
+        "array_entry_underscore": (
+            ["validate", "ARRAY", "-L", "2"],
+            "line 3: bad entry '1_0'",
+        ),
+        "channel_entry_underscore": (
+            ["simulate", EXAMPLE1, "-N", "2", "--channel", "ARRAY"],
+            "line 3: bad scalar '1_0.5'",
+        ),
+        "compare_ratio_underscore": (
+            ["compare", "--point", "20,1_0/50,4"],
+            "bad memory ratio '1_0/50'",
+        ),
     }
     # A parse error exits 2; every other case exits 1.
     EXIT_CODES = {
@@ -838,6 +887,10 @@ class TestAllocationBound:
             "channel_no_rows",
             "array_no_rows_or_columns",
             "array_negative_columns",
+            "array_header_underscore",
+            "array_entry_underscore",
+            "channel_entry_underscore",
+            "compare_ratio_underscore",
         )
     }
     # The file each case reads in place of ARRAY: an array file, or the
@@ -860,6 +913,9 @@ class TestAllocationBound:
         "channel_no_rows": "0 2\n",
         "array_no_rows_or_columns": "1 0 0 - -\n",
         "array_negative_columns": "1 -2 1 - -\n* *\n",
+        "array_header_underscore": f"2 6 3 1_0 3\n{ROWS}",
+        "array_entry_underscore": "2 6 3 1 3\n* 1 2 * 1 2\n1 * 1_0 1 * 3\n2 3 * 2 3 *\n",
+        "channel_entry_underscore": "2 6\n1 2 3 4 5 6\n1 1_0.5 1 1 1 1\n",
     }
 
     @staticmethod

@@ -54,6 +54,8 @@ CASES = {
     "validate_c3_repeat_regular_L2": ["validate", "c3_repeat_regular.mapda", "-L", "2"],
     # The table, then the plot CSV, both on stdout.
     "sweep_20_4": ["sweep", "-K", "20", "-L", "4", "--plot-out", "-"],
+    # Scheme 1's plot column at a set m: blank where m = 4 does not divide t.
+    "sweep_120_8_m4_plot": ["sweep", "-K", "120", "-L", "8", "--m", "4", "--plot-out", "-"],
     # The benchmark catalog's sweep: 140 rows, one of them (ratio 3/50) a
     # published point whose cells are flagged.
     "sweep_150_10": ["sweep", "-K", "150", "-L", "10"],

@@ -44,3 +44,18 @@ def test_only_linalg_reads_matrix_internals():
         if isinstance(node, ast.Attribute) and node.attr in internals
     }
     assert reads == set()
+
+
+def test_only_metrics_names_scheme_columns():
+    # The comparison table's scheme columns and the plot's are derived from
+    # metrics.TABLE_SCHEMES; no other module writes one out or parses one.
+    prefixes = ("F_", "lambda_", "log10_F_")
+    names = {
+        (path.name, node.value, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "metrics.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.startswith(prefixes)
+    }
+    assert names == set()
