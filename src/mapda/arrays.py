@@ -257,11 +257,10 @@ class Mapda:
     report: ValidationReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.grid)
-        object.__setattr__(self, "grid", rows)
-        report = validate(rows, self.antennas)
+        report = validate(self.grid, self.antennas)
         if not report.ok:
             raise ValidationFailure("; ".join(report.failures), report)
+        object.__setattr__(self, "grid", report._grid)
         object.__setattr__(self, "report", report)
 
     @property

@@ -410,7 +410,7 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
         # unit right-hand side is the one at n's index among them.
         equations = [l for l in range(size) if l not in unknowns]
         if unknowns not in solved:
-            solved[unknowns] = solve(block, equations, equations, unknowns)
+            solved[unknowns] = solve(block, equations, unknowns)
         flagged, *_, x_den, b_den = solution = solved[unknowns]
         placed = [(n, equations.index(n)) for n in members]
         if flagged:

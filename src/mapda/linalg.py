@@ -5,7 +5,8 @@ and produces bit-exact results; the float backend stores complex doubles.
 A single computation never mixes backends.  Per-slot precoder systems need
 multiply, conjugate transpose, and a Gaussian-elimination solver that
 zeroes free variables and reports inconsistency instead of guessing; the
-engine solves its column systems in place and decodes with ``isolate``.
+engine solves its column systems in place, each against one unit
+right-hand side per equation row, and decodes with ``isolate``.
 
 Every matrix, on either backend, is a list of rows over one denominator,
 which the kernels read and return; the flat ``data`` is only a cache, kept
@@ -24,17 +25,15 @@ identity and multistep integer-preserving Gaussian elimination", Math.
 Comp. 1968): every division is exact and none is made while the previous
 pivot is 1.  Pivots come from the system alone, so every right-hand side
 is back-substituted over the pivot rows, exactly whether or not it is
-consistent, and the inconsistent ones are reported.  The Matrix form of
-``solve`` returns integer rows over the determinant times b's denominator;
-the unit form returns the integers themselves, reading a x's equation rows
-from the right-hand side, which its solve satisfies.  The float backend
-runs plain Gaussian elimination with partial pivoting, on the first row of
+consistent, and the inconsistent ones are reported.  An exact ``solve``
+returns integers over the determinant, reading a x's equation rows from
+the right-hand side, which its solve satisfies.  The float backend runs
+plain Gaussian elimination with partial pivoting, on the first row of
 largest magnitude.  On both backends a solve is one pass: it eliminates,
 then back-substitutes over the pivot columns only, since free variables
-are zero, and returns x at the pivot columns alone; the Matrix form fills
-the free variables with zeros, and the unit form's support is the pivot
-columns where x is nonzero.  A float solve tallies its elimination and
-back-substitution at once.
+are zero, and returns x at the pivot columns alone; its support is the
+pivot columns where x is nonzero.  A float solve tallies its elimination
+and back-substitution at once.
 
 Scalar multiply/add counts can be observed through ``count_ops``, whose
 blocks nest, the innermost open one counting.  They count the
@@ -82,10 +81,10 @@ class BackendMismatch(TypeError):
 class Infeasible(Exception):
     """A linear system has no solution (rank(A) < rank(A|b)).
 
-    The Matrix form of ``solve`` sets ``column`` to the first inconsistent
-    right-hand side.  The delivery engine reuses this to signal transmissions whose precoder
-    cannot exist; there ``slot`` and ``column`` name the slot and precoder
-    column when known.
+    ``solve`` raises nothing: it returns the inconsistent right-hand sides.
+    The delivery engine raises this for transmissions whose precoder cannot
+    exist; ``slot`` and ``column`` name the slot and precoder column when
+    known.
     """
 
     def __init__(self, message, slot=None, column=None):
@@ -430,82 +429,53 @@ def _solve_rows(rows, n, backend):
     return flagged, [c for _, c in pivots], x, det
 
 
-def solve(a: Matrix, b, rows=None, cols=None):
-    """Solve a*x = b, returning the solution with free variables set to zero.
+def solve(a: Matrix, rows, cols):
+    """Solve a's rows ``rows`` over its columns ``cols``, read in place,
+    against the identity over those equation rows: one unit right-hand side
+    per row, the j-th reading 1 in a's row rows[j].
 
-    Raises Infeasible when the system is inconsistent
-    (rank(a) < rank(a|b)); its ``column`` is the 1-based index of the first
-    inconsistent column of b.  Pivots are chosen from a alone, so each
-    column of b gets the solution it would get alone.  On the rational
-    backend, for a = A/p and b = B/q over integers, the elimination solves
-    A (q x) = p B fraction-free (Bareiss), pivoting on the first nonzero
-    entry of each column, so results are exact; on floats it is Gaussian
-    elimination with partial pivoting.
+    Pivots are chosen from the system alone, so each right-hand side gets
+    the solution it would get alone, and nothing is raised for an
+    inconsistent one.  On the rational backend the elimination is
+    fraction-free (Bareiss), pivoting on the first nonzero entry of each
+    column, so results are exact, and a unit enters at a's denominator; on
+    floats it is Gaussian elimination with partial pivoting.  It eliminates
+    and back-substitutes in one pass, which gives x at the pivot columns
+    only, free variables being zero.
 
-    Either form eliminates and back-substitutes in one pass, which returns
-    x at the pivot columns only; the Matrix form sets the free variables
-    to zero around them.
-
-    Given ``rows`` and ``cols``, the system is a's rows ``rows`` over its
-    columns ``cols``, read in place, and b lists unit right-hand sides, the
-    j-th reading 1 in a's row b[j].  Nothing is raised for an inconsistent
-    one: returns (the 0-based indices j of the inconsistent right-hand
-    sides, the unknowns where x is nonzero, which are pivot columns, x's
-    rows there, the columns of a x, x's denominator, a x's denominator),
-    where x and a x solve nothing in a column j that is listed.  On floats
-    x and a x are as ``matmul`` would form them, equation rows keeping their
-    rounding residue, and both denominators are 1.  On the exact backend
-    every part is an integer: x's rows are over d, the Bareiss determinant,
-    and a x is over a's denominator times d.  Its equation rows are read
-    from the right-hand side the solve satisfied; only the other rows are
-    summed.
+    Returns (the 0-based indices j of the inconsistent right-hand sides, the
+    unknowns where x is nonzero, which are pivot columns, x's rows there,
+    the columns of a x, x's denominator, a x's denominator), where x and
+    a x solve nothing in a column j that is listed.  On floats x and a x are
+    as ``matmul`` would form them, equation rows keeping their rounding
+    residue, and both denominators are 1.  On the exact backend every part
+    is an integer: x's rows are over d, the Bareiss determinant, and a x is
+    over a's denominator times d.  Its equation rows are read from the
+    right-hand side the solve satisfied; only the other rows are summed.
     """
-    if rows is not None:
-        return _solve_units(a, rows, cols, b)
-    _check_same_backend(a, b)
-    if a.n_rows != b.n_rows:
-        raise DimensionMismatch(f"a has {a.n_rows} rows but b has {b.n_rows}")
-    (a_rows, p), (b_rows, q) = a._rows, b._rows
-    if p != 1:  # a float entry times an int 1 can lose the sign of a zero
-        b_rows = [[p * v for v in b_row] for b_row in b_rows]
-    rows = [[*row, *b_row] for row, b_row in zip(a_rows, b_rows)]
-    flagged, pivot_cols, x_pivots, det = _solve_rows(rows, a.n_cols, a.backend)
-    if flagged:
-        j = flagged[0] + 1
-        message = f"system is inconsistent in right-hand side {j}: rank(A) < rank(A|b)"
-        raise Infeasible(message, column=j)
-    zero = 0 if a.backend == EXACT else complex(0)
-    x = [[zero] * b.n_cols] * a.n_cols  # free variables; pivot rows are replaced
-    for c, values in zip(pivot_cols, x_pivots):
-        x[c] = values
-    return Matrix.from_ints(x, q * det, a.backend)
-
-
-def _solve_units(a, equations, unknowns, units):
-    """``solve``'s unit form; a unit enters an exact system at a's
-    denominator."""
-    size, n_rhs = a.n_rows, len(units)
+    size, n_rhs = a.n_rows, len(rows)
     a_rows, den = a._rows
     exact = a.backend == EXACT
     unit, zero = (den, 0) if exact else (complex(1), complex(0))
-    rows = []
-    for l in equations:
+    system = []
+    for k, l in enumerate(rows):
         row = a_rows[l]
-        rows.append([row[i] for i in unknowns] + [unit if l == u else zero for u in units])
-    flagged, pivot_cols, x, det = _solve_rows(rows, len(unknowns), a.backend)
-    # The support is the pivot columns where x is not zero.  A consistent
-    # unit reads 1 in some equation, so its column of x is not zero; when
-    # none is consistent, x can be zero and the support empty.
+        system.append([row[i] for i in cols] + [unit if k == j else zero for j in range(n_rhs)])
+    flagged, pivot_cols, x, det = _solve_rows(system, len(cols), a.backend)
+    # The support is the pivot columns where x is not zero.  In exact
+    # arithmetic that is every pivot column: x's pivot rows solve a
+    # triangular system whose right-hand sides, the eliminated identity's
+    # pivot rows, have full rank.  A float row rounded to zeros is left out.
     support, x_rows = [], []
     for c, values in zip(pivot_cols, x):
         if any(values):
-            support.append(unknowns[c])
+            support.append(cols[c])
             x_rows.append(values)
-    summed = sorted(set(range(size)).difference(equations)) if exact else range(size)
+    summed = sorted(set(range(size)).difference(rows)) if exact else range(size)
     terms = len(summed) * n_rhs
     _tally(mul=terms * len(support), add=terms * max(len(support) - 1, 0))
     if exact:
-        a_x = [[unit * det if l == u else 0 for l in range(size)] for u in units]
+        a_x = [[unit * det if l == u else 0 for l in range(size)] for u in rows]
         parts = [(l, [a_rows[l][i] for i in support]) for l in summed]
         for entries, column in zip(a_x, zip(*x_rows)):
             for l, part in parts:

@@ -11,8 +11,8 @@ nonsingular, a per-column precoder synthesis that also names every
 column without a solution, and a brute-force enumerator of small
 deliverable grids.  ``rank`` runs the package's own
 elimination kernels; its tests compare it with sympy.  On floats the
-per-column synthesis runs the package's ``solve`` and ``matmul`` too, so
-that the engine can be compared with it bit for bit.
+per-column synthesis forms B with the package's ``matmul``, so that the
+engine can be compared with it bit for bit.
 ``assert_reads_as_flat`` compares a float matrix with the one built from
 its expected entries.
 """
@@ -36,7 +36,6 @@ from mapda.linalg import (
     _eliminate,
     _eliminate_exact,
     matmul,
-    solve,
 )
 
 
@@ -298,12 +297,12 @@ def _solve_column(group, block, n):
     error that names it when it has none.
 
     The system is the positions outside the cacher set, n among them, in
-    ascending order, over the cacher positions; row n reads 1.  On
-    the exact backend it is solved by ``naive_solve_exact``; floats run the
-    package's ``solve``.  A column no served user caches is infeasible; a
-    system without a solution is a degenerate channel when it has no more
-    equations than a generic channel of L antennas can meet, and infeasible
-    otherwise.
+    ascending order, over the cacher positions; row n reads 1.  It is
+    solved by ``naive_solve_exact`` on the exact backend and by
+    ``loop_solve_float`` on floats.  A column no served user caches is
+    infeasible; a system without a solution is a degenerate channel when it
+    has no more equations than a generic channel of L antennas can meet,
+    and infeasible otherwise.
     """
     backend, size = block.backend, block.n_rows
     where = {"slot": group.slot, "column": n + 1}
@@ -314,13 +313,8 @@ def _solve_column(group, block, n):
     eq_rows = tuple(l for l in range(size) if l not in unknowns)
     zero = Fraction(0) if backend == EXACT else complex(0)
     rhs = [[zero + (l == n)] for l in eq_rows]
-    if backend == EXACT:
-        x = naive_solve_exact([[block.at(l, i) for i in unknowns] for l in eq_rows], rhs)
-    else:
-        try:
-            x = solve(block.take(eq_rows, unknowns), Matrix.from_rows(rhs, backend)).to_rows()
-        except Infeasible:
-            x = None
+    a = [[block.at(l, i) for i in unknowns] for l in eq_rows]
+    x = naive_solve_exact(a, rhs) if backend == EXACT else loop_solve_float(a, rhs)
     if x is not None:
         return [value for (value,) in x]
     if len(eq_rows) <= min(group.antennas, len(unknowns)):

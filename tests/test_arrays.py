@@ -183,6 +183,14 @@ class TestValidate:
         assert m.slot_cells(4) == ()
         assert "slot_index" in vars(m.report)
 
+    def test_mapda_keeps_one_copy_of_its_grid(self):
+        # The grid the array keeps is the one its report was validated on,
+        # however the rows were given.
+        listed = Mapda([list(row) for row in EXAMPLE1], antennas=2)
+        assert listed.grid is listed.report._grid
+        assert listed == Mapda(EXAMPLE1, antennas=2)
+        assert listed.grid == EXAMPLE1 and type(listed.grid[0]) is tuple
+
     @pytest.mark.parametrize(
         "shape, antennas, min_antennas",
         [

@@ -368,9 +368,9 @@ class TestSharedSystems:
         calls = []
         real_solve = engine.solve
 
-        def counted(a, b, rows, cols):
-            calls.append(len(b))
-            return real_solve(a, b, rows, cols)
+        def counted(a, rows, cols):
+            calls.append(len(rows))
+            return real_solve(a, rows, cols)
 
         monkeypatch.setattr(engine, "solve", counted)
         m = replicate(generate_mn_pda(10, 3), 3)
@@ -495,9 +495,9 @@ class TestFamilies:
         counts = {"_integers": 0, "Fraction": 0}
         real_solve, real_integers, real_new = engine.solve, linalg._integers, Fraction.__new__
 
-        def counted(a, b, rows, cols):
-            calls.append(len(b))
-            return real_solve(a, b, rows, cols)
+        def counted(a, rows, cols):
+            calls.append(len(rows))
+            return real_solve(a, rows, cols)
 
         def integers(*args):
             counts["_integers"] += 1
@@ -597,11 +597,11 @@ class TestFamilies:
         solved = []
         real_solve = engine.solve
 
-        def recorded(block, members, equations, unknowns):
+        def recorded(block, equations, unknowns):
             outside = [l for l in range(block.n_rows) if l not in unknowns]
-            assert members == equations == outside, (members, equations, unknowns)
+            assert equations == outside, (equations, unknowns)
             solved.append(unknowns)
-            return real_solve(block, members, equations, unknowns)
+            return real_solve(block, equations, unknowns)
 
         monkeypatch.setattr(engine, "solve", recorded)
         rng = random.Random(5)

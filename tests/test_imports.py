@@ -59,3 +59,19 @@ def test_only_metrics_names_scheme_columns():
         and node.value.startswith(prefixes)
     }
     assert names == set()
+
+
+def test_only_engine_raises_infeasible():
+    # linalg.solve returns the inconsistent right-hand sides; the engine
+    # alone raises Infeasible, naming the slot and column.
+    def raised(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return getattr(exc, "id", getattr(exc, "attr", None))
+
+    raisers = {
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Raise) and node.exc is not None and raised(node) == "Infeasible"
+    }
+    assert raisers and {name for name, _ in raisers} == {"engine.py"}, raisers

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from mapda.linalg import (
     FLOAT,
     BackendMismatch,
     DimensionMismatch,
-    Infeasible,
     Matrix,
     _exact_div,
+    _solve_rows,
     conj_transpose,
     count_ops,
     isolate,
@@ -148,11 +149,12 @@ class TestFloatKernelOracles:
             assert [bits(z) for z in got.data] == [bits(z) for z in want]
 
     def test_solve_bit_identical_to_full_back_substitution(self):
-        # Back-substitution over pivot columns drops the products of free
-        # variables, which are exact zeros.  Subtracting such a zero product
-        # can only flip the sign of an exact zero, so components that are
-        # zero in the oracle are compared with ==; every other component
-        # must have the same bits.
+        # ``_solve_rows`` back-substitutes over pivot columns, dropping the
+        # products of free variables, which are exact zeros, and returns x
+        # at the pivot columns alone.  Subtracting such a zero product can
+        # only flip the sign of an exact zero, so components that are zero
+        # in the oracle are compared with ==; every other component must
+        # have the same bits.
         rng = random.Random(103)
         kinds = ["slot", "square", "wide", "free", "deficient"]
         seen = dict.fromkeys(kinds + ["infeasible"], 0)
@@ -160,25 +162,35 @@ class TestFloatKernelOracles:
             kind = kinds[case % len(kinds)]
             a, b = float_system(rng, kind)
             want = loop_solve_float(a, b)
+            rows = [[*a_row, *b_row] for a_row, b_row in zip(a, b)]
+            flagged, pivot_cols, x, det = _solve_rows(rows, len(a[0]), FLOAT)
+            assert det == 1
             if want is None:
                 seen["infeasible"] += 1
-                with pytest.raises(Infeasible):
-                    solve(float_rows(a), float_rows(b))
+                assert flagged
                 continue
             seen[kind] += 1
-            got = solve(float_rows(a), float_rows(b))
-            for z, w in zip(got.data, (e for row in want for e in row)):
-                for part, want_part in ((z.real, w.real), (z.imag, w.imag)):
-                    if want_part == 0:
-                        assert part == want_part
-                    else:
-                        assert part.hex() == want_part.hex()
+            assert flagged == []
+            assert not any(any(row) for c, row in enumerate(want) if c not in pivot_cols)
+            for got, expected in zip(x, (want[c] for c in pivot_cols)):
+                assert_same_bits_but_zero_signs(got, expected)
         assert min(seen.values()) >= 15, seen
 
 
+def assert_same_bits_but_zero_signs(got, want):
+    """Each component has the bits of the oracle's, but an exact zero may
+    differ in sign."""
+    for z, w in zip(got, want, strict=True):
+        for part, want_part in ((z.real, w.real), (z.imag, w.imag)):
+            if want_part == 0:
+                assert part == want_part
+            else:
+                assert part.hex() == want_part.hex()
+
+
 def unit_system(rng, kind, entry):
-    """(A rows, units) of one kind of column system whose right-hand sides
-    are units: the j-th reads 1 in row units[j] of A and 0 elsewhere."""
+    """(A rows, units) of one kind of column system: ``units`` are the rows
+    of A whose unit right-hand sides a case reads."""
     if kind == "slot":
         # A deliver-float column system: 3 equations over 9 cacher
         # positions, one unit right-hand side per member of the cache group.
@@ -224,79 +236,75 @@ def embed(rng, a, entry):
 
 
 class TestColumnKernels:
-    """``solve``'s unit form against its Matrix form and ``matmul`` on the
-    same system and the oracles, and ``isolate`` against its loop form."""
+    """``solve`` against the oracles, column by column, with the op counts
+    of ``_solve_rows`` and of B's summed terms, and ``isolate`` against its
+    loop form.  Each case reads the columns of its ``units``: the full solve
+    is one elimination, so they are what a solve for them alone gives."""
 
     KINDS = ["slot", "square", "wide", "tall", "free", "deficient"]
 
     def column_system(self, rng, kind, entry, matrix):
+        """(block, equation rows, unknowns, units, a): ``units`` index a's
+        rows, which are the block's ``equations`` over its ``unknowns``."""
         a, units = unit_system(rng, kind, entry)
         block, equations, unknowns = embed(rng, a, entry)
-        units = [equations[u] for u in units]
-        unit_rows = [[int(l == u) for u in units] for l in equations]
-        return matrix(block), equations, unknowns, units, a, unit_rows
+        return matrix(block), equations, unknowns, units, a
 
-    def reference(self, block, equations, unknowns, units, unit_rows):
-        """solve on the taken system, then matmul over the solution's
-        support; returns (support, x_rows, B's columns, op counts)."""
-        backend = block.backend
+    @staticmethod
+    def counts(block, equations, unknowns, support):
+        """``_solve_rows``'s tally on the system against the identity over
+        its equation rows, a unit entering at the block's denominator, plus
+        B's summed terms over the support: every row on floats, the rows
+        outside the equations on the exact backend."""
+        rows, den = block._rows
+        exact, n = block.backend == EXACT, len(equations)
+        unit, zero = (den, 0) if exact else (complex(1), complex(0))
+        system = [
+            [rows[l][i] for i in unknowns] + [unit if k == j else zero for j in range(n)]
+            for k, l in enumerate(equations)
+        ]
         with count_ops() as tally:
-            x = solve(block.take(equations, unknowns), Matrix.from_rows(unit_rows, backend))
-            kept = [(i, x.row(r)) for r, i in enumerate(unknowns) if any(x.row(r))]
-            support = [i for i, _ in kept]
-            x_support = Matrix(len(kept), len(units), [e for _, row in kept for e in row], backend)
-            product = matmul(block.take(range(block.n_rows), support), x_support)
-        b_cols = [list(product.data[j :: len(units)]) for j in range(len(units))]
-        return support, [list(row) for _, row in kept], b_cols, (tally.mul, tally.add)
+            _solve_rows(system, len(unknowns), block.backend)
+        terms = (block.n_rows - n if exact else block.n_rows) * n
+        return tally.mul + terms * len(support), tally.add + terms * max(len(support) - 1, 0)
 
     def test_float_matches_solve_matmul_and_oracles(self):
         rng = random.Random(107)
         seen = dict.fromkeys(self.KINDS + ["infeasible", "partial"], 0)
         for case in range(300):
             kind = self.KINDS[case % len(self.KINDS)]
-            block, equations, unknowns, units, a, unit_rows = self.column_system(
+            block, equations, unknowns, units, a = self.column_system(
                 rng, kind, random_complex, float_rows
             )
-            want = loop_solve_float(a, unit_rows)
+            n = len(equations)
             with count_ops() as tally:
-                flagged, support, x_rows, b_cols, *dens = solve(block, units, equations, unknowns)
-            # The unit form flags the right-hand sides that the oracle, run
-            # on each alone, finds no solution for.
-            alone = [loop_solve_float(a, [[row[j]] for row in unit_rows]) for j in range(len(units))]
+                flagged, support, x_rows, b_cols, *dens = solve(block, equations, unknowns)
+            # solve flags the right-hand sides that the oracle, run on each
+            # alone, finds no solution for.
+            alone = [loop_solve_float(a, [[complex(l == j)] for l in range(n)]) for j in range(n)]
             assert flagged == [j for j, x in enumerate(alone) if x is None]
-            if want is None:
-                seen["infeasible"] += 1
-                seen["partial"] += len(flagged) < len(units)
-                with pytest.raises(Infeasible) as reference:
-                    solve(block.take(equations, unknowns), float_rows(unit_rows))
-                assert reference.value.column == flagged[0] + 1
-                continue
-            seen[kind] += 1
-            ref_support, ref_rows, ref_cols, ref_counts = self.reference(
-                block, equations, unknowns, units, unit_rows
-            )
-            assert (support, (tally.mul, tally.add), dens) == (ref_support, ref_counts, [1, 1])
-            assert [[bits(z) for z in row] for row in x_rows] == [
-                [bits(z) for z in row] for row in ref_rows
-            ]
-            assert [[bits(z) for z in col] for col in b_cols] == [
-                [bits(z) for z in col] for col in ref_cols
-            ]
-            # The oracles: full back-substitution, whose exact zeros may
-            # differ in sign, and the running-sum product over the support.
-            assert support == [i for i, row in zip(unknowns, want) if any(row)]
-            for got, expected in zip(x_rows, (row for row in want if any(row))):
-                for z, w in zip(got, expected):
-                    for part, want_part in ((z.real, w.real), (z.imag, w.imag)):
-                        if want_part == 0:
-                            assert part == want_part
-                        else:
-                            assert part.hex() == want_part.hex()
+            counts = self.counts(block, equations, unknowns, support)
+            assert ((tally.mul, tally.add), dens) == (counts, [1, 1])
+            # B is the running-sum product over the support, in every column.
             columns = [[block.at(l, i) for i in support] for l in range(block.n_rows)]
             product = loop_matmul_float(columns, x_rows)
             assert [[bits(z) for z in col] for col in b_cols] == [
-                [bits(row[j]) for row in product] for j in range(len(units))
+                [bits(row[j]) for row in product] for j in range(n)
             ]
+            picked = [j for j in units if j in flagged]
+            if picked:
+                seen["infeasible"] += 1
+                seen["partial"] += len(picked) < len(units)
+                continue
+            seen[kind] += 1
+            # The oracle, full back-substitution, whose exact zeros may
+            # differ in sign, in each column read.
+            for j in units:
+                column = dict(zip(unknowns, (v for (v,) in alone[j])))
+                assert not any(column[i] for i in unknowns if i not in support)
+                assert_same_bits_but_zero_signs([row[j] for row in x_rows], map(column.get, support))
+            if not flagged:
+                assert support == [i for k, i in enumerate(unknowns) if any(x[k][0] for x in alone)]
         # A tall system rarely has a solution for a unit right-hand side;
         # it counts among the infeasible ones.
         seen.pop("tall")
@@ -313,57 +321,42 @@ class TestColumnKernels:
 
         for case in range(300):
             kind = self.KINDS[case % len(self.KINDS)]
-            block, equations, unknowns, units, a, unit_rows = self.column_system(
+            block, equations, unknowns, units, a = self.column_system(
                 rng, kind, random_rational, inherited
             )
-            expected = naive_solve_exact(a, unit_rows)
+            n = len(equations)
             with count_ops() as tally:
-                flagged, support, x_ints, b_ints, det, b_den = solve(
-                    block, units, equations, unknowns
-                )
+                flagged, support, x_ints, b_ints, det, b_den = solve(block, equations, unknowns)
             assert all(type(e) is int for part in [[det, b_den], *x_ints, *b_ints] for e in part)
             # x's rows are over det, B over the block's denominator times det.
             assert b_den == block._rows[1] * det
             x_rows = [[Fraction(v, det) for v in values] for values in x_ints]
-            # The unit form flags the right-hand sides that the oracle, run
-            # on each alone, finds no solution for, and solves the others as
-            # the oracle does.
-            alone = [naive_solve_exact(a, [[row[j]] for row in unit_rows]) for j in range(len(units))]
+            b_cols = [[Fraction(v, b_den) for v in col] for col in b_ints]
+            # B's equation rows are read from the right-hand side, not summed.
+            assert (tally.mul, tally.add) == self.counts(block, equations, unknowns, support)
+            # solve flags the right-hand sides that the oracle, run on each
+            # alone, finds no solution for, and solves the others as the
+            # oracle does; B is the block times x over the support there.
+            alone = [naive_solve_exact(a, [[Fraction(l == j)] for l in range(n)]) for j in range(n)]
             assert flagged == [j for j, x in enumerate(alone) if x is None]
             for j, x in enumerate(alone):
-                if x is not None:
-                    column = dict(zip(unknowns, (values[0] for values in x)))
-                    assert [row[j] for row in x_rows] == [column[i] for i in support]
-                    assert not any(column[i] for i in unknowns if i not in support)
-            if expected is None:
-                seen["infeasible"] += 1
-                seen["partial"] += len(flagged) < len(units)
-                with pytest.raises(Infeasible) as reference:
-                    solve(block.take(equations, unknowns), frac_matrix(unit_rows))
-                assert reference.value.column == flagged[0] + 1
-                continue
-            seen[kind] += 1
-            b_cols = [[Fraction(v, b_den) for v in col] for col in b_ints]
-            ref_support, ref_rows, ref_cols, ref_counts = self.reference(
-                block, equations, unknowns, units, unit_rows
-            )
-            assert (support, x_rows, b_cols) == (ref_support, ref_rows, ref_cols)
-            # B's equation rows are read from the right-hand side, not summed.
-            fixed = len(equations) * len(units)
-            ref_mul, ref_add = ref_counts
-            assert (tally.mul, tally.add) == (
-                ref_mul - fixed * len(support),
-                ref_add - fixed * (len(support) - 1),
-            )
-            assert support == [i for i, row in zip(unknowns, expected) if any(row)]
-            assert x_rows == [row for row in expected if any(row)]
-            assert b_cols == [
-                [
-                    sum((block.at(l, i) * row[j] for i, row in zip(support, x_rows)), Fraction(0))
+                if x is None:
+                    continue
+                column = dict(zip(unknowns, (values[0] for values in x)))
+                assert [row[j] for row in x_rows] == [column[i] for i in support]
+                assert not any(column[i] for i in unknowns if i not in support)
+                assert b_cols[j] == [
+                    sum((block.at(l, i) * column[i] for i in support), Fraction(0))
                     for l in range(block.n_rows)
                 ]
-                for j in range(len(units))
-            ]
+            picked = [j for j in units if j in flagged]
+            if picked:
+                seen["infeasible"] += 1
+                seen["partial"] += len(picked) < len(units)
+                continue
+            seen[kind] += 1
+            if not flagged:
+                assert support == [i for k, i in enumerate(unknowns) if any(x[k][0] for x in alone)]
         # A tall system rarely has a solution for a unit right-hand side;
         # it counts among the infeasible ones.
         seen.pop("tall")
@@ -473,37 +466,55 @@ class TestConjTranspose:
         assert conj_transpose(conj_transpose(m)) == m
 
 
+def solve_all(a):
+    """``solve`` over all of a's rows and columns."""
+    return solve(a, list(range(a.n_rows)), list(range(a.n_cols)))
+
+
+def full_x(solution, n_cols):
+    """x as Fractions over every unknown, zero off the support, from an
+    exact ``solve`` over all of a's columns."""
+    _, support, x_rows, b_cols, det, _ = solution
+    x = [[Fraction(0)] * len(b_cols) for _ in range(n_cols)]
+    for i, values in zip(support, x_rows):
+        x[i] = [Fraction(v, det) for v in values]
+    return x
+
+
+def as_fractions(solution):
+    """An exact ``solve``'s result with x and B as Fractions."""
+    flagged, support, x_rows, b_cols, x_den, b_den = solution
+    x = [[Fraction(v, x_den) for v in row] for row in x_rows]
+    return flagged, support, x, [[Fraction(v, b_den) for v in col] for col in b_cols]
+
+
 class TestSolve:
     def test_identity_system(self):
-        b = frac_matrix([[5], [7]])
-        assert solve(identity(2), b) == b
+        got = solve_all(identity(2))
+        assert got == ([], [0, 1], [[1, 0], [0, 1]], [[1, 0], [0, 1]], 1, 1)
 
     def test_worked_column_system(self):
-        # {7 v2 + 11 v4 = 1, 13 v2 + 21 v4 = 0}: determinant 4, so
-        # v2 = 21/4 and v4 = -13/4 by Cramer's rule.
-        a = frac_matrix([[7, 11], [13, 21]])
-        b = frac_matrix([[1], [0]])
-        x = solve(a, b)
-        assert x.data == (Fraction(21, 4), Fraction(-13, 4))
+        # {7 v2 + 11 v4 = 1, 13 v2 + 21 v4 = 0} and the unit in the second
+        # row: determinant 4, so by Cramer's rule v2 = 21/4 and v4 = -13/4
+        # in the first column, -11/4 and 7/4 in the second.
+        flagged, support, x_rows, b_cols, x_den, b_den = solve_all(frac_matrix([[7, 11], [13, 21]]))
+        assert (flagged, support, x_den, b_den) == ([], [0, 1], 4, 4)
+        assert x_rows == [[21, -11], [-13, 7]]
+        assert b_cols == [[4, 0], [0, 4]]
 
     def test_free_variables_zeroed(self):
-        x = solve(frac_matrix([[1, 1]]), frac_matrix([[2]]))
-        assert x.data == (2, 0)
-
-    def test_inconsistent_raises(self):
-        a = frac_matrix([[1, 2], [2, 4]])
-        b = frac_matrix([[1], [1]])
-        with pytest.raises(Infeasible):
-            solve(a, b)
+        # x1 is free: it is zero and left out of the support.
+        assert solve_all(frac_matrix([[1, 1]]))[:3] == ([], [0], [[1]])
 
     def test_inconsistent_column_named(self):
-        # b's first column lies in a's column space, its second does not.
+        # The unit in row 0 lies in a's column space; the one in the zero
+        # row 1 does not.  solve names it and raises nothing, and its x
+        # solves the pivot row alone.
         for backend in (EXACT, FLOAT):
-            a = Matrix.from_rows([[1, 2], [2, 4]], backend)
-            b = Matrix.from_rows([[1, 1], [2, 1]], backend)
-            with pytest.raises(Infeasible) as exc:
-                solve(a, b)
-            assert exc.value.column == 2
+            a = Matrix.from_rows([[1, 2], [0, 0]], backend)
+            flagged, support, x_rows, _, x_den, _ = solve_all(a)
+            assert (flagged, support) == ([1], [0])
+            assert [[v / x_den for v in row] for row in x_rows] == [[1, 0]]
 
     def test_exact_solutions_satisfy_system(self):
         rng = random.Random(11)
@@ -511,50 +522,56 @@ class TestSolve:
         while solved < 60:
             n = rng.randint(1, 5)
             m = rng.randint(1, 5)
-            a = frac_matrix(
-                [[Fraction(rng.randint(-10, 10)) for _ in range(m)] for _ in range(n)]
-            )
-            b = frac_matrix([[Fraction(rng.randint(-10, 10))] for _ in range(n)])
-            try:
-                x = solve(a, b)
-            except Infeasible:
-                # Verified independently: inconsistency means augmenting
-                # raises the rank.
-                sa = sympy.Matrix(a.to_rows())
-                sb = sympy.Matrix(b.to_rows())
-                assert sa.rank() < sa.row_join(sb).rank()
-                continue
-            assert matmul(a, x) == b
-            solved += 1
+            rows = [[Fraction(rng.randint(-10, 10)) for _ in range(m)] for _ in range(n)]
+            solution = solve_all(frac_matrix(rows))
+            x = full_x(solution, m)
+            for j in range(n):
+                unit = [int(l == j) for l in range(n)]
+                if j in solution[0]:
+                    # Verified independently: inconsistency means augmenting
+                    # raises the rank.
+                    sa = sympy.Matrix(rows)
+                    assert sa.rank() < sa.row_join(sympy.Matrix(unit)).rank()
+                    continue
+                assert [sum(map(mul, row, (x_i[j] for x_i in x))) for row in rows] == unit
+            solved += not solution[0]
 
     def test_exact_matches_fraction_elimination_oracle(self):
         rng = random.Random(47)
         kinds = {"solved": 0, "infeasible": 0, "square": 0, "tall": 0, "wide": 0, "deficient": 0}
         for _ in range(400):
-            a, b = random_system(rng)
+            a, _ = random_system(rng)
             n, m = len(a), len(a[0])
             kinds["square" if n == m else "tall" if n > m else "wide"] += 1
-            expected = naive_solve_exact(a, b)
+            units = [[Fraction(l == j) for j in range(n)] for l in range(n)]
+            expected = naive_solve_exact(a, units)
             a_rank = sympy.Matrix(a).rank()
             kinds["deficient"] += a_rank < min(n, m)
             assert rank(frac_matrix(a)) == a_rank
+            solution = solve_all(frac_matrix(a))
+            flagged, _, x_rows, b_cols, det, b_den = solution
+            assert all(type(e) is int for part in [[det, b_den], *x_rows, *b_cols] for e in part)
+            # Each right-hand side is flagged, or solved, as the oracle finds
+            # it alone.
+            x = full_x(solution, m)
+            for j in range(n):
+                want = naive_solve_exact(a, [[row[j]] for row in units])
+                assert (j in flagged) == (want is None)
+                if want is not None:
+                    assert [x_i[j] for x_i in x] == [w for (w,) in want]
             if expected is None:
                 kinds["infeasible"] += 1
-                with pytest.raises(Infeasible):
-                    solve(frac_matrix(a), frac_matrix(b))
                 continue
             kinds["solved"] += 1
-            x = solve(frac_matrix(a), frac_matrix(b))
-            assert x.to_rows() == expected
-            assert all(type(e) is Fraction for e in x.data)
+            assert x == expected
         # Every kind of system the loop is meant to cover occurred.
         assert min(kinds.values()) >= 20, kinds
 
     def test_pivot_ties_take_the_first_row(self):
         # Column 0 holds x above ix, then x above -x: equal magnitudes, other
-        # values.  Both forms of solve pivot on the first of them.  Pivoting
-        # on the second gives other bits: -0.0 for the imaginary part of
-        # x[0][0] in the first system, other last digits in the second.
+        # values.  solve pivots on the first of them.  Pivoting on the
+        # second gives other bits: -0.0 for the imaginary part of x[0][0] in
+        # the first system, other last digits in the second.
         def from_hex(*parts):
             return complex(float.fromhex(parts[0]), float.fromhex(parts[1]))
 
@@ -578,39 +595,37 @@ class TestSolve:
             ),
         ]
         for a, want in cases:
-            want_bits = [[bits(z) for z in row] for row in want]
-            x = solve(float_rows(a), float_rows([[1 + 0j, 0j], [0j, 1 + 0j]]))
-            assert [[bits(z) for z in x.row(i)] for i in range(2)] == want_bits
-            flagged, support, x_rows, *_ = solve(float_rows(a), [0, 1], [0, 1], [0, 1])
+            flagged, support, x_rows, *_ = solve_all(float_rows(a))
             assert (flagged, support) == ([], [0, 1])
-            assert [[bits(z) for z in row] for row in x_rows] == want_bits
+            assert [[bits(z) for z in row] for row in x_rows] == [
+                [bits(z) for z in row] for row in want
+            ]
 
-    def test_support_leaves_out_a_pivot_where_x_is_zero(self):
-        # Unknowns 3 and 1 of the block are both pivot columns of the system
-        # [[1, 1], [0, 1]], but the one right-hand side, 1 in row 2, solves
-        # to x = (1, 0): the support is unknown 3 alone, and the Matrix form
-        # holds an exact zero at unknown 1.
+    def test_support_keeps_a_pivot_where_one_column_is_zero(self):
+        # Unknowns 3 and 1 of the block are the pivot columns of the system
+        # [[1, 1], [0, 1]] over its rows 2 and 3.  The unit in row 2 solves
+        # to x = (1, 0), the one in row 3 to (-1, 1): both unknowns are in
+        # the support, and the first column reads an exact zero at
+        # unknown 1, where B sums a zero term.
         block_rows = [[5, 6, 7, 8], [9, 0, 2, 4], [3, 1, 6, 1], [2, 1, 3, 0]]
         for backend in (EXACT, FLOAT):
             block = Matrix.from_rows(block_rows, backend)
-            flagged, support, x_rows, b_cols, x_den, b_den = solve(block, [2], [2, 3], [3, 1])
-            assert (flagged, support) == ([], [3])
-            assert [[v / x_den for v in row] for row in x_rows] == [[1]]
-            assert [[v / b_den for v in col] for col in b_cols] == [[8, 4, 1, 0]]
-            x = solve(block.take([2, 3], [3, 1]), Matrix.from_rows([[1], [0]], backend))
-            assert x.to_rows() == [[1], [0]]
+            flagged, support, x_rows, b_cols, x_den, b_den = solve(block, [2, 3], [3, 1])
+            assert (flagged, support) == ([], [3, 1])
+            assert [[v / x_den for v in row] for row in x_rows] == [[1, -1], [0, 1]]
+            assert [[v / b_den for v in col] for col in b_cols] == [[8, 4, 1, 0], [-2, -4, 0, 1]]
             if backend == FLOAT:
-                assert bits(x.at(1, 0)) == bits(0j)
+                assert bits(x_rows[1][0]) == bits(0j)
 
     def test_free_variables_between_pivots_are_zero(self):
         # Column 1 is twice column 0 and column 3 is zero, so x1 and x3 are
-        # free between and after the pivot columns 0 and 2, and are zero.
-        a_rows, b_rows = [[1, 2, 3, 0], [2, 4, 7, 0]], [[5], [12]]
+        # free between and after the pivot columns 0 and 2: they are zero
+        # and left out of the support.  x is the inverse of [[1, 3], [2, 7]].
+        a_rows = [[1, 2, 3, 0], [2, 4, 7, 0]]
         for backend in (EXACT, FLOAT):
-            x = solve(Matrix.from_rows(a_rows, backend), Matrix.from_rows(b_rows, backend))
-            assert x.to_rows() == [[-1], [0], [2], [0]]
-            if backend == FLOAT:
-                assert [bits(x.at(i, 0)) for i in (1, 3)] == [bits(0j)] * 2
+            flagged, support, x_rows, _, x_den, _ = solve_all(Matrix.from_rows(a_rows, backend))
+            assert (flagged, support) == ([], [0, 2])
+            assert [[v / x_den for v in row] for row in x_rows] == [[7, -3], [-2, 1]]
 
     def test_inexact_integer_division_raises(self):
         assert _exact_div(-12, 4) == -3
@@ -626,16 +641,15 @@ class TestSolve:
                 [Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(n)]
                 for _ in range(n)
             ]
-            rhs = [[Fraction(rng.randint(-10, 10))] for _ in range(n)]
             cond = np.linalg.cond(np.array(rows, dtype=float))
             if not np.isfinite(cond) or cond >= 1e6:
                 continue
-            exact = solve(frac_matrix(rows), frac_matrix(rhs))
-            approx = solve(
-                Matrix.from_rows(rows, FLOAT), Matrix.from_rows(rhs, FLOAT)
-            )
-            for i in range(n):
-                assert abs(complex(exact.at(i, 0)) - approx.at(i, 0)) <= 1e-6
+            exact = full_x(solve_all(frac_matrix(rows)), n)
+            flagged, support, approx, *_ = solve_all(Matrix.from_rows(rows, FLOAT))
+            assert (flagged, support) == ([], list(range(n)))
+            for want, got in zip(exact, approx):
+                for w, z in zip(want, got):
+                    assert abs(complex(w) - z) <= 1e-6
             compared += 1
 
     def test_float_residual_bound(self):
@@ -646,19 +660,12 @@ class TestSolve:
             rows = [[rng.gauss(0, 1) for _ in range(n)] for _ in range(n)]
             if np.linalg.cond(np.array(rows)) >= 1e6:
                 continue
-            a = Matrix.from_rows(rows, FLOAT)
-            b = Matrix.from_rows([[rng.gauss(0, 1)] for _ in range(n)], FLOAT)
-            x = solve(a, b)
-            residual = max(
-                abs(matmul(a, x).at(i, 0) - b.at(i, 0)) for i in range(n)
-            )
-            norm_b = max(abs(b.at(i, 0)) for i in range(n))
-            assert residual <= 1e-9 * max(norm_b, 1.0)
+            flagged, support, x_rows, *_ = solve_all(Matrix.from_rows(rows, FLOAT))
+            assert (flagged, support) == ([], list(range(n)))
+            product = loop_matmul_float([[complex(e) for e in row] for row in rows], x_rows)
+            residual = max(abs(product[i][j] - (i == j)) for i in range(n) for j in range(n))
+            assert residual <= 1e-9
             checked += 1
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            solve(frac_matrix([[1]]), frac_matrix([[1], [2]]))
 
 
 class TestIntegerRows:
@@ -689,22 +696,17 @@ class TestIntegerRows:
             right = frac_matrix(
                 [[random_rational(rng) for _ in range(width)] for _ in range(sub.n_cols)]
             )
-            rhs = frac_matrix(
-                [[random_rational(rng) for _ in range(width)] for _ in range(sub.n_rows)]
-            )
             assert matmul(sub, right) == matmul(fresh, right)
             assert rank(sub) == rank(fresh)
-            try:
-                expected = solve(fresh, rhs)
-            except Infeasible:
-                with pytest.raises(Infeasible):
-                    solve(sub, rhs)
-                continue
-            solved += 1
-            assert solve(sub, rhs) == expected
+            # A unit enters each system at its own denominator, so the two
+            # solves agree as Fractions.
+            kept = [list(row) for row in sub._rows[0]]
+            expected = as_fractions(solve_all(fresh))
+            assert as_fractions(solve_all(sub)) == expected
+            solved += not expected[0]
             # Elimination works on copies: the kept rows are unchanged.
-            assert solve(sub, rhs) == expected
-            assert sub._rows[1] == den
+            assert as_fractions(solve_all(sub)) == expected
+            assert sub._rows == (kept, den)
         # Enough cases ran on denominators a fresh matrix would not pick.
         assert inherited_dens >= 50 and solved >= 30, (inherited_dens, solved)
 
@@ -774,7 +776,7 @@ class TestIntegerRows:
         m = frac_matrix([[Fraction(1, 2), 1, 1], [1, Fraction(1, 3), 1], [1, 1, Fraction(1, 5)]])
         m._rows = ([list(m.row(i)) for i in range(m.n_rows)], 1)
         with pytest.raises(ArithmeticError, match="is not exact"):
-            solve(m, frac_matrix([[1], [1], [1]]))
+            solve_all(m)
 
 
 class TestFloatRows:
@@ -818,8 +820,10 @@ class TestFloatRows:
             want = loop_solve_float(square, rhs)
             if want is not None:
                 solved += 1
-                got = solve(float_rows(square), float_rows(rhs))
-                assert_reads_as_flat(got, [z for row in want for z in row])
+                rows = [[*a_row, *b_row] for a_row, b_row in zip(square, rhs)]
+                _, pivot_cols, x, _ = _solve_rows(rows, n, FLOAT)
+                assert pivot_cols == list(range(n))
+                assert_reads_as_flat(Matrix.from_ints(x, 1, FLOAT), [z for row in want for z in row])
         assert solved >= 100, solved
 
 
@@ -876,11 +880,11 @@ class TestOpCounting:
         # two row updates skip the division: 2 rows * 3 entries * 2 mul.
         # Column 1 divides by the pivot 2: 1 row * 2 entries * 3 mul.  Back
         # substitution on 3 pivots costs 2 + 3 + 4 mul and 0 + 1 + 2 add.
-        a = frac_matrix([[2, 1, 1], [1, 3, 2], [1, 0, 0]])
-        b = frac_matrix([[4], [5], [6]])
+        rows = [[2, 1, 1, 4], [1, 3, 2, 5], [1, 0, 0, 6]]
         with count_ops() as tally:
-            x = solve(a, b)
-        assert x.data == (6, 15, -23)
+            _, pivot_cols, x, det = _solve_rows(rows, 3, EXACT)
+        assert pivot_cols == [0, 1, 2]
+        assert [Fraction(v, det) for (v,) in x] == [6, 15, -23]
         assert tally.mul == 12 + 6 + 9
         assert tally.add == 6 + 2 + 3
 
@@ -890,11 +894,11 @@ class TestOpCounting:
         # pivots on the last row, and x3 is free too.  Back-substitution
         # runs over pivot columns 2 and 0 only: det times the right-hand
         # side and one division each, plus one product (x2's) for column 0.
-        a = frac_matrix([[1, 2, 0, 1], [2, 4, 1, 3]])
-        b = frac_matrix([[3], [7]])
+        rows = [[1, 2, 0, 1, 3], [2, 4, 1, 3, 7]]
         with count_ops() as tally:
-            x = solve(a, b)
-        assert x.data == (3, 0, 1, 0)
+            _, pivot_cols, x, det = _solve_rows(rows, 4, EXACT)
+        assert pivot_cols == [0, 2]
+        assert [Fraction(v, det) for (v,) in x] == [3, 1]
         assert tally.mul == 8 + 2 * 2 + 1
         assert tally.add == 4 + 1
 
@@ -907,9 +911,10 @@ class TestOpCounting:
         # products and subtractions, where a sum over all 9 columns had
         # 8 + 7 + 6.
         rng = random.Random(5)
-        a = float_rows([[random_complex(rng) for _ in range(9)] for _ in range(3)])
-        b = float_rows([[complex(i == j) for j in range(3)] for i in range(3)])
+        rows = [[random_complex(rng) for _ in range(9)] for _ in range(3)]
+        for i, row in enumerate(rows):
+            row += [complex(i == j) for j in range(3)]
         with count_ops() as tally:
-            solve(a, b)
+            _solve_rows(rows, 9, FLOAT)
         assert tally.mul == 2 * 13 + 12 + 3 * (3 + 3)
         assert tally.add == 2 * 12 + 11 + 3 * 3
