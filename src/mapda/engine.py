@@ -61,7 +61,9 @@ from .linalg import (
     count_ops,
     isolate,
     matmul,
+    matvec,
     solve,
+    vector,
 )
 
 # Relative tolerance for float-backend decode checks; the exact backend
@@ -382,9 +384,10 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
     way; a solve shared with another slot may be nonzero on more unknowns,
     whose zeros can flip a zero's sign.
 
-    On floats the residual, the largest |B(n, n) - 1| and |B(l, n)| over the
-    forced zeros, is measured once per column system, in one pass over the
-    B columns it places at the system's equation rows.
+    Each solve is placed as it comes, with no second pass over the solves;
+    V and B are rescaled to one denominator only where a system's differs.
+    The float residual, the largest |B(n, n) - 1| and |B(l, n)| over the
+    forced zeros, is read off the placed B columns at their equation rows.
     """
     if group.redundancy < group.antennas:
         raise Infeasible(
@@ -400,7 +403,10 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
     for n, cachers in enumerate(group.cacher_sets):
         columns.setdefault(cachers, []).append(n)
     solved = {} if family is None else family
-    failures, solutions, x_common, b_common = [], [], 1, 1
+    zero = complex(0) if backend == FLOAT else 0
+    v_rows = [[zero] * size for _ in range(size)]
+    b_cols, failures, placed, positions = [None] * size, [], [], set(range(size))
+    x_common = b_common = 1
     for unknowns, members in columns.items():
         if not unknowns:
             failures.append((members[0], unknowns))
@@ -408,17 +414,23 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
         # Equation rows: the positions outside the cacher set, ascending;
         # member n is one of them (it never caches its own packet), and its
         # unit right-hand side is the one at n's index among them.
-        equations = [l for l in range(size) if l not in unknowns]
-        if unknowns not in solved:
-            solved[unknowns] = solve(block, equations, unknowns)
-        flagged, *_, x_den, b_den = solution = solved[unknowns]
-        placed = [(n, equations.index(n)) for n in members]
-        if flagged:
-            failures += [(n, unknowns) for n, j in placed if j in flagged]
+        equations = sorted(positions.difference(unknowns))
+        solution = solved.get(unknowns)
+        if solution is None:
+            solution = solved[unknowns] = solve(block, equations, unknowns)
+        flagged, support, x_rows, bs, x_den, b_den = solution
+        for n in members:
+            j = equations.index(n)
+            if j in flagged:
+                failures.append((n, unknowns))
+                continue
+            for i, row in zip(support, x_rows):
+                v_rows[i][n] = row[j]
+            b_cols[n] = bs[j]
+        placed.append((members, equations, support, x_den, b_den))
         # V and B are each brought over one denominator, the lcm of their
         # systems' (1 on floats, whose entries are never rescaled).
         x_common, b_common = math.lcm(x_common, x_den), math.lcm(b_common, b_den)
-        solutions.append((placed, equations, solution))
     if failures:
         n, unknowns = min(failures)
         where, equations = {"slot": group.slot, "column": n + 1}, size - len(unknowns)
@@ -436,26 +448,25 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
             f"{equations} equations and no solution",
             **where,
         )
-    zero = complex(0) if backend == FLOAT else 0
-    v_rows = [[zero] * size for _ in range(size)]
-    b_cols, residual = [None] * size, 0.0
-    for placed, equations, (_, support, x_rows, bs, x_den, b_den) in solutions:
-        x_factor, b_factor = x_common // x_den, b_common // b_den
-        for n, j in placed:
-            for i, row in zip(support, x_rows):
-                v_rows[i][n] = row[j] if x_factor == 1 else row[j] * x_factor
-            b_cols[n] = bs[j] if b_factor == 1 else [v * b_factor for v in bs[j]]
-        if backend == FLOAT:
-            # Each member's unit entry and forced zeros are its column's
-            # equation rows, measured in one pass over the system.
-            residual = max(
-                residual,
-                *[
-                    abs(bs[j][l] - 1) if l == n else abs(bs[j][l])
-                    for n, j in placed
-                    for l in equations
-                ],
-            )
+    for members, _, support, x_den, b_den in placed:
+        if (x_den, b_den) != (x_common, b_common):
+            for n in members:
+                for i in support:
+                    v_rows[i][n] *= x_common // x_den
+                b_cols[n] = [v * (b_common // b_den) for v in b_cols[n]]
+    # Each column's unit entry and forced zeros are its system's equation
+    # rows: measured on floats, exact by construction on the exact backend.
+    residual = 0.0
+    if backend == FLOAT:
+        residual = max(
+            residual,
+            *[
+                abs(b_cols[n][l] - 1) if l == n else abs(b_cols[n][l])
+                for members, equations, *_ in placed
+                for n in members
+                for l in equations
+            ],
+        )
     return PrecodingMatrix(
         matrix=Matrix.from_ints(v_rows, x_common, backend),
         combined=Matrix.from_ints(list(zip(*b_cols)), b_common, backend),
@@ -470,8 +481,9 @@ def run_slot(group, channel, demands, library, family=None) -> SlotOutcome:
     Packet values come from ``library`` (an N x F matrix of scalars on the
     channel's backend; BackendMismatch otherwise).  Each served user
     subtracts its cached contributions using the precoder's two-hop matrix
-    B and recovers its packet from the unit diagonal.  Only the served
-    users' demands are checked; ``run_delivery`` checks the whole vector.
+    B and recovers its packet from the unit diagonal; the packets travel
+    as plain vectors through ``matvec``.  Only the served users' demands
+    are checked; ``run_delivery`` checks the whole vector.
     ``family`` is the run's store of solves for the slot's served users, as
     in ``synthesize_precoder``.  Raises DecodeMismatch if a recovered value
     strays from the library.
@@ -490,23 +502,15 @@ def run_slot(group, channel, demands, library, family=None) -> SlotOutcome:
     backend, users = library.backend, [k - 1 for k in group.served_users]
     data, width = library.data, library.n_cols
     packets = [data[(d - 1) * width + f - 1] for d, f in zip(wanted, group.served_rows)]
-    if backend == FLOAT:  # the packets are w's rows over 1 as they stand
-        w = Matrix.from_ints([[p] for p in packets], 1, backend)
-    else:
-        w = Matrix(len(users), 1, packets, backend)
+    w = vector(packets, backend)
     with count_ops() as encode:
-        x = matmul(precoder.matrix, w)
+        x = matvec(precoder.matrix, w)
     with count_ops() as forward:
-        y_bs = matmul(channel.matrix, x, cols=users)
-    # User l caches the packets at the positions j whose cacher set holds l.
-    cached = [[] for _ in users]
-    for j, cachers in enumerate(group.cacher_sets):
-        for l in cachers:
-            cached[l].append(j)
+        y_bs = matvec(channel.matrix, x, cols=users)
     with count_ops() as decode:
-        y_users = matmul(channel.adjoint, y_bs, rows=users)
-        # User l subtracts what it caches and divides by its unit entry.
-        values = isolate(precoder.combined, w, y_users, cached)
+        y_users = matvec(channel.adjoint, y_bs, rows=users)
+        # User l subtracts the packets it caches, divides by its unit entry.
+        values = isolate(precoder.combined, w, y_users, group.cacher_sets)
         residual = precoder.residual
         for user, expected, value in zip(group.served_users, packets, values):
             if backend == EXACT:

@@ -6,7 +6,8 @@ A single computation never mixes backends.  Per-slot precoder systems need
 multiply, conjugate transpose, and a Gaussian-elimination solver that
 zeroes free variables and reports inconsistency instead of guessing; the
 engine solves its column systems in place, each against one unit
-right-hand side per equation row, and decodes with ``isolate``.
+right-hand side per equation row, carries a slot's packets through
+``matvec`` as plain vectors, and decodes with ``isolate``.
 
 Every matrix, on either backend, is a list of rows over one denominator,
 which the kernels read and return; the flat ``data`` is only a cache, kept
@@ -17,9 +18,11 @@ entries' denominators when the matrix is built from Fractions, so
 ``Fraction``s are built only at the edges: fixture and library input, the
 decoded values, and reads of ``data`` and ``==``.  ``take`` and
 ``conj_transpose`` keep the denominator, so a Gram matrix is brought to
-integers once however many blocks are read from it, and ``matmul``
+integers once however many blocks are read from it, and ``matvec``
 multiplies the two denominators, folding each entry left to right in
-running-sum order.  The backends differ in arithmetic alone.  Exact
+running-sum order; ``matmul`` is ``matvec`` on each column.  A vector is
+(values, den), its entries over one denominator, with no ``Matrix``
+around it.  The backends differ in arithmetic alone.  Exact
 solvers eliminate integer rows fraction-free (Bareiss, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination", Math.
 Comp. 1968): every division is exact and none is made while the previous
@@ -29,11 +32,10 @@ consistent, and the inconsistent ones are reported.  An exact ``solve``
 returns integers over the determinant, reading a x's equation rows from
 the right-hand side, which its solve satisfies.  The float backend runs
 plain Gaussian elimination with partial pivoting, on the first row of
-largest magnitude.  On both backends a solve is one pass: it eliminates,
-then back-substitutes over the pivot columns only, since free variables
-are zero, and returns x at the pivot columns alone; its support is the
-pivot columns where x is nonzero.  A float solve tallies its elimination
-and back-substitution at once.
+largest magnitude.  On both backends a solve is one pass through one
+kernel: it eliminates, then back-substitutes over the pivot columns only,
+since free variables are zero, returns x at the pivot columns alone, and
+tallies both at once; its support is the pivot columns.
 
 Scalar multiply/add counts can be observed through ``count_ops``, whose
 blocks nest, the innermost open one counting.  They count the
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import add, mul, sub
+from operator import add, itemgetter, mul
 
 EXACT = "exact"
 FLOAT = "float"
@@ -221,7 +223,8 @@ class Matrix:
         from its share of this matrix's rows, over this matrix's
         denominator."""
         rows, den = self._rows
-        return Matrix.from_ints([[rows[i][j] for j in col_idx] for i in row_idx], den, self.backend)
+        picked = map(_picker(col_idx), _picker(row_idx)(rows))
+        return Matrix.from_ints(list(map(list, picked)), den, self.backend)
 
     def __eq__(self, other):
         return (
@@ -244,6 +247,12 @@ def _check_same_backend(a, b):
         raise BackendMismatch(f"mixed backends: {a.backend} and {b.backend}")
 
 
+def _picker(idx):
+    """A callable reading a sequence's entries at ``idx`` as a tuple, as
+    ``itemgetter`` does for two or more indices."""
+    return itemgetter(*idx) if len(idx) > 1 else lambda row: tuple(row[i] for i in idx)
+
+
 def _integers(entries, width):
     """(rows, den): row-major Fraction entries, rows ``width`` long, times
     den, the lcm of their denominators."""
@@ -252,36 +261,56 @@ def _integers(entries, width):
     return [ints[i : i + width] for i in range(0, len(ints), width)], den
 
 
-def _exact_div(num, den):
-    """num / den for ints that must divide exactly; raises instead of rounding."""
-    quotient, remainder = divmod(num, den)
-    if remainder:
-        raise ArithmeticError(f"integer division {num} / {den} is not exact")
-    return quotient
+def _exact_quotients(nums, den):
+    """[num / den for num in nums], for ints that must divide exactly;
+    raises instead of rounding."""
+    quotients = []
+    for num in nums:
+        quotient, remainder = divmod(num, den)
+        if remainder:
+            raise ArithmeticError(f"integer division {num} / {den} is not exact")
+        quotients.append(quotient)
+    return quotients
 
 
-def matmul(a: Matrix, b: Matrix, rows=None, cols=None) -> Matrix:
-    """Matrix product; exact for rationals, IEEE double for floats.
-
-    Each entry is one left fold in the order of a running sum, over the
-    product of the two denominators: sum() would compensate its float and
-    complex additions on newer Pythons, and integer sums are exact in any
-    order.  Given ``rows`` or ``cols``, the left operand is a's rows
-    ``rows`` over its columns ``cols``, as ``take`` would give it, read in
-    place.
-    """
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Matrix product; exact for rationals, IEEE double for floats: a times
+    each column of b, as ``matvec`` forms it."""
     _check_same_backend(a, b)
-    (a_rows, a_den), (b_rows, b_den) = a._rows, b._rows
+    if a.n_cols != b.n_rows:
+        raise DimensionMismatch(f"cannot multiply {a.n_rows}x{a.n_cols} by {b.n_rows}x{b.n_cols}")
+    b_rows, b_den = b._rows
+    columns = [matvec(a, (column, b_den))[0] for column in zip(*b_rows)]
+    return Matrix.from_ints(list(zip(*columns)), a._rows[1] * b_den, a.backend)
+
+
+def vector(entries, backend):
+    """The column vector of ``entries`` on ``backend`` as the vector kernels
+    take it: (values, den), the entries over den.  Exact entries are brought
+    to integers over the lcm of their denominators; floats stand over 1."""
+    if backend == EXACT:
+        (values,), den = _integers(entries, len(entries))
+        return values, den
+    return entries, 1
+
+
+def matvec(a: Matrix, v, rows=None, cols=None):
+    """a times the column vector ``v``, as a vector over the product of the
+    denominators.  Each entry is one left fold in the order of a running
+    sum: sum() would compensate its float and complex additions on newer
+    Pythons, and integer sums are exact in any order.  Given ``rows`` or
+    ``cols``, the left operand is a's rows ``rows`` over its columns
+    ``cols``, read in place."""
+    (a_rows, a_den), (values, den) = a._rows, v
     if rows is not None:
         a_rows = [a_rows[i] for i in rows]
     if cols is not None:
-        a_rows = [[row[j] for j in cols] for row in a_rows]
+        a_rows = list(map(_picker(cols), a_rows))
     n, inner = len(a_rows), a.n_cols if cols is None else len(cols)
-    if inner != b.n_rows:
-        raise DimensionMismatch(f"cannot multiply {n}x{inner} by {b.n_rows}x{b.n_cols}")
-    _tally(mul=n * b.n_cols * inner, add=n * b.n_cols * (inner - 1))
-    columns = [[reduce(add, map(mul, row, col)) for row in a_rows] for col in zip(*b_rows)]
-    return Matrix.from_ints(list(zip(*columns)), a_den * b_den, a.backend)
+    if inner != len(values):
+        raise DimensionMismatch(f"cannot multiply {n}x{inner} by a vector of {len(values)}")
+    _tally(mul=n * inner, add=n * (inner - 1))
+    return [reduce(add, map(mul, row, values)) for row in a_rows], a_den * den
 
 
 def conj_transpose(a: Matrix) -> Matrix:
@@ -293,102 +322,24 @@ def conj_transpose(a: Matrix) -> Matrix:
     )
 
 
-def _eliminate(rows, n_sys_cols, tol):
-    """In-place forward elimination on complex rows with partial pivoting;
-    returns the pivot (row, col) pairs and the multiplications and
-    additions of the row updates, which the caller tallies.
-
-    Only the first ``n_sys_cols`` columns are eligible as pivots; trailing
-    columns ride along as right-hand sides.  The pivot is the first row of
-    largest magnitude at or below the pivot row; pivots of magnitude at
-    most ``tol`` count as zero.
-    """
-    pivots = []
-    pivot_row = 0
-    n_rows = len(rows)
-    width = len(rows[0]) if rows else 0
-    update_mul = update_add = 0
-    for col in range(n_sys_cols):
-        if pivot_row >= n_rows:
-            break
-        best, peak = pivot_row, abs(rows[pivot_row][col])
-        for r in range(pivot_row + 1, n_rows):
-            magnitude = abs(rows[r][col])
-            if magnitude > peak:
-                best, peak = r, magnitude
-        if peak <= tol:
-            continue
-        if best != pivot_row:
-            rows[best], rows[pivot_row] = rows[pivot_row], rows[best]
-        top = rows[pivot_row]
-        pivot = top[col]
-        tail = top[col + 1 :]
-        for row in rows[pivot_row + 1 :]:
-            factor = row[col] / pivot
-            if factor == 0:
-                continue
-            update_mul += width - col + 1
-            update_add += width - col
-            row[col] = 0j
-            row[col + 1 :] = [x - factor * y for x, y in zip(row[col + 1 :], tail)]
-        pivots.append((pivot_row, col))
-        pivot_row += 1
-    return pivots, update_mul, update_add
-
-
-def _eliminate_exact(rows, n_sys_cols):
-    """In-place fraction-free forward elimination on integer rows (Bareiss);
-    returns the pivot (row, col) pairs and the last pivot.
-
-    Each pivot is the first nonzero entry at or below the pivot row, the
-    choice Gaussian elimination over the rationals makes, and every row
-    below is a nonzero multiple of that elimination's row: the pivot set and
-    the zero pattern are the same.  After k steps each entry below the
-    pivots is a (k+1)-minor of the input (Sylvester's identity), so the
-    division by the previous pivot is exact and the last pivot is, up to
-    sign, the determinant of the pivot rows and columns.  While the previous
-    pivot is 1 (always on the first step) the division is skipped, and an
-    updated entry costs two multiplications instead of three.
-    """
-    pivots = []
-    pivot_row = 0
-    previous = 1
-    n_rows = len(rows)
-    width = len(rows[0]) if rows else 0
-    update_mul = update_add = 0
-    for col in range(n_sys_cols):
-        if pivot_row >= n_rows:
-            break
-        best = next((r for r in range(pivot_row, n_rows) if rows[r][col]), None)
-        if best is None:
-            continue
-        if best != pivot_row:
-            rows[best], rows[pivot_row] = rows[pivot_row], rows[best]
-        top = rows[pivot_row]
-        pivot = top[col]
-        updates = (n_rows - pivot_row - 1) * (width - col - 1)
-        update_mul += (2 if previous == 1 else 3) * updates
-        update_add += updates
-        for r in range(pivot_row + 1, n_rows):
-            row = rows[r]
-            factor = row[col]
-            row[col] = 0
-            if previous == 1:
-                for c in range(col + 1, width):
-                    row[c] = pivot * row[c] - factor * top[c]
-                continue
-            for c in range(col + 1, width):
-                row[c] = _exact_div(pivot * row[c] - factor * top[c], previous)
-        pivots.append((pivot_row, col))
-        previous = pivot
-        pivot_row += 1
-    _tally(mul=update_mul, add=update_add)
-    return pivots, previous
-
-
 def _solve_rows(rows, n, backend):
     """Solve augmented rows in place, the first ``n`` columns the system's,
     in one pass: eliminate, then back-substitute over the pivot columns.
+
+    Only the first ``n`` columns are eligible as pivots; the rest ride along
+    as right-hand sides.  Exact rows are integers, eliminated fraction-free
+    (Bareiss): each pivot is the first nonzero entry at or below the pivot
+    row, the choice Gaussian elimination over the rationals makes, and every
+    row below is a nonzero multiple of that elimination's row, so the pivot
+    set and the zero pattern are the same.  After k steps each entry below
+    the pivots is a (k+1)-minor of the input (Sylvester's identity), so the
+    division by the previous pivot is exact and the last pivot is, up to
+    sign, the determinant of the pivot rows and columns.  While the previous
+    pivot is 1 (always on the first step) the division is skipped, and an
+    updated entry costs two multiplications instead of three.  Float rows
+    are eliminated with partial pivoting: the pivot is the first row of
+    largest magnitude at or below the pivot row, and one of magnitude at
+    most PIVOT_RTOL times the largest |entry| of the rows counts as zero.
 
     Returns (the 0-based indices of the inconsistent right-hand sides, whose
     values solve the pivot rows alone, the pivot columns, ascending, x's
@@ -396,37 +347,79 @@ def _solve_rows(rows, n, backend):
     the last Bareiss pivot on the exact backend).  Free variables are zero,
     so they are not returned and only later pivot columns enter a sum, in
     increasing order; each pivot entry is (rhs - sum) / pivot, a division
-    counting as a multiplication.  The float elimination's updates and the
-    back-substitution are tallied at once; the exact elimination tallies
-    its own.
+    counting as a multiplication.  The elimination and back-substitution
+    are tallied at once.
     """
-    n_rhs, exact = len(rows[0]) - n, backend == EXACT
-    if exact:
-        pivots, det = _eliminate_exact(rows, n)
-        # det times each pivot row's right-hand sides, below.
-        update_mul, update_add, nonzero = n_rhs * len(pivots), 0, bool
-    else:
-        tol = PIVOT_RTOL * max([max(map(abs, row)) for row in rows])
-        (pivots, update_mul, update_add), det = _eliminate(rows, n, tol), 1
-        nonzero = lambda e: not abs(e) <= tol
-    rank = len(pivots)
-    below = rows[rank:]
-    flagged = [j for j in range(n_rhs) if any(nonzero(row[n + j]) for row in below)] if below else []
+    exact, n_rows, width = backend == EXACT, len(rows), len(rows[0])
+    tol = 0 if exact else PIVOT_RTOL * max([max(map(abs, row)) for row in rows])
+    pivot_cols, previous, update_mul, update_add = [], 1, 0, 0
+    for col in range(n):
+        top = len(pivot_cols)
+        if top == n_rows:
+            break
+        if exact:
+            best = next((r for r in range(top, n_rows) if rows[r][col]), None)
+            if best is None:
+                continue
+        else:
+            best, peak = top, abs(rows[top][col])
+            for r in range(top + 1, n_rows):
+                magnitude = abs(rows[r][col])
+                if magnitude > peak:
+                    best, peak = r, magnitude
+            if peak <= tol:
+                continue
+        if best != top:
+            rows[best], rows[top] = rows[top], rows[best]
+        top_row = rows[top]
+        pivot, tail = top_row[col], top_row[col + 1 :]
+        if exact:
+            updates = (n_rows - top - 1) * (width - col - 1)
+            update_mul += (2 if previous == 1 else 3) * updates
+            update_add += updates
+        for row in rows[top + 1 :]:
+            if exact:
+                factor, row[col] = row[col], 0
+                if previous == 1:
+                    for c in range(col + 1, width):
+                        row[c] = pivot * row[c] - factor * top_row[c]
+                    continue
+                for c in range(col + 1, width):
+                    num = pivot * row[c] - factor * top_row[c]
+                    row[c], remainder = divmod(num, previous)
+                    if remainder:
+                        raise ArithmeticError(f"integer division {num} / {previous} is not exact")
+                continue
+            factor = row[col] / pivot
+            if factor == 0:
+                continue
+            update_mul += width - col + 1
+            update_add += width - col
+            row[col] = 0j
+            row[col + 1 :] = [e - factor * t for e, t in zip(row[col + 1 :], tail)]
+        pivot_cols.append(col)
+        previous = pivot
+    rank, n_rhs, det = len(pivot_cols), width - n, previous if exact else 1
+    flagged = []
+    if rank < n_rows:
+        nonzero = bool if exact else (lambda e: not abs(e) <= tol)
+        flagged = [j for j in range(n_rhs) if any(nonzero(row[n + j]) for row in rows[rank:])]
+    # The exact backend scales each pivot row's right-hand sides by det.
     terms = rank * (rank - 1) // 2
-    _tally(mul=update_mul + n_rhs * (rank + terms), add=update_add + n_rhs * terms)
+    update_mul += n_rhs * (rank + terms + (rank if exact else 0))
+    _tally(mul=update_mul, add=update_add + n_rhs * terms)
     x = []
     for k in range(rank - 1, -1, -1):
-        r, c = pivots[k]
-        row = rows[r]
+        row = rows[k]
         # By Cramer's rule det * x is integral on the pivot columns: the
         # exact backend solves for it on integers, dividing once per entry.
         acc = [det * v for v in row[n:]] if exact else row[n:]
-        for (_, later), values in zip(pivots[k + 1 :], x):
+        for later, values in zip(pivot_cols[k + 1 :], x):
             coef = row[later]
             acc = [e - coef * v for e, v in zip(acc, values)]
-        pivot = row[c]
-        x.insert(0, [_exact_div(e, pivot) for e in acc] if exact else [e / pivot for e in acc])
-    return flagged, [c for _, c in pivots], x, det
+        pivot = row[pivot_cols[k]]
+        x.insert(0, _exact_quotients(acc, pivot) if exact else [e / pivot for e in acc])
+    return flagged, pivot_cols, x, det
 
 
 def solve(a: Matrix, rows, cols):
@@ -439,39 +432,36 @@ def solve(a: Matrix, rows, cols):
     inconsistent one.  On the rational backend the elimination is
     fraction-free (Bareiss), pivoting on the first nonzero entry of each
     column, so results are exact, and a unit enters at a's denominator; on
-    floats it is Gaussian elimination with partial pivoting.  It eliminates
-    and back-substitutes in one pass, which gives x at the pivot columns
-    only, free variables being zero.
+    floats it is Gaussian elimination with partial pivoting.  One pass per
+    system: the augmented rows are picked from a's rows in place, and
+    ``_solve_rows`` eliminates and back-substitutes them, which gives x at
+    the pivot columns only, free variables being zero; a x is then summed
+    over those columns, one running sum per entry.
 
     Returns (the 0-based indices j of the inconsistent right-hand sides, the
-    unknowns where x is nonzero, which are pivot columns, x's rows there,
+    pivot columns as unknowns of a, which are x's support, x's rows there,
     the columns of a x, x's denominator, a x's denominator), where x and
     a x solve nothing in a column j that is listed.  On floats x and a x are
-    as ``matmul`` would form them, equation rows keeping their rounding
+    as ``matvec`` would form them, equation rows keeping their rounding
     residue, and both denominators are 1.  On the exact backend every part
     is an integer: x's rows are over d, the Bareiss determinant, and a x is
     over a's denominator times d.  Its equation rows are read from the
     right-hand side the solve satisfied; only the other rows are summed.
     """
-    size, n_rhs = a.n_rows, len(rows)
+    size, n, n_rhs = a.n_rows, len(cols), len(rows)
     a_rows, den = a._rows
     exact = a.backend == EXACT
-    unit, zero = (den, 0) if exact else (complex(1), complex(0))
-    system = []
-    for k, l in enumerate(rows):
-        row = a_rows[l]
-        system.append([row[i] for i in cols] + [unit if k == j else zero for j in range(n_rhs)])
-    flagged, pivot_cols, x, det = _solve_rows(system, len(cols), a.backend)
-    # The support is the pivot columns where x is not zero.  In exact
-    # arithmetic that is every pivot column: x's pivot rows solve a
-    # triangular system whose right-hand sides, the eliminated identity's
-    # pivot rows, have full rank.  A float row rounded to zeros is left out.
-    support, x_rows = [], []
-    for c, values in zip(pivot_cols, x):
-        if any(values):
-            support.append(cols[c])
-            x_rows.append(values)
-    summed = sorted(set(range(size)).difference(rows)) if exact else range(size)
+    unit, zero = (den, 0) if exact else (1 + 0j, 0j)
+    rhs = [zero] * n_rhs
+    system = [[*row, *rhs] for row in map(_picker(cols), _picker(rows)(a_rows))]
+    for k, equation in enumerate(system):
+        equation[n + k] = unit
+    flagged, pivot_cols, x_rows, det = _solve_rows(system, n, a.backend)
+    # The support is the pivot columns: in exact arithmetic x is nonzero on
+    # each, since its pivot rows solve a triangular system whose right-hand
+    # sides, the eliminated identity's pivot rows, have full rank.
+    support = [cols[c] for c in pivot_cols]
+    summed = [l for l in range(size) if l not in rows] if exact else a_rows
     terms = len(summed) * n_rhs
     _tally(mul=terms * len(support), add=terms * max(len(support) - 1, 0))
     if exact:
@@ -481,7 +471,7 @@ def solve(a: Matrix, rows, cols):
             for l, part in parts:
                 entries[l] = sum(map(mul, part, column))
         return flagged, support, x_rows, a_x, det, unit * det
-    # a x column by column, each entry a running sum as in ``matmul``.
+    # a x column by column, each entry a running sum as in ``matvec``.
     columns = [[row[i] for row in a_rows] for i in support]
     a_x = []
     for j in range(n_rhs):
@@ -493,24 +483,25 @@ def solve(a: Matrix, rows, cols):
     return flagged, support, x_rows, a_x, 1, 1
 
 
-def isolate(b, w, y, known):
-    """(y[l] - the sum of b(l, j) * w[j] over j in known[l]) / b(l, l) per
-    row l of ``b``, for column vectors w and y: floats subtract left to right
-    from y[l]; exact values are one integer dot product of b's integer row
-    with w's, and one Fraction.  A term counts one multiplication and
+def isolate(b, w, y, cachers):
+    """(y[l] - the sum of b(l, j) * w[j] over the columns j whose
+    ``cachers[j]`` hold l) / b(l, l) per row l of ``b``, for vectors w and
+    y.  Each row's terms are taken in increasing j: floats subtract them
+    left to right from y[l]; exact values sum them on integers, b's rows
+    times w's, and build one Fraction.  A term counts one multiplication and
     addition, the division one more."""
-    n_known = sum(map(len, known))
+    n_known = sum(map(len, cachers))
     _tally(mul=n_known + b.n_rows, add=n_known)
-    (b_rows, p), (w_rows, q), (y_rows, r) = b._rows, w._rows, y._rows
-    w = [v for (v,) in w_rows]
-    if b.backend == FLOAT:
-        return [
-            reduce(sub, [row[j] * w[j] for j in cached], y_l) / row[l]
-            for l, (row, (y_l,), cached) in enumerate(zip(b_rows, y_rows, known))
-        ]
-    out = []
-    for l, (row, (y_l,), cached) in enumerate(zip(b_rows, y_rows, known)):
-        dot = sum(row[j] * w[j] for j in cached)
-        # (y_l / r - dot / (p q)) / (row[l] / p) on integers.
-        out.append(Fraction(y_l * p * q - r * dot, r * q * row[l]))
-    return out
+    (b_rows, p), (w, q), (y, r) = b._rows, w, y
+    exact = b.backend == EXACT
+    acc = [0] * b.n_rows if exact else list(y)
+    for j, (w_j, rows) in enumerate(zip(w, cachers)):
+        for l in rows:
+            acc[l] -= b_rows[l][j] * w_j
+    if not exact:
+        return [a / row[l] for l, (row, a) in enumerate(zip(b_rows, acc))]
+    # (y_l / r + acc_l / (p q)) / (row[l] / p) on integers.
+    return [
+        Fraction(y_l * p * q + r * a, r * q * row[l])
+        for l, (row, y_l, a) in enumerate(zip(b_rows, y, acc))
+    ]

@@ -8,8 +8,9 @@ Gaussian elimination over Fractions, loop-form float
 kernels (a running-sum product and a solver with back-substitution over
 every column), an exact channel whose submatrices are provably
 nonsingular, a per-column precoder synthesis that also names every
-column without a solution, and a brute-force enumerator of small
-deliverable grids.  ``rank`` runs the package's own
+column without a solution, a loop-form float slot (dense encode,
+forward and decode, and a left-to-right subtraction), and a brute-force
+enumerator of small deliverable grids.  ``rank`` runs the package's own
 elimination kernels; its tests compare it with sympy.  On floats the
 per-column synthesis forms B with the package's ``matmul``, so that the
 engine can be compared with it bit for bit.
@@ -33,8 +34,7 @@ from mapda.linalg import (
     PIVOT_RTOL,
     Infeasible,
     Matrix,
-    _eliminate,
-    _eliminate_exact,
+    _solve_rows,
     matmul,
 )
 
@@ -273,13 +273,10 @@ def assert_reads_as_flat(matrix, entries):
 
 
 def rank(a: Matrix) -> int:
-    """Row rank through the package's elimination kernels: fraction-free on
+    """Row rank through the package's elimination kernel: fraction-free on
     the exact backend, pivots at most PIVOT_RTOL times the largest |entry|
     counting as zero on floats."""
-    if a.backend == EXACT:
-        return len(_eliminate_exact([list(row) for row in a._rows[0]], a.n_cols)[0])
-    tol = PIVOT_RTOL * max(map(abs, a.data), default=0.0)
-    return len(_eliminate(a.to_rows(), a.n_cols, tol)[0])
+    return len(_solve_rows([list(row) for row in a._rows[0]], a.n_cols, a.backend)[1])
 
 
 def vandermonde_channel(antennas, users, first_node=2) -> Matrix:
@@ -373,6 +370,104 @@ def synthesize_precoder_per_column(group, channel) -> PrecodingMatrix:
     v = Matrix(size, size, [e for row in v_rows for e in row], backend)
     b = Matrix(size, size, [e for row in zip(*b_cols) for e in row], backend)
     return PrecodingMatrix(matrix=v, combined=b)
+
+
+
+def _synthesis_ops(group, block):
+    """Multiplications and additions of one float slot's synthesis, counted
+    in loops over each distinct column system [A | I] (its equation rows,
+    ascending, over its cacher positions, a unit per equation row).
+
+    An updated row costs its division and one product and difference per
+    entry from the pivot column on (a row whose factor is exactly zero is
+    left alone); back-substitution runs over the pivot columns alone, a
+    product and difference per later pivot and one division; B sums the
+    pivot columns' products in every row of the block, for each right-hand
+    side.
+    """
+    size, muls, adds = block.n_rows, 0, 0
+    for unknowns in dict.fromkeys(group.cacher_sets):
+        equations = [l for l in range(size) if l not in unknowns]
+        n, n_rhs = len(unknowns), len(equations)
+        rows = [
+            [block.at(l, i) for i in unknowns] + [complex(l == u) for u in equations]
+            for l in equations
+        ]
+        tol = PIVOT_RTOL * max(abs(e) for row in rows for e in row)
+        pivots = []
+        for col in range(n):
+            top = len(pivots)
+            if top == n_rhs:
+                break
+            best = top
+            for r in range(top + 1, n_rhs):
+                if abs(rows[r][col]) > abs(rows[best][col]):
+                    best = r
+            if abs(rows[best][col]) <= tol:
+                continue
+            rows[top], rows[best] = rows[best], rows[top]
+            for row in rows[top + 1 :]:
+                factor = row[col] / rows[top][col]
+                if factor == 0:
+                    continue
+                muls += 1
+                for c in range(col, n + n_rhs):
+                    row[c] -= factor * rows[top][c]
+                    muls, adds = muls + 1, adds + 1
+            pivots.append(col)
+        x = {}
+        for k in reversed(range(len(pivots))):
+            for j in range(n_rhs):
+                acc = rows[k][n + j]
+                for later in pivots[k + 1 :]:
+                    acc -= rows[k][later] * x[later, j]
+                    muls, adds = muls + 1, adds + 1
+                x[pivots[k], j] = acc / rows[k][pivots[k]]
+                muls += 1
+        for _ in range(size * n_rhs):
+            muls += len(pivots)
+            adds += len(pivots) - 1
+    return {"mul": muls, "add": adds}
+
+
+def loop_slot_float(group, channel, demands, library):
+    """One float slot by loops: (the recovered values, the op counts of each
+    phase), as ``run_slot`` reports them once the Gram matrix is formed.
+
+    V and B are the per-column reference's.  The packets p are encoded,
+    forwarded and received densely by ``loop_matmul_float``: x = V p, then
+    H_S x at the antennas, then H_S* times that at the users.  User l
+    subtracts B(l, j) p_j for each packet j it caches, in increasing j, left
+    to right from what it received, and divides by B(l, l).
+    """
+    users = _served_columns(channel, group)
+    size, antennas = len(users), channel.matrix.n_rows
+    reference = synthesize_precoder_per_column(group, channel)
+    v, b = reference.matrix.to_rows(), reference.combined.to_rows()
+    h = [[channel.matrix.at(a, k) for k in users] for a in range(antennas)]
+    h_star = [[e.conjugate() for e in column] for column in zip(*h)]
+    packets = [
+        library.at(demands[k - 1] - 1, f - 1) for k, f in zip(group.served_users, group.served_rows)
+    ]
+    x = loop_matmul_float(v, [[p] for p in packets])
+    received = loop_matmul_float(h_star, loop_matmul_float(h, x))
+    values, known = [], 0
+    for l, ((acc,), row) in enumerate(zip(received, b)):
+        for j, cachers in enumerate(group.cacher_sets):
+            if l in cachers:
+                acc -= row[j] * packets[j]
+                known += 1
+        values.append(acc / row[l])
+    ops = {
+        "precoder_synthesis": _synthesis_ops(group, channel.gram.take(users, users)),
+        "uplink_encode": {"mul": size * size, "add": size * (size - 1)},
+        "bs_forward": {"mul": antennas * size, "add": antennas * (size - 1)},
+        "user_decode": {
+            "mul": size * antennas + known + size,
+            "add": size * (antennas - 1) + known,
+        },
+    }
+    return values, ops
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,8 @@ from mapda.linalg import (
 from oracles import (
     assert_reads_as_flat,
     failing_columns,
+    float_bits,
+    loop_slot_float,
     synthesize_precoder_per_column,
     vandermonde_channel,
 )
@@ -394,6 +396,24 @@ class TestFloatPrecoderRows:
                     reference = synthesize_precoder_per_column(group, channel)
                     assert_reads_as_flat(pre.matrix, reference.matrix.data)
                     assert_reads_as_flat(pre.combined, reference.combined.data)
+
+
+class TestFloatDecodeBits:
+    def test_slots_match_loop_oracle_bit_for_bit(self):
+        # Every recovered value of replicate(mn(10, 3), 3) on three float
+        # channels has the bits of a dense loop-form encode, forward and
+        # decode, and every slot counts the oracle's operations per phase.
+        m = replicate(generate_mn_pda(10, 3), 3)
+        instance, demands = build_instance(m, files=4), default_demands(m.cols, 4)
+        for seed in (1, 2, 3):
+            channel = make_channel(m.antennas, m.cols, seed=seed)
+            channel.gram  # formed before the slots, so that none pays for it
+            library = random_library(4, m.rows, seed=seed, backend=FLOAT)
+            for group in instance.groups:
+                outcome = run_slot(group, channel, demands, library)
+                values, ops = loop_slot_float(group, channel, demands, library)
+                assert float_bits(v for *_, v in outcome.recovered) == float_bits(values)
+                assert outcome.ops == ops
 
 
 class TestFamilies:

@@ -16,13 +16,14 @@ from mapda.linalg import (
     BackendMismatch,
     DimensionMismatch,
     Matrix,
-    _exact_div,
+    _exact_quotients,
     _solve_rows,
     conj_transpose,
     count_ops,
     isolate,
     matmul,
     solve,
+    vector,
 )
 
 from oracles import (
@@ -384,9 +385,10 @@ class TestColumnKernels:
                     for j in known[l]:
                         acc = acc - rows[l][j] * w[j]
                     want.append(acc / rows[l][l])
-                w_col, y_col = (Matrix.from_rows([[e] for e in v], backend) for v in (w, y))
+                # isolate reads, for each column j, the rows that know it.
+                cachers = [[l for l in range(n) if j in known[l]] for j in range(n)]
                 with count_ops() as tally:
-                    got = isolate(b, w_col, y_col, known)
+                    got = isolate(b, vector(w, backend), vector(y, backend), cachers)
                 n_known = sum(map(len, known))
                 assert (tally.mul, tally.add) == (n_known + n, n_known)
                 if backend == FLOAT:
@@ -628,9 +630,9 @@ class TestSolve:
             assert [[v / x_den for v in row] for row in x_rows] == [[7, -3], [-2, 1]]
 
     def test_inexact_integer_division_raises(self):
-        assert _exact_div(-12, 4) == -3
+        assert _exact_quotients([-12], 4) == [-3]
         with pytest.raises(ArithmeticError):
-            _exact_div(7, 2)
+            _exact_quotients([7], 2)
 
     def test_float_matches_exact_on_well_conditioned_systems(self):
         rng = random.Random(23)
@@ -749,10 +751,10 @@ class TestIntegerRows:
             assert product == matmul(eager, right)
             if m >= n and all(rows[l][l] for l in range(n)):
                 isolated += 1
-                known = [[j for j in range(m) if j != l] for l in range(n)]
-                w = frac_matrix([[random_rational(rng)] for _ in range(m)])
-                y = frac_matrix([[random_rational(rng)] for _ in range(n)])
-                assert isolate(lazy, w, y, known) == isolate(eager, w, y, known)
+                cachers = [[l for l in range(n) if l != j] for j in range(m)]
+                w = vector([random_rational(rng) for _ in range(m)], EXACT)
+                y = vector([random_rational(rng) for _ in range(n)], EXACT)
+                assert isolate(lazy, w, y, cachers) == isolate(eager, w, y, cachers)
             assert lazy._data is None
             data = lazy.data
             assert data == eager.data and all(type(e) is Fraction for e in data)
