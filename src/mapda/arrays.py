@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, islice
@@ -65,15 +64,40 @@ class ValidationFailure(Exception):
         self.report = report
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class _Frozen:
+    """A record whose fields, its class's annotations, are read-only once
+    built; records of one class are equal when their fields are.  Other
+    attributes it keeps are neither compared, hashed nor shown."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return tuple(map(vars(self).__getitem__, type(self).__annotations__))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = map("{}={!r}".format, type(self).__annotations__, self._key())
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+
+class ValidationReport(_Frozen):
     """Per-condition outcome of a validation run plus derived parameters.
 
     ``stars_per_col``, ``t`` and ``sum_dof`` are None when C1 fails (they
     are undefined for columns with unequal star counts).  ``min_antennas``
     is the smallest antenna count at which C4 would hold.  ``regular`` means
     every slot id occurs exactly t+L times, the shape the delivery proof
-    relies on; it depends on the declared antenna count.
+    relies on; it depends on the declared antenna count.  ``_grid`` keeps
+    the normalized grid.
     """
 
     ok: bool
@@ -91,7 +115,9 @@ class ValidationReport:
     min_antennas: int
     regular: bool  # every slot id occurs exactly t+L times
     failures: tuple[str, ...]
-    _grid: tuple = field(repr=False, compare=False)  # the normalized grid
+
+    def __init__(self, **fields):
+        vars(self).update(fields)
 
     @cached_property
     def slot_index(self) -> dict:
@@ -242,8 +268,7 @@ def validate(grid, claimed_antennas):
     )
 
 
-@dataclass(frozen=True)
-class Mapda:
+class Mapda(_Frozen):
     """A validated F x K star/slot grid with a declared antenna count.
 
     Construction validates C1-C4 once and raises ValidationFailure
@@ -254,14 +279,12 @@ class Mapda:
 
     grid: tuple
     antennas: int
-    report: ValidationReport = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        report = validate(self.grid, self.antennas)
+    def __init__(self, grid, antennas):
+        report = validate(grid, antennas)
         if not report.ok:
             raise ValidationFailure("; ".join(report.failures), report)
-        object.__setattr__(self, "grid", report._grid)
-        object.__setattr__(self, "report", report)
+        vars(self).update(grid=report._grid, antennas=antennas, report=report)
 
     @property
     def rows(self) -> int:

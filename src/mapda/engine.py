@@ -42,14 +42,13 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
 from .arrays import STAR, DomainError, Mapda, ParseError, read_table
-from .arrays import _check_cells, _number, _plain, _quote, _read_int
+from .arrays import _check_cells, _Frozen, _number, _plain, _quote, _read_int
 from .linalg import (
     EXACT,
     FLOAT,
@@ -107,8 +106,7 @@ class PacketId(NamedTuple):
     part: int
 
 
-@dataclass(frozen=True)
-class SlotGroup:
+class SlotGroup(NamedTuple):
     """The users and packet rows sharing one slot id.
 
     ``served_users`` and ``served_rows`` are parallel, 1-based, in
@@ -128,8 +126,7 @@ class SlotGroup:
     antennas: int
 
 
-@dataclass(frozen=True)
-class SchemeInstance:
+class SchemeInstance(NamedTuple):
     """An array bound to a library size, and its slot groups; a user caches
     every file's packets at the rows where its column holds a star."""
 
@@ -138,11 +135,13 @@ class SchemeInstance:
     groups: tuple
 
 
-@dataclass(frozen=True)
-class ChannelMatrix:
+class ChannelMatrix(_Frozen):
     """An L x K matrix of channel gains."""
 
     matrix: Matrix
+
+    def __init__(self, matrix):
+        vars(self)["matrix"] = matrix
 
     @cached_property
     def adjoint(self) -> Matrix:
@@ -164,8 +163,7 @@ class ChannelMatrix:
         return matmul(self.adjoint, self.matrix)
 
 
-@dataclass(frozen=True)
-class PrecodingMatrix:
+class PrecodingMatrix(NamedTuple):
     """Per-slot uplink precoder; row i weights user k_i's transmission.
 
     ``combined`` holds the two-hop receive matrix B = H* H V so receivers
@@ -179,22 +177,19 @@ class PrecodingMatrix:
     residual: float = 0.0
 
 
-@dataclass(frozen=True)
-class SlotOutcome:
+class SlotOutcome(NamedTuple):
     recovered: tuple  # (user, PacketId, value) per served position
     residual_max: float
     ops: dict
 
 
-@dataclass(frozen=True)
-class SlotReport:
+class SlotReport(NamedTuple):
     s: int
     served: tuple
     residual_max: float
 
 
-@dataclass(frozen=True)
-class DeliveryReport:
+class DeliveryReport(NamedTuple):
     ndt_ul: Fraction
     ndt_dl: Fraction
     slots: tuple

@@ -50,9 +50,9 @@ counts against its cost model lambda.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from math import lcm
 from operator import add, itemgetter, mul
 
@@ -95,10 +95,13 @@ class Infeasible(Exception):
         self.column = column
 
 
-@dataclass
 class OpTally:
-    mul: int = 0
-    add: int = 0
+    """The multiplications and additions a ``count_ops`` block counted."""
+
+    __slots__ = ("mul", "add")
+
+    def __init__(self, mul=0, add=0):
+        self.mul, self.add = mul, add
 
 
 _active = None  # the innermost open count_ops tally
@@ -322,7 +325,7 @@ def conj_transpose(a: Matrix) -> Matrix:
     )
 
 
-def _solve_rows(rows, n, backend):
+def _solve_rows(rows, n, backend, tol=None):
     """Solve augmented rows in place, the first ``n`` columns the system's,
     in one pass: eliminate, then back-substitute over the pivot columns.
 
@@ -339,7 +342,8 @@ def _solve_rows(rows, n, backend):
     updated entry costs two multiplications instead of three.  Float rows
     are eliminated with partial pivoting: the pivot is the first row of
     largest magnitude at or below the pivot row, and one of magnitude at
-    most PIVOT_RTOL times the largest |entry| of the rows counts as zero.
+    most ``tol`` counts as zero: PIVOT_RTOL times the largest |entry| of
+    the rows unless the caller, knowing that largest entry, passes it.
 
     Returns (the 0-based indices of the inconsistent right-hand sides, whose
     values solve the pivot rows alone, the pivot columns, ascending, x's
@@ -351,7 +355,8 @@ def _solve_rows(rows, n, backend):
     are tallied at once.
     """
     exact, n_rows, width = backend == EXACT, len(rows), len(rows[0])
-    tol = 0 if exact else PIVOT_RTOL * max([max(map(abs, row)) for row in rows])
+    if tol is None:
+        tol = 0 if exact else PIVOT_RTOL * max([max(map(abs, row)) for row in rows])
     pivot_cols, previous, update_mul, update_add = [], 1, 0, 0
     for col in range(n):
         top = len(pivot_cols)
@@ -453,10 +458,14 @@ def solve(a: Matrix, rows, cols):
     exact = a.backend == EXACT
     unit, zero = (den, 0) if exact else (1 + 0j, 0j)
     rhs = [zero] * n_rhs
-    system = [[*row, *rhs] for row in map(_picker(cols), _picker(rows)(a_rows))]
+    picked = list(map(_picker(cols), _picker(rows)(a_rows)))
+    system = [[*row, *rhs] for row in picked]
     for k, equation in enumerate(system):
         equation[n + k] = unit
-    flagged, pivot_cols, x_rows, det = _solve_rows(system, n, a.backend)
+    # The right-hand sides are 0s and one 1.0 per row after its A part, so
+    # the largest |entry| is A's or 1.0, and NaN where A's first entry is.
+    tol = None if exact else PIVOT_RTOL * max(max(map(abs, chain(*picked)), default=0.0), 1.0)
+    flagged, pivot_cols, x_rows, det = _solve_rows(system, n, a.backend, tol)
     # The support is the pivot columns: in exact arithmetic x is nonzero on
     # each, since its pivot rows solve a triangular system whose right-hand
     # sides, the eliminated identity's pivot rows, have full rank.

@@ -35,10 +35,10 @@ schemes, and the exact bracketed sum for the baseline (not its O() form).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from .arrays import DomainError, _number
+from .arrays import DomainError, _Frozen, _number
 
 
 class ConstraintViolation(DomainError):
@@ -53,8 +53,7 @@ def check_counts(users, antennas, m=None):
         raise DomainError(f"grouping size m must be >= 1, got {_number(m)}")
 
 
-@dataclass(frozen=True)
-class SystemPoint:
+class SystemPoint(_Frozen):
     """One (K, L, M/N) operating point, optionally with a grouping size m.
 
     The caching redundancy t = K * M/N must be an integer; it is computed
@@ -66,28 +65,25 @@ class SystemPoint:
     users: int
     antennas: int
     memory_ratio: Fraction
-    m: int | None = None
-    t: int = field(init=False, repr=False, compare=False)
+    m: int | None
 
-    def __post_init__(self):
-        ratio = Fraction(self.memory_ratio)
-        object.__setattr__(self, "memory_ratio", ratio)
-        check_counts(self.users, self.antennas, self.m)
+    def __init__(self, users, antennas, memory_ratio, m=None):
+        ratio = Fraction(memory_ratio)
+        check_counts(users, antennas, m)
         num, den = ratio.numerator, ratio.denominator  # den >= 1, lowest terms
         if not 0 < num < den:
             raise DomainError(f"memory ratio must lie in (0,1), got {_number(ratio)}")
-        t, rest = divmod(self.users * num, den)
+        t, rest = divmod(users * num, den)
         if rest:
-            raise DomainError(f"t = K*M/N = {_number(self.users * ratio)} is not an integer")
-        object.__setattr__(self, "t", t)
+            raise DomainError(f"t = K*M/N = {_number(users * ratio)} is not an integer")
+        vars(self).update(users=users, antennas=antennas, memory_ratio=ratio, m=m, t=t)
 
     @property
     def alpha(self) -> int:
         return math.gcd(self.users, self.t, self.antennas)
 
 
-@dataclass(frozen=True)
-class SchemeMetrics:
+class SchemeMetrics(NamedTuple):
     """The (F, Z, S) triple of one scheme plus its derived figures; ``ndt``
     and ``sum_dof`` are derived when read (the comparison table reads
     neither), the latter from K.  ``m`` is the grouping size scheme 1 ran
@@ -98,7 +94,7 @@ class SchemeMetrics:
     stars_per_col: int
     slots: int
     complexity: int
-    _users: int
+    users: int
     m: int | None = None
 
     @property
@@ -111,7 +107,7 @@ class SchemeMetrics:
 
     @property
     def sum_dof(self) -> Fraction:
-        return Fraction(self._users * (self.subpacketization - self.stars_per_col), self.slots)
+        return Fraction(self.users * (self.subpacketization - self.stars_per_col), self.slots)
 
 
 def asmst_metrics(p: SystemPoint) -> SchemeMetrics:
@@ -221,7 +217,7 @@ def _finish(tag, p, f, z, s, complexity=None, m=None) -> SchemeMetrics:
         stars_per_col=z,
         slots=s,
         complexity=complexity,
-        _users=p.users,
+        users=p.users,
         m=m,
     )
 

@@ -1,6 +1,5 @@
 """Placement, precoder synthesis, and end-to-end delivery."""
 
-import dataclasses
 import gc
 import random
 import re
@@ -730,7 +729,7 @@ class TestFailureOrder:
                     family = stores.get(group.served_users)
                     shared = outcome(lambda: synthesize_precoder(group, channel, family))
                     for got in (alone, shared):
-                        if isinstance(reference, tuple):
+                        if type(reference) is tuple:
                             assert got == reference
                         else:
                             # Equal in value on both backends: every path
@@ -738,7 +737,7 @@ class TestFailureOrder:
                             # order, so equal rows tie for a pivot alike.
                             assert got.matrix == reference.matrix
                             assert got.combined == reference.combined
-                    if not isinstance(reference, tuple):
+                    if type(reference) is not tuple:
                         continue
                     overdetermined = "equations and no solution" in reference[3]
                     seen["more equations than unknowns"] += overdetermined
@@ -996,9 +995,7 @@ class TestRunDelivery:
         ids=["group-dropped", "group-repeated"],
     )
     def test_every_integer_cell_delivered_once(self, example1_instance, fixture_channel, groups):
-        instance = dataclasses.replace(
-            example1_instance, groups=groups(example1_instance.groups)
-        )
+        instance = example1_instance._replace(groups=groups(example1_instance.groups))
         with pytest.raises(
             engine.DecodeMismatch,
             match="^recovered cells do not match the integer cells of the array$",

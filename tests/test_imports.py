@@ -1,6 +1,8 @@
 """The package imports only the standard library (``dependencies = []``)."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -75,3 +77,36 @@ def test_only_engine_raises_infeasible():
         if isinstance(node, ast.Raise) and node.exc is not None and raised(node) == "Infeasible"
     }
     assert raisers and {name for name, _ in raisers} == {"engine.py"}, raisers
+
+
+# Printed by a fresh interpreter without site hooks: which of dataclasses
+# and inspect importing the CLI loads, how many package classes it finds,
+# and those that carry dataclass fields.
+IMPORT_PROBE = """
+import sys
+import mapda.cli
+
+classes = {
+    value
+    for name, module in list(sys.modules.items())
+    if name.split(".")[0] == "mapda"
+    for value in vars(module).values()
+    if isinstance(value, type) and value.__module__.split(".")[0] == "mapda"
+}
+built = sorted(c.__name__ for c in classes if hasattr(c, "__dataclass_fields__"))
+print(repr((sorted({"dataclasses", "inspect"} & sys.modules.keys()), len(classes), built)))
+"""
+
+
+def test_importing_the_cli_builds_no_dataclass():
+    # Every mapda command imports the CLI before it does any work, so the
+    # records are NamedTuples and plain classes: a dataclass would generate
+    # and compile its methods, and import dataclasses and inspect, each time.
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    probe = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_PROBE],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    loaded, n_classes, built = ast.literal_eval(probe.stdout)
+    assert n_classes >= 20
+    assert (loaded, built) == ([], [])

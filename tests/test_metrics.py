@@ -1,6 +1,5 @@
 """Closed-form scheme calculators and the comparison table."""
 
-import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -28,6 +27,11 @@ from mapda.metrics import (
 
 def point(users, ratio, antennas, m=None):
     return SystemPoint(users, antennas, Fraction(ratio), m)
+
+
+def with_m(p, m):
+    """p at grouping size m, built afresh, so it is validated again."""
+    return SystemPoint(p.users, p.antennas, p.memory_ratio, m)
 
 
 class TestSystemPoint:
@@ -101,7 +105,7 @@ class TestSchemes:
                     best = None
                     for m in admissible_m_values(p):
                         try:
-                            metric = scheme_metrics(dataclasses.replace(p, m=m), 1)
+                            metric = scheme_metrics(with_m(p, m), 1)
                         except ConstraintViolation:
                             continue
                         if best is None or metric.subpacketization < best[1].subpacketization:
@@ -119,10 +123,10 @@ class TestSchemes:
     def test_scheme1_evaluated_once_per_admissible_m(self, monkeypatch):
         points = [point(20, "1/5", 4), point(12, "1/3", 4), point(6, "1/2", 3)]
         built, evaluated = [], []
-        post_init = SystemPoint.__post_init__
+        init = SystemPoint.__init__
         at = metrics._scheme1_at
         monkeypatch.setattr(
-            SystemPoint, "__post_init__", lambda p: built.append(p) or post_init(p)
+            SystemPoint, "__init__", lambda p, *args: built.append(p) or init(p, *args)
         )
         monkeypatch.setattr(
             metrics, "_scheme1_at", lambda p, m: evaluated.append(m) or at(p, m)
@@ -236,9 +240,9 @@ class TestScheme1Figures:
         for m in range(1, antennas + 1):
             if m not in admissible:
                 with pytest.raises(ConstraintViolation):
-                    scheme_metrics(dataclasses.replace(p, m=m), 1)
+                    scheme_metrics(with_m(p, m), 1)
                 continue
-            figures = scheme_metrics(dataclasses.replace(p, m=m), 1).parameters
+            figures = scheme_metrics(with_m(p, m), 1).parameters
             assert all(type(x) is int for x in figures)
             assert figures == scheme1_oracle(users, t, antennas, m)
 
@@ -303,7 +307,7 @@ def every_scheme(p):
     calls = [asmst_metrics]
     calls += [lambda p, which=which: scheme_metrics(p, which) for which in (1, 2, 3)]
     calls += [
-        lambda p, m=m: scheme_metrics(dataclasses.replace(p, m=m), 1)
+        lambda p, m=m: scheme_metrics(with_m(p, m), 1)
         for m in admissible_m_values(p)
     ]
     found = []
