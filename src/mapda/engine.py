@@ -39,11 +39,13 @@ work can run in any order (a delivery run here simply iterates them).
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -58,11 +60,11 @@ from .linalg import (
     _check_same_backend,
     conj_transpose,
     count_ops,
+    entries,
     isolate,
     matmul,
     matvec,
     solve,
-    vector,
 )
 
 # Relative tolerance for float-backend decode checks; the exact backend
@@ -115,7 +117,9 @@ class SlotGroup(NamedTuple):
     V allowed to be nonzero.  It is the slot's one cache relation: B(l, n)
     must vanish exactly when l != n and l is not in ``cacher_sets[n]``.
     ``redundancy`` and ``antennas`` carry the parent array's t and L for the
-    solver gate.
+    solver gate; ``redundancy`` stays, though every slot holds the same t,
+    because ``synthesize_precoder`` refuses each slot of a t < L array on
+    its own, naming t, and a slot's users and rows do not determine it.
     """
 
     slot: int
@@ -160,7 +164,10 @@ class ChannelMatrix(_Frozen):
         """
         users = self.matrix.n_cols
         _check_cells(f"the Gram matrix of {users} users", users, users)
-        return matmul(self.adjoint, self.matrix)
+        gram = matmul(self.adjoint, self.matrix)
+        if gram.backend == FLOAT and not all(map(cmath.isfinite, chain(*gram.to_rows()))):
+            raise DomainError("the channel's Gram matrix H* H overflows the float range")
+        return gram
 
 
 class PrecodingMatrix(NamedTuple):
@@ -463,8 +470,8 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
             ],
         )
     return PrecodingMatrix(
-        matrix=Matrix.from_ints(v_rows, x_common, backend),
-        combined=Matrix.from_ints(list(zip(*b_cols)), b_common, backend),
+        matrix=Matrix(v_rows, x_common, backend),
+        combined=Matrix(list(zip(*b_cols)), b_common, backend),
         residual=residual,
     )
 
@@ -481,7 +488,7 @@ def run_slot(group, channel, demands, library, family=None) -> SlotOutcome:
     are checked; ``run_delivery`` checks the whole vector.
     ``family`` is the run's store of solves for the slot's served users, as
     in ``synthesize_precoder``.  Raises DecodeMismatch if a recovered value
-    strays from the library.
+    strays from the library, and DomainError if float signals overflow.
     """
     demands = tuple(demands)
     if len(demands) < max(group.served_users):
@@ -495,9 +502,8 @@ def run_slot(group, channel, demands, library, family=None) -> SlotOutcome:
     with count_ops() as synthesis:
         precoder = synthesize_precoder(group, channel, family)
     backend, users = library.backend, [k - 1 for k in group.served_users]
-    data, width = library.data, library.n_cols
-    packets = [data[(d - 1) * width + f - 1] for d, f in zip(wanted, group.served_rows)]
-    w = vector(packets, backend)
+    w = entries(library, [(d - 1, f - 1) for d, f in zip(wanted, group.served_rows)])
+    packets, den = w
     with count_ops() as encode:
         x = matvec(precoder.matrix, w)
     with count_ops() as forward:
@@ -509,11 +515,15 @@ def run_slot(group, channel, demands, library, family=None) -> SlotOutcome:
         residual = precoder.residual
         for user, expected, value in zip(group.served_users, packets, values):
             if backend == EXACT:
-                wrong = value != expected and f"recovered {value} != {expected}"
+                wrong = value * den != expected and f"recovered {value} != {Fraction(expected, den)}"
             else:
                 err = abs(value - expected)
                 wrong = not err <= DECODE_RTOL * max(1.0, abs(expected)) and f"decode error {err}"
                 residual = max(residual, err)
+            if wrong and backend == FLOAT and not cmath.isfinite(value):
+                if all(map(cmath.isfinite, packets)):
+                    # The Gram matrix and the packets are finite: the signals overflowed.
+                    raise DomainError(f"slot {group.slot}: user {user} decodes {value}: float overflow")
             if wrong:
                 raise DecodeMismatch(f"slot {group.slot}: user {user} {wrong}", slot=group.slot)
     recovered = zip(group.served_users, map(PacketId, wanted, group.served_rows), values)

@@ -10,13 +10,14 @@ right-hand side per equation row, carries a slot's packets through
 ``matvec`` as plain vectors, and decodes with ``isolate``.
 
 Every matrix, on either backend, is a list of rows over one denominator,
-which the kernels read and return; the flat ``data`` is only a cache, kept
-from construction or built on first read.  Float rows hold the complex
-entries over 1 and are never rescaled: an int 1 times a complex entry can
-turn -0.0 into 0.0.  Exact rows are Python ints, over the lcm of the
-entries' denominators when the matrix is built from Fractions, so
-``Fraction``s are built only at the edges: fixture and library input, the
-decoded values, and reads of ``data`` and ``==``.  ``take`` and
+which the kernels read and return; ``to_rows`` is the one reader of its
+entries.  Float rows hold the complex entries over 1 and are never
+rescaled: an int 1 times a complex entry can turn -0.0 into 0.0.  Exact
+rows are Python ints, over the lcm of the entries' denominators when the
+matrix is built from Fractions, so ``Fraction``s are built only at the
+edges: fixture and library input, the decoded values, and reads of
+``to_rows`` and ``==``.  ``entries`` reads a vector of a matrix's cells
+over its denominator, as a slot reads its packets.  ``take`` and
 ``conj_transpose`` keep the denominator, so a Gram matrix is brought to
 integers once however many blocks are read from it, and ``matvec``
 multiplies the two denominators, folding each entry left to right in
@@ -142,51 +143,15 @@ def _coerce(value, backend):
 
 
 class Matrix:
-    """Immutable dense matrix bound to one scalar backend.
+    """Immutable dense matrix bound to one scalar backend: its rows over one
+    nonzero denominator, which the kernels read.  Exact rows are integers;
+    float rows are the complex entries themselves, over 1."""
 
-    Every matrix holds ``_rows``: its rows over one denominator, which the
-    kernels read.  Exact rows are integers; float rows are the complex
-    entries themselves, over 1.  The flat row-major ``data`` is kept when
-    the matrix is built from it and built on first read otherwise.
-    """
+    __slots__ = ("n_rows", "n_cols", "backend", "_rows")
 
-    __slots__ = ("n_rows", "n_cols", "_data", "backend", "_rows")
-
-    def __init__(self, n_rows, n_cols, data, backend):
-        if n_rows < 1 or n_cols < 1:
-            raise DimensionMismatch("matrix dimensions must be positive")
-        data = tuple(data)
-        if len(data) != n_rows * n_cols:
-            raise DimensionMismatch(
-                f"{n_rows}x{n_cols} matrix needs {n_rows * n_cols} entries, got {len(data)}"
-            )
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self._data = data
-        self.backend = backend
-        if backend == EXACT:
-            self._rows = _integers(data, n_cols)
-        else:
-            self._rows = [data[i : i + n_cols] for i in range(0, len(data), n_cols)], 1
-
-    @classmethod
-    def from_ints(cls, rows, den, backend=EXACT):
-        """Matrix of the ``rows`` over the nonzero ``den``: integer rows on
-        the exact backend, complex entries over 1 on floats."""
-        m = object.__new__(cls)
-        m.n_rows, m.n_cols, m._data, m.backend = len(rows), len(rows[0]), None, backend
-        m._rows = rows, den
-        return m
-
-    @property
-    def data(self):
-        if self._data is None:
-            rows, den = self._rows
-            entries = (v for row in rows for v in row)
-            if self.backend == EXACT:
-                entries = (Fraction(v, den) for v in entries)
-            self._data = tuple(entries)
-        return self._data
+    def __init__(self, rows, den, backend):
+        self.n_rows, self.n_cols, self.backend = len(rows), len(rows[0]), backend
+        self._rows = rows, den
 
     @classmethod
     def from_rows(cls, rows, backend=None):
@@ -208,18 +173,16 @@ class Matrix:
                 if all(isinstance(e, (int, Fraction)) and not isinstance(e, bool) for e in flat)
                 else FLOAT
             )
-        return cls(len(rows), width, (_coerce(e, backend) for e in flat), backend)
-
-    def at(self, i, j):
-        return self.data[i * self.n_cols + j]
-
-    def row(self, i):
-        if self.backend == FLOAT:
-            return tuple(self._rows[0][i])
-        return self.data[i * self.n_cols : (i + 1) * self.n_cols]
+        if backend == EXACT:
+            return cls(*_integers([_coerce(e, EXACT) for e in flat], width), EXACT)
+        return cls([[_coerce(e, backend) for e in r] for r in rows], 1, backend)
 
     def to_rows(self):
-        return [list(self.row(i)) for i in range(self.n_rows)]
+        """The entries row by row: Fractions on the exact backend, complex on floats."""
+        rows, den = self._rows
+        if self.backend == EXACT:
+            return [[Fraction(v, den) for v in row] for row in rows]
+        return [list(row) for row in rows]
 
     def take(self, row_idx, col_idx):
         """Submatrix from the given row and column index sequences, built
@@ -227,7 +190,7 @@ class Matrix:
         denominator."""
         rows, den = self._rows
         picked = map(_picker(col_idx), _picker(row_idx)(rows))
-        return Matrix.from_ints(list(map(list, picked)), den, self.backend)
+        return Matrix(list(map(list, picked)), den, self.backend)
 
     def __eq__(self, other):
         return (
@@ -235,11 +198,11 @@ class Matrix:
             and self.backend == other.backend
             and self.n_rows == other.n_rows
             and self.n_cols == other.n_cols
-            and self.data == other.data
+            and self.to_rows() == other.to_rows()
         )
 
     def __hash__(self):
-        return hash((self.n_rows, self.n_cols, self.data, self.backend))
+        return hash((self.n_rows, self.n_cols, tuple(map(tuple, self.to_rows())), self.backend))
 
     def __repr__(self):
         return f"Matrix({self.n_rows}x{self.n_cols}, {self.backend})"
@@ -284,17 +247,14 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatch(f"cannot multiply {a.n_rows}x{a.n_cols} by {b.n_rows}x{b.n_cols}")
     b_rows, b_den = b._rows
     columns = [matvec(a, (column, b_den))[0] for column in zip(*b_rows)]
-    return Matrix.from_ints(list(zip(*columns)), a._rows[1] * b_den, a.backend)
+    return Matrix(list(zip(*columns)), a._rows[1] * b_den, a.backend)
 
 
-def vector(entries, backend):
-    """The column vector of ``entries`` on ``backend`` as the vector kernels
-    take it: (values, den), the entries over den.  Exact entries are brought
-    to integers over the lcm of their denominators; floats stand over 1."""
-    if backend == EXACT:
-        (values,), den = _integers(entries, len(entries))
-        return values, den
-    return entries, 1
+def entries(a: Matrix, cells):
+    """a's entries at the (row, column) ``cells``, 0-based, as the vector
+    kernels take a vector: (values, den), over a's denominator."""
+    rows, den = a._rows
+    return [rows[i][j] for i, j in cells], den
 
 
 def matvec(a: Matrix, v, rows=None, cols=None):
@@ -320,9 +280,7 @@ def conj_transpose(a: Matrix) -> Matrix:
     """Hermitian transpose, over a's denominator; plain transpose on the
     exact (real) backend."""
     rows, den = a._rows
-    return Matrix.from_ints(
-        [[e.conjugate() for e in column] for column in zip(*rows)], den, a.backend
-    )
+    return Matrix([[e.conjugate() for e in column] for column in zip(*rows)], den, a.backend)
 
 
 def _solve_rows(rows, n, backend, tol=None):

@@ -14,8 +14,9 @@ enumerator of small deliverable grids.  ``rank`` runs the package's own
 elimination kernels; its tests compare it with sympy.  On floats the
 per-column synthesis forms B with the package's ``matmul``, so that the
 engine can be compared with it bit for bit.
-``assert_reads_as_flat`` compares a float matrix with the one built from
-its expected entries.
+``assert_float_rows`` checks a float matrix's entries bit for bit;
+``flat_entries`` and ``as_vector`` read and build matrices and vectors
+through the package's public readers.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from mapda.linalg import (
     Infeasible,
     Matrix,
     _solve_rows,
+    entries,
     matmul,
 )
 
@@ -254,22 +256,25 @@ def float_bits(entries):
     return [(z.real.hex(), z.imag.hex()) for z in entries]
 
 
-def assert_reads_as_flat(matrix, entries):
-    """A float ``matrix`` reads as the matrix built from the flat row-major
-    ``entries`` through row, to_rows, at, data, == and hash, bit for bit:
-    rows first, before ``at`` builds the flat cache."""
-    flat = Matrix(matrix.n_rows, matrix.n_cols, entries, FLOAT)
+def flat_entries(matrix):
+    """The matrix's entries in row-major order, read through ``to_rows``."""
+    return [e for row in matrix.to_rows() for e in row]
+
+
+def as_vector(values, backend):
+    """``values`` as the vector kernels take one, (values, den): the cells
+    of the one-row matrix of ``values``, read by ``entries``."""
+    return entries(Matrix.from_rows([values], backend), [(0, j) for j in range(len(values))])
+
+
+def assert_float_rows(matrix, rows):
+    """A float ``matrix`` holds ``rows`` bit for bit, zeros' signs included,
+    through ``to_rows``, and equals and hashes as the matrix built from
+    them."""
     assert matrix.backend == FLOAT
-    for i in range(flat.n_rows):
-        assert matrix.row(i) == flat.row(i)
-        assert float_bits(matrix.row(i)) == float_bits(flat.row(i))
-    assert matrix.to_rows() == flat.to_rows()
-    cells = [(i, j) for i in range(flat.n_rows) for j in range(flat.n_cols)]
-    assert float_bits(matrix.at(i, j) for i, j in cells) == float_bits(
-        flat.at(i, j) for i, j in cells
-    )
-    assert float_bits(matrix.data) == float_bits(flat.data)
-    assert matrix == flat and hash(matrix) == hash(flat)
+    assert [float_bits(row) for row in matrix.to_rows()] == [float_bits(row) for row in rows]
+    built = Matrix.from_rows(rows, FLOAT)
+    assert matrix == built and hash(matrix) == hash(built)
 
 
 def rank(a: Matrix) -> int:
@@ -310,7 +315,8 @@ def _solve_column(group, block, n):
     eq_rows = tuple(l for l in range(size) if l not in unknowns)
     zero = Fraction(0) if backend == EXACT else complex(0)
     rhs = [[zero + (l == n)] for l in eq_rows]
-    a = [[block.at(l, i) for i in unknowns] for l in eq_rows]
+    block_rows = block.to_rows()
+    a = [[block_rows[l][i] for i in unknowns] for l in eq_rows]
     x = naive_solve_exact(a, rhs) if backend == EXACT else loop_solve_float(a, rhs)
     if x is not None:
         return [value for (value,) in x]
@@ -344,7 +350,7 @@ def synthesize_precoder_per_column(group, channel) -> PrecodingMatrix:
     """
     users = _served_columns(channel, group)
     block = channel.gram.take(users, users)
-    size = len(users)
+    size, block_rows = len(users), block.to_rows()
     backend = block.backend
     zero = Fraction(0) if backend == EXACT else complex(0)
     all_rows = range(size)
@@ -362,13 +368,13 @@ def synthesize_precoder_per_column(group, channel) -> PrecodingMatrix:
                 v_rows[i][n] = value
         if backend == EXACT:
             b_cols.append(
-                [sum(map(mul, (block.at(l, i) for i in support), values), zero) for l in all_rows]
+                [sum(map(mul, (block_rows[l][i] for i in support), values), zero) for l in all_rows]
             )
         else:
-            x_support = Matrix(len(values), 1, values, backend)
-            b_cols.append(matmul(block.take(all_rows, support), x_support).data)
-    v = Matrix(size, size, [e for row in v_rows for e in row], backend)
-    b = Matrix(size, size, [e for row in zip(*b_cols) for e in row], backend)
+            x_support = Matrix.from_rows([[value] for value in values], backend)
+            b_cols.append(flat_entries(matmul(block.take(all_rows, support), x_support)))
+    v = Matrix.from_rows(v_rows, backend)
+    b = Matrix.from_rows(zip(*b_cols), backend)
     return PrecodingMatrix(matrix=v, combined=b)
 
 
@@ -385,12 +391,12 @@ def _synthesis_ops(group, block):
     pivot columns' products in every row of the block, for each right-hand
     side.
     """
-    size, muls, adds = block.n_rows, 0, 0
+    size, muls, adds, block_rows = block.n_rows, 0, 0, block.to_rows()
     for unknowns in dict.fromkeys(group.cacher_sets):
         equations = [l for l in range(size) if l not in unknowns]
         n, n_rhs = len(unknowns), len(equations)
         rows = [
-            [block.at(l, i) for i in unknowns] + [complex(l == u) for u in equations]
+            [block_rows[l][i] for i in unknowns] + [complex(l == u) for u in equations]
             for l in equations
         ]
         tol = PIVOT_RTOL * max(abs(e) for row in rows for e in row)
@@ -444,10 +450,12 @@ def loop_slot_float(group, channel, demands, library):
     size, antennas = len(users), channel.matrix.n_rows
     reference = synthesize_precoder_per_column(group, channel)
     v, b = reference.matrix.to_rows(), reference.combined.to_rows()
-    h = [[channel.matrix.at(a, k) for k in users] for a in range(antennas)]
+    h = [[row[k] for k in users] for row in channel.matrix.to_rows()]
     h_star = [[e.conjugate() for e in column] for column in zip(*h)]
+    library_rows = library.to_rows()
     packets = [
-        library.at(demands[k - 1] - 1, f - 1) for k, f in zip(group.served_users, group.served_rows)
+        library_rows[demands[k - 1] - 1][f - 1]
+        for k, f in zip(group.served_users, group.served_rows)
     ]
     x = loop_matmul_float(v, [[p] for p in packets])
     received = loop_matmul_float(h_star, loop_matmul_float(h, x))

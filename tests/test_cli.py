@@ -218,6 +218,28 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert err == "error: slot 1: column 1 has 1 unknowns but 2 equations and no solution\n"
 
+    @pytest.mark.parametrize(
+        "channel, library, message",
+        [
+            # Every Gram entry is inf, so every float pivot read as zero.
+            ("1 2\n1e155 1e155\n", None, "the channel's Gram matrix H* H overflows"),
+            # Some Gram entries are inf: the decode read nan.
+            ("1 2\n1e160 1\n", None, "the channel's Gram matrix H* H overflows"),
+            # A finite Gram, but the packets overflow on their way.
+            ("1 2\n1.5 2.5\n", "1 2\n1.7e308 1.7e308\n", ": float overflow"),
+        ],
+    )
+    def test_float_overflow_exit_1(self, capsys, tmp_path, channel, library, message):
+        (tmp_path / "a.mapda").write_text("1 2 2 1 1\n* 1\n1 *\n")
+        (tmp_path / "ch.txt").write_text(channel)
+        argv = ["simulate", str(tmp_path / "a.mapda"), "--files", "1", "--channel", str(tmp_path / "ch.txt")]
+        if library is not None:
+            (tmp_path / "lib.txt").write_text(library)
+            argv += ["--library", str(tmp_path / "lib.txt")]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
     def test_demand_list(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -49,8 +49,9 @@ from mapda.linalg import (
 )
 
 from oracles import (
-    assert_reads_as_flat,
+    assert_float_rows,
     failing_columns,
+    flat_entries,
     float_bits,
     loop_slot_float,
     synthesize_precoder_per_column,
@@ -227,11 +228,11 @@ class TestSynthesize:
     def test_sparsity_pattern(self, example1_instance):
         channel = ChannelMatrix(vandermonde_channel(2, 6))
         for group in example1_instance.groups:
-            v = synthesize_precoder(group, channel).matrix
+            v = synthesize_precoder(group, channel).matrix.to_rows()
             for i in range(len(group.served_users)):
                 for j in range(len(group.served_users)):
                     if i not in group.cacher_sets[j]:
-                        assert v.at(i, j) == 0
+                        assert v[i][j] == 0
 
     def test_b_constraints_exact(self):
         channel6 = ChannelMatrix(vandermonde_channel(2, 6))
@@ -243,13 +244,13 @@ class TestSynthesize:
             )
             for group in build_instance(m, files=2).groups:
                 pre = synthesize_precoder(group, channel)
-                b = pre.combined
+                b = pre.combined.to_rows()
                 size = len(group.served_users)
                 for l in range(size):
-                    assert b.at(l, l) == 1
+                    assert b[l][l] == 1
                     for j in range(size):
                         if j != l and l not in group.cacher_sets[j]:
-                            assert b.at(l, j) == 0
+                            assert b[l][j] == 0
 
     def test_receive_matrix_is_the_full_product(self):
         # B is summed over each column's nonzeros only; it must still equal
@@ -349,7 +350,7 @@ class TestSharedSystems:
 
     def test_float_matches_per_column_reference_bit_for_bit(self):
         def bits(matrix):
-            return tuple((z.real.hex(), z.imag.hex()) for z in matrix.data)
+            return tuple((z.real.hex(), z.imag.hex()) for z in flat_entries(matrix))
 
         for m in self.ARRAYS:
             groups = build_instance(m, files=2).groups
@@ -358,8 +359,8 @@ class TestSharedSystems:
                 for group in groups:
                     pre = synthesize_precoder(group, channel)
                     reference = synthesize_precoder_per_column(group, channel)
-                    assert pre.matrix.data == reference.matrix.data
-                    assert pre.combined.data == reference.combined.data
+                    assert flat_entries(pre.matrix) == flat_entries(reference.matrix)
+                    assert flat_entries(pre.combined) == flat_entries(reference.combined)
                     assert bits(pre.matrix) == bits(reference.matrix)
                     assert bits(pre.combined) == bits(reference.combined)
 
@@ -383,18 +384,18 @@ class TestSharedSystems:
 
 
 class TestFloatPrecoderRows:
-    def test_v_and_b_read_as_the_flat_reference(self):
-        # V and B are built from rows; the per-column reference builds them
-        # flat.  A real channel puts zeros of both signs in the imaginary
-        # parts of its Gram matrix and so of V and B.
+    def test_v_and_b_keep_the_reference_bits(self):
+        # V and B are placed from the solves' rows; the per-column reference
+        # solves each column alone.  A real channel puts zeros of both signs
+        # in the imaginary parts of its Gram matrix and so of V and B.
         for m in TestSharedSystems.ARRAYS:
             real = Matrix.from_rows(vandermonde_channel(m.antennas, m.cols).to_rows(), FLOAT)
             for channel in (ChannelMatrix(real), make_channel(m.antennas, m.cols, seed=1)):
                 for group in build_instance(m, files=2).groups:
                     pre = synthesize_precoder(group, channel)
                     reference = synthesize_precoder_per_column(group, channel)
-                    assert_reads_as_flat(pre.matrix, reference.matrix.data)
-                    assert_reads_as_flat(pre.combined, reference.combined.data)
+                    assert_float_rows(pre.matrix, reference.matrix.to_rows())
+                    assert_float_rows(pre.combined, reference.combined.to_rows())
 
 
 class TestFloatDecodeBits:
@@ -475,8 +476,8 @@ class TestFamilies:
                 assert sorted(seen) == [g.slot for g in instance.groups]
                 for group in instance.groups:
                     alone = synthesize_precoder(group, channel)
-                    assert seen[group.slot].matrix.data == alone.matrix.data
-                    assert seen[group.slot].combined.data == alone.combined.data
+                    assert seen[group.slot].matrix.to_rows() == alone.matrix.to_rows()
+                    assert seen[group.slot].combined.to_rows() == alone.combined.to_rows()
 
     def test_receive_matrix_is_the_full_product_inside_a_run(self, monkeypatch):
         # An exact solve's B reads its equation rows from the unit
@@ -541,15 +542,17 @@ class TestFamilies:
         # B is summed over the 8 cacher rows of each column, not all 16.
         assert report.ops_measured["precoder_synthesis"] == {"mul": 31664, "add": 18368}
         # Every product and block is handed on as integer rows, so Fractions
-        # are only the 128 decoded values (16 per slot) and the NDT.
-        # _integers runs once per slot, when the packet vector w is built: 8.
-        # H is brought to integers when it is built, before the count starts,
-        # and H* transposes its integer rows.  (9 when H was converted on
-        # first use; 152 when each row of H, H* and w was scaled on its own;
-        # 88 and 705 when the products built Fractions, which the next kernel
-        # only rescaled to integers; 344 and 2,793 when V and B were handed
-        # over as Fractions too.)
-        assert counts == {"_integers": 8, "Fraction": 129}
+        # are only the 128 decoded values (16 per slot) and the NDT.  H and
+        # the library are brought to integers when they are built, before
+        # the count starts: H* transposes H's integer rows, and each slot
+        # reads its packets from the library's, over its denominator, and
+        # checks each decoded value against them on integers.  (8 calls of
+        # _integers when each slot brought its packets to integers; 9 when H
+        # was converted on first use; 152 when each row of H, H* and w was
+        # scaled on its own; 88 and 705 when the products built Fractions,
+        # which the next kernel only rescaled to integers; 344 and 2,793
+        # when V and B were handed over as Fractions too.)
+        assert counts == {"_integers": 0, "Fraction": 129}
 
     def test_synthesis_counts_over_a_non_integer_channel(self):
         # Bareiss skips a division only where the previous pivot is exactly
@@ -766,7 +769,7 @@ class TestRunSlot:
         )
         by_user = {user: (packet, value) for user, packet, value in outcome.recovered}
         assert by_user[1][0] == PacketId(1, 2)
-        assert by_user[1][1] == library.at(0, 1)
+        assert by_user[1][1] == library.to_rows()[0][1]
         assert by_user[2][0] == PacketId(2, 1)
         assert by_user[4][0] == PacketId(4, 2)
         assert by_user[5][0] == PacketId(5, 1)
@@ -781,16 +784,16 @@ class TestRunSlot:
             channel = make_channel(2, 6, seed=seed)
             library = random_library(6, 3, seed=seed, backend=FLOAT)
             for group in example1_instance.groups:
-                b = synthesize_precoder(group, channel).combined
+                b = synthesize_precoder(group, channel).combined.to_rows()
                 outcome = run_slot(group, channel, demands, library)
                 size = len(group.served_users)
                 errors = [
-                    abs(value - library.at(packet.file - 1, packet.part - 1))
+                    abs(value - library.to_rows()[packet.file - 1][packet.part - 1])
                     for _, packet, value in outcome.recovered
                 ]
-                diagonal = [abs(b.at(l, l) - 1) for l in range(size)]
+                diagonal = [abs(b[l][l] - 1) for l in range(size)]
                 forced = [
-                    abs(b.at(l, j))
+                    abs(b[l][j])
                     for l in range(size)
                     for j in range(size)
                     if j != l and l not in group.cacher_sets[j]
@@ -1082,12 +1085,10 @@ class TestChannels:
     def test_fixture_parsing_scalar_forms(self):
         ch = parse_channel_fixture("2 2\n1/2 3\n1+2i -1i\n")
         assert ch.matrix.backend == FLOAT
-        assert ch.matrix.at(0, 0) == 0.5
-        assert ch.matrix.at(1, 0) == 1 + 2j
-        assert ch.matrix.at(1, 1) == -1j
+        assert ch.matrix.to_rows() == [[0.5, 3], [1 + 2j, -1j]]
         exact = parse_channel_fixture("1 2\n1/3 4\n")
         assert exact.matrix.backend == EXACT
-        assert exact.matrix.at(0, 0) == Fraction(1, 3)
+        assert exact.matrix.to_rows() == [[Fraction(1, 3), 4]]
 
     def test_fixture_parse_errors(self):
         with pytest.raises(ParseError):
@@ -1121,7 +1122,7 @@ class TestChannels:
     def test_only_the_last_i_is_the_imaginary_unit(self):
         # As Python's complex() reads a lone "j", a lone "i" is the unit.
         lib = parse_library_fixture("1 4\n2+3i i -i 1.5\n")
-        assert [lib.at(0, k) for k in range(4)] == [2 + 3j, 1j, -1j, 1.5]
+        assert lib.to_rows() == [[2 + 3j, 1j, -1j, 1.5]]
         for entry in ("1i+2", "ii", "2+3I"):
             with pytest.raises(ParseError, match=re.escape(f"line 2: bad scalar {entry!r}")):
                 parse_library_fixture(f"1 1\n{entry}\n")
@@ -1129,7 +1130,7 @@ class TestChannels:
     def test_library_fixture(self):
         lib = parse_library_fixture("2 3\n1 2 3\n4 5 6\n")
         assert lib.n_rows == 2
-        assert lib.at(1, 2) == 6
+        assert lib.to_rows()[1][2] == 6
 
     def test_random_library_deterministic(self):
         assert random_library(3, 4, seed=9) == random_library(3, 4, seed=9)
@@ -1178,6 +1179,6 @@ class TestBackendsAgree:
                     synthesize_precoder(group, approx)
                 continue
             w = synthesize_precoder(group, approx).matrix
-            scale = max(abs(e) for e in v.data)
-            for e, f in zip(v.data, w.data):
+            scale = max(abs(e) for e in flat_entries(v))
+            for e, f in zip(flat_entries(v), flat_entries(w)):
                 assert abs(complex(e) - f) <= self.RTOL * scale

@@ -32,12 +32,15 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_only_linalg_reads_matrix_internals():
-    # Scalar handling for each backend lives in linalg: other modules build
-    # and read matrices through its public names and ``from_ints``.  The
-    # private slots are read from the class, so a renamed one is still
-    # guarded.
+    # Scalar handling for each backend lives in linalg: a matrix is its rows
+    # over one denominator, and other modules build and read it through
+    # linalg's public names alone.  The private slots are read from the
+    # class, so a renamed one is still guarded, and so is a read of the
+    # names of the flat layout that went, so that a second layout cannot
+    # come back.
     internals = {name for name in Matrix.__slots__ if name.startswith("_")}
     assert internals, Matrix.__slots__
+    internals |= {"data", "at", "row", "from_ints"}
     reads = {
         (path.name, node.attr, node.lineno)
         for path in sorted(PACKAGE.glob("*.py"))

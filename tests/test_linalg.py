@@ -23,11 +23,12 @@ from mapda.linalg import (
     isolate,
     matmul,
     solve,
-    vector,
 )
 
 from oracles import (
-    assert_reads_as_flat,
+    as_vector,
+    assert_float_rows,
+    flat_entries,
     loop_matmul_float,
     loop_solve_float,
     naive_solve_exact,
@@ -147,7 +148,7 @@ class TestFloatKernelOracles:
             b = [[random_complex(rng) for _ in range(m)] for _ in range(k)]
             got = matmul(float_rows(a), float_rows(b))
             want = [z for row in loop_matmul_float(a, b) for z in row]
-            assert [bits(z) for z in got.data] == [bits(z) for z in want]
+            assert [bits(z) for z in flat_entries(got)] == [bits(z) for z in want]
 
     def test_solve_bit_identical_to_full_back_substitution(self):
         # ``_solve_rows`` back-substitutes over pivot columns, dropping the
@@ -287,7 +288,7 @@ class TestColumnKernels:
             counts = self.counts(block, equations, unknowns, support)
             assert ((tally.mul, tally.add), dens) == (counts, [1, 1])
             # B is the running-sum product over the support, in every column.
-            columns = [[block.at(l, i) for i in support] for l in range(block.n_rows)]
+            columns = [[row[i] for i in support] for row in block.to_rows()]
             product = loop_matmul_float(columns, x_rows)
             assert [[bits(z) for z in col] for col in b_cols] == [
                 [bits(row[j]) for row in product] for j in range(n)
@@ -347,8 +348,8 @@ class TestColumnKernels:
                 assert [row[j] for row in x_rows] == [column[i] for i in support]
                 assert not any(column[i] for i in unknowns if i not in support)
                 assert b_cols[j] == [
-                    sum((block.at(l, i) * column[i] for i in support), Fraction(0))
-                    for l in range(block.n_rows)
+                    sum((row[i] * column[i] for i in support), Fraction(0))
+                    for row in block.to_rows()
                 ]
             picked = [j for j in units if j in flagged]
             if picked:
@@ -388,7 +389,7 @@ class TestColumnKernels:
                 # isolate reads, for each column j, the rows that know it.
                 cachers = [[l for l in range(n) if j in known[l]] for j in range(n)]
                 with count_ops() as tally:
-                    got = isolate(b, vector(w, backend), vector(y, backend), cachers)
+                    got = isolate(b, as_vector(w, backend), as_vector(y, backend), cachers)
                 n_known = sum(map(len, known))
                 assert (tally.mul, tally.add) == (n_known + n, n_known)
                 if backend == FLOAT:
@@ -451,7 +452,7 @@ class TestMatmul:
                 for i in range(n)
             ]
             assert product.to_rows() == expected
-            assert all(type(e) is Fraction for e in product.data)
+            assert all(type(e) is Fraction for e in flat_entries(product))
 
 
 class TestConjTranspose:
@@ -461,7 +462,7 @@ class TestConjTranspose:
 
     def test_imaginary_unit(self):
         m = Matrix.from_rows([[1j]], FLOAT)
-        assert conj_transpose(m).at(0, 0) == -1j
+        assert conj_transpose(m).to_rows() == [[-1j]]
 
     def test_involution(self):
         m = Matrix.from_rows([[1 + 2j, 3], [0.5j, -1]], FLOAT)
@@ -690,7 +691,7 @@ class TestIntegerRows:
                 [rng.randrange(mid.n_rows) for _ in range(rng.randint(1, mid.n_rows))],
                 [rng.randrange(mid.n_cols) for _ in range(rng.randint(1, mid.n_cols))],
             )
-            fresh = Matrix(sub.n_rows, sub.n_cols, sub.data, EXACT)
+            fresh = frac_matrix(sub.to_rows())
             den = sub._rows[1]
             assert den == mid._rows[1] == parent._rows[1]
             inherited_dens += den != fresh._rows[1]
@@ -723,7 +724,7 @@ class TestIntegerRows:
         assert sub == fresh == untouched
         assert hash(sub) == hash(fresh) == hash(untouched)
 
-    def test_built_from_integer_rows_matches_eager_matrix(self, monkeypatch):
+    def test_integer_rows_are_used_as_given(self, monkeypatch):
         # Rows over a non-minimal denominator of either sign, as the engine's
         # common denominator and a negative Bareiss determinant give, and
         # all-zero rows.
@@ -738,37 +739,32 @@ class TestIntegerRows:
             given = [[int(e * den) for e in row] for row in rows]
             negative += den < 0
             zero_rows += not all(map(any, rows))
-            lazy, eager = Matrix.from_ints(given, den), frac_matrix(rows)
             with monkeypatch.context() as patched:
                 patched.setattr(linalg, "_integers", None)  # must not be called
-                assert lazy._rows[0] is given
-                assert lazy._rows[1] == den
-            # The kernels read the integer rows; data is built on first read.
+                built = Matrix(given, den, EXACT)
+                assert built._rows[0] is given and built._rows[1] == den
+                assert (built.n_rows, built.n_cols) == (n, m)
+            reference = frac_matrix(rows)
+            # The kernels read the given rows over the given denominator.
             width = rng.randint(1, 3)
             right = frac_matrix([[random_rational(rng) for _ in range(width)] for _ in range(m)])
-            product = matmul(lazy, right)
-            assert product._data is None
-            assert product == matmul(eager, right)
+            assert matmul(built, right) == matmul(reference, right)
             if m >= n and all(rows[l][l] for l in range(n)):
                 isolated += 1
                 cachers = [[l for l in range(n) if l != j] for j in range(m)]
-                w = vector([random_rational(rng) for _ in range(m)], EXACT)
-                y = vector([random_rational(rng) for _ in range(n)], EXACT)
-                assert isolate(lazy, w, y, cachers) == isolate(eager, w, y, cachers)
-            assert lazy._data is None
-            data = lazy.data
-            assert data == eager.data and all(type(e) is Fraction for e in data)
-            assert lazy.data is data
-            assert [lazy.row(i) for i in range(n)] == [eager.row(i) for i in range(n)]
-            assert lazy.at(n - 1, m - 1) == eager.at(n - 1, m - 1)
-            assert lazy.to_rows() == eager.to_rows() == rows
+                w = as_vector([random_rational(rng) for _ in range(m)], EXACT)
+                y = as_vector([random_rational(rng) for _ in range(n)], EXACT)
+                assert isolate(built, w, y, cachers) == isolate(reference, w, y, cachers)
+            entries = built.to_rows()
+            assert entries == rows and all(type(e) is Fraction for row in entries for e in row)
             row_idx, col_idx = rng.sample(range(n), rng.randint(1, n)), [rng.randrange(m)]
-            sub = lazy.take(row_idx, col_idx)
-            assert sub == eager.take(row_idx, col_idx)
+            sub = built.take(row_idx, col_idx)
+            assert sub == reference.take(row_idx, col_idx)
             assert sub._rows[1] == den
-            assert lazy == eager and hash(lazy) == hash(eager)
+            assert built == reference and hash(built) == hash(reference)
             left = frac_matrix([[random_rational(rng) for _ in range(n)] for _ in range(width)])
-            assert matmul(left, lazy) == matmul(left, eager)
+            assert matmul(left, built) == matmul(left, reference)
+            assert built._rows == (given, den)
         assert min(negative, zero_rows, isolated) >= 30, (negative, zero_rows, isolated)
 
     def test_non_integer_rows_make_bareiss_raise(self):
@@ -776,16 +772,16 @@ class TestIntegerRows:
         # rows that reach them unscaled (Fractions over denominator 1) fail
         # loudly.
         m = frac_matrix([[Fraction(1, 2), 1, 1], [1, Fraction(1, 3), 1], [1, 1, Fraction(1, 5)]])
-        m._rows = ([list(m.row(i)) for i in range(m.n_rows)], 1)
+        m._rows = (m.to_rows(), 1)
         with pytest.raises(ArithmeticError, match="is not exact"):
             solve_all(m)
 
 
 class TestFloatRows:
     """A float matrix holds its complex rows over 1, as an exact one holds
-    integer rows: built flat, from rows or by a kernel, it reads as the
-    flat-built matrix of its entries.  Zeros of both signs show a kernel
-    that multiplies a row by an int 1, which can turn -0.0 into 0.0."""
+    integer rows: built from rows or by a kernel, its entries keep their
+    bits.  Zeros of both signs show a kernel that multiplies a row by an
+    int 1, which can turn -0.0 into 0.0."""
 
     @staticmethod
     def entry(rng):
@@ -793,27 +789,22 @@ class TestFloatRows:
             return complex(rng.choice([0.0, -0.0, 1.5]), rng.choice([0.0, -0.0, -1.0]))
         return random_complex(rng)
 
-    def test_every_construction_reads_as_flat(self):
+    def test_every_construction_keeps_zero_signs(self):
         rng = random.Random(107)
         solved = 0
         for _ in range(120):
             n, m, k = (rng.randint(1, 5) for _ in range(3))
             a = [[self.entry(rng) for _ in range(m)] for _ in range(n)]
-            flat = [e for row in a for e in row]
-            assert_reads_as_flat(Matrix(n, m, flat, FLOAT), flat)
-            assert_reads_as_flat(float_rows(a), flat)
+            assert_float_rows(float_rows(a), a)
             rows = [rng.randrange(n) for _ in range(rng.randint(1, n))]
             cols = [rng.randrange(m) for _ in range(rng.randint(1, m))]
             part = float_rows(a).take(rows, cols)
-            assert_reads_as_flat(part, [a[i][j] for i in rows for j in cols])
-            assert_reads_as_flat(part.take([0], [0]), [a[rows[0]][cols[0]]])
+            assert_float_rows(part, [[a[i][j] for j in cols] for i in rows])
+            assert_float_rows(part.take([0], [0]), [[a[rows[0]][cols[0]]]])
             b = [[self.entry(rng) for _ in range(k)] for _ in range(m)]
-            product = loop_matmul_float(a, b)
-            assert_reads_as_flat(
-                matmul(float_rows(a), float_rows(b)), [z for row in product for z in row]
-            )
-            assert_reads_as_flat(
-                conj_transpose(float_rows(a)), [a[i][j].conjugate() for j in range(m) for i in range(n)]
+            assert_float_rows(matmul(float_rows(a), float_rows(b)), loop_matmul_float(a, b))
+            assert_float_rows(
+                conj_transpose(float_rows(a)), [[e.conjugate() for e in column] for column in zip(*a)]
             )
             # A square generic system has no free variables, so its solution
             # is the loop form's, bit for bit, signed zeros of b included.
@@ -825,7 +816,7 @@ class TestFloatRows:
                 rows = [[*a_row, *b_row] for a_row, b_row in zip(square, rhs)]
                 _, pivot_cols, x, _ = _solve_rows(rows, n, FLOAT)
                 assert pivot_cols == list(range(n))
-                assert_reads_as_flat(Matrix.from_ints(x, 1, FLOAT), [z for row in want for z in row])
+                assert_float_rows(Matrix(x, 1, FLOAT), want)
         assert solved >= 100, solved
 
 
