@@ -7,6 +7,12 @@ overrides --seed.  ``gen`` writes the array file format on stdout so
 commands compose through pipes.  ``main`` builds the argument parser once
 per process and reuses it; the environment, stdin and stdout/stderr are
 still read on each call.
+
+Each command imports only the modules it runs.  This module imports
+``arrays`` alone, which is all ``validate`` and ``gen`` need; ``compare``
+and ``sweep`` import ``metrics`` when they run, and ``simulate`` imports
+``engine`` and ``linalg``, turning the delivery errors those raise into
+exit 1.
 """
 
 from __future__ import annotations
@@ -19,18 +25,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import arrays, engine, metrics
+from . import arrays
 from .arrays import DomainError, ParseError, ValidationFailure, _number, _plain, _quote, _read_int
-from .linalg import (
-    EXACT,
-    FLOAT,
-    BackendMismatch,
-    DimensionMismatch,
-    Infeasible,
-    Matrix,
-)
-from .metrics import SystemPoint
 
+# linalg.EXACT and linalg.FLOAT, spelled out: only ``simulate`` loads linalg.
+EXACT, FLOAT = "exact", "float"
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
@@ -106,8 +105,6 @@ def cmd_gen(args) -> int:
 
 
 def _parse_demands(spec, users, files, rng):
-    if spec is None:
-        return engine.default_demands(users, files)
     if spec == "random":
         return tuple(rng.randint(1, files) for _ in range(users))
     return tuple(_read_int(token, "demand list", "bad demand") for token in spec.split(","))
@@ -119,11 +116,30 @@ def _on_backend(matrix, backend, what):
     if backend == EXACT and matrix.backend != EXACT:
         raise DomainError(f"{what} fixture holds floats; cannot run the exact backend")
     if backend == FLOAT and matrix.backend == EXACT:
+        from .linalg import Matrix
+
         return Matrix.from_rows(matrix.to_rows(), FLOAT)
     return matrix
 
 
 def cmd_simulate(args) -> int:
+    # The one command that runs the delivery engine: engine and linalg load
+    # here, and the errors they raise exit 1 as a DomainError does.
+    from . import engine, linalg
+
+    try:
+        return _simulate(args, engine)
+    except (
+        linalg.Infeasible,
+        linalg.DimensionMismatch,
+        linalg.BackendMismatch,
+        engine.DegenerateChannel,
+        engine.DecodeMismatch,
+    ) as exc:
+        raise DomainError(str(exc)) from None
+
+
+def _simulate(args, engine):
     import random as _random
 
     m = arrays.parse_mapda(_read_text(args.file))
@@ -143,7 +159,10 @@ def cmd_simulate(args) -> int:
         fixture = engine.ChannelMatrix(_on_backend(fixture.matrix, backend, "channel"))
 
     instance = engine.build_instance(m, args.files)
-    demands = _parse_demands(args.demands, m.cols, args.files, rng)
+    if args.demands is None:
+        demands = engine.default_demands(m.cols, args.files)
+    else:
+        demands = _parse_demands(args.demands, m.cols, args.files, rng)
 
     if args.library is not None:
         library = _on_backend(engine.read_library_fixture(args.library), backend, "library")
@@ -189,7 +208,9 @@ def _parse_ratio(token) -> Fraction:
     raise ParseError(f"bad memory ratio {_quote(token)}")
 
 
-def _parse_point(token) -> SystemPoint:
+def _parse_point(token):
+    from .metrics import SystemPoint
+
     parts = token.replace(",", " ").split()
     if len(parts) not in (3, 4):
         raise ParseError(f"point must be 'K ratio L [m]', got {_quote(token)}")
@@ -210,6 +231,8 @@ def _points_from_file(path):
 
 
 def cmd_compare(args) -> int:
+    from . import metrics
+
     points = []
     if args.points is not None:
         points.extend(_points_from_file(args.points))
@@ -220,6 +243,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import metrics
+
     users, antennas = args.users, args.antennas
     # Checked here too so bad K, L or m fail even when the t range is empty.
     metrics.check_counts(users, antennas, args.m)
@@ -231,7 +256,7 @@ def cmd_sweep(args) -> int:
             f"sweep of t = {_number(ts[0])}..{_number(ts[-1])} needs {_number(count)} rows, "
             f"limit {_MAX_SWEEP_ROWS}"
         )
-    points = [SystemPoint(users, antennas, Fraction(t, users), args.m) for t in ts]
+    points = [metrics.SystemPoint(users, antennas, Fraction(t, users), args.m) for t in ts]
     rows = [metrics.table_row(p) for p in points]
     _write_text(args.out, metrics.format_table(rows))
     if args.plot_out is not None:
@@ -307,15 +332,7 @@ def main(argv=None) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (
-        DomainError,
-        ValidationFailure,
-        Infeasible,
-        DimensionMismatch,
-        BackendMismatch,
-        engine.DegenerateChannel,
-        engine.DecodeMismatch,
-    ) as exc:
+    except (DomainError, ValidationFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

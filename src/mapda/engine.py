@@ -42,6 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
@@ -160,13 +161,24 @@ class ChannelMatrix(_Frozen):
         once, and its operations count where it is first needed.  Entry
         (i, j) sums over antennas in order, as a per-slot product would.
         A K x K past the cell limit is refused before it is formed, however
-        few users each slot serves.
+        few users each slot serves.  On floats, so is a Gram matrix with an
+        entry past the float range, and one with a diagonal entry, a user's
+        squared channel norm, that is zero or subnormal although that
+        user's channel column is not zero: its pivots would be rounding
+        residue.
         """
         users = self.matrix.n_cols
         _check_cells(f"the Gram matrix of {users} users", users, users)
         gram = matmul(self.adjoint, self.matrix)
-        if gram.backend == FLOAT and not all(map(cmath.isfinite, chain(*gram.to_rows()))):
-            raise DomainError("the channel's Gram matrix H* H overflows the float range")
+        if gram.backend == FLOAT:
+            rows = gram.to_rows()
+            if not all(map(cmath.isfinite, chain(*rows))):
+                raise DomainError("the channel's Gram matrix H* H overflows the float range")
+            for k, (row, column) in enumerate(zip(rows, self.adjoint.to_rows())):
+                if abs(row[k]) < sys.float_info.min and any(column):
+                    raise DomainError(
+                        f"the channel's Gram matrix H* H underflows the float range at user {k + 1}"
+                    )
         return gram
 
 

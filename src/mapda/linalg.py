@@ -60,16 +60,21 @@ from operator import add, itemgetter, mul
 EXACT = "exact"
 FLOAT = "float"
 
-# Relative pivot threshold for the float backend (the exact backend tests
-# pivots against literal zero).  A float pivot of magnitude at most
-# PIVOT_RTOL times the largest |entry| of the system [A | b] counts as zero,
-# so a rank-deficient system (a degenerate channel, or an overdetermined
-# column system with no solution) is reported, not solved through a pivot
-# that is only rounding residue.  That residue is a small multiple of 2**-53
-# times the scale for a slot's systems (L equations, t unknowns), near
-# 1e-15; a genuine pivot of a generic channel is a sizeable fraction of the
-# scale (the smallest on the deliver-float benchmark, seeds 1-3, is 4.3e-3
-# of it).  1e-9 sits six orders of magnitude clear of both.
+# Relative threshold for the float backend (the exact backend tests pivots
+# against literal zero).  A float pivot of magnitude at most PIVOT_RTOL times
+# the largest |entry| of the system's matrix A counts as zero, whatever the
+# channel's scale, so a rank-deficient system (a degenerate channel, or an
+# overdetermined column system with no solution) is reported, not solved
+# through a pivot that is only rounding residue.  A right-hand side is
+# inconsistent where a row past the pivots keeps an entry above PIVOT_RTOL
+# times the right-hand sides' own largest |entry| (1 for ``solve``'s units).
+# Measured as fractions of those scales: a genuine pivot of a generic channel
+# is sizeable (the smallest on the deliver-float benchmark, seeds 1-3, is
+# 4.3e-3, and none there is rejected); over the tier-1 tests' float systems
+# the largest residue read as a zero pivot is 1.3e-14, the largest residue of
+# a consistent right-hand side 1.9e-15, and the smallest entry of an
+# inconsistent one 1.2e-2.  1e-9 sits five orders of magnitude clear of the
+# residue and six of the deliver-float pivots.
 PIVOT_RTOL = 1e-9
 
 
@@ -283,7 +288,7 @@ def conj_transpose(a: Matrix) -> Matrix:
     return Matrix([[e.conjugate() for e in column] for column in zip(*rows)], den, a.backend)
 
 
-def _solve_rows(rows, n, backend, tol=None):
+def _solve_rows(rows, n, backend, tols=None):
     """Solve augmented rows in place, the first ``n`` columns the system's,
     in one pass: eliminate, then back-substitute over the pivot columns.
 
@@ -300,8 +305,11 @@ def _solve_rows(rows, n, backend, tol=None):
     updated entry costs two multiplications instead of three.  Float rows
     are eliminated with partial pivoting: the pivot is the first row of
     largest magnitude at or below the pivot row, and one of magnitude at
-    most ``tol`` counts as zero: PIVOT_RTOL times the largest |entry| of
-    the rows unless the caller, knowing that largest entry, passes it.
+    most PIVOT_RTOL times the largest |entry| of the system's columns
+    counts as zero.  A right-hand side is inconsistent where a row past
+    the pivot rows keeps an entry above PIVOT_RTOL times the largest
+    |entry| of the right-hand sides.  A caller that knows both scales
+    passes the two thresholds as ``tols``.
 
     Returns (the 0-based indices of the inconsistent right-hand sides, whose
     values solve the pivot rows alone, the pivot columns, ascending, x's
@@ -313,8 +321,13 @@ def _solve_rows(rows, n, backend, tol=None):
     are tallied at once.
     """
     exact, n_rows, width = backend == EXACT, len(rows), len(rows[0])
-    if tol is None:
-        tol = 0 if exact else PIVOT_RTOL * max([max(map(abs, row)) for row in rows])
+    if exact:
+        tol = rhs_tol = 0
+    else:
+        tol, rhs_tol = tols or [
+            PIVOT_RTOL * max((abs(e) for row in rows for e in row[lo:hi]), default=0.0)
+            for lo, hi in ((0, n), (n, width))
+        ]
     pivot_cols, previous, update_mul, update_add = [], 1, 0, 0
     for col in range(n):
         top = len(pivot_cols)
@@ -365,7 +378,7 @@ def _solve_rows(rows, n, backend, tol=None):
     rank, n_rhs, det = len(pivot_cols), width - n, previous if exact else 1
     flagged = []
     if rank < n_rows:
-        nonzero = bool if exact else (lambda e: not abs(e) <= tol)
+        nonzero = bool if exact else (lambda e: not abs(e) <= rhs_tol)
         flagged = [j for j in range(n_rhs) if any(nonzero(row[n + j]) for row in rows[rank:])]
     # The exact backend scales each pivot row's right-hand sides by det.
     terms = rank * (rank - 1) // 2
@@ -420,10 +433,11 @@ def solve(a: Matrix, rows, cols):
     system = [[*row, *rhs] for row in picked]
     for k, equation in enumerate(system):
         equation[n + k] = unit
-    # The right-hand sides are 0s and one 1.0 per row after its A part, so
-    # the largest |entry| is A's or 1.0, and NaN where A's first entry is.
-    tol = None if exact else PIVOT_RTOL * max(max(map(abs, chain(*picked)), default=0.0), 1.0)
-    flagged, pivot_cols, x_rows, det = _solve_rows(system, n, a.backend, tol)
+    # Pivots are tested against A's largest |entry| (NaN where A's first
+    # entry is), whatever the channel's scale; the right-hand sides are 0s
+    # and one 1.0 per row, so their largest |entry| is 1.0.
+    tols = None if exact else (PIVOT_RTOL * max(map(abs, chain(*picked)), default=0.0), PIVOT_RTOL)
+    flagged, pivot_cols, x_rows, det = _solve_rows(system, n, a.backend, tols)
     # The support is the pivot columns: in exact arithmetic x is nonzero on
     # each, since its pivot rows solve a triangular system whose right-hand
     # sides, the eliminated identity's pivot rows, have full rank.

@@ -211,13 +211,16 @@ def loop_matmul_float(a_rows, b_rows):
 def loop_solve_float(a_rows, b_rows):
     """Solve A X = B over complex floats: Gaussian elimination with partial
     pivoting (first row of largest magnitude, pivots at most PIVOT_RTOL times
-    the largest |entry| of [A | B] count as zero), free variables zero, and
+    the largest |entry| of A count as zero), free variables zero, and
     back-substitution summing over every later column, free ones included.
-    Returns X as a list of rows, or None when the system is inconsistent.
+    Returns X as a list of rows, or None when the system is inconsistent: a
+    row past the pivot rows keeps a B entry above PIVOT_RTOL times the
+    largest |entry| of B.
     """
     n = len(a_rows[0])
     rows = [[complex(e) for e in a + b] for a, b in zip(a_rows, b_rows)]
-    tol = PIVOT_RTOL * max(abs(e) for row in rows for e in row)
+    tol = PIVOT_RTOL * max(abs(e) for row in a_rows for e in row)
+    rhs_tol = PIVOT_RTOL * max(abs(e) for row in b_rows for e in row)
     width = len(rows[0])
     pivots = []
     top = 0
@@ -240,7 +243,7 @@ def loop_solve_float(a_rows, b_rows):
                 rows[r][c] -= factor * rows[top][c]
         pivots.append((top, col))
         top += 1
-    if any(not abs(e) <= tol for row in rows[top:] for e in row[n:]):
+    if any(not abs(e) <= rhs_tol for row in rows[top:] for e in row[n:]):
         return None
     x = [[complex(0)] * (width - n) for _ in range(n)]
     for r, c in reversed(pivots):
@@ -399,7 +402,7 @@ def _synthesis_ops(group, block):
             [block_rows[l][i] for i in unknowns] + [complex(l == u) for u in equations]
             for l in equations
         ]
-        tol = PIVOT_RTOL * max(abs(e) for row in rows for e in row)
+        tol = PIVOT_RTOL * max(abs(e) for row in rows for e in row[:n])
         pivots = []
         for col in range(n):
             top = len(pivots)

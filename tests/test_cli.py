@@ -240,6 +240,34 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "channel", ["1 2\n1e-160 2e-160\n", "1 2\n1e-160 1\n"], ids=["both-users", "one-user"]
+    )
+    def test_float_underflow_exit_1(self, capsys, tmp_path, channel):
+        # A user's squared channel norm is subnormal: named as the Gram
+        # matrix's underflow, not as a rank-deficient system or a decode error.
+        (tmp_path / "a.mapda").write_text("1 2 2 1 1\n* 1\n1 *\n")
+        (tmp_path / "ch.txt").write_text(channel)
+        argv = ["simulate", str(tmp_path / "a.mapda"), "--files", "1", "--channel", str(tmp_path / "ch.txt")]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: the channel's Gram matrix H* H underflows the float range at user 1\n"
+
+    def test_small_and_large_float_channels_decode(self, capsys, tmp_path):
+        # Float pivots are relative to each system's scale: a uniformly
+        # scaled channel decodes at any scale whose Gram matrix is in range.
+        (tmp_path / "a.mapda").write_text("1 2 2 1 1\n* 1\n1 *\n")
+        outputs = []
+        for scale in ("1", "1e-4", "1e-5", "1e-50", "1e-100", "1e100"):
+            (tmp_path / "ch.txt").write_text(f"1 2\n{scale} {scale}\n")
+            argv = ["simulate", str(tmp_path / "a.mapda"), "--files", "1", "--channel", str(tmp_path / "ch.txt")]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), scale
+            report = json.loads(out)
+            assert report["slots"][0]["residual_max"] <= 1.5e-14, scale
+            outputs.append((report["ndt_ul"], report["ops_measured"]))
+        assert outputs == [outputs[0]] * len(outputs)
+
     def test_demand_list(self, capsys):
         code, out, _ = run_cli(
             capsys,

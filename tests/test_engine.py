@@ -1078,6 +1078,40 @@ class TestChannels:
         assert make_channel(2, 6, seed=42).matrix == make_channel(2, 6, seed=42).matrix
         assert make_channel(2, 6, seed=42).matrix != make_channel(2, 6, seed=43).matrix
 
+    def test_decoding_does_not_depend_on_the_channels_scale(self):
+        # The float pivots are relative to each column system's own scale, so
+        # a scaled channel decodes with the same pivots, and so the same
+        # operation counts; at 1e-5 it was once refused as degenerate.
+        m = replicate(generate_mn_pda(6, 2), 2)
+        instance, demands = build_instance(m, files=2), default_demands(m.cols, 2)
+        library = random_library(2, m.rows, seed=1, backend=FLOAT)
+        base = make_channel(m.antennas, m.cols, seed=3).matrix.to_rows()
+        reports = [
+            run_delivery(
+                instance,
+                ChannelMatrix(Matrix.from_rows([[e * scale for e in row] for row in base], FLOAT)),
+                demands,
+                library,
+            )
+            for scale in (1.0, 1e-3, 1e-4, 1e-5, 1e-50, 1e-100, 1e3, 1e100)
+        ]
+        assert all(r.ops_measured == reports[0].ops_measured for r in reports)
+
+    def test_float_gram_matrix_out_of_range_refused(self):
+        # A user whose squared channel norm underflows to a subnormal or zero
+        # would pivot on rounding residue; past the float range, on inf.
+        for rows, what in (
+            ([[1e-160, 2e-160]], "underflows the float range at user 1"),
+            ([[1, 1e-160]], "underflows the float range at user 2"),
+            ([[1e-160, 0], [0, 1]], "underflows the float range at user 1"),
+            ([[1e160, 1]], "overflows the float range"),
+        ):
+            with pytest.raises(arrays.DomainError, match=what):
+                ChannelMatrix(Matrix.from_rows(rows, FLOAT)).gram
+        # A zero column is no underflow: that user has no channel at all.
+        gram = ChannelMatrix(Matrix.from_rows([[0, 1]], FLOAT)).gram
+        assert gram.to_rows() == [[0, 0], [0, 1]]
+
     def test_fixture_restriction_matches_worked_channel(self, fixture_channel):
         h = fixture_channel.matrix.take(range(2), [0, 1, 3, 4])
         assert h.to_rows() == [[1, 1, 1, 1], [2, 3, 4, 5]]

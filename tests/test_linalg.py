@@ -519,6 +519,22 @@ class TestSolve:
             assert (flagged, support) == ([1], [0])
             assert [[v / x_den for v in row] for row in x_rows] == [[1, 0]]
 
+    @pytest.mark.parametrize("scale", [1e-100, 1e-12, 1e-5, 1.0, 1e100])
+    def test_float_pivots_are_relative_to_the_systems_scale(self, scale):
+        # A pivot is tested against the system's largest |entry|, and a unit
+        # right-hand side against 1, so a scaled system keeps its pivots:
+        # a generic one solves to the scaled inverse, a singular one names
+        # both units.  Below 1e-9 a generic system was once called singular.
+        generic = Matrix.from_rows([[2 * scale, scale], [scale, 3 * scale]], FLOAT)
+        flagged, support, x_rows, _, x_den, _ = solve_all(generic)
+        assert (flagged, support, x_den) == ([], [0, 1], 1)
+        inverse = [[0.6, -0.2], [-0.2, 0.4]]
+        assert all(
+            abs(x * scale - want) <= 1e-15 for row, wants in zip(x_rows, inverse) for x, want in zip(row, wants)
+        )
+        singular = Matrix.from_rows([[scale, 2 * scale], [2 * scale, 4 * scale]], FLOAT)
+        assert solve_all(singular)[:2] == ([0, 1], [0])
+
     def test_exact_solutions_satisfy_system(self):
         rng = random.Random(11)
         solved = 0
