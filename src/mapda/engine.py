@@ -28,13 +28,18 @@ from the Gram to the decode is integer rows over one denominator.  Inside
 ``run_delivery``, slots serving the same users share one store of solves
 for the run, each system solved once (on the circulant arrays of scheme 3,
 K systems instead of K(K-t)); a slot whose served users no other slot
-serves keeps none.  Every V and B equals in value the one the slot gets
-alone, apart from the sign of a zero.
+serves keeps none.  Where users share cache groups, the run also keeps one
+store of cores across all its slots: a system's unknowns come by cache
+group, so on a generic channel its pivots are its leading group, and its
+x is solved once per equation users and pivot users (on the replicated
+array of the deliver-float benchmark, 70 eliminations instead of 840).
+Every V and B equals in value the one the slot gets alone, apart from the
+sign of a zero; a core's x is bit for bit the slot's own.
 
 Scalar work runs on either backend of ``linalg``; exact-rational runs make
-decode checks bit-exact.  Slots share no state but the solves of their
-served users' store, formed by whichever slot needs them first, so per-slot
-work can run in any order (a delivery run here simply iterates them).
+decode checks bit-exact.  Slots share no state but the run's stores of
+solves, formed by whichever slot needs them first, so per-slot work can
+run in any order (a delivery run here simply iterates them).
 """
 
 from __future__ import annotations
@@ -70,12 +75,13 @@ from .linalg import (
 
 # Relative tolerance for float-backend decode checks; the exact backend
 # demands equality.  A recovered value must lie within DECODE_RTOL times
-# max(1, |expected|) of the library value, or DecodeMismatch is raised.  The
-# check guards against solver and model bugs: a wrong support, a missed
+# max(1, |expected|) of the library value, or DecodeMismatch is raised
+# (DomainError where the error is float precision loss; see ``run_slot``).
+# The check guards against solver and model bugs: a wrong support, a missed
 # forced zero or a wrong subtraction leaves an error of the order of the
 # packet values themselves.  An honest float decode errs by rounding
 # amplified by the conditioning of the slot's systems: residual_max is at
-# most 2.8e-13 on the deliver-float benchmark (seeds 1-3).  1e-6 leaves six
+# most 2.2e-13 on the deliver-float benchmark (seeds 1-3).  1e-6 leaves six
 # orders of magnitude for worse-conditioned random channels before a correct
 # run would fail, and is still far below any structural error.
 DECODE_RTOL = 1e-6
@@ -117,6 +123,12 @@ class SlotGroup(NamedTuple):
     positions of users caching packet n's row: the only rows of column n of
     V allowed to be nonzero.  It is the slot's one cache relation: B(l, n)
     must vanish exactly when l != n and l is not in ``cacher_sets[n]``.
+    Its positions come by cache group, the users whose columns hold stars
+    in the same rows: groups in order of their smallest user, users
+    ascending within one.  Where no two users share a group that is
+    ascending order.  A column system's unknowns come in this order, so on
+    a generic channel the pivots of a replicated array's systems are one
+    copy group, the same for every slot that serves it.
     ``redundancy`` and ``antennas`` carry the parent array's t and L for the
     solver gate; ``redundancy`` stays, though every slot holds the same t,
     because ``synthesize_precoder`` refuses each slot of a t < L array on
@@ -133,11 +145,15 @@ class SlotGroup(NamedTuple):
 
 class SchemeInstance(NamedTuple):
     """An array bound to a library size, and its slot groups; a user caches
-    every file's packets at the rows where its column holds a star."""
+    every file's packets at the rows where its column holds a star.
+    ``grouped`` is true when two users cache the same rows: then cacher
+    sets list users by cache group, and a delivery run keeps a store of
+    solved column-system cores (see ``run_delivery``)."""
 
     mapda: Mapda
     files: int
     groups: tuple
+    grouped: bool = False
 
 
 class ChannelMatrix(_Frozen):
@@ -241,9 +257,22 @@ def build_instance(m: Mapda, files: int) -> SchemeInstance:
     if files < 1:
         raise DomainError(f"library size must be >= 1, got {_number(files)}")
     t = m.profile.t
+    # Each user's cache group is named by its smallest user: the first
+    # column with the user's star rows.
+    leaders = {}
+    leader = [
+        leaders.setdefault(tuple([e is STAR for e in column]), k)
+        for k, column in enumerate(zip(*m.grid))
+    ]
+    grouped = len(leaders) < m.cols
     groups = []
     for s in range(1, m.slots + 1):
         served_rows, served_users = zip(*m.slot_cells(s))
+        # The slot's positions in cacher-set order: by cache group, each
+        # group's users ascending (a stable sort of ascending positions).
+        order = list(enumerate(served_users))
+        if grouped:
+            order.sort(key=lambda position: leader[position[1] - 1])
         # A row's cachers are the served users holding a star in it, read
         # at the slot's users once per distinct row: |slot| reads, where
         # validate's C4 spends one popcount of the row's integer-cell mask
@@ -251,10 +280,10 @@ def build_instance(m: Mapda, files: int) -> SchemeInstance:
         cachers = {}
         for f in dict.fromkeys(served_rows):
             row = m.grid[f - 1]
-            cachers[f] = tuple([i for i, k in enumerate(served_users) if row[k - 1] is STAR])
+            cachers[f] = tuple([i for i, k in order if row[k - 1] is STAR])
         cacher_sets = tuple(map(cachers.__getitem__, served_rows))
         groups.append(SlotGroup(s, served_users, served_rows, cacher_sets, t, m.antennas))
-    return SchemeInstance(mapda=m, files=files, groups=tuple(groups))
+    return SchemeInstance(mapda=m, files=files, groups=tuple(groups), grouped=grouped)
 
 
 def default_demands(users, files):
@@ -367,7 +396,9 @@ def _served_columns(channel: ChannelMatrix, group: SlotGroup) -> list:
     return [k - 1 for k in group.served_users]
 
 
-def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -> PrecodingMatrix:
+def synthesize_precoder(
+    group: SlotGroup, channel: ChannelMatrix, family=None, cores=None
+) -> PrecodingMatrix:
     """Choose the slot's uplink precoder V so B = H* H V decodes one-shot.
 
     Column n is solved from the reduced system over the cacher positions:
@@ -387,16 +418,23 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
     regime offers no solution and Infeasible is raised.  A rank failure on
     a system a generic channel would solve raises DegenerateChannel instead.
 
-    Each system is solved for all of its equation rows; ``solve`` reports
-    each right-hand side's consistency on its own, so a slot's columns fail
-    as they fail alone.  On the generators' arrays every equation row is
-    some slot's column; on an irregular array a slot may solve right-hand
-    sides that no column reads, which costs operations but moves no pivot,
-    V, B or error.  ``family`` is the run's store of solves {cacher set:
+    The unknowns come in the cacher set's order, by cache group (see
+    ``SlotGroup``).  Each system is solved for all of its equation rows;
+    ``solve`` reports each right-hand side's consistency on its own, so a
+    slot's columns fail as they fail alone.  On the generators' arrays
+    every equation row is some slot's column; on an irregular array a slot
+    may solve right-hand sides that no column reads, which costs operations
+    but moves no pivot, V, B or error.  ``family`` is the run's store of solves {cacher set:
     solve} for the slot's served users, shared by every slot serving them;
     without it the slot keeps nothing.  V and B are equal in value either
     way; a solve shared with another slot may be nonzero on more unknowns,
-    whose zeros can flip a zero's sign.
+    whose zeros can flip a zero's sign.  ``cores`` is the run's store of
+    column-system cores across all its slots, keyed by users (see
+    ``linalg.solve``): a system whose pivots are its leading unknowns is
+    kept under its equation users and those unknowns' users, and a later
+    system with that key takes the kept x where the kept pivots clear its
+    own threshold, x being then bit for bit the one it solves alone.  Each
+    slot forms its own B from x.  Without ``cores`` the slot keeps nothing.
 
     Each solve is placed as it comes, with no second pass over the solves;
     V and B are rescaled to one denominator only where a system's differs.
@@ -431,7 +469,14 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
         equations = sorted(positions.difference(unknowns))
         solution = solved.get(unknowns)
         if solution is None:
-            solution = solved[unknowns] = solve(block, equations, unknowns)
+            key = None
+            if cores is not None:
+                names = group.served_users
+                key = (
+                    tuple([names[l] for l in equations]),
+                    tuple([names[i] for i in unknowns[: len(equations)]]),
+                )
+            solution = solved[unknowns] = solve(block, equations, unknowns, cores, key)
         flagged, support, x_rows, bs, x_den, b_den = solution
         for n in members:
             j = equations.index(n)
@@ -488,7 +533,7 @@ def synthesize_precoder(group: SlotGroup, channel: ChannelMatrix, family=None) -
     )
 
 
-def run_slot(group, channel, demands, library, family=None) -> SlotOutcome:
+def run_slot(group, channel, demands, library, family=None, cores=None) -> SlotOutcome:
     """Execute one transmission: synthesize the precoder, uplink combine,
     forward, decode.
 
@@ -498,9 +543,10 @@ def run_slot(group, channel, demands, library, family=None) -> SlotOutcome:
     B and recovers its packet from the unit diagonal; the packets travel
     as plain vectors through ``matvec``.  Only the served users' demands
     are checked; ``run_delivery`` checks the whole vector.
-    ``family`` is the run's store of solves for the slot's served users, as
-    in ``synthesize_precoder``.  Raises DecodeMismatch if a recovered value
-    strays from the library, and DomainError if float signals overflow.
+    ``family`` and ``cores`` are the run's stores of solves, as in
+    ``synthesize_precoder``.  Raises DecodeMismatch if a recovered value
+    strays from the library, and DomainError if float signals overflow or
+    the error is within rounding of a term the user cancels.
     """
     demands = tuple(demands)
     if len(demands) < max(group.served_users):
@@ -512,7 +558,7 @@ def run_slot(group, channel, demands, library, family=None) -> SlotOutcome:
     _check_demands(wanted, library.n_rows)
     _check_same_backend(channel.matrix, library)
     with count_ops() as synthesis:
-        precoder = synthesize_precoder(group, channel, family)
+        precoder = synthesize_precoder(group, channel, family, cores)
     backend, users = library.backend, [k - 1 for k in group.served_users]
     w = entries(library, [(d - 1, f - 1) for d, f in zip(wanted, group.served_rows)])
     packets, den = w
@@ -525,7 +571,7 @@ def run_slot(group, channel, demands, library, family=None) -> SlotOutcome:
         # User l subtracts the packets it caches, divides by its unit entry.
         values = isolate(precoder.combined, w, y_users, group.cacher_sets)
         residual = precoder.residual
-        for user, expected, value in zip(group.served_users, packets, values):
+        for l, (user, expected, value) in enumerate(zip(group.served_users, packets, values)):
             if backend == EXACT:
                 wrong = value * den != expected and f"recovered {value} != {Fraction(expected, den)}"
             else:
@@ -536,6 +582,24 @@ def run_slot(group, channel, demands, library, family=None) -> SlotOutcome:
                 if all(map(cmath.isfinite, packets)):
                     # The Gram matrix and the packets are finite: the signals overflowed.
                     raise DomainError(f"slot {group.slot}: user {user} decodes {value}: float overflow")
+            elif wrong and backend == FLOAT:
+                # Precision loss, not a solver fault, when the error is at
+                # most (2r + L) epsilons of the largest term B(l, j) w_j
+                # that user l cancels, r being the slot's users: y_l sums
+                # the r encoded signals over L antennas and loses at most r
+                # cancelled terms, each rounding worth an epsilon of a term
+                # that size.  A user whose channel is 1e-20 of another's
+                # cancels a term 1e20 times its own packet, and keeps none
+                # of its digits.
+                b_row = precoder.combined.to_rows()[l]
+                cancelled = [j for j, cachers in enumerate(group.cacher_sets) if l in cachers]
+                largest = max([abs(b_row[j] * packets[j]) for j in cancelled], default=0.0)
+                roundings = 2 * len(packets) + group.antennas
+                if err <= roundings * sys.float_info.epsilon * largest:
+                    raise DomainError(
+                        f"slot {group.slot}: user {user} loses its packet to float precision: "
+                        f"decode error {err} is rounding of a cancelled term of {largest:.3g}"
+                    )
             if wrong:
                 raise DecodeMismatch(f"slot {group.slot}: user {user} {wrong}", slot=group.slot)
     recovered = zip(group.served_users, map(PacketId, wanted, group.served_rows), values)
@@ -554,11 +618,12 @@ def _ops_model(instance: SchemeInstance) -> Fraction:
     serving the same users), B summed over each column's at most L
     nonzeros (on the exact backend over its cacher rows alone), the Gram
     matrix once per channel, encoding, forwarding and decoding.  Its total
-    multiplications over this model read 0.51 on the deliver-float
+    multiplications over this model read 0.40 on the deliver-float
     benchmark, where back-substitution skips each column system's free
-    variables, and 1.03 on deliver-exact, where fraction-free elimination
-    spends up to three multiplications per updated entry but the 8 slots
-    of cyclic(16, 8) share 16 systems instead of solving 128.
+    variables and the run's 840 systems share 70 eliminated cores, and
+    1.03 on deliver-exact, where fraction-free elimination spends up to
+    three multiplications per updated entry but the 8 slots of
+    cyclic(16, 8) share 16 systems instead of solving 128.
     """
     sizes = [len(group.served_users) for group in instance.groups]
     return sum(r**3 + r**2 for r in sizes) + instance.mapda.profile.t * sum(sizes)
@@ -573,12 +638,18 @@ def run_delivery(instance, channel, demands, library) -> DeliveryReport:
     once; since a user's packets are its demanded file at those rows, that
     fixes every user's packet set.  Slots serving the same users share one
     store of column solves for this run (see ``synthesize_precoder``); a
-    slot whose served users no other slot serves gets none.  Every slot's V
-    and B equal in value, apart from the sign of a zero, those the slot
-    gets alone.  Refuses channels without exactly one column per user.
+    slot whose served users no other slot serves gets none.  Where two
+    users cache the same rows (``SchemeInstance.grouped``), every slot also
+    shares the run's one store of cores, keyed by users; elsewhere there is
+    none, and every V, B, residual and op count is what the slots make
+    without it.  Both stores live for this call alone.  Every slot's V and
+    B equal in value, apart from the sign of a zero, those the slot gets
+    alone, and a core's x is bit for bit the slot's own.  Refuses channels
+    without exactly one column per user.
     Propagates Infeasible (an array with t < L is refused at its first
-    slot), DegenerateChannel, and DecodeMismatch with the offending slot id
-    (None for a cell mismatch).
+    slot), DegenerateChannel, DecodeMismatch with the offending slot id
+    (None for a cell mismatch), and DomainError where a float decode loses
+    a packet to precision (see ``run_slot``).
     """
     m = instance.mapda
     demands = tuple(demands)
@@ -600,11 +671,14 @@ def run_delivery(instance, channel, demands, library) -> DeliveryReport:
     ops_total: dict[str, dict[str, int]] = {}
     recovered: dict[int, set] = {k: set() for k in range(1, m.cols + 1)}
     recovered_cells = []
-    # One store of solves per served users that two or more slots share.
+    # One store of solves per served users that two or more slots share,
+    # and, where users share cache groups, one store of cores for the run.
     shared = Counter(group.served_users for group in instance.groups)
     stores = {users: {} for users, slots in shared.items() if slots > 1}
+    cores = {} if instance.grouped else None
     for group in instance.groups:
-        outcome = run_slot(group, channel, demands, library, stores.get(group.served_users))
+        family = stores.get(group.served_users)
+        outcome = run_slot(group, channel, demands, library, family, cores)
         for phase, tally in outcome.ops.items():
             agg = ops_total.setdefault(phase, {"mul": 0, "add": 0})
             agg["mul"] += tally["mul"]

@@ -6,8 +6,10 @@ A single computation never mixes backends.  Per-slot precoder systems need
 multiply, conjugate transpose, and a Gaussian-elimination solver that
 zeroes free variables and reports inconsistency instead of guessing; the
 engine solves its column systems in place, each against one unit
-right-hand side per equation row, carries a slot's packets through
-``matvec`` as plain vectors, and decodes with ``isolate``.
+right-hand side per equation row, lets ``solve`` keep the core of a system
+whose pivots are its leading unknowns for later systems that share them,
+carries a slot's packets through ``matvec`` as plain vectors, and decodes
+with ``isolate``.
 
 Every matrix, on either backend, is a list of rows over one denominator,
 which the kernels read and return; ``to_rows`` is the one reader of its
@@ -70,11 +72,13 @@ FLOAT = "float"
 # times the right-hand sides' own largest |entry| (1 for ``solve``'s units).
 # Measured as fractions of those scales: a genuine pivot of a generic channel
 # is sizeable (the smallest on the deliver-float benchmark, seeds 1-3, is
-# 4.3e-3, and none there is rejected); over the tier-1 tests' float systems
+# 6.7e-3, and none there is rejected); over the tier-1 tests' float systems
 # the largest residue read as a zero pivot is 1.3e-14, the largest residue of
 # a consistent right-hand side 1.9e-15, and the smallest entry of an
-# inconsistent one 1.2e-2.  1e-9 sits five orders of magnitude clear of the
-# residue and six of the deliver-float pivots.
+# inconsistent one 1.0e-2.  1e-9 sits five orders of magnitude clear of the
+# residue and six of the deliver-float pivots.  (One test scales a user's
+# channel by 3e8 so that other users' pivots, 9.2e-10 of that system's
+# scale, fall under the threshold on purpose.)
 PIVOT_RTOL = 1e-9
 
 
@@ -398,7 +402,7 @@ def _solve_rows(rows, n, backend, tols=None):
     return flagged, pivot_cols, x, det
 
 
-def solve(a: Matrix, rows, cols):
+def solve(a: Matrix, rows, cols, cores=None, key=None):
     """Solve a's rows ``rows`` over its columns ``cols``, read in place,
     against the identity over those equation rows: one unit right-hand side
     per row, the j-th reading 1 in a's row rows[j].
@@ -423,21 +427,39 @@ def solve(a: Matrix, rows, cols):
     is an integer: x's rows are over d, the Bareiss determinant, and a x is
     over a's denominator times d.  Its equation rows are read from the
     right-hand side the solve satisfied; only the other rows are summed.
+
+    ``cores`` is a store that a caller keeps across solves, and ``key``
+    names this system in it: the caller's labels of the equation rows and
+    of the first len(rows) unknowns.  A system whose pivots are exactly
+    those leading unknowns is kept there as its core: its smallest pivot
+    magnitude, x's rows and denominator.  Its x depends on those columns
+    alone, so a later system with the key takes the core's x when the
+    smallest pivot still clears its own threshold, PIVOT_RTOL times its
+    own largest |entry|, where elimination would pick the same pivots; a
+    core that does not is passed over and the system solved in full.
+    Either way x is bit for bit the system's own; a x is summed as above.
     """
     size, n, n_rhs = a.n_rows, len(cols), len(rows)
     a_rows, den = a._rows
     exact = a.backend == EXACT
     unit, zero = (den, 0) if exact else (1 + 0j, 0j)
-    rhs = [zero] * n_rhs
     picked = list(map(_picker(cols), _picker(rows)(a_rows)))
-    system = [[*row, *rhs] for row in picked]
-    for k, equation in enumerate(system):
-        equation[n + k] = unit
     # Pivots are tested against A's largest |entry| (NaN where A's first
     # entry is), whatever the channel's scale; the right-hand sides are 0s
     # and one 1.0 per row, so their largest |entry| is 1.0.
     tols = None if exact else (PIVOT_RTOL * max(map(abs, chain(*picked)), default=0.0), PIVOT_RTOL)
-    flagged, pivot_cols, x_rows, det = _solve_rows(system, n, a.backend, tols)
+    core = None if cores is None else cores.get(key)
+    if core is not None and core[0] > (0 if exact else tols[0]):
+        flagged, pivot_cols, (_, x_rows, det) = [], range(n_rhs), core
+    else:
+        rhs = [zero] * n_rhs
+        system = [[*row, *rhs] for row in picked]
+        for k, equation in enumerate(system):
+            equation[n + k] = unit
+        flagged, pivot_cols, x_rows, det = _solve_rows(system, n, a.backend, tols)
+        if cores is not None and pivot_cols == list(range(n_rhs)):
+            # Each pivot row k keeps its pivot at column k after elimination.
+            cores[key] = (min([abs(system[k][k]) for k in pivot_cols]), x_rows, det)
     # The support is the pivot columns: in exact arithmetic x is nonzero on
     # each, since its pivot rows solve a triangular system whose right-hand
     # sides, the eliminated identity's pivot rows, have full rank.

@@ -253,6 +253,38 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert err == "error: the channel's Gram matrix H* H underflows the float range at user 1\n"
 
+    @pytest.mark.parametrize("exponent", [20, 150])
+    def test_float_precision_loss_exit_1(self, capsys, tmp_path, exponent):
+        # User 1's channel is 10**-exponent of user 2's, so user 2 cancels a
+        # term 10**exponent times user 1's packet, and floats keep no digit
+        # of its own: named as precision loss, not blamed on the solver.
+        # The exact backend decodes the same channel.
+        (tmp_path / "a.mapda").write_text("1 2 2 1 1\n* 1\n1 *\n")
+        argv = ["simulate", str(tmp_path / "a.mapda"), "--files", "1", "--channel", str(tmp_path / "ch.txt")]
+        (tmp_path / "ch.txt").write_text(f"1 2\n1e-{exponent} 1\n")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: slot 1: user 2 loses its packet to float precision: decode error ")
+        assert " is rounding of a cancelled term of " in err and "Traceback" not in err
+        (tmp_path / "ch.txt").write_text(f"1 2\n1/{10**exponent} 1\n")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["slots"][0]["residual_max"] == 0
+
+    def test_well_scaled_two_user_channel_output(self, capsys, tmp_path):
+        (tmp_path / "a.mapda").write_text("1 2 2 1 1\n* 1\n1 *\n")
+        (tmp_path / "ch.txt").write_text("1 2\n0.5 2\n")
+        argv = ["simulate", str(tmp_path / "a.mapda"), "--files", "1", "--channel", str(tmp_path / "ch.txt")]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"ndt_ul": "1/2", "ndt_dl": "1/2", "slots": [{"s": 1, "served": [1, 2], '
+            '"feasible": true, "residual_max": 7.771561172376096e-16}], "ops_measured": '
+            '{"precoder_synthesis": {"mul": 10, "add": 0}, "uplink_encode": {"mul": 4, "add": 2}, '
+            '"bs_forward": {"mul": 2, "add": 1}, "user_decode": {"mul": 6, "add": 2}}, '
+            '"ops_model": 14}\n'
+        )
+
     def test_small_and_large_float_channels_decode(self, capsys, tmp_path):
         # Float pivots are relative to each system's scale: a uniformly
         # scaled channel decodes at any scale whose Gram matrix is in range.
